@@ -278,7 +278,8 @@ where
     })
 }
 
-/// Short provenance tag for a run's COP profile database.
+/// Short provenance tag for a run's COP profile database: built by this
+/// run or shared with an earlier run in the same process.
 pub fn cache_tag(report: &RunReport) -> &'static str {
     match report.profile_cache {
         Some(CacheOutcome::MemoryHit) => "profile-db cache hit",

@@ -14,16 +14,15 @@
 //! introduces the small, realistic profiling error that the Combined
 //! Operator Profiling evaluation (Fig. 8) measures.
 //!
-//! Profiling the standard grid takes long enough that doing it once per
-//! platform construction dominates test and bench time. The database is
-//! therefore *content-addressable*: [`ProfileDatabase::cached`] keys the
-//! result by a stable hash of ⟨hardware calibration, config grid,
-//! distinct operator set, seed⟩, shares it process-wide behind a
-//! `OnceLock` registry, and snapshots it to `target/cop-cache/` so
-//! sibling test processes reuse it too.
+//! Profiling is cheap (the whole zoo's grid takes about 1.5 ms), but
+//! every platform construction asks for a database, so it is shared:
+//! [`ProfileDatabase::cached`] keys the result by a stable hash of
+//! ⟨hardware calibration, config grid, distinct operator set, seed⟩ and
+//! profiles each key at most once per process behind a `OnceLock`
+//! registry. Nothing is written to disk; a new process re-profiles,
+//! which costs less than reading a snapshot back would.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use rand::Rng;
@@ -178,7 +177,7 @@ impl ConfigGrid {
 /// let db = ProfileDatabase::profile(&hw, &specs, &ConfigGrid::standard(), 42);
 /// assert!(db.len() > 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProfileDatabase {
     entries: HashMap<ProfileKey, f64>,
     grid: ConfigGrid,
@@ -277,9 +276,7 @@ impl ProfileDatabase {
     /// [`ProfileDatabase::profile`] reads — the hardware calibration, the
     /// grid, the distinct operator set, and the noise seed — serialized
     /// canonically and FNV-hashed. Two calls agreeing on this key would
-    /// profile byte-identical databases. `CACHE_FORMAT_VERSION` is mixed
-    /// in so changes to the profiling procedure itself invalidate old
-    /// snapshots.
+    /// profile byte-identical databases.
     pub fn cache_key(
         hardware: &HardwareModel,
         specs: &[ModelSpec],
@@ -287,7 +284,6 @@ impl ProfileDatabase {
         seed: u64,
     ) -> u64 {
         let doc = serde_json::json!({
-            "version": Self::CACHE_FORMAT_VERSION,
             "calibration": hardware.calibration(),
             "grid": grid,
             "signatures": Self::distinct_signatures(specs),
@@ -301,10 +297,8 @@ impl ProfileDatabase {
     ///
     /// Returns the shared database for this ⟨calibration, model set,
     /// grid, seed⟩. Within a process each distinct key is profiled at
-    /// most once (concurrent callers of the same key block on the
-    /// winner); across processes a `target/cop-cache/<key>.json`
-    /// snapshot written by the first builder is reloaded instead of
-    /// re-profiled.
+    /// most once; concurrent callers of the same key block on the
+    /// winner.
     pub fn cached(
         hardware: &HardwareModel,
         specs: &[ModelSpec],
@@ -329,24 +323,15 @@ impl ProfileDatabase {
         let slot = Arc::clone(lock_registry().slots.entry(key).or_default());
         let mut outcome = CacheOutcome::MemoryHit;
         let db = Arc::clone(slot.get_or_init(|| {
-            if let Some(db) = load_snapshot(key, grid) {
-                outcome = CacheOutcome::DiskHit;
-                Arc::new(db)
-            } else {
-                outcome = CacheOutcome::Built;
-                let db = Arc::new(Self::profile(hardware, specs, grid, seed));
-                store_snapshot(key, &db);
-                db
-            }
+            outcome = CacheOutcome::Built;
+            Arc::new(Self::profile(hardware, specs, grid, seed))
         }));
         let mut reg = lock_registry();
-        match outcome {
-            CacheOutcome::MemoryHit => reg.stats.memory_hits += 1,
-            CacheOutcome::DiskHit => reg.stats.disk_hits += 1,
-            CacheOutcome::Built => {
-                reg.stats.builds += 1;
-                *reg.builds_per_key.entry(key).or_insert(0) += 1;
-            }
+        if outcome == CacheOutcome::Built {
+            reg.stats.builds += 1;
+            *reg.builds_per_key.entry(key).or_insert(0) += 1;
+        } else {
+            reg.stats.memory_hits += 1;
         }
         (db, outcome)
     }
@@ -366,11 +351,6 @@ impl ProfileDatabase {
             .copied()
             .unwrap_or(0)
     }
-
-    /// Bump when the profiling procedure (noise model, RNG stream
-    /// labelling, entry layout) changes: old disk snapshots no longer
-    /// describe what `profile()` would produce.
-    const CACHE_FORMAT_VERSION: u32 = 1;
 }
 
 /// How a [`ProfileDatabase::cached`] lookup was satisfied.
@@ -378,10 +358,11 @@ impl ProfileDatabase {
 pub enum CacheOutcome {
     /// Another lookup in this process already held the database.
     MemoryHit,
-    /// A snapshot written by an earlier process was reloaded from
-    /// `target/cop-cache/`.
+    /// Never produced: databases are no longer snapshotted to disk,
+    /// since profiling from scratch is faster than reloading. The
+    /// variant stays so existing matches on `CacheOutcome` compile.
     DiskHit,
-    /// The grid was profiled from scratch (and snapshotted to disk).
+    /// The grid was profiled from scratch.
     Built,
 }
 
@@ -390,8 +371,6 @@ pub enum CacheOutcome {
 pub struct CacheStats {
     /// Lookups served from the in-process registry.
     pub memory_hits: u64,
-    /// Lookups served by reloading a disk snapshot.
-    pub disk_hits: u64,
     /// Lookups that profiled from scratch.
     pub builds: u64,
 }
@@ -399,7 +378,7 @@ pub struct CacheStats {
 impl CacheStats {
     /// Total lookups served.
     pub fn lookups(&self) -> u64 {
-        self.memory_hits + self.disk_hits + self.builds
+        self.memory_hits + self.builds
     }
 }
 
@@ -428,48 +407,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// The on-disk snapshot directory: `$COP_CACHE_DIR` when set, otherwise
-/// `target/cop-cache/` under the workspace root.
-fn cache_dir() -> PathBuf {
-    if let Ok(dir) = std::env::var("COP_CACHE_DIR") {
-        return PathBuf::from(dir);
-    }
-    let mut dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    dir.pop(); // crates/
-    dir.pop(); // workspace root
-    dir.join("target").join("cop-cache")
-}
-
-fn snapshot_path(key: u64) -> PathBuf {
-    cache_dir().join(format!("{key:016x}.json"))
-}
-
-fn load_snapshot(key: u64, grid: &ConfigGrid) -> Option<ProfileDatabase> {
-    let text = std::fs::read_to_string(snapshot_path(key)).ok()?;
-    let db: ProfileDatabase = serde_json::from_str(&text).ok()?;
-    // Guards against truncated writes and (vanishingly unlikely) key
-    // collisions: the snapshot must cover the grid that was asked for.
-    (db.grid == *grid && !db.is_empty()).then_some(db)
-}
-
-/// Best-effort snapshot write: a unique temp file renamed into place, so
-/// concurrent processes never observe a torn snapshot. Failures are
-/// ignored — the cache degrades to per-process profiling.
-fn store_snapshot(key: u64, db: &ProfileDatabase) {
-    let dir = cache_dir();
-    if std::fs::create_dir_all(&dir).is_err() {
-        return;
-    }
-    let Ok(text) = serde_json::to_string(db) else {
-        return;
-    };
-    let tmp = dir.join(format!("{key:016x}.json.{}.tmp", std::process::id()));
-    if std::fs::write(&tmp, text).is_err() {
-        return;
-    }
-    let _ = std::fs::rename(&tmp, snapshot_path(key));
 }
 
 /// Standard-normal draw via Box-Muller (keeps this crate independent of
@@ -601,10 +538,7 @@ mod tests {
         let after = ProfileDatabase::cache_stats();
 
         assert!(Arc::ptr_eq(&a, &b), "same key must share one database");
-        // Cold target/: built here (then snapshotted). Warm target/: the
-        // snapshot of an earlier run is reloaded. Either way this
-        // process never profiles the key twice.
-        assert!(matches!(first, CacheOutcome::Built | CacheOutcome::DiskHit));
+        assert_eq!(first, CacheOutcome::Built);
         assert_eq!(second, CacheOutcome::MemoryHit);
         assert!(after.memory_hits > before.memory_hits);
         assert!(ProfileDatabase::builds_for(key) <= 1);
@@ -619,8 +553,8 @@ mod tests {
         let grid = private_grid(40);
         let direct = ProfileDatabase::profile(&hw, &specs, &grid, 9200);
         let cached = ProfileDatabase::cached(&hw, &specs, &grid, 9200);
-        // Identical whether built fresh or round-tripped through a JSON
-        // snapshot (f64 serialization is shortest-roundtrip exact).
+        // The shared database is exactly what profiling the same inputs
+        // directly produces.
         assert_eq!(*cached, direct);
     }
 
