@@ -123,6 +123,7 @@ fn main() {
     let payload = serde_json::json!({
         "experiment": "perf_hotpath",
         "quick": quick(),
+        "host_cores": std::thread::available_parallelism().map_or(1, |n| n.get()),
         "duration_s": duration.as_secs_f64(),
         "scenarios": results
             .iter()

@@ -21,7 +21,7 @@ use infless_cluster::{
 };
 use infless_faults::FaultEvent;
 use infless_llm::{LlmBatching, LlmClass};
-use infless_models::{HardwareModel, ModelSpec, ResourceConfig};
+use infless_models::{HardwareModel, ModelId, ModelSpec, ResourceConfig};
 use infless_sim::{EventQueue, SimDuration, SimTime};
 use infless_telemetry::{
     BreakdownEvent, DecisionEvent, DecisionKind, DecisionReason, DecisionRecord, FaultTag,
@@ -168,6 +168,12 @@ pub struct FaultOutcome {
 #[derive(Debug)]
 pub struct Engine {
     hardware: HardwareModel,
+    /// Ground-truth base latency (seconds) of a one-shot batch, memoized
+    /// per `(model, batch length, resources)` — the key of the COP
+    /// predictor's cache. The value is a pure function of the key and
+    /// the immutable hardware model, so the memo returns exactly what a
+    /// fresh DAG walk would; noise is still drawn once per batch start.
+    batch_latency: HashMap<(ModelId, u32, ResourceConfig), f64>,
     cluster: ClusterState,
     functions: Vec<FunctionInfo>,
     /// Instance slab, indexed by the raw [`InstanceId`]. Ids are minted
@@ -414,6 +420,7 @@ impl Engine {
         let gpu_devices = cluster.servers * gpus_per_server;
         Engine {
             hardware,
+            batch_latency: HashMap::new(),
             cluster: cluster.build(),
             functions,
             slots: Vec::new(),
@@ -1858,13 +1865,17 @@ impl Engine {
         let len = (inst.queue_len()).min(config.batch() as usize) as u32;
         debug_assert!(len >= 1);
         let spec = self.functions[function].spec();
+        let resources = config.resources();
+        let hardware = &self.hardware;
+        let base = *self
+            .batch_latency
+            .entry((spec.id(), len, resources))
+            .or_insert_with(|| hardware.model_latency_s(spec, len, resources));
         let rng = match &mut self.noise {
             NoiseRng::Shared(rng) => rng,
             NoiseRng::PerFunction(streams) => &mut streams[function],
         };
-        let mut exec = self
-            .hardware
-            .model_latency_noisy(spec, len, config.resources(), rng);
+        let mut exec = SimDuration::from_secs_f64(base * hardware.noise_factor(rng));
         // Pre-interference estimate: the decomposition's
         // execution/interference boundary.
         let exec_base = exec;
@@ -2344,32 +2355,39 @@ mod tests {
 
     /// Drains engine-handled events, returning completed request counts.
     fn drain(engine: &mut Engine, queue: &mut EventQueue<EngineEvent>) {
-        while let Some((t, ev)) = queue.pop() {
-            engine.advance(t);
-            match ev {
-                EngineEvent::InstanceReady(id) => engine.on_instance_ready(id, queue),
-                EngineEvent::SwapComplete(id) => engine.on_swap_complete(id, queue),
-                EngineEvent::BatchTimeout(id) => engine.on_batch_timeout(id, queue),
-                EngineEvent::BatchComplete(id) => {
-                    // Faults can kill an instance mid-batch; its
-                    // completion event is then stale.
-                    if engine.is_live(id) {
-                        engine.on_batch_complete(id, queue);
-                    }
+        while step(engine, queue) {}
+    }
+
+    /// Pops and handles one engine event; `false` once the queue is empty.
+    fn step(engine: &mut Engine, queue: &mut EventQueue<EngineEvent>) -> bool {
+        let Some((t, ev)) = queue.pop() else {
+            return false;
+        };
+        engine.advance(t);
+        match ev {
+            EngineEvent::InstanceReady(id) => engine.on_instance_ready(id, queue),
+            EngineEvent::SwapComplete(id) => engine.on_swap_complete(id, queue),
+            EngineEvent::BatchTimeout(id) => engine.on_batch_timeout(id, queue),
+            EngineEvent::BatchComplete(id) => {
+                // Faults can kill an instance mid-batch; its
+                // completion event is then stale.
+                if engine.is_live(id) {
+                    engine.on_batch_complete(id, queue);
                 }
-                EngineEvent::DecodeStep(id) => {
-                    engine.on_decode_step(id, queue);
-                }
-                EngineEvent::Fault(f) => {
-                    engine.on_fault(f);
-                }
-                EngineEvent::ResizeComplete(id) => {
-                    engine.on_resize_complete(id, queue);
-                }
-                EngineEvent::Arrival(_) | EngineEvent::ScalerTick => {}
-                EngineEvent::DirectiveKill(..) | EngineEvent::DirectiveStraggler { .. } => {}
             }
+            EngineEvent::DecodeStep(id) => {
+                engine.on_decode_step(id, queue);
+            }
+            EngineEvent::Fault(f) => {
+                engine.on_fault(f);
+            }
+            EngineEvent::ResizeComplete(id) => {
+                engine.on_resize_complete(id, queue);
+            }
+            EngineEvent::Arrival(_) | EngineEvent::ScalerTick => {}
+            EngineEvent::DirectiveKill(..) | EngineEvent::DirectiveStraggler { .. } => {}
         }
+        true
     }
 
     #[test]
@@ -2721,6 +2739,73 @@ mod tests {
         // The in-flight batch finished under its formation-time config.
         assert_eq!(report.functions[0].per_batch_completed[&4], 4);
         assert_eq!(report.functions[0].per_batch_completed[&8], 8);
+    }
+
+    /// The batch-latency memo returns exactly what a fresh DAG walk
+    /// would: every batch's pre-interference execution is the
+    /// ground-truth latency for its own length and formation-time
+    /// resources times one noise draw, before and after a resize — so a
+    /// key that dropped the length or the resources would fail here.
+    #[test]
+    fn batch_latency_memo_matches_a_fresh_walk() {
+        let (mut engine, mut queue) = engine();
+        let mut noise = infless_sim::rng::stream(1, "engine/test");
+        let id = engine
+            .launch_anywhere(
+                0,
+                cfg(),
+                StartupKind::PreWarmed,
+                SimDuration::from_millis(30),
+                &mut queue,
+            )
+            .unwrap();
+        drain(&mut engine, &mut queue);
+        let spec = ModelId::MobileNet.spec();
+        let mut check = |engine: &mut Engine, queue: &mut EventQueue<_>, len: u32| {
+            for _ in 0..len {
+                let req = engine.mint_request(0);
+                assert!(engine.enqueue(id, req, queue));
+            }
+            // A short batch starts at its wait-budget timeout.
+            while engine.slot(id).in_flight.is_none() {
+                assert!(step(engine, queue), "batch of {len} never started");
+            }
+            let flight = engine.slot(id).in_flight.as_ref().unwrap();
+            assert_eq!(flight.batch.len(), len as usize);
+            let base = engine
+                .hardware()
+                .model_latency_s(&spec, len, flight.config.resources());
+            let want =
+                SimDuration::from_secs_f64(base * engine.hardware().noise_factor(&mut noise));
+            assert_eq!(flight.exec_base, want, "batch of {len}");
+            // One instance on the device: no interference, no straggler.
+            assert_eq!(flight.exec, want, "batch of {len}");
+            drain(engine, queue);
+        };
+        for len in [4, 1, 3, 4, 1] {
+            check(&mut engine, &mut queue, len);
+        }
+        let old = engine.instance(id).config();
+        let new_res = ResourceConfig::new(2, 20);
+        let placement = engine.instance(id).placement();
+        let new_placement = engine
+            .cluster_mut()
+            .try_resize(placement, old.resources(), new_res, 0.0)
+            .unwrap();
+        engine.begin_resize(
+            id,
+            InstanceConfig::new(8, new_res),
+            new_placement,
+            SimDuration::from_millis(30),
+            &mut queue,
+        );
+        drain(&mut engine, &mut queue);
+        assert_eq!(engine.instance(id).config().resources(), new_res);
+        // Lengths seen under the old resources, plus new ones.
+        for len in [4, 1, 8, 3, 8] {
+            check(&mut engine, &mut queue, len);
+        }
+        assert_eq!(engine.finish().total_completed(), 37);
     }
 
     #[test]

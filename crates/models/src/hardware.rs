@@ -262,8 +262,8 @@ impl HardwareModel {
 
     /// Ground-truth latency of a whole model batch: DAG critical path
     /// plus branch contention, framework overhead, preprocessing and
-    /// (for GPU configs) PCIe transfer. Deterministic; see
-    /// [`Self::model_latency_noisy`] for the per-invocation jitter.
+    /// (for GPU configs) PCIe transfer. Deterministic; multiply by a
+    /// [`Self::noise_factor`] draw for the per-invocation jitter.
     ///
     /// # Panics
     ///
@@ -279,7 +279,8 @@ impl HardwareModel {
         let lat = |op: &Operator| self.op_latency_s(op, batch, cfg);
         let dag = spec.dag();
         let critical = dag.critical_path(lat);
-        let contention = cal.branch_contention * dag.parallel_slack(lat);
+        // `OperatorDag::parallel_slack`, reusing the critical path.
+        let contention = cal.branch_contention * (dag.total(lat) - critical).max(0.0);
         let framework = cal.framework_base_s + cal.framework_per_sample_s * f64::from(batch);
         let mut total = critical + contention + framework;
         if !cfg.is_cpu_only() {
@@ -289,24 +290,11 @@ impl HardwareModel {
         total
     }
 
-    /// Ground-truth latency with per-invocation log-normal jitter, the
-    /// irreducible measurement noise a real testbed exhibits.
-    pub fn model_latency_noisy<R: Rng + ?Sized>(
-        &self,
-        spec: &ModelSpec,
-        batch: u32,
-        cfg: ResourceConfig,
-        rng: &mut R,
-    ) -> SimDuration {
-        let base = self.model_latency_s(spec, batch, cfg);
-        let factor = lognormal_factor(rng, self.calibration.noise_sigma);
-        SimDuration::from_secs_f64(base * factor)
-    }
-
     /// One log-normal noise factor draw (median 1, the calibration's
-    /// sigma) — the same jitter [`Self::model_latency_noisy`] applies.
-    /// Autoregressive episodes draw one factor at prefill and apply it
-    /// to every phase, so noise cannot re-order decode steps.
+    /// sigma): the irreducible per-invocation measurement noise a real
+    /// testbed exhibits, applied to [`Self::model_latency_s`] once per
+    /// batch. Autoregressive episodes draw one factor at prefill and
+    /// apply it to every phase, so noise cannot re-order decode steps.
     pub fn noise_factor<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         lognormal_factor(rng, self.calibration.noise_sigma)
     }
@@ -331,8 +319,9 @@ impl HardwareModel {
             cal.cpu_launch_s + work / rate
         };
         let dag = spec.dag();
-        dag.critical_path(lat)
-            + cal.branch_contention * dag.parallel_slack(lat)
+        let critical = dag.critical_path(lat);
+        critical
+            + cal.branch_contention * (dag.total(lat) - critical).max(0.0)
             + cal.framework_base_s
             + cal.framework_per_sample_s * f64::from(batch)
     }
@@ -628,11 +617,11 @@ mod tests {
         let hw = hw();
         let spec = ModelId::Ssd.spec();
         let cfg = ResourceConfig::new(2, 10);
-        let a = hw.model_latency_noisy(&spec, 4, cfg, &mut stream(9, "x"));
-        let b = hw.model_latency_noisy(&spec, 4, cfg, &mut stream(9, "x"));
-        assert_eq!(a, b);
-        let base = hw.model_latency(&spec, 4, cfg).as_secs_f64();
-        assert!((a.as_secs_f64() / base - 1.0).abs() < 0.25);
+        let base = hw.model_latency_s(&spec, 4, cfg);
+        let a = base * hw.noise_factor(&mut stream(9, "x"));
+        let b = base * hw.noise_factor(&mut stream(9, "x"));
+        assert_eq!(a.to_bits(), b.to_bits());
+        assert!((a / base - 1.0).abs() < 0.25);
     }
 
     proptest! {

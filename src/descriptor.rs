@@ -435,8 +435,25 @@ impl Scenario {
                     f.name
                 )));
             }
-            if let LoadDescriptor::Trace { pattern, .. } = &f.load {
-                parse_pattern(pattern)?;
+            if f.max_batch == Some(0) {
+                return Err(ScenarioError::Invalid(format!(
+                    "function {:?} has a zero max_batch",
+                    f.name
+                )));
+            }
+            match &f.load {
+                LoadDescriptor::Constant { rps, duration_secs } => {
+                    check_rate(&f.name, "rps", *rps, *duration_secs)?;
+                }
+                LoadDescriptor::Trace {
+                    pattern,
+                    mean_rps,
+                    duration_secs,
+                } => {
+                    parse_pattern(pattern)?;
+                    check_rate(&f.name, "mean_rps", *mean_rps, *duration_secs)?;
+                }
+                LoadDescriptor::Csv { .. } | LoadDescriptor::None => {}
             }
             if f.llm_class.is_some() && !self.llm.enabled {
                 return Err(ScenarioError::Invalid(format!(
@@ -747,6 +764,27 @@ impl Scenario {
     }
 }
 
+/// Rejects a curve-driven load the workload generators cannot build: a
+/// zero duration, or a rate that is negative or not finite.
+fn check_rate(
+    function: &str,
+    field: &str,
+    rate: f64,
+    duration_secs: u64,
+) -> Result<(), ScenarioError> {
+    if duration_secs == 0 {
+        return Err(ScenarioError::Invalid(format!(
+            "function {function:?} has a zero duration_secs"
+        )));
+    }
+    if !(rate.is_finite() && rate >= 0.0) {
+        return Err(ScenarioError::Invalid(format!(
+            "function {function:?} has {field} {rate}; it must be finite and non-negative"
+        )));
+    }
+    Ok(())
+}
+
 fn parse_pattern(name: &str) -> Result<TracePattern, ScenarioError> {
     TracePattern::all()
         .into_iter()
@@ -812,6 +850,49 @@ mod tests {
         }"#;
         let err = Scenario::from_json(json).unwrap_err();
         assert!(err.to_string().contains("INFless platform"));
+    }
+
+    /// Parses `json`, expecting a clean [`ScenarioError::Invalid`]
+    /// naming `needle` rather than a panic further down the pipeline.
+    fn assert_invalid(json: &str, needle: &str) {
+        match Scenario::from_json(json) {
+            Err(ScenarioError::Invalid(msg)) => assert!(msg.contains(needle), "{msg}"),
+            other => panic!("expected Invalid({needle:?}), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_zero_max_batch() {
+        let bad = MINIMAL.replace("\"slo_ms\": 100,", "\"slo_ms\": 100, \"max_batch\": 0,");
+        assert_invalid(&bad, "zero max_batch");
+    }
+
+    #[test]
+    fn rejects_zero_duration() {
+        assert_invalid(
+            &MINIMAL.replace("\"duration_secs\": 10", "\"duration_secs\": 0"),
+            "zero duration_secs",
+        );
+        let trace = MINIMAL.replace(
+            r#""kind": "constant", "rps": 15.0, "duration_secs": 10"#,
+            r#""kind": "trace", "pattern": "bursty", "mean_rps": 5.0, "duration_secs": 0"#,
+        );
+        assert_invalid(&trace, "zero duration_secs");
+    }
+
+    #[test]
+    fn rejects_negative_or_non_finite_rate() {
+        for rps in ["-5.0", "1e400"] {
+            let bad = MINIMAL.replace("\"rps\": 15.0", &format!("\"rps\": {rps}"));
+            assert_invalid(&bad, "finite and non-negative");
+        }
+        let trace = MINIMAL.replace(
+            r#""kind": "constant", "rps": 15.0"#,
+            r#""kind": "trace", "pattern": "bursty", "mean_rps": -5.0"#,
+        );
+        assert_invalid(&trace, "mean_rps -5");
+        // A zero rate is a legal idle load.
+        assert!(Scenario::from_json(&MINIMAL.replace("\"rps\": 15.0", "\"rps\": 0.0")).is_ok());
     }
 
     #[test]
