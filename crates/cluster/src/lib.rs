@@ -16,6 +16,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod classes;
 mod ids;
 mod instance;
 mod server;

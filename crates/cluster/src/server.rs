@@ -287,6 +287,23 @@ impl Server {
         self.gpu_mem_free_mb.get(i).is_none_or(|&f| f >= device_mb)
     }
 
+    /// Writes this server's exact free-resource state into `out`:
+    /// health, free cores, free host memory, and per device the free
+    /// SM share and free device memory, floats as raw bits. Every
+    /// input of [`Self::fits_with_split`], of
+    /// [`Self::allocate_with_split`]'s device choice and of the Eq. 10
+    /// fragment term is in the key, so two servers with equal keys
+    /// answer every placement query alike.
+    pub(crate) fn state_key(&self, out: &mut Vec<u64>) {
+        out.clear();
+        out.push(self.health as u64);
+        out.push(u64::from(self.cpu_free));
+        out.push(self.mem_free_mb.to_bits());
+        out.push(self.gpu_free.len() as u64);
+        out.extend(self.gpu_free.iter().map(|&f| u64::from(f)));
+        out.extend(self.gpu_mem_free_mb.iter().map(|f| f.to_bits()));
+    }
+
     /// Allocates `cfg` with no memory demand; see
     /// [`Self::allocate_with_memory`].
     pub fn allocate(&mut self, cfg: ResourceConfig) -> Option<Placement> {

@@ -4,6 +4,7 @@ use infless_models::ResourceConfig;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+use crate::classes::ClassIndex;
 use crate::ids::ServerId;
 use crate::server::{Placement, Server, ServerHealth, DEFAULT_GPU_MEM_MB};
 
@@ -186,6 +187,11 @@ pub struct ClusterState {
     /// default) records nothing and costs nothing. Scratch state like
     /// `txn`: excluded from serde and `PartialEq`.
     journal: Option<Vec<ClusterOp>>,
+    /// Server-state classes for the placement scans (see
+    /// [`Self::class_representatives`]). Derived scratch state like
+    /// `txn`: excluded from serde and `PartialEq`, rebuilt from the
+    /// books on first use.
+    classes: ClassIndex,
 }
 
 // The serialized form covers only the logical state (servers + spec);
@@ -208,8 +214,10 @@ impl Deserialize for ClusterState {
         let spec = value
             .get("spec")
             .ok_or_else(|| serde::Error::custom("ClusterState: missing field `spec`"))?;
+        let servers: Vec<Server> = Deserialize::deserialize(servers)?;
         Ok(ClusterState {
-            servers: Deserialize::deserialize(servers)?,
+            classes: ClassIndex::new(servers.len()),
+            servers,
             spec: Deserialize::deserialize(spec)?,
             txn: TxnLog::default(),
             journal: None,
@@ -256,6 +264,7 @@ impl ClusterState {
             })
             .collect();
         ClusterState {
+            classes: ClassIndex::new(spec.servers),
             servers,
             spec,
             txn: TxnLog::default(),
@@ -268,9 +277,6 @@ impl ClusterState {
     /// drained by [`Self::take_journal`]. Mutations rolled back by
     /// [`Self::rollback_txn`] are truncated out of the journal, so only
     /// surviving state changes replay.
-    ///
-    /// Mutations made through [`Self::server_mut`] bypass the journal —
-    /// sharded callers must not use it on journaled replicas.
     pub fn enable_journal(&mut self) {
         if self.journal.is_none() {
             self.journal = Some(Vec::new());
@@ -291,7 +297,9 @@ impl ClusterState {
     }
 
     /// Replays `ops` (from another replica's journal) onto this
-    /// replica without re-recording them.
+    /// replica without re-recording them. Replay runs through the same
+    /// mutators as the original ops, so it keeps the replica's
+    /// server-state classes current too.
     ///
     /// # Panics
     ///
@@ -344,7 +352,7 @@ impl ClusterState {
     }
 
     /// Opens a transaction: every subsequent mutation (allocation,
-    /// release, health change, `server_mut` access) is recorded so
+    /// release, resize, health change) is recorded so
     /// [`Self::rollback_txn`] can restore the exact pre-transaction
     /// state. Dry-runs use this instead of cloning the whole cluster.
     ///
@@ -391,7 +399,8 @@ impl ClusterState {
     }
 
     /// Rolls back the open transaction: restores every touched server
-    /// from its snapshot. The result is bit-identical to the state at
+    /// from its snapshot (and marks it for re-keying in the class
+    /// index). The result is bit-identical to the state at
     /// [`Self::begin_txn`].
     ///
     /// # Panics
@@ -404,6 +413,7 @@ impl ClusterState {
         } = &mut self.txn;
         for i in touched.drain(..) {
             self.servers[i] = snapshots[i].take().expect("touched server has a snapshot");
+            self.classes.mark(i);
         }
         if let Some(ops) = &mut self.journal {
             ops.truncate(self.txn.journal_mark);
@@ -411,9 +421,12 @@ impl ClusterState {
         self.txn.open = false;
     }
 
-    /// Records `idx` in the undo log before its first mutation inside
-    /// the open transaction. No-op outside a transaction.
+    /// The one chokepoint every mutation passes through: marks `idx`
+    /// for re-keying in the class index and, inside an open
+    /// transaction, records it in the undo log before its first
+    /// mutation.
     fn note_touch(&mut self, idx: usize) {
+        self.classes.mark(idx);
         if !self.txn.open {
             return;
         }
@@ -446,10 +459,28 @@ impl ClusterState {
         &self.servers[id.raw()]
     }
 
-    /// Mutable access to a server by id.
-    pub fn server_mut(&mut self, id: ServerId) -> &mut Server {
-        self.note_touch(id.raw());
-        &mut self.servers[id.raw()]
+    /// One server per server-state class, in ascending id order: the
+    /// lowest-id server of each distinct exact free-resource state
+    /// (health, free cores, free host memory, and per device the free
+    /// SM share and device memory).
+    ///
+    /// Servers in one class answer every placement query alike — same
+    /// [`Server::fits_with_split`], same free resources for Eq. 10 — so
+    /// a scan that keeps the first *strictly* better server in id order
+    /// picks the same server over the representatives as over
+    /// [`Self::servers`]. Refreshes only the servers mutated since the
+    /// last call: the cost is O(mutated + classes), not O(servers).
+    pub fn class_representatives(&mut self) -> impl Iterator<Item = &Server> + Clone + '_ {
+        let reps = self.classes.refresh(&self.servers);
+        let servers = &self.servers;
+        reps.iter().map(move |&i| &servers[i as usize])
+    }
+
+    /// Checks the class index against one rebuilt from the books; see
+    /// [`ClassIndex::check`]. A hook for runtime invariant audits.
+    #[allow(dead_code)]
+    pub(crate) fn check_class_index(&mut self) -> Result<(), String> {
+        self.classes.check(&self.servers)
     }
 
     /// The health of a server under the fault model.
@@ -541,21 +572,12 @@ impl ClusterState {
         mem_mb: f64,
         device_mb: f64,
     ) -> Result<Placement, PlacementError> {
-        for i in 0..self.servers.len() {
-            if !self.servers[i].fits_with_split(cfg, mem_mb, device_mb) {
-                continue;
-            }
-            self.note_touch(i);
-            if let Some(p) = self.servers[i].allocate_with_split(cfg, mem_mb, device_mb) {
-                self.record(ClusterOp::Allocate {
-                    cfg,
-                    mem_mb,
-                    placement: p,
-                });
-                return Ok(p);
-            }
-        }
-        Err(PlacementError::InsufficientResources)
+        let server = self
+            .class_representatives()
+            .find(|s| s.fits_with_split(cfg, mem_mb, device_mb))
+            .ok_or(PlacementError::InsufficientResources)?
+            .id();
+        self.allocate_on_with_split(server, cfg, mem_mb, device_mb)
     }
 
     /// Transactional placement: [`Self::allocate_anywhere_with_memory`]
@@ -1024,6 +1046,101 @@ mod tests {
         assert!(c.take_journal().is_empty());
     }
 
+    /// The linear scan the class index replaced, kept as the oracle
+    /// for first-fit placement.
+    fn first_fit_linear(
+        c: &ClusterState,
+        cfg: ResourceConfig,
+        mem_mb: f64,
+        device_mb: f64,
+    ) -> Option<ServerId> {
+        c.servers()
+            .iter()
+            .find(|s| s.fits_with_split(cfg, mem_mb, device_mb))
+            .map(|s| s.id())
+    }
+
+    fn reps(c: &mut ClusterState) -> Vec<usize> {
+        c.class_representatives().map(|s| s.id().raw()).collect()
+    }
+
+    #[test]
+    fn classes_group_servers_by_exact_state() {
+        let mut c = ClusterSpec::large(6).build();
+        assert_eq!(reps(&mut c), [0], "an empty cluster is one class");
+        let cfg = ResourceConfig::new(4, 50);
+        c.allocate_on(ServerId::new(3), cfg).unwrap();
+        c.allocate_on(ServerId::new(1), cfg).unwrap();
+        c.set_health(ServerId::new(0), ServerHealth::Down);
+        // {0} down, {1, 3} holding one config, {2, 4, 5} empty.
+        assert_eq!(reps(&mut c), [0, 1, 2]);
+        c.check_class_index().unwrap();
+        // A different host-memory booking is a different state.
+        c.allocate_on_with_memory(ServerId::new(4), cfg, 1.0)
+            .unwrap();
+        c.allocate_on(ServerId::new(5), cfg).unwrap();
+        assert_eq!(reps(&mut c), [0, 1, 2, 4]);
+        c.check_class_index().unwrap();
+    }
+
+    #[test]
+    fn rollback_restores_pre_transaction_classes() {
+        let mut c = ClusterSpec::large(5).build();
+        c.allocate_on(ServerId::new(2), ResourceConfig::new(2, 20))
+            .unwrap();
+        let before = reps(&mut c);
+        c.begin_txn();
+        for _ in 0..4 {
+            c.try_place(ResourceConfig::new(3, 30), 64.0).unwrap();
+        }
+        c.set_health(ServerId::new(4), ServerHealth::Down);
+        assert_ne!(reps(&mut c), before, "the dry-run moved servers");
+        c.rollback_txn();
+        assert_eq!(reps(&mut c), before);
+        c.check_class_index().unwrap();
+    }
+
+    #[test]
+    fn deserialized_cluster_places_identically() {
+        let mut a = ClusterSpec::large(5).build();
+        a.allocate_on_with_split(ServerId::new(1), ResourceConfig::new(2, 40), 512.0, 900.0)
+            .unwrap();
+        a.allocate_on(ServerId::new(3), ResourceConfig::cpu(4))
+            .unwrap();
+        // Build `a`'s index before the round trip; `b` starts unkeyed.
+        let _ = reps(&mut a);
+        let json = serde_json::to_string(&a).unwrap();
+        let mut b: ClusterState = serde_json::from_str(&json).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(reps(&mut a), reps(&mut b));
+        for (cpu, gpu, mem, dev) in [(4, 60, 256.0, 2000.0), (30, 0, 0.0, 0.0), (1, 45, 0.0, 0.0)] {
+            let cfg = ResourceConfig::new(cpu, gpu);
+            let pa = a.allocate_anywhere_with_split(cfg, mem, dev).unwrap();
+            let pb = b.allocate_anywhere_with_split(cfg, mem, dev).unwrap();
+            assert_eq!(pa, pb);
+        }
+        assert_eq!(a, b);
+        b.check_class_index().unwrap();
+    }
+
+    /// Emptied classes are kept for reuse only up to a budget of
+    /// 2 × servers + 64; past it the index starts over from the books
+    /// and must still answer exactly.
+    #[test]
+    fn class_index_stays_exact_past_its_class_budget() {
+        let mut c = ClusterSpec::large(2).build();
+        let cfg = ResourceConfig::cpu(1);
+        for mb in 1..=200 {
+            let p = c
+                .allocate_on_with_memory(ServerId::new(1), cfg, f64::from(mb))
+                .unwrap();
+            assert_eq!(reps(&mut c), [0, 1], "a new state for server 1");
+            c.check_class_index().unwrap();
+            c.release(cfg, p);
+        }
+        assert_eq!(reps(&mut c), [0]);
+    }
+
     proptest! {
         /// Tentpole pin: rolling back a transaction restores the exact
         /// pre-transaction state, bit for bit — verified through the
@@ -1129,6 +1246,92 @@ mod tests {
             }
             prop_assert_eq!(c.cpu_in_use(), 0);
             prop_assert_eq!(c.gpu_in_use(), 0);
+        }
+
+        /// Oracle test for the class index over random histories of
+        /// every mutator: targeted and first-fit placements, releases,
+        /// resizes, health changes, transactions committed and rolled
+        /// back, and journal replay onto a replica. Checks (every few
+        /// steps, so mutations pile up between refreshes) that the index
+        /// equals one rebuilt from the books, and that first-fit over
+        /// the representatives picks the linear scan's server.
+        #[test]
+        fn prop_class_index_tracks_every_history(
+            steps in prop::collection::vec((0u8..8, 0u32..64, 0u32..64, 0u32..4), 1..80),
+        ) {
+            let spec = ClusterSpec {
+                servers: 6,
+                cores_per_server: 8,
+                gpus_per_server: 2,
+                mem_per_server_mb: 4096.0,
+                gpu_mem_per_device_mb: 2048.0,
+            };
+            let gpu = [0, 10, 25, 50, 100];
+            let health = [ServerHealth::Up, ServerHealth::Down, ServerHealth::Recovering];
+            let mut c = spec.build();
+            c.enable_journal();
+            let mut replica = c.clone();
+            let mut live: Vec<(ResourceConfig, Placement)> = Vec::new();
+            let mut live_at_begin = Vec::new();
+            for (op, a, b, m) in steps {
+                let cfg = ResourceConfig::new(1 + a % 4, gpu[(b % 5) as usize]);
+                let mem = f64::from(m) * 256.0;
+                let dev = if cfg.gpu_pct() > 0 { f64::from(m) * 512.0 } else { 0.0 };
+                let server = ServerId::new((a % 6) as usize);
+                match op {
+                    0 => {
+                        if let Ok(p) = c.allocate_on_with_split(server, cfg, mem, dev) {
+                            live.push((cfg, p));
+                        }
+                    }
+                    1 => {
+                        let want = first_fit_linear(&c, cfg, mem, dev);
+                        let got = c.allocate_anywhere_with_split(cfg, mem, dev);
+                        prop_assert_eq!(got.ok().map(|p| p.server()), want);
+                        if let Ok(p) = got {
+                            live.push((cfg, p));
+                        }
+                    }
+                    2 if !live.is_empty() => {
+                        let (cfg, p) = live.swap_remove(a as usize % live.len());
+                        c.release(cfg, p);
+                    }
+                    3 if !live.is_empty() => {
+                        let i = a as usize % live.len();
+                        let (old, p) = live[i];
+                        let pct = if old.gpu_pct() > 0 { gpu[1 + (b % 4) as usize] } else { 0 };
+                        let new = ResourceConfig::new(1 + b % 4, pct);
+                        let delta = if m % 2 == 0 { 128.0 } else { -p.mem_mb().min(128.0) };
+                        if let Ok(p2) = c.try_resize(p, old, new, delta) {
+                            live[i] = (new, p2);
+                        }
+                    }
+                    4 => c.set_health(server, health[(b % 3) as usize]),
+                    5 if c.in_txn() => {
+                        c.rollback_txn();
+                        live = std::mem::take(&mut live_at_begin);
+                    }
+                    5 => {
+                        c.begin_txn();
+                        live_at_begin = live.clone();
+                    }
+                    6 if c.in_txn() => c.commit_txn(),
+                    7 if !c.in_txn() => {
+                        replica.apply_ops(&c.take_journal());
+                        prop_assert_eq!(&replica, &c);
+                        prop_assert_eq!(reps(&mut replica), reps(&mut c));
+                        prop_assert_eq!(replica.check_class_index(), Ok(()));
+                    }
+                    _ => {}
+                }
+                if b % 3 == 0 {
+                    prop_assert_eq!(c.check_class_index(), Ok(()));
+                    let want = first_fit_linear(&c, cfg, mem, dev);
+                    let got = c.clone().allocate_anywhere_with_split(cfg, mem, dev);
+                    prop_assert_eq!(got.ok().map(|p| p.server()), want);
+                }
+            }
+            prop_assert_eq!(c.check_class_index(), Ok(()));
         }
 
         /// Cluster-level conservation: allocations plus frees equal capacity.

@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 
-use infless_cluster::{ClusterState, InstanceConfig, Placement, ServerId};
+use infless_cluster::{ClusterState, InstanceConfig, Placement, Server, ServerId};
 use infless_llm::LlmClass;
 use infless_models::{ModelSpec, ResourceConfig};
 use infless_sim::SimDuration;
@@ -769,23 +769,50 @@ impl Candidate {
     }
 }
 
+/// The lowest-id server that fits `cfg`, scanning one representative
+/// per server-state class.
 fn first_fit(
-    cluster: &ClusterState,
+    cluster: &mut ClusterState,
     cfg: ResourceConfig,
     mem_mb: f64,
     device_mb: f64,
 ) -> Option<ServerId> {
-    cluster
-        .servers()
-        .iter()
+    first_fit_among(cluster.class_representatives(), cfg, mem_mb, device_mb)
+}
+
+fn first_fit_among<'a>(
+    mut servers: impl Iterator<Item = &'a Server>,
+    cfg: ResourceConfig,
+    mem_mb: f64,
+    device_mb: f64,
+) -> Option<ServerId> {
+    servers
         .find(|s| s.fits_with_split(cfg, mem_mb, device_demand(cfg, device_mb)))
         .map(|s| s.id())
 }
 
+/// Eq. 10's joint config/server choice, scanning one representative
+/// per server-state class. Exactly the choice a scan of every server
+/// makes: class members score alike, and the strict `>` below keeps
+/// the lowest id of a winning class.
 #[allow(clippy::too_many_arguments)]
 fn choose_by_efficiency(
     candidates: &[Candidate],
-    cluster: &ClusterState,
+    cluster: &mut ClusterState,
+    beta: f64,
+    mem_mb: f64,
+    device_mb: f64,
+    rk: f64,
+    discount: f64,
+) -> Option<(Candidate, ServerId)> {
+    let servers = cluster.class_representatives();
+    choose_among(candidates, servers, beta, mem_mb, device_mb, rk, discount)
+}
+
+#[allow(clippy::too_many_arguments)]
+fn choose_among<'a>(
+    candidates: &[Candidate],
+    servers: impl Iterator<Item = &'a Server> + Clone,
     beta: f64,
     mem_mb: f64,
     device_mb: f64,
@@ -806,7 +833,7 @@ fn choose_by_efficiency(
     let mut best: Option<(f64, Candidate, ServerId)> = None;
     for c in candidates {
         let density = c.density(beta, rk, discount) / max_density;
-        for server in cluster.servers() {
+        for server in servers.clone() {
             if !server.fits_with_split(c.cfg, mem_mb, device_demand(c.cfg, device_mb)) {
                 continue;
             }
@@ -834,8 +861,43 @@ fn weighted(cfg: ResourceConfig, beta: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use infless_cluster::ClusterSpec;
+    use infless_cluster::{ClusterSpec, ServerHealth};
     use infless_models::{profile::ConfigGrid, HardwareModel, ModelId, ProfileDatabase};
+    use proptest::prelude::*;
+
+    /// The linear first-fit scan the class index replaced: the oracle
+    /// for [`first_fit`].
+    fn first_fit_linear(
+        cluster: &ClusterState,
+        cfg: ResourceConfig,
+        mem_mb: f64,
+        device_mb: f64,
+    ) -> Option<ServerId> {
+        first_fit_among(cluster.servers().iter(), cfg, mem_mb, device_mb)
+    }
+
+    /// The linear Eq. 10 scan the class index replaced: the oracle for
+    /// [`choose_by_efficiency`].
+    #[allow(clippy::too_many_arguments)]
+    fn choose_by_efficiency_linear(
+        candidates: &[Candidate],
+        cluster: &ClusterState,
+        beta: f64,
+        mem_mb: f64,
+        device_mb: f64,
+        rk: f64,
+        discount: f64,
+    ) -> Option<(Candidate, ServerId)> {
+        choose_among(
+            candidates,
+            cluster.servers().iter(),
+            beta,
+            mem_mb,
+            device_mb,
+            rk,
+            discount,
+        )
+    }
 
     fn predictor() -> CopPredictor {
         let hw = HardwareModel::default();
@@ -1296,6 +1358,139 @@ mod tests {
             .instances
             .iter()
             .all(|i| i.config.resources().gpu_pct() > 0));
+    }
+
+    /// A candidate set spanning CPU-only and GPU slices, batchsizes and
+    /// execution times, so Eq. 10 scores differ across candidates.
+    fn synthetic_candidates(shift: u32) -> Vec<Candidate> {
+        let slo = slo_ms(400);
+        [
+            (1, 0),
+            (2, 0),
+            (4, 0),
+            (1, 10),
+            (2, 25),
+            (4, 50),
+            (8, 100),
+            (2, 50),
+        ]
+        .iter()
+        .enumerate()
+        .filter_map(|(i, &(cpu, gpu))| {
+            let batch = 1 << (i % 3);
+            let t_exec = SimDuration::from_millis(20 + u64::from((shift + 7 * i as u32) % 60));
+            let window = RpsWindow::for_instance(t_exec, slo, batch)?;
+            Some(Candidate {
+                batch,
+                cfg: ResourceConfig::new(cpu, gpu),
+                window,
+                t_exec,
+            })
+        })
+        .collect()
+    }
+
+    fn pick(chosen: Option<(Candidate, ServerId)>) -> Option<(u32, ResourceConfig, ServerId)> {
+        chosen.map(|(c, s)| (c.batch, c.cfg, s))
+    }
+
+    proptest! {
+        /// Oracle test: over random cluster histories (Eq. 10 and
+        /// first-fit placements, targeted placements, releases,
+        /// resizes, health changes, committed and rolled-back
+        /// transactions, journal replay onto a replica), every placement
+        /// scan over the class representatives picks the same
+        /// (candidate, server) as the linear scan over every server.
+        #[test]
+        fn prop_class_scans_match_linear_scans(
+            steps in prop::collection::vec((0u8..9, 0u32..64, 0u32..64, 0u32..4), 1..60),
+        ) {
+            let spec = ClusterSpec {
+                servers: 6,
+                cores_per_server: 8,
+                gpus_per_server: 2,
+                mem_per_server_mb: 4096.0,
+                gpu_mem_per_device_mb: 2048.0,
+            };
+            let beta = 0.13;
+            let gpu = [0, 10, 25, 50, 100];
+            let health = [ServerHealth::Up, ServerHealth::Down, ServerHealth::Recovering];
+            let mut c = spec.build();
+            c.enable_journal();
+            let mut replica = c.clone();
+            let mut live: Vec<(ResourceConfig, Placement)> = Vec::new();
+            let mut live_at_begin = Vec::new();
+            for (op, a, b, m) in steps {
+                let cands = synthetic_candidates(a + b);
+                let cfg = ResourceConfig::new(1 + a % 4, gpu[(b % 5) as usize]);
+                let mem = f64::from(m) * 256.0;
+                let dev = f64::from(m) * 512.0;
+                let rk = 1.0 + f64::from(a) * 37.0;
+                let discount = [1.0, 0.99, 0.9, 0.5][(b % 4) as usize];
+
+                let want = choose_by_efficiency_linear(&cands, &c, beta, mem, dev, rk, discount);
+                let got = choose_by_efficiency(&cands, &mut c, beta, mem, dev, rk, discount);
+                prop_assert_eq!(pick(got), pick(want));
+                prop_assert_eq!(first_fit(&mut c, cfg, mem, dev), first_fit_linear(&c, cfg, mem, dev));
+                let want = first_fit_linear(&c, cfg, mem, device_demand(cfg, dev));
+                let got = c.clone().allocate_anywhere_with_split(cfg, mem, device_demand(cfg, dev));
+                prop_assert_eq!(got.ok().map(|p| p.server()), want);
+
+                let server = ServerId::new((a % 6) as usize);
+                match op {
+                    0 => {
+                        if let Some((cand, s)) = choose_by_efficiency(&cands, &mut c, beta, mem, dev, rk, discount) {
+                            let p = c
+                                .allocate_on_with_split(s, cand.cfg, mem, device_demand(cand.cfg, dev))
+                                .expect("the scan checked the fit");
+                            live.push((cand.cfg, p));
+                        }
+                    }
+                    1 => {
+                        if let Ok(p) = c.allocate_anywhere_with_split(cfg, mem, device_demand(cfg, dev)) {
+                            live.push((cfg, p));
+                        }
+                    }
+                    2 => {
+                        if let Ok(p) = c.allocate_on_with_split(server, cfg, mem, device_demand(cfg, dev)) {
+                            live.push((cfg, p));
+                        }
+                    }
+                    3 if !live.is_empty() => {
+                        let (cfg, p) = live.swap_remove(a as usize % live.len());
+                        c.release(cfg, p);
+                    }
+                    4 if !live.is_empty() => {
+                        let i = a as usize % live.len();
+                        let (old, p) = live[i];
+                        let pct = if old.gpu_pct() > 0 { gpu[1 + (b % 4) as usize] } else { 0 };
+                        let new = ResourceConfig::new(1 + b % 4, pct);
+                        let delta = if m % 2 == 0 { 128.0 } else { -p.mem_mb().min(128.0) };
+                        if let Ok(p2) = c.try_resize(p, old, new, delta) {
+                            live[i] = (new, p2);
+                        }
+                    }
+                    5 => c.set_health(server, health[(b % 3) as usize]),
+                    6 if c.in_txn() => {
+                        c.rollback_txn();
+                        live = std::mem::take(&mut live_at_begin);
+                    }
+                    6 => {
+                        c.begin_txn();
+                        live_at_begin = live.clone();
+                    }
+                    7 if c.in_txn() => c.commit_txn(),
+                    8 if !c.in_txn() => {
+                        replica.apply_ops(&c.take_journal());
+                        prop_assert_eq!(&replica, &c);
+                        let want = choose_by_efficiency_linear(&cands, &replica, beta, mem, dev, rk, discount);
+                        let got = choose_by_efficiency(&cands, &mut replica, beta, mem, dev, rk, discount);
+                        prop_assert_eq!(pick(got), pick(want));
+                    }
+                    _ => {}
+                }
+            }
+        }
     }
 
     #[test]

@@ -425,6 +425,7 @@ impl Scenario {
         if self.functions.is_empty() {
             return Err(ScenarioError::Invalid("no functions declared".into()));
         }
+        let mut expected_arrivals = 0.0;
         for f in &self.functions {
             f.model
                 .parse::<ModelId>()
@@ -444,6 +445,7 @@ impl Scenario {
             match &f.load {
                 LoadDescriptor::Constant { rps, duration_secs } => {
                     check_rate(&f.name, "rps", *rps, *duration_secs)?;
+                    expected_arrivals += rps * *duration_secs as f64;
                 }
                 LoadDescriptor::Trace {
                     pattern,
@@ -452,6 +454,7 @@ impl Scenario {
                 } => {
                     parse_pattern(pattern)?;
                     check_rate(&f.name, "mean_rps", *mean_rps, *duration_secs)?;
+                    expected_arrivals += mean_rps * *duration_secs as f64;
                 }
                 LoadDescriptor::Csv { .. } | LoadDescriptor::None => {}
             }
@@ -462,6 +465,12 @@ impl Scenario {
                     f.name
                 )));
             }
+        }
+        if expected_arrivals > MAX_EXPECTED_ARRIVALS {
+            return Err(ScenarioError::Invalid(format!(
+                "the loads expect {expected_arrivals:.3e} arrivals; \
+                 at most {MAX_EXPECTED_ARRIVALS:.0e} are supported"
+            )));
         }
         for c in &self.chains {
             if self.platform != PlatformKind::Infless {
@@ -764,8 +773,19 @@ impl Scenario {
     }
 }
 
+/// The most arrivals a scenario's curve-driven loads may expect in
+/// total (Σ rate × `duration_secs`): twenty times the 1e8 of
+/// `fig_scale`'s full run. Arrival schedules are generated up front, so
+/// a scenario far past this aborts on allocation instead of running.
+pub const MAX_EXPECTED_ARRIVALS: f64 = 2e9;
+
+/// The longest load in seconds whose microsecond length fits the
+/// simulator's `u64` clock.
+const MAX_DURATION_SECS: u64 = u64::MAX / 1_000_000;
+
 /// Rejects a curve-driven load the workload generators cannot build: a
-/// zero duration, or a rate that is negative or not finite.
+/// zero duration or one past the simulator's clock, or a rate that is
+/// negative or not finite.
 fn check_rate(
     function: &str,
     field: &str,
@@ -775,6 +795,12 @@ fn check_rate(
     if duration_secs == 0 {
         return Err(ScenarioError::Invalid(format!(
             "function {function:?} has a zero duration_secs"
+        )));
+    }
+    if duration_secs > MAX_DURATION_SECS {
+        return Err(ScenarioError::Invalid(format!(
+            "function {function:?} has duration_secs {duration_secs}; \
+             the simulator's microsecond clock holds at most {MAX_DURATION_SECS}"
         )));
     }
     if !(rate.is_finite() && rate >= 0.0) {
@@ -893,6 +919,45 @@ mod tests {
         assert_invalid(&trace, "mean_rps -5");
         // A zero rate is a legal idle load.
         assert!(Scenario::from_json(&MINIMAL.replace("\"rps\": 15.0", "\"rps\": 0.0")).is_ok());
+    }
+
+    #[test]
+    fn rejects_duration_past_the_microsecond_clock() {
+        // Zero rate: only the duration is out of range.
+        let idle = MINIMAL.replace("\"rps\": 15.0", "\"rps\": 0.0");
+        let over = (MAX_DURATION_SECS + 1).to_string();
+        assert_invalid(
+            &idle.replace(
+                "\"duration_secs\": 10",
+                &format!("\"duration_secs\": {over}"),
+            ),
+            "microsecond clock",
+        );
+        let max = MAX_DURATION_SECS.to_string();
+        assert!(Scenario::from_json(&idle.replace(
+            "\"duration_secs\": 10",
+            &format!("\"duration_secs\": {max}")
+        ))
+        .is_ok());
+    }
+
+    #[test]
+    fn rejects_expected_arrivals_past_the_ceiling() {
+        assert_invalid(
+            &MINIMAL.replace("\"rps\": 15.0", "\"rps\": 1e12"),
+            "arrivals",
+        );
+        // The ceiling bounds the sum over functions, trace loads included.
+        let half = MINIMAL.replace(
+            r#""kind": "constant", "rps": 15.0, "duration_secs": 10"#,
+            r#""kind": "trace", "pattern": "bursty", "mean_rps": 1e8, "duration_secs": 12"#,
+        );
+        assert!(Scenario::from_json(&half).is_ok());
+        let f = r#"{ "name": "a", "model": "MobileNet", "slo_ms": 100,
+              "load": { "kind": "trace", "pattern": "bursty", "mean_rps": 1e8, "duration_secs": 12 } }"#;
+        let twice = half.replace(f, &format!("{f}, {}", f.replace("\"a\"", "\"b\"")));
+        assert_ne!(twice, half);
+        assert_invalid(&twice, "arrivals");
     }
 
     #[test]
