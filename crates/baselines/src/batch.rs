@@ -190,14 +190,10 @@ impl BatchPlatform {
         self
     }
 
-    /// Applies the autoregressive serving knobs: decode-batching
-    /// discipline plus device-memory booking for KV arenas. A disabled
-    /// config is a no-op (runs stay bit-identical).
+    /// Applies the autoregressive serving knobs (see
+    /// [`Engine::apply_llm`]).
     pub fn with_llm(mut self, llm: infless_llm::LlmConfig) -> Self {
-        if llm.enabled {
-            self.engine.set_llm_batching(llm.batching);
-            self.engine.enable_device_memory();
-        }
+        self.engine.apply_llm(llm);
         self
     }
 
@@ -434,11 +430,7 @@ impl BatchPlatform {
                 self.engine.retire(id);
             }
         }
-        let beta = self.engine.beta();
-        let frag = self.engine.cluster().fragment_ratio(beta);
-        self.engine.collector.fragment_sample(frag);
-        let used = self.engine.cluster().weighted_in_use(beta);
-        self.engine.collector.provision_point(now, used);
+        self.engine.sample_provisioning(now);
         self.engine.sample_telemetry();
     }
 

@@ -19,7 +19,9 @@
 use std::fs;
 use std::path::PathBuf;
 
-use infless_baselines::{BatchConfig, BatchPlacement, BatchPlatform, OpenFaasPlus, Torpor};
+use infless_baselines::{
+    BatchConfig, BatchPlacement, BatchPlatform, ReactiveConfig, ReactivePlatform,
+};
 use infless_cluster::ClusterSpec;
 use infless_core::engine::FunctionInfo;
 use infless_core::metrics::RunReport;
@@ -138,7 +140,9 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics when `config` fails [`RunConfig::validate`], or when a
+    /// Panics when `config` fails [`RunConfig::validate`], when it asks
+    /// for a decision trace, metrics snapshot or flight-recorder dump
+    /// (only `Scenario::execute` writes those files), or when a
     /// sharded run (an explicit shard count, even 1) is requested for
     /// a system other than INFless — the baselines have no
     /// epoch-barrier driver.
@@ -152,6 +156,16 @@ impl System {
     ) -> RunReport {
         if let Err(e) = config.validate() {
             panic!("invalid run config for {}: {e}", self.name());
+        }
+        if config.decisions_out.is_some()
+            || config.metrics_out.is_some()
+            || config.flight_out.is_some()
+        {
+            panic!(
+                "invalid run config for {}: decisions_out, metrics_out and flight_out are \
+                 written only by Scenario::execute",
+                self.name()
+            );
         }
         let sharded = config.is_sharded().then(|| config.effective_shards());
         // Empty schedule and NullSink are the platforms' own defaults;
@@ -183,34 +197,29 @@ impl System {
                 .run(workload, shards);
         }
         match self {
-            System::OpenFaasPlus => OpenFaasPlus::new(cluster, functions.to_vec(), seed)
-                .with_fault_schedule(schedule)
-                .with_telemetry(sink)
-                .with_llm(llm)
-                .run(workload),
-            System::Batch => BatchPlatform::new(cluster, functions.to_vec(), seed)
-                .with_fault_schedule(schedule)
-                .with_telemetry(sink)
-                .with_llm(llm)
-                .run(workload),
-            System::BatchRs => BatchPlatform::with_config(
-                cluster,
-                functions.to_vec(),
-                BatchConfig {
-                    placement: BatchPlacement::BestFit,
-                    ..BatchConfig::default()
-                },
-                seed,
-            )
-            .with_fault_schedule(schedule)
-            .with_telemetry(sink)
-            .with_llm(llm)
-            .run(workload),
-            System::Torpor => Torpor::new(cluster, functions.to_vec(), seed)
-                .with_fault_schedule(schedule)
-                .with_telemetry(sink)
-                .with_llm(llm)
-                .run(workload),
+            System::OpenFaasPlus | System::Torpor => {
+                let reactive = if self == System::Torpor {
+                    ReactiveConfig::torpor()
+                } else {
+                    ReactiveConfig::openfaas()
+                };
+                ReactivePlatform::new(cluster, functions.to_vec(), reactive, seed)
+                    .with_fault_schedule(schedule)
+                    .with_telemetry(sink)
+                    .with_llm(llm)
+                    .run(workload)
+            }
+            System::Batch | System::BatchRs => {
+                let mut batch = BatchConfig::default();
+                if self == System::BatchRs {
+                    batch.placement = BatchPlacement::BestFit;
+                }
+                BatchPlatform::with_config(cluster, functions.to_vec(), batch, seed)
+                    .with_fault_schedule(schedule)
+                    .with_telemetry(sink)
+                    .with_llm(llm)
+                    .run(workload)
+            }
             System::Infless => {
                 InflessPlatform::new(cluster, functions.to_vec(), infless_config(), seed)
                     .with_fault_schedule(schedule)
@@ -342,6 +351,25 @@ mod tests {
     fn systems_have_names() {
         assert_eq!(System::Infless.name(), "INFless");
         assert_eq!(System::trio().len(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "written only by Scenario::execute")]
+    fn execute_rejects_file_outputs_it_would_drop() {
+        let w = constant_workload(1, 10.0, SimDuration::from_secs(1), 1);
+        let functions = [FunctionInfo::new(
+            infless_models::ModelId::Mnist.spec(),
+            SimDuration::from_millis(100),
+        )];
+        System::Infless.execute(
+            ClusterSpec::testbed(),
+            &functions,
+            &w,
+            1,
+            RunConfig::new()
+                .decisions_out("decisions.jsonl")
+                .metrics_out("metrics.prom"),
+        );
     }
 
     #[test]

@@ -20,7 +20,7 @@ use infless_cluster::{
     Request, RequestId, ServerHealth, ServerId,
 };
 use infless_faults::FaultEvent;
-use infless_llm::{LlmBatching, LlmClass};
+use infless_llm::{LlmBatching, LlmClass, LlmConfig};
 use infless_models::{HardwareModel, ModelId, ModelSpec, ResourceConfig};
 use infless_sim::{EventQueue, SimDuration, SimTime};
 use infless_telemetry::{
@@ -667,6 +667,17 @@ impl Engine {
     /// run-to-completion static batching).
     pub fn set_llm_batching(&mut self, batching: LlmBatching) {
         self.llm_batching = batching;
+    }
+
+    /// Applies the autoregressive serving knobs: the decode-batching
+    /// discipline plus device-memory booking, since KV arenas are real
+    /// device memory. A disabled config is a no-op (runs stay
+    /// bit-identical).
+    pub fn apply_llm(&mut self, llm: LlmConfig) {
+        if llm.enabled {
+            self.set_llm_batching(llm.batching);
+            self.enable_device_memory();
+        }
     }
 
     /// The active autoregressive batching discipline.
@@ -1622,6 +1633,15 @@ impl Engine {
     /// Weighted resource cost `β·c + g` of a configuration.
     pub fn weighted_cost(&self, config: InstanceConfig) -> f64 {
         self.weights(config).0
+    }
+
+    /// The cluster-wide tail of a scaler tick at `now`: one fragment
+    /// ratio sample and one provisioning-timeline point.
+    pub fn sample_provisioning(&mut self, now: SimTime) {
+        let frag = self.cluster.fragment_ratio(self.beta);
+        self.collector.fragment_sample(frag);
+        let used = self.cluster.weighted_in_use(self.beta);
+        self.collector.provision_point(now, used);
     }
 
     /// Samples the run's gauges (instance counts, occupancy, queue

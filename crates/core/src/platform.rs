@@ -416,12 +416,7 @@ impl InflessPlatform {
         if config.residency.enabled {
             engine.enable_device_memory();
         }
-        if config.llm.enabled {
-            engine.set_llm_batching(config.llm.batching);
-            // KV arenas are real device memory: book them against the
-            // per-GPU budget so placement respects cache headroom.
-            engine.enable_device_memory();
-        }
+        engine.apply_llm(config.llm);
         engine.collector.mark_started(construction_started);
         engine.collector.set_profile_cache(cache_outcome);
         let fns = (0..n)
@@ -956,11 +951,7 @@ impl InflessPlatform {
     /// it with cross-shard sums recorded on shard 0.
     fn cluster_sample(&mut self) {
         let now = self.engine.now();
-        let beta = self.engine.beta();
-        let frag = self.engine.cluster().fragment_ratio(beta);
-        self.engine.collector.fragment_sample(frag);
-        let used = self.engine.cluster().weighted_in_use(beta);
-        self.engine.collector.provision_point(now, used);
+        self.engine.sample_provisioning(now);
         let host_mb = self.host_cache_mb_now();
         self.engine.set_host_cache_mb(host_mb);
         self.engine.sample_telemetry();

@@ -8,7 +8,7 @@
 //!
 //! ```ignore
 //! let report = scenario.execute(RunConfig::new().shards(4))?;
-//! let report = System::Torpor.execute(&workload, functions, cluster,
+//! let report = System::Torpor.execute(cluster, &functions, &workload, seed,
 //!     RunConfig::new().fault_schedule(faults));
 //! ```
 //!

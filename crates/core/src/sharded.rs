@@ -434,11 +434,7 @@ impl ShardedInfless {
                 }
             }
             let e0 = &mut shards[0].platform.engine;
-            let beta = e0.beta();
-            let frag = e0.cluster().fragment_ratio(beta);
-            e0.collector.fragment_sample(frag);
-            let used = e0.cluster().weighted_in_use(beta);
-            e0.collector.provision_point(t_b, used);
+            e0.sample_provisioning(t_b);
             e0.record_gauges(
                 instances,
                 starting,

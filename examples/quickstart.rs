@@ -6,7 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use infless::baselines::{BatchPlatform, CostModel, OpenFaasPlus};
+use infless::baselines::{BatchPlatform, CostModel, ReactiveConfig, ReactivePlatform};
 use infless::cluster::ClusterSpec;
 use infless::core::apps::Application;
 use infless::core::platform::{InflessConfig, InflessPlatform};
@@ -33,7 +33,13 @@ fn main() {
 
     let cluster = ClusterSpec::testbed();
     let reports: Vec<RunReport> = vec![
-        OpenFaasPlus::new(cluster, app.functions().to_vec(), 42).run(&workload),
+        ReactivePlatform::new(
+            cluster,
+            app.functions().to_vec(),
+            ReactiveConfig::openfaas(),
+            42,
+        )
+        .run(&workload),
         BatchPlatform::new(cluster, app.functions().to_vec(), 42).run(&workload),
         InflessPlatform::new(
             cluster,

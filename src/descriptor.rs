@@ -42,7 +42,7 @@ use std::sync::{Arc, Mutex};
 
 use serde::Deserialize;
 
-use infless_baselines::{BatchPlatform, OpenFaasPlus};
+use infless_baselines::{BatchPlatform, ReactiveConfig, ReactivePlatform};
 use infless_cluster::ClusterSpec;
 use infless_core::chains::ChainSpec;
 use infless_core::engine::FunctionInfo;
@@ -610,10 +610,15 @@ impl Scenario {
                 platform.run(&parts.workload)
             }
             PlatformKind::Openfaas => {
-                let mut platform = OpenFaasPlus::new(parts.cluster, parts.functions, self.seed)
-                    .with_fault_schedule(parts.schedule)
-                    .with_telemetry(sink)
-                    .with_llm(llm);
+                let mut platform = ReactivePlatform::new(
+                    parts.cluster,
+                    parts.functions,
+                    ReactiveConfig::openfaas(),
+                    self.seed,
+                )
+                .with_fault_schedule(parts.schedule)
+                .with_telemetry(sink)
+                .with_llm(llm);
                 if let Some(handle) = &metrics {
                     platform = platform.with_metrics(handle.clone());
                 }

@@ -2,7 +2,7 @@
 //! every platform — the property that makes A/B comparisons on the same
 //! workload meaningful (and the paper's simulator methodology sound).
 
-use infless::baselines::{BatchPlatform, OpenFaasPlus};
+use infless::baselines::{BatchPlatform, ReactiveConfig, ReactivePlatform};
 use infless::cluster::ClusterSpec;
 use infless::core::apps::Application;
 use infless::core::platform::{InflessConfig, InflessPlatform};
@@ -71,7 +71,15 @@ fn infless_runs_are_identical_per_seed() {
 #[test]
 fn openfaas_runs_are_identical_per_seed() {
     let (app, w) = workload(22);
-    let run = || OpenFaasPlus::new(ClusterSpec::testbed(), app.functions().to_vec(), 22).run(&w);
+    let run = || {
+        ReactivePlatform::new(
+            ClusterSpec::testbed(),
+            app.functions().to_vec(),
+            ReactiveConfig::openfaas(),
+            22,
+        )
+        .run(&w)
+    };
     assert_eq!(digest(&run()), digest(&run()));
 }
 

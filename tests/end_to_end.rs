@@ -2,7 +2,7 @@
 //! must hold on a full platform run — INFless beats both baselines on
 //! throughput per unit of resource while keeping SLO violations low.
 
-use infless::baselines::{BatchPlatform, OpenFaasPlus};
+use infless::baselines::{BatchPlatform, ReactiveConfig, ReactivePlatform};
 use infless::cluster::ClusterSpec;
 use infless::core::apps::Application;
 use infless::core::platform::{InflessConfig, InflessPlatform};
@@ -22,7 +22,13 @@ fn workload(app: &Application, rps: f64, secs: u64, seed: u64) -> Workload {
 fn run_all(app: &Application, w: &Workload, seed: u64) -> [RunReport; 3] {
     let cluster = ClusterSpec::testbed();
     [
-        OpenFaasPlus::new(cluster, app.functions().to_vec(), seed).run(w),
+        ReactivePlatform::new(
+            cluster,
+            app.functions().to_vec(),
+            ReactiveConfig::openfaas(),
+            seed,
+        )
+        .run(w),
         BatchPlatform::new(cluster, app.functions().to_vec(), seed).run(w),
         InflessPlatform::new(
             cluster,
