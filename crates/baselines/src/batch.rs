@@ -257,9 +257,9 @@ impl BatchPlatform {
                         self.pump(done.function, &mut queue);
                     }
                 }
-                EngineEvent::DecodeStep(id) => {
+                EngineEvent::DecodeStep(id, gen) => {
                     // Some only when the episode drained (instance idle).
-                    if let Some(done) = self.engine.on_decode_step(id, &mut queue) {
+                    if let Some(done) = self.engine.on_decode_step(id, gen, &mut queue) {
                         self.pump(done.function, &mut queue);
                     }
                 }
@@ -293,7 +293,7 @@ impl BatchPlatform {
         fault: infless_faults::FaultEvent,
         queue: &mut EventQueue<EngineEvent>,
     ) {
-        let outcome = self.engine.on_fault(fault);
+        let outcome = self.engine.on_fault(fault, queue);
         if outcome.killed.is_empty() && outcome.displaced.is_empty() {
             return;
         }
@@ -431,7 +431,7 @@ impl BatchPlatform {
             }
         }
         self.engine.sample_provisioning(now);
-        self.engine.sample_telemetry();
+        self.engine.sample_telemetry(queue);
     }
 
     fn launch(

@@ -215,13 +215,13 @@ impl ReactivePlatform {
                     // mid-batch; there is no chain relay to run.
                     self.engine.on_batch_complete(id, &mut queue);
                 }
-                EngineEvent::DecodeStep(id) => {
-                    self.engine.on_decode_step(id, &mut queue);
+                EngineEvent::DecodeStep(id, gen) => {
+                    self.engine.on_decode_step(id, gen, &mut queue);
                 }
                 EngineEvent::ScalerTick => {
                     self.reap(t);
                     self.engine.sample_provisioning(t);
-                    self.engine.sample_telemetry();
+                    self.engine.sample_telemetry(&queue);
                     if t < tick_horizon {
                         queue.schedule(t + self.config.reap_period, EngineEvent::ScalerTick);
                     }
@@ -232,7 +232,7 @@ impl ReactivePlatform {
                     // replacement pods exactly as a fresh arrival
                     // would, down the same launch path); the rest are
                     // shed.
-                    let outcome = self.engine.on_fault(fault);
+                    let outcome = self.engine.on_fault(fault, &queue);
                     for req in outcome.displaced {
                         let f = req.function.raw();
                         let slo = self.engine.functions()[f].slo();

@@ -526,9 +526,9 @@ impl InflessPlatform {
                         self.relay_chain_stages(&done, &mut queue);
                     }
                 }
-                EngineEvent::DecodeStep(id) => {
+                EngineEvent::DecodeStep(id, gen) => {
                     // Some only when the episode drained (instance idle).
-                    if let Some(done) = self.engine.on_decode_step(id, &mut queue) {
+                    if let Some(done) = self.engine.on_decode_step(id, gen, &mut queue) {
                         self.fns[done.function].last_activity = t;
                         self.relay_chain_stages(&done, &mut queue);
                     }
@@ -591,8 +591,8 @@ impl InflessPlatform {
                         self.relay_chain_stages(&done, queue);
                     }
                 }
-                EngineEvent::DecodeStep(id) => {
-                    if let Some(done) = self.engine.on_decode_step(id, queue) {
+                EngineEvent::DecodeStep(id, gen) => {
+                    if let Some(done) = self.engine.on_decode_step(id, gen, queue) {
                         self.fns[done.function].last_activity = t;
                         self.relay_chain_stages(&done, queue);
                     }
@@ -612,6 +612,7 @@ impl InflessPlatform {
             }
         }
         self.engine.advance(until);
+        queue.advance_to(until);
     }
 
     /// The barrier flush for one function: recapture throughput lost to
@@ -889,7 +890,7 @@ impl InflessPlatform {
         for f in 0..self.fns.len() {
             self.scaler_pass_fn(f, queue);
         }
-        self.cluster_sample();
+        self.cluster_sample(queue);
     }
 
     /// One function's slice of the scaler tick: monitor refresh, §3.2
@@ -949,12 +950,12 @@ impl InflessPlatform {
     /// provisioning timeline and gauge sampling. Legacy runs call it
     /// after every per-function pass; the sharded coordinator replaces
     /// it with cross-shard sums recorded on shard 0.
-    fn cluster_sample(&mut self) {
+    fn cluster_sample(&mut self, queue: &EventQueue<EngineEvent>) {
         let now = self.engine.now();
         self.engine.sample_provisioning(now);
         let host_mb = self.host_cache_mb_now();
         self.engine.set_host_cache_mb(host_mb);
-        self.engine.sample_telemetry();
+        self.engine.sample_telemetry(queue);
     }
 
     /// Host-RAM model-cache occupancy right now: the summed weight
@@ -1257,7 +1258,7 @@ impl InflessPlatform {
     /// dispatch set (shedding only when the SLO budget is already
     /// exhausted or no capacity can take it).
     fn handle_fault(&mut self, ev: FaultEvent, queue: &mut EventQueue<EngineEvent>) {
-        let outcome = self.engine.on_fault(ev);
+        let outcome = self.engine.on_fault(ev, queue);
         if outcome.killed.is_empty() && outcome.displaced.is_empty() {
             return;
         }
@@ -1296,7 +1297,7 @@ impl InflessPlatform {
         tag: FaultTag,
         queue: &mut EventQueue<EngineEvent>,
     ) {
-        let Some((f, displaced)) = self.engine.apply_kill_directive(id, tag) else {
+        let Some((f, displaced)) = self.engine.apply_kill_directive(id, tag, queue) else {
             return;
         };
         let st = &mut self.fns[f];
@@ -1877,6 +1878,30 @@ mod tests {
             17,
         )
         .run(&workload)
+    }
+
+    /// An epoch drain ends on the barrier: the queue's clock moves to
+    /// it, so lazy readers at the barrier count every decode step up to
+    /// and including the barrier instant as run, and events scheduled
+    /// there tie as scheduled at the barrier.
+    #[test]
+    fn epoch_drain_moves_the_queue_clock_to_the_barrier() {
+        let app = Application::qa_robot();
+        let mut p = InflessPlatform::new(
+            ClusterSpec::testbed(),
+            app.functions().to_vec(),
+            InflessConfig::default(),
+            17,
+        );
+        p.set_deferred_scaling();
+        let arrivals = [(SimTime::from_millis(3), 0usize)];
+        let mut stream = StagedStream::new(&arrivals);
+        let mut queue = EventQueue::new();
+        let barrier = SimTime::from_millis(40);
+        p.epoch_drain(&mut stream, &mut queue, barrier);
+        assert_eq!(queue.now(), barrier);
+        assert_eq!(p.engine.now(), barrier);
+        assert!(queue.delivered_before(barrier, SimTime::from_millis(39)));
     }
 
     #[test]

@@ -424,7 +424,7 @@ impl ShardedInfless {
                 starting += st;
                 queue_depth += q;
                 in_flight += b;
-                kv_resident += sh.platform.engine.kv_resident_bytes();
+                kv_resident += sh.platform.engine.kv_resident_bytes(&sh.queue);
                 host_cache_mb += sh.platform.host_cache_mb_now();
                 for (acc, v) in per_fn
                     .iter_mut()

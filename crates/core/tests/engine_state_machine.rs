@@ -119,8 +119,8 @@ proptest! {
                             EngineEvent::BatchComplete(id) => {
                                 engine.on_batch_complete(id, &mut queue);
                             }
-                            EngineEvent::DecodeStep(id) => {
-                                engine.on_decode_step(id, &mut queue);
+                            EngineEvent::DecodeStep(id, gen) => {
+                                engine.on_decode_step(id, gen, &mut queue);
                             }
                             EngineEvent::Arrival(_)
                             | EngineEvent::ScalerTick
@@ -128,7 +128,7 @@ proptest! {
                             | EngineEvent::DirectiveKill(..)
                             | EngineEvent::DirectiveStraggler { .. } => {}
                             EngineEvent::Fault(f) => {
-                                engine.on_fault(f);
+                                engine.on_fault(f, &queue);
                             }
                         }
                     }
@@ -163,8 +163,8 @@ proptest! {
                 EngineEvent::BatchComplete(id) => {
                     engine.on_batch_complete(id, &mut queue);
                 }
-                EngineEvent::DecodeStep(id) => {
-                    engine.on_decode_step(id, &mut queue);
+                EngineEvent::DecodeStep(id, gen) => {
+                    engine.on_decode_step(id, gen, &mut queue);
                 }
                 EngineEvent::Arrival(_)
                 | EngineEvent::ScalerTick
@@ -172,7 +172,7 @@ proptest! {
                 | EngineEvent::DirectiveKill(..)
                 | EngineEvent::DirectiveStraggler { .. } => {}
                 EngineEvent::Fault(f) => {
-                    engine.on_fault(f);
+                    engine.on_fault(f, &queue);
                 }
             }
         }

@@ -5,15 +5,69 @@ use std::collections::BinaryHeap;
 
 use crate::SimTime;
 
+/// Bits of an event's tie key below the scheduling-instant field: one
+/// as-of flag bit over a 39-bit insertion counter.
+const TIE_SHIFT: u32 = 40;
+/// The as-of flag: set on events scheduled *as of* an instant other than
+/// the clock (see [`EventQueue::schedule_as_of`]). Insertion counters
+/// stay below it.
+const AS_OF: u64 = 1 << (TIE_SHIFT - 1);
+/// Scheduling lead times, µs, at or beyond which all events compare as
+/// "scheduled earliest" (≈ 16.8 s); ties among them fall to the counter.
+const LEAD_CAP: u64 = (1 << (64 - TIE_SHIFT)) - 1;
+
+/// Packs an event's tie key: `(scheduled_at, as-of flag, counter)`,
+/// with `scheduled_at` stored as the capped lead time `time −
+/// scheduled_at` so the key fits one `u64`. A smaller key is delivered
+/// first among events at the same instant.
+fn tie_key(time: SimTime, scheduled_at: SimTime, flag: u64, counter: u64) -> u64 {
+    let lead = (time - scheduled_at).as_micros().min(LEAD_CAP);
+    ((LEAD_CAP - lead) << TIE_SHIFT) | flag | counter
+}
+
+/// Same-instant ties between an as-of event and another event scheduled
+/// as of the same instant, whose order the key cannot know (debug
+/// builds only; see [`as_of_ties`]).
+#[cfg(debug_assertions)]
+static AS_OF_TIES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+#[cfg(debug_assertions)]
+fn note_as_of_tie() {
+    AS_OF_TIES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+}
+
+/// The number of same-instant ties whose order an as-of key could not
+/// settle, process-wide: an as-of event and another event that fire in
+/// the same microsecond and were scheduled as of the same instant
+/// (popped back to back, or compared by
+/// [`EventQueue::delivered_before`]). The key orders the as-of event
+/// last; a run that reports zero here popped every event exactly as if
+/// each had been scheduled at its own instant. Always zero in release
+/// builds, which do not count.
+pub fn as_of_ties() -> u64 {
+    #[cfg(debug_assertions)]
+    {
+        AS_OF_TIES.load(std::sync::atomic::Ordering::Relaxed)
+    }
+    #[cfg(not(debug_assertions))]
+    {
+        0
+    }
+}
+
 /// An event scheduled in an [`EventQueue`].
 ///
-/// Ordering is by time first, then by insertion sequence, so that events
-/// scheduled for the same instant are delivered in FIFO order. This
-/// stability matters: platform behaviour (which batch fills first, which
-/// instance a request lands on) must not depend on heap internals.
+/// Ordering is by time first, then by the instant the event was
+/// scheduled at, then by insertion sequence. For events scheduled on
+/// the clock this is exactly insertion (FIFO) order among events for
+/// the same instant, since the clock never runs backwards. This
+/// stability matters: platform behaviour (which batch fills first,
+/// which instance a request lands on) must not depend on heap
+/// internals.
 #[derive(Debug, Clone)]
 pub struct ScheduledEvent<E> {
     time: SimTime,
+    /// The packed tie key (see [`tie_key`]).
     seq: u64,
     payload: E,
 }
@@ -58,9 +112,16 @@ impl<E> Ord for ScheduledEvent<E> {
 ///
 /// Events are arbitrary payloads `E` tagged with a [`SimTime`]. Popping
 /// always yields the earliest pending event; ties break in insertion
-/// order. There is no global clock object — the caller advances its own
+/// order. The queue keeps its own clock — the time of the last event it
+/// delivered, or of a staged arrival or barrier it was told about — and
+/// stamps every scheduled event with it; callers advance their own
 /// notion of "now" to each popped event's timestamp, which makes it
 /// impossible for time to drift or run backwards.
+///
+/// An event may also be scheduled *as of* another instant
+/// ([`Self::schedule_as_of`]): it then ties exactly as if it had been
+/// scheduled when the clock read that instant. A decode span uses this
+/// to stand in for a chain of per-step events it never schedules.
 ///
 /// # Example
 ///
@@ -79,7 +140,20 @@ impl<E> Ord for ScheduledEvent<E> {
 pub struct EventQueue<E> {
     heap: BinaryHeap<ScheduledEvent<E>>,
     next_seq: u64,
-    last_popped: SimTime,
+    clock: SimTime,
+    /// What was delivered at `clock`, for [`Self::delivered_before`].
+    cursor: Cursor,
+}
+
+/// The delivery position at the queue's clock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cursor {
+    /// A staged arrival, which precedes every queued event at its instant.
+    Staged,
+    /// A queued event with this tie key.
+    Popped(u64),
+    /// A barrier, which follows every event at its instant.
+    Barrier,
 }
 
 impl<E> EventQueue<E> {
@@ -88,33 +162,121 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            last_popped: SimTime::ZERO,
+            clock: SimTime::ZERO,
+            cursor: Cursor::Barrier,
         }
     }
 
     /// Schedules `payload` to fire at `time`.
     ///
-    /// Scheduling in the past (before the last popped event) is allowed at
+    /// Scheduling in the past (before the queue's clock) is allowed at
     /// the API level — the event simply fires "now" from the caller's
     /// perspective because it becomes the earliest entry — but it is
     /// almost always a logic error, so debug builds assert against it.
     pub fn schedule(&mut self, time: SimTime, payload: E) {
         debug_assert!(
-            time >= self.last_popped,
+            time >= self.clock,
             "scheduled an event at {time} before the simulation clock {}",
-            self.last_popped
+            self.clock
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = tie_key(time, self.clock.min(time), 0, self.next_counter());
         self.heap.push(ScheduledEvent { time, seq, payload });
+    }
+
+    /// Schedules `payload` to fire at `time` as if it had been scheduled
+    /// when the clock read `as_of` (which may lie ahead of the clock or
+    /// behind it): it pops after every event scheduled before `as_of`
+    /// and before every event scheduled after it. Against an event
+    /// scheduled at `as_of` itself the order is unknown; the as-of
+    /// event pops last, and debug builds count the tie (see
+    /// [`as_of_ties`]).
+    ///
+    /// # Panics
+    ///
+    /// Debug builds assert `as_of <= time` and that `time` is not before
+    /// the clock.
+    pub fn schedule_as_of(&mut self, time: SimTime, as_of: SimTime, payload: E) {
+        debug_assert!(
+            as_of <= time && time >= self.clock,
+            "as-of event at {time} (as of {as_of}) out of order with the clock {}",
+            self.clock
+        );
+        let seq = tie_key(time, as_of, AS_OF, self.next_counter());
+        self.heap.push(ScheduledEvent { time, seq, payload });
+    }
+
+    fn next_counter(&mut self) -> u64 {
+        let counter = self.next_seq;
+        assert!(counter < AS_OF, "event counter exhausted");
+        self.next_seq += 1;
+        counter
     }
 
     /// Removes and returns the earliest event, or `None` when the run is
     /// complete.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let ev = self.heap.pop()?;
-        self.last_popped = ev.time;
+        #[cfg(debug_assertions)]
+        if let Some(next) = self.heap.peek() {
+            if next.time == ev.time
+                && next.seq >> TIE_SHIFT == ev.seq >> TIE_SHIFT
+                && (next.seq | ev.seq) & AS_OF != 0
+            {
+                note_as_of_tie();
+            }
+        }
+        self.clock = ev.time;
+        self.cursor = Cursor::Popped(ev.seq);
         Some((ev.time, ev.payload))
+    }
+
+    /// Moves the clock to a barrier at `t`: every event at or before `t`
+    /// counts as delivered, and events scheduled from here on are
+    /// stamped with `t`.
+    ///
+    /// # Panics
+    ///
+    /// Debug builds assert `t` is not before the clock.
+    pub fn advance_to(&mut self, t: SimTime) {
+        debug_assert!(
+            t >= self.clock,
+            "barrier at {t} before the clock {}",
+            self.clock
+        );
+        self.clock = t;
+        self.cursor = Cursor::Barrier;
+    }
+
+    /// `true` if an event at `time`, scheduled as of `as_of`, would have
+    /// been delivered before the one being handled now. Readers of state
+    /// that an as-of event stands in for (the steps of a decode span)
+    /// use this to catch up exactly as far as per-step events would
+    /// have run. An unknowable tie (see [`Self::schedule_as_of`])
+    /// answers `false` and counts in debug builds.
+    pub fn delivered_before(&self, time: SimTime, as_of: SimTime) -> bool {
+        if time != self.clock {
+            return time < self.clock;
+        }
+        match self.cursor {
+            Cursor::Staged => false,
+            Cursor::Barrier => true,
+            Cursor::Popped(key) => {
+                let probe = tie_key(time, as_of, AS_OF, 0) >> TIE_SHIFT;
+                let current = key >> TIE_SHIFT;
+                #[cfg(debug_assertions)]
+                if probe == current {
+                    note_as_of_tie();
+                }
+                probe < current
+            }
+        }
+    }
+
+    /// Moves the clock to a staged arrival at `t`, delivered ahead of
+    /// every queued event at that instant.
+    fn deliver_staged(&mut self, t: SimTime) {
+        self.clock = t;
+        self.cursor = Cursor::Staged;
     }
 
     /// The timestamp of the next event without removing it.
@@ -132,10 +294,11 @@ impl<E> EventQueue<E> {
         self.heap.is_empty()
     }
 
-    /// The time of the most recently popped event — the current simulated
-    /// instant from the queue's point of view.
+    /// The queue's clock: the time of the most recently delivered event
+    /// (popped, staged, or a barrier) — the current simulated instant
+    /// from the queue's point of view.
     pub fn now(&self) -> SimTime {
-        self.last_popped
+        self.clock
     }
 }
 
@@ -206,6 +369,7 @@ impl<'a, P: Copy> StagedStream<'a, P> {
         match self.staged.get(self.cursor) {
             Some(&(t, p)) if queue.peek_time().is_none_or(|h| t <= h) => {
                 self.cursor += 1;
+                queue.deliver_staged(t);
                 Some((t, wrap(p)))
             }
             _ => queue.pop(),
@@ -505,5 +669,238 @@ mod tests {
             seen.sort_unstable();
             prop_assert_eq!(seen, (0..times.len()).collect::<Vec<_>>());
         }
+    }
+
+    /// Today's tie contract as a plain model: queued events pop by
+    /// `(time, insertion order)`, and a staged arrival wins every tie
+    /// with a queued event. Each delivered event schedules its children
+    /// at `now + delta`, with deltas from `spawn` indexed by its id, so
+    /// the event tree is the same whatever order it is delivered in.
+    struct Reference {
+        queued: Vec<(u64, u64, u64)>,
+        next_seq: u64,
+        /// `(scheduled at, time, insertion)` of every non-initial
+        /// event, by id.
+        stamps: std::collections::HashMap<u64, (u64, u64, u64)>,
+    }
+
+    impl Reference {
+        fn schedule(&mut self, now: u64, time: u64, id: u64) {
+            self.queued.push((time, self.next_seq, id));
+            self.stamps.insert(id, (now, time, self.next_seq));
+            self.next_seq += 1;
+        }
+
+        fn pop_min(&mut self) -> Option<(u64, u64)> {
+            let i = (0..self.queued.len()).min_by_key(|&i| (self.queued[i].0, self.queued[i].1))?;
+            let (t, _, id) = self.queued.swap_remove(i);
+            Some((t, id))
+        }
+    }
+
+    const HORIZON: u64 = 60;
+
+    /// Ids carry their tree depth above bit 48; the tree stops five
+    /// levels down, so zero-delay chains cannot run forever.
+    fn children(spawn: &[Vec<u64>], id: u64, now: u64) -> Vec<(u64, u64)> {
+        let (depth, local) = (id >> 48, id & ((1 << 48) - 1));
+        if depth >= 5 {
+            return Vec::new();
+        }
+        spawn[(local % spawn.len() as u64) as usize]
+            .iter()
+            .enumerate()
+            .map(|(i, d)| (now + d, ((depth + 1) << 48) | (local * 8 + 1 + i as u64)))
+            .filter(|&(t, _)| t < HORIZON)
+            .collect()
+    }
+
+    /// Delivery order under today's contract. `virtual_event`, if set,
+    /// is `(id, time, child time)`: an initial event whose only child is
+    /// scheduled when it is delivered. Returns the order and the stamps.
+    fn reference_order(
+        staged: &[(SimTime, u64)],
+        initial: &[u64],
+        spawn: &[Vec<u64>],
+        virtual_event: Option<(u64, u64, u64)>,
+    ) -> (
+        Vec<(u64, u64)>,
+        std::collections::HashMap<u64, (u64, u64, u64)>,
+    ) {
+        let mut r = Reference {
+            queued: Vec::new(),
+            next_seq: 0,
+            stamps: std::collections::HashMap::new(),
+        };
+        for (i, &t) in initial.iter().enumerate() {
+            r.queued.push((t, r.next_seq, 2 + i as u64));
+            r.next_seq += 1;
+        }
+        if let Some((id, t, _)) = virtual_event {
+            r.queued.push((t, r.next_seq, id));
+            r.next_seq += 1;
+        }
+        let mut cursor = 0;
+        let mut order = Vec::new();
+        loop {
+            let head = r.queued.iter().map(|e| e.0).min();
+            let (now, id) = match staged.get(cursor) {
+                Some(&(t, id)) if head.is_none_or(|h| t.as_micros() <= h) => {
+                    cursor += 1;
+                    (t.as_micros(), id)
+                }
+                _ => match r.pop_min() {
+                    Some(ev) => ev,
+                    None => break,
+                },
+            };
+            order.push((now, id));
+            match virtual_event {
+                Some((v, _, child_t)) if v == id => r.schedule(now, child_t, 1),
+                _ => {
+                    for (t, child) in children(spawn, id, now) {
+                        r.schedule(now, t, child);
+                    }
+                }
+            }
+        }
+        (order, r.stamps)
+    }
+
+    fn staged_list(times: &[u64]) -> Vec<(SimTime, u64)> {
+        let mut times = times.to_vec();
+        times.sort_unstable();
+        times
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| (SimTime::from_micros(t), 1_000_000 + i as u64))
+            .collect()
+    }
+
+    proptest! {
+        /// The `(time, scheduled_at, seq)` key pops events in exactly
+        /// the `(time, insertion order)` order, across random
+        /// schedule/pop/staged-arrival interleavings with many
+        /// same-instant ties.
+        #[test]
+        fn prop_tie_key_keeps_insertion_order(
+            staged in prop::collection::vec(0u64..HORIZON, 0..20),
+            initial in prop::collection::vec(0u64..HORIZON, 1..10),
+            spawn in prop::collection::vec(prop::collection::vec(0u64..6, 0..3), 1..8),
+        ) {
+            let staged = staged_list(&staged);
+            let (expected, _) = reference_order(&staged, &initial, &spawn, None);
+            let mut q = EventQueue::new();
+            for (i, &t) in initial.iter().enumerate() {
+                q.schedule(SimTime::from_micros(t), 2 + i as u64);
+            }
+            let mut stream = StagedStream::new(&staged);
+            let mut order = Vec::new();
+            while let Some((t, id)) = stream.next(&mut q, |p| p) {
+                order.push((t.as_micros(), id));
+                for (ct, child) in children(&spawn, id, t.as_micros()) {
+                    q.schedule(SimTime::from_micros(ct), child);
+                }
+            }
+            prop_assert_eq!(order, expected);
+        }
+
+        /// An event scheduled as of an earlier instant lands exactly
+        /// where a schedule at that instant would have put it, and
+        /// `delivered_before` agrees with that position at every
+        /// delivery. The one tie the key cannot settle — another event
+        /// scheduled at that same instant, *after* the stand-in would
+        /// have been, firing in the same microsecond — is not compared
+        /// (the key orders the as-of event after every such event);
+        /// debug builds count it instead.
+        #[test]
+        fn prop_as_of_event_lands_where_its_schedule_would(
+            staged in prop::collection::vec(0u64..HORIZON, 0..20),
+            initial in prop::collection::vec(0u64..HORIZON, 1..10),
+            spawn in prop::collection::vec(prop::collection::vec(0u64..6, 0..3), 1..8),
+            as_of in 0u64..HORIZON,
+            lead in 0u64..8,
+        ) {
+            let staged = staged_list(&staged);
+            let time = as_of + lead;
+            // Event 0 stands for the step the span does not schedule;
+            // when delivered, it schedules event 1 (the span's end).
+            let (with_virtual, stamps) =
+                reference_order(&staged, &initial, &spawn, Some((0, as_of, time)));
+            let end = stamps[&1].2;
+            let unsettled = stamps
+                .values()
+                .any(|&(at, t, seq)| (at, t) == (as_of, time) && seq > end);
+            let expected: Vec<(u64, u64)> =
+                with_virtual.into_iter().filter(|&(_, id)| id != 0).collect();
+            let at = |t: u64| SimTime::from_micros(t);
+            let ties_before = as_of_ties();
+            let mut q = EventQueue::new();
+            for (i, &t) in initial.iter().enumerate() {
+                q.schedule(at(t), 2 + i as u64);
+            }
+            q.schedule_as_of(at(time), at(as_of), 1);
+            let mut stream = StagedStream::new(&staged);
+            let mut order = Vec::new();
+            let mut end_seen = false;
+            while let Some((t, id)) = stream.next(&mut q, |p| p) {
+                if id != 1 && !unsettled {
+                    prop_assert_eq!(q.delivered_before(at(time), at(as_of)), end_seen);
+                }
+                end_seen |= id == 1;
+                order.push((t.as_micros(), id));
+                for (ct, child) in children(&spawn, id, t.as_micros()) {
+                    q.schedule(at(ct), child);
+                }
+            }
+            if unsettled {
+                prop_assert!(!cfg!(debug_assertions) || as_of_ties() > ties_before);
+            } else {
+                prop_assert_eq!(order, expected);
+            }
+        }
+    }
+
+    /// `delivered_before` answers from what is being delivered at the
+    /// clock: a staged arrival precedes every queued event at its
+    /// instant, a popped event splits same-instant events by when they
+    /// were scheduled, and a barrier follows everything at its instant.
+    #[test]
+    fn delivered_before_reads_the_delivery_position() {
+        let at = SimTime::from_micros;
+        let arrivals = [(at(10), 0u8)];
+        let mut staged = StagedStream::new(&arrivals);
+        let mut q = EventQueue::new();
+        q.schedule(at(10), 1u8);
+        assert_eq!(staged.next(&mut q, |p| p), Some((at(10), 0)));
+        assert_eq!(q.now(), at(10));
+        assert!(q.delivered_before(at(9), at(0)));
+        assert!(!q.delivered_before(at(10), at(0)));
+        // The queued event at 10 was scheduled at 0.
+        assert_eq!(q.pop(), Some((at(10), 1)));
+        assert!(
+            !q.delivered_before(at(10), at(0)),
+            "unknowable tie answers false"
+        );
+        assert!(!q.delivered_before(at(10), at(5)));
+        q.schedule(at(20), 2);
+        q.pop();
+        // The event at 20 was scheduled at 10.
+        assert!(q.delivered_before(at(20), at(9)));
+        assert!(!q.delivered_before(at(20), at(11)));
+        q.advance_to(at(30));
+        assert_eq!(q.now(), at(30));
+        assert!(q.delivered_before(at(30), at(29)));
+        assert!(!q.delivered_before(at(31), at(30)));
+    }
+
+    /// The tie key packs into the existing `u64`: the heap element of
+    /// the engine-sized payloads does not grow.
+    #[test]
+    fn scheduled_event_stays_two_words_plus_payload() {
+        assert_eq!(
+            std::mem::size_of::<ScheduledEvent<[u64; 3]>>(),
+            2 * 8 + 3 * 8
+        );
     }
 }

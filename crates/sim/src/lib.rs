@@ -43,5 +43,5 @@ mod time;
 pub mod rng;
 pub mod stats;
 
-pub use event::{EventQueue, ScheduledEvent, StagedStream};
+pub use event::{as_of_ties, EventQueue, ScheduledEvent, StagedStream};
 pub use time::{SimDuration, SimTime};
