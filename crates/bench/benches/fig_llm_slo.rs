@@ -15,6 +15,9 @@
 //! a joiner slips into the running batch at the next decode boundary
 //! instead of waiting out the whole episode. The bench asserts that at
 //! the highest swept rate.
+//!
+//! The record also carries the sweep's wall-clock (`wall_seconds`, all
+//! runs, in parallel) and the host's core count.
 
 use infless_bench::{header, maybe_quick, quick, record, run_parallel, System};
 use infless_cluster::ClusterSpec;
@@ -25,6 +28,7 @@ use infless_llm::{LlmBatching, LlmClass, LlmConfig};
 use infless_models::ModelId;
 use infless_sim::SimDuration;
 use infless_workload::{FunctionLoad, Workload};
+use std::time::Instant;
 
 const CHAT: usize = 0;
 const SUMMARIZE: usize = 1;
@@ -120,7 +124,10 @@ fn main() {
             }
         }
     }
+    let started = Instant::now();
     let reports = run_parallel(jobs);
+    let wall_seconds = started.elapsed().as_secs_f64();
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     println!(
         "{:<10} {:<12} {:<10} {:>10} {:>10} {:>10} {:>9}",
@@ -189,12 +196,18 @@ fn main() {
         "continuous batching must strictly dominate static on chat TTFT attainment \
          at the highest rate (continuous {cont:.4} vs static {stat:.4})"
     );
+    println!(
+        "{} runs in {wall_seconds:.3} s wall on {host_cores} cores",
+        reports.len()
+    );
 
     record(
         "fig_llm_slo",
         serde_json::json!({
             "rates": rates,
             "duration_secs": duration.as_secs_f64(),
+            "wall_seconds": wall_seconds,
+            "host_cores": host_cores,
             "rows": rows,
             "infless_top_rate_ttft_continuous": cont,
             "infless_top_rate_ttft_static": stat,
