@@ -20,12 +20,13 @@
 use infless_cluster::{ClusterSpec, InstanceConfig, InstanceId, ServerId};
 use infless_faults::FaultSchedule;
 use infless_models::{profile::ConfigGrid, HardwareModel, ModelSpec, ProfileDatabase};
-use infless_sim::{EventQueue, SimDuration, SimTime, StagedStream};
+use infless_sim::{EventQueue, SimDuration, SimTime};
 use infless_workload::Workload;
 use std::collections::VecDeque;
 
 use infless_core::batching::RpsWindow;
-use infless_core::engine::{Engine, EngineEvent, FunctionInfo};
+use infless_core::driver::{self, Platform};
+use infless_core::engine::{CompletedBatch, Engine, EngineEvent, FaultOutcome, FunctionInfo};
 use infless_core::metrics::{RunReport, StartupKind};
 use infless_core::predictor::CopPredictor;
 use infless_core::router::LeastLoadedScratch;
@@ -120,7 +121,6 @@ pub struct BatchPlatform {
     engine: Engine,
     config: BatchConfig,
     fns: Vec<FnState>,
-    faults: FaultSchedule,
     route_scratch: LeastLoadedScratch,
 }
 
@@ -164,37 +164,8 @@ impl BatchPlatform {
             engine,
             config,
             fns,
-            faults: FaultSchedule::empty(),
             route_scratch: LeastLoadedScratch::default(),
         }
-    }
-
-    /// Attaches a fault schedule to inject during [`Self::run`]. The
-    /// default (an empty schedule) changes nothing.
-    pub fn with_fault_schedule(mut self, faults: FaultSchedule) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Attaches a telemetry sink (the default no-op sink records
-    /// nothing and changes nothing).
-    pub fn with_telemetry(mut self, sink: Box<dyn infless_telemetry::TelemetrySink>) -> Self {
-        self.engine.set_telemetry(sink);
-        self
-    }
-
-    /// Attaches a shared metrics registry, fed at every scaler tick.
-    /// The registry never feeds back into the simulation.
-    pub fn with_metrics(mut self, handle: infless_telemetry::MetricsHandle) -> Self {
-        self.engine.set_metrics(handle);
-        self
-    }
-
-    /// Applies the autoregressive serving knobs (see
-    /// [`Engine::apply_llm`]).
-    pub fn with_llm(mut self, llm: infless_llm::LlmConfig) -> Self {
-        self.engine.apply_llm(llm);
-        self
     }
 
     /// The uniform batchsize chosen for function `f` (None if no
@@ -203,137 +174,9 @@ impl BatchPlatform {
         self.fns[f].plan.map(|p| p.config.batch())
     }
 
-    /// Runs the workload to completion.
-    pub fn run(mut self, workload: &Workload) -> RunReport {
-        let mut queue: EventQueue<EngineEvent> = EventQueue::new();
-        // The OTP buffer forwards each request after its dispatch
-        // delay; the uniform shift keeps the list sorted, so it can
-        // merge ahead of the heap (arrivals win equal-timestamp ties,
-        // exactly as when pre-scheduled).
-        let shifted: Vec<(SimTime, usize)> = workload
-            .arrivals()
-            .iter()
-            .map(|&(t, f)| (t + self.config.otp_delay, f))
-            .collect();
-        let mut arrivals = StagedStream::new(&shifted);
-        let tick_horizon = workload.end_time() + SimDuration::from_secs(5);
-        if !workload.is_empty() {
-            queue.schedule(SimTime::ZERO + self.config.tick, EngineEvent::ScalerTick);
-        }
-        let faults = std::mem::take(&mut self.faults);
-        for &(t, ev) in faults.events() {
-            queue.schedule(t, EngineEvent::Fault(ev));
-        }
-        while let Some((t, ev)) = arrivals.next(&mut queue, EngineEvent::Arrival) {
-            self.engine.advance(t);
-            match ev {
-                EngineEvent::Arrival(f) => self.on_arrival(f, &mut queue),
-                EngineEvent::InstanceReady(id) => {
-                    let function = self
-                        .engine
-                        .is_live(id)
-                        .then(|| self.engine.instance(id).function().raw());
-                    self.engine.on_instance_ready(id, &mut queue);
-                    if let Some(f) = function {
-                        self.pump(f, &mut queue);
-                    }
-                }
-                // Never scheduled here (BATCH boots cold), but handled
-                // totally, mirroring InstanceReady.
-                EngineEvent::SwapComplete(id) => {
-                    let function = self
-                        .engine
-                        .is_live(id)
-                        .then(|| self.engine.instance(id).function().raw());
-                    self.engine.on_swap_complete(id, &mut queue);
-                    if let Some(f) = function {
-                        self.pump(f, &mut queue);
-                    }
-                }
-                EngineEvent::BatchTimeout(id) => self.engine.on_batch_timeout(id, &mut queue),
-                EngineEvent::BatchComplete(id) => {
-                    // Stale if a fault killed the instance mid-batch.
-                    if let Some(done) = self.engine.on_batch_complete(id, &mut queue) {
-                        self.pump(done.function, &mut queue);
-                    }
-                }
-                EngineEvent::DecodeStep(id, gen) => {
-                    // Some only when the episode drained (instance idle).
-                    if let Some(done) = self.engine.on_decode_step(id, gen, &mut queue) {
-                        self.pump(done.function, &mut queue);
-                    }
-                }
-                EngineEvent::ScalerTick => {
-                    self.tick(t, &mut queue);
-                    if t < tick_horizon {
-                        queue.schedule(t + self.config.tick, EngineEvent::ScalerTick);
-                    }
-                }
-                EngineEvent::Fault(fault) => self.handle_fault(fault, &mut queue),
-                // Coordinator directives exist only on the sharded
-                // INFless path; baselines never schedule them.
-                EngineEvent::DirectiveKill(..)
-                | EngineEvent::DirectiveStraggler { .. }
-                | EngineEvent::ResizeComplete(_) => {
-                    unreachable!("fault directives and resizes are never scheduled on BATCH")
-                }
-            }
-        }
-        self.engine.finish()
-    }
-
-    /// Applies one injected fault. Displaced requests whose SLO budget
-    /// survives (and that still fit the admission cap) re-enter the
-    /// front of the OTP buffer — they arrived first — and the affected
-    /// functions are pumped immediately; replacement capacity itself
-    /// only appears at the next scaling tick, as BATCH's OTP layer
-    /// cannot react faster than its control loop.
-    fn handle_fault(
-        &mut self,
-        fault: infless_faults::FaultEvent,
-        queue: &mut EventQueue<EngineEvent>,
-    ) {
-        let outcome = self.engine.on_fault(fault, queue);
-        if outcome.killed.is_empty() && outcome.displaced.is_empty() {
-            return;
-        }
-        let now = self.engine.now();
-        // Reverse order + push_front keeps the buffer arrival-ordered.
-        for req in outcome.displaced.into_iter().rev() {
-            let f = req.function.raw();
-            let slo = self.engine.functions()[f].slo();
-            let within_budget = now.saturating_since(req.arrival) < slo;
-            if within_budget
-                && self.fns[f].plan.is_some()
-                && self.fns[f].buffer.len() < self.buffer_cap(f)
-            {
-                self.fns[f].buffer.push_front(req);
-                self.engine.record_retry(&req);
-            } else {
-                self.engine.shed_request(&req);
-            }
-        }
-        let mut affected: Vec<usize> = outcome.killed.iter().map(|&(f, _)| f).collect();
-        affected.sort_unstable();
-        affected.dedup();
-        for f in affected {
-            self.pump(f, queue);
-        }
-    }
-
-    fn on_arrival(&mut self, f: usize, queue: &mut EventQueue<EngineEvent>) {
-        let now = self.engine.now();
-        // True gateway arrival precedes the buffer delay.
-        let arrival = now.saturating_sub(self.config.otp_delay);
-        let req = self.engine.mint_request_arrived(f, arrival);
-        self.fns[f].recent_arrivals.push_back(now);
-        let cap = self.buffer_cap(f);
-        if self.fns[f].plan.is_none() || self.fns[f].buffer.len() >= cap {
-            self.engine.drop_request(&req);
-            return;
-        }
-        self.fns[f].buffer.push_back(req);
-        self.pump(f, queue);
+    /// Runs the workload to completion with no faults injected.
+    pub fn run(self, workload: &Workload) -> RunReport {
+        driver::run(self, workload, &FaultSchedule::empty())
     }
 
     /// The SLO-aware admission cap: roughly two batch rounds of backlog
@@ -484,6 +327,86 @@ impl BatchPlatform {
                 fa.partial_cmp(&fb).expect("finite")
             })
             .map(|s| s.id())
+    }
+}
+
+impl Platform for BatchPlatform {
+    fn engine(&mut self) -> &mut Engine {
+        &mut self.engine
+    }
+
+    fn tick_period(&self) -> SimDuration {
+        self.config.tick
+    }
+
+    /// The OTP buffer forwards each request after its dispatch delay.
+    fn arrival_delay(&self) -> SimDuration {
+        self.config.otp_delay
+    }
+
+    fn on_arrival(&mut self, f: usize, queue: &mut EventQueue<EngineEvent>) {
+        let now = self.engine.now();
+        // True gateway arrival precedes the buffer delay.
+        let arrival = now.saturating_sub(self.config.otp_delay);
+        let req = self.engine.mint_request_arrived(f, arrival);
+        self.fns[f].recent_arrivals.push_back(now);
+        let cap = self.buffer_cap(f);
+        if self.fns[f].plan.is_none() || self.fns[f].buffer.len() >= cap {
+            self.engine.drop_request(&req);
+            return;
+        }
+        self.fns[f].buffer.push_back(req);
+        self.pump(f, queue);
+    }
+
+    fn on_ready(&mut self, id: InstanceId, queue: &mut EventQueue<EngineEvent>) {
+        if self.engine.is_live(id) {
+            let f = self.engine.instance(id).function().raw();
+            self.pump(f, queue);
+        }
+    }
+
+    fn on_done(&mut self, done: CompletedBatch, queue: &mut EventQueue<EngineEvent>) {
+        self.pump(done.function, queue);
+    }
+
+    fn on_tick(&mut self, queue: &mut EventQueue<EngineEvent>) {
+        self.tick(self.engine.now(), queue);
+    }
+
+    /// Displaced requests whose SLO budget survives (and that still fit
+    /// the admission cap) re-enter the front of the OTP buffer — they
+    /// arrived first — and the affected functions are pumped
+    /// immediately; replacement capacity itself only appears at the
+    /// next scaling tick, as BATCH's OTP layer cannot react faster than
+    /// its control loop.
+    fn on_fault(&mut self, outcome: FaultOutcome, queue: &mut EventQueue<EngineEvent>) {
+        let now = self.engine.now();
+        // Reverse order + push_front keeps the buffer arrival-ordered.
+        for req in outcome.displaced.into_iter().rev() {
+            let f = req.function.raw();
+            let slo = self.engine.functions()[f].slo();
+            let within_budget = now.saturating_since(req.arrival) < slo;
+            if within_budget
+                && self.fns[f].plan.is_some()
+                && self.fns[f].buffer.len() < self.buffer_cap(f)
+            {
+                self.fns[f].buffer.push_front(req);
+                self.engine.record_retry(&req);
+            } else {
+                self.engine.shed_request(&req);
+            }
+        }
+        let mut affected: Vec<usize> = outcome.killed.iter().map(|&(f, _)| f).collect();
+        affected.sort_unstable();
+        affected.dedup();
+        for f in affected {
+            self.pump(f, queue);
+        }
+    }
+
+    fn finish(self) -> RunReport {
+        self.engine.finish()
     }
 }
 

@@ -21,10 +21,11 @@
 use infless_cluster::{ClusterSpec, InstanceConfig, InstanceId, InstanceState, Request};
 use infless_faults::FaultSchedule;
 use infless_models::{HardwareModel, ResourceConfig};
-use infless_sim::{EventQueue, SimDuration, SimTime, StagedStream};
+use infless_sim::{EventQueue, SimDuration, SimTime};
 use infless_workload::Workload;
 
-use infless_core::engine::{Engine, EngineEvent, FunctionInfo};
+use infless_core::driver::{self, Platform};
+use infless_core::engine::{Engine, EngineEvent, FaultOutcome, FunctionInfo};
 use infless_core::metrics::{RunReport, StartupKind};
 use infless_core::router::LeastLoadedScratch;
 
@@ -125,7 +126,6 @@ impl ReactiveConfig {
 pub struct ReactivePlatform {
     engine: Engine,
     config: ReactiveConfig,
-    faults: FaultSchedule,
     route_scratch: LeastLoadedScratch,
 }
 
@@ -153,121 +153,13 @@ impl ReactivePlatform {
         ReactivePlatform {
             engine,
             config,
-            faults: FaultSchedule::empty(),
             route_scratch: LeastLoadedScratch::default(),
         }
     }
 
-    /// Attaches a fault schedule to inject during [`Self::run`]. The
-    /// default (an empty schedule) changes nothing.
-    pub fn with_fault_schedule(mut self, faults: FaultSchedule) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Attaches a telemetry sink (the default no-op sink records
-    /// nothing and changes nothing).
-    pub fn with_telemetry(mut self, sink: Box<dyn infless_telemetry::TelemetrySink>) -> Self {
-        self.engine.set_telemetry(sink);
-        self
-    }
-
-    /// Attaches a shared metrics registry, fed at every scaler tick.
-    /// The registry never feeds back into the simulation.
-    pub fn with_metrics(mut self, handle: infless_telemetry::MetricsHandle) -> Self {
-        self.engine.set_metrics(handle);
-        self
-    }
-
-    /// Applies the autoregressive serving knobs (see
-    /// [`Engine::apply_llm`]).
-    pub fn with_llm(mut self, llm: infless_llm::LlmConfig) -> Self {
-        self.engine.apply_llm(llm);
-        self
-    }
-
-    /// Runs the workload to completion.
-    pub fn run(mut self, workload: &Workload) -> RunReport {
-        let mut queue: EventQueue<EngineEvent> = EventQueue::new();
-        // Merged ahead of the heap; arrivals win equal-timestamp ties
-        // (including against faults), exactly as when pre-scheduled.
-        let mut arrivals = StagedStream::new(workload.arrivals());
-        let tick_horizon = workload.end_time() + SimDuration::from_secs(5);
-        if !workload.is_empty() {
-            queue.schedule(
-                SimTime::ZERO + self.config.reap_period,
-                EngineEvent::ScalerTick,
-            );
-        }
-        let faults = std::mem::take(&mut self.faults);
-        for &(t, ev) in faults.events() {
-            queue.schedule(t, EngineEvent::Fault(ev));
-        }
-        while let Some((t, ev)) = arrivals.next(&mut queue, EngineEvent::Arrival) {
-            self.engine.advance(t);
-            match ev {
-                EngineEvent::Arrival(f) => self.on_arrival(f, &mut queue),
-                EngineEvent::InstanceReady(id) => self.engine.on_instance_ready(id, &mut queue),
-                EngineEvent::SwapComplete(id) => self.engine.on_swap_complete(id, &mut queue),
-                EngineEvent::BatchTimeout(id) => self.engine.on_batch_timeout(id, &mut queue),
-                EngineEvent::BatchComplete(id) => {
-                    // Stale (None) if a fault killed the instance
-                    // mid-batch; there is no chain relay to run.
-                    self.engine.on_batch_complete(id, &mut queue);
-                }
-                EngineEvent::DecodeStep(id, gen) => {
-                    self.engine.on_decode_step(id, gen, &mut queue);
-                }
-                EngineEvent::ScalerTick => {
-                    self.reap(t);
-                    self.engine.sample_provisioning(t);
-                    self.engine.sample_telemetry(&queue);
-                    if t < tick_horizon {
-                        queue.schedule(t + self.config.reap_period, EngineEvent::ScalerTick);
-                    }
-                }
-                EngineEvent::Fault(fault) => {
-                    // Reactive recovery: displaced requests with SLO
-                    // budget left re-enter placement (which launches
-                    // replacement pods exactly as a fresh arrival
-                    // would, down the same launch path); the rest are
-                    // shed.
-                    let outcome = self.engine.on_fault(fault, &queue);
-                    for req in outcome.displaced {
-                        let f = req.function.raw();
-                        let slo = self.engine.functions()[f].slo();
-                        let now = self.engine.now();
-                        if now.saturating_since(req.arrival) < slo && self.place(f, req, &mut queue)
-                        {
-                            self.engine.record_retry(&req);
-                        } else {
-                            self.engine.shed_request(&req);
-                        }
-                    }
-                }
-                // Coordinator directives exist only on the sharded
-                // INFless path; baselines never schedule them.
-                EngineEvent::DirectiveKill(..)
-                | EngineEvent::DirectiveStraggler { .. }
-                | EngineEvent::ResizeComplete(_) => {
-                    unreachable!(
-                        "fault directives and resizes are never scheduled on a reactive platform"
-                    )
-                }
-            }
-        }
-        self.engine.finish()
-    }
-
-    /// One-to-one dispatch: a free (idle, empty-queue) instance takes
-    /// the request; otherwise a new pod is launched for it — subject to
-    /// the platform's scaling rate limit, beyond which the request
-    /// queues one-deep behind a busy/starting pod or is rejected.
-    fn on_arrival(&mut self, f: usize, queue: &mut EventQueue<EngineEvent>) {
-        let req = self.engine.mint_request(f);
-        if !self.place(f, req, queue) {
-            self.engine.drop_request(&req);
-        }
+    /// Runs the workload to completion with no faults injected.
+    pub fn run(self, workload: &Workload) -> RunReport {
+        driver::run(self, workload, &FaultSchedule::empty())
     }
 
     /// Tries to place `req` (an arrival or a fault-displaced retry);
@@ -331,6 +223,55 @@ impl ReactivePlatform {
         for id in dead {
             self.engine.retire(id);
         }
+    }
+}
+
+impl Platform for ReactivePlatform {
+    fn engine(&mut self) -> &mut Engine {
+        &mut self.engine
+    }
+
+    fn tick_period(&self) -> SimDuration {
+        self.config.reap_period
+    }
+
+    /// One-to-one dispatch: a free (idle, empty-queue) instance takes
+    /// the request; otherwise a new pod is launched for it — subject to
+    /// the platform's scaling rate limit, beyond which the request
+    /// queues one-deep behind a busy/starting pod or is rejected.
+    fn on_arrival(&mut self, f: usize, queue: &mut EventQueue<EngineEvent>) {
+        let req = self.engine.mint_request(f);
+        if !self.place(f, req, queue) {
+            self.engine.drop_request(&req);
+        }
+    }
+
+    fn on_tick(&mut self, queue: &mut EventQueue<EngineEvent>) {
+        let now = self.engine.now();
+        self.reap(now);
+        self.engine.sample_provisioning(now);
+        self.engine.sample_telemetry(queue);
+    }
+
+    /// Reactive recovery: displaced requests with SLO budget left
+    /// re-enter placement (which launches replacement pods exactly as a
+    /// fresh arrival would, down the same launch path); the rest are
+    /// shed.
+    fn on_fault(&mut self, outcome: FaultOutcome, queue: &mut EventQueue<EngineEvent>) {
+        for req in outcome.displaced {
+            let f = req.function.raw();
+            let slo = self.engine.functions()[f].slo();
+            let now = self.engine.now();
+            if now.saturating_since(req.arrival) < slo && self.place(f, req, queue) {
+                self.engine.record_retry(&req);
+            } else {
+                self.engine.shed_request(&req);
+            }
+        }
+    }
+
+    fn finish(self) -> RunReport {
+        self.engine.finish()
     }
 }
 
@@ -480,16 +421,15 @@ mod tests {
                 dur,
                 9,
             );
-            ReactivePlatform::new(
+            let platform = ReactivePlatform::new(
                 ClusterSpec::testbed(),
                 app.functions().to_vec(),
                 config(launch),
                 5,
-            )
-            .with_fault_schedule(schedule)
-            .run(&w)
-            .failures
-            .mean_time_to_recapacity_ms()
+            );
+            driver::run(platform, &w, &schedule)
+                .failures
+                .mean_time_to_recapacity_ms()
         };
         let t = recapacity(LaunchPath::SwapIn);
         let o = recapacity(LaunchPath::Boot);
@@ -537,9 +477,8 @@ mod tests {
             };
             let schedule =
                 FaultSchedule::generate(&FaultPlan::sweep(intensity), cluster.servers, dur, seed);
-            let report = ReactivePlatform::new(cluster, functions, config(launch), seed)
-                .with_fault_schedule(schedule)
-                .run(&w);
+            let platform = ReactivePlatform::new(cluster, functions, config(launch), seed);
+            let report = driver::run(platform, &w, &schedule);
             let f = &report.failures;
             prop_assert_eq!(
                 f.requests_displaced,

@@ -23,6 +23,7 @@ use infless_baselines::{
     BatchConfig, BatchPlacement, BatchPlatform, ReactiveConfig, ReactivePlatform,
 };
 use infless_cluster::ClusterSpec;
+use infless_core::driver::{self, Platform};
 use infless_core::engine::FunctionInfo;
 use infless_core::metrics::RunReport;
 use infless_core::platform::{InflessConfig, InflessPlatform};
@@ -168,8 +169,9 @@ impl System {
             );
         }
         let sharded = config.is_sharded().then(|| config.effective_shards());
-        // Empty schedule and NullSink are the platforms' own defaults;
-        // attaching them explicitly is bit-identical to not doing so.
+        // An empty schedule, the NullSink and a disabled LLM config are
+        // the engine's own defaults; attaching them explicitly is
+        // bit-identical to not doing so.
         let schedule = config.fault_schedule.unwrap_or_else(FaultSchedule::empty);
         let sink = config
             .telemetry
@@ -196,6 +198,7 @@ impl System {
                 .with_fault_schedule(schedule)
                 .run(workload, shards);
         }
+        let functions = functions.to_vec();
         match self {
             System::OpenFaasPlus | System::Torpor => {
                 let reactive = if self == System::Torpor {
@@ -203,31 +206,37 @@ impl System {
                 } else {
                     ReactiveConfig::openfaas()
                 };
-                ReactivePlatform::new(cluster, functions.to_vec(), reactive, seed)
-                    .with_fault_schedule(schedule)
-                    .with_telemetry(sink)
-                    .with_llm(llm)
-                    .run(workload)
+                let platform = ReactivePlatform::new(cluster, functions, reactive, seed);
+                run_attached(platform, sink, llm, workload, &schedule)
             }
             System::Batch | System::BatchRs => {
                 let mut batch = BatchConfig::default();
                 if self == System::BatchRs {
                     batch.placement = BatchPlacement::BestFit;
                 }
-                BatchPlatform::with_config(cluster, functions.to_vec(), batch, seed)
-                    .with_fault_schedule(schedule)
-                    .with_telemetry(sink)
-                    .with_llm(llm)
-                    .run(workload)
+                let platform = BatchPlatform::with_config(cluster, functions, batch, seed);
+                run_attached(platform, sink, llm, workload, &schedule)
             }
             System::Infless => {
-                InflessPlatform::new(cluster, functions.to_vec(), infless_config(), seed)
-                    .with_fault_schedule(schedule)
-                    .with_telemetry(sink)
-                    .run(workload)
+                let platform = InflessPlatform::new(cluster, functions, infless_config(), seed);
+                run_attached(platform, sink, llm, workload, &schedule)
             }
         }
     }
+}
+
+/// Attaches a run's telemetry sink and LLM knobs to the platform's
+/// engine, then drives it over `workload` with `schedule` injected.
+fn run_attached<P: Platform>(
+    mut platform: P,
+    sink: Box<dyn infless_telemetry::TelemetrySink>,
+    llm: infless_llm::LlmConfig,
+    workload: &Workload,
+    schedule: &FaultSchedule,
+) -> RunReport {
+    platform.engine().set_telemetry(sink);
+    platform.engine().apply_llm(llm);
+    driver::run(platform, workload, schedule)
 }
 
 /// Generates the seeded fault schedule for a `(plan, cluster,

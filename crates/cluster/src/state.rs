@@ -32,7 +32,7 @@ pub struct ClusterSpec {
     pub mem_per_server_mb: f64,
     /// Device memory per GPU, MB. Zero (the serde default, so
     /// pre-tier snapshots keep parsing) means "use the 2080Ti-class
-    /// default" ([`DEFAULT_GPU_MEM_MB`]).
+    /// default" of 11 GiB.
     #[serde(default)]
     pub gpu_mem_per_device_mb: f64,
 }

@@ -8,10 +8,10 @@
 //! batch queues, starting batches when they are full or timed out, and
 //! recording the latency breakdown of every completed request.
 //!
-//! Platforms drive the engine from their own event loop over
-//! [`EngineEvent`]s: arrivals go through the platform's dispatcher
-//! (that is where systems differ), everything else is handled by the
-//! engine's `on_*` methods.
+//! The shared [`driver`](crate::driver) loop delivers every
+//! [`EngineEvent`]: the engine's `on_*` methods apply the mechanics,
+//! then the platform's policy hooks react (that is where systems
+//! differ).
 
 use std::collections::{HashMap, VecDeque};
 

@@ -14,13 +14,13 @@ use std::collections::VecDeque;
 use std::time::Instant;
 
 use infless_cluster::{ClusterSpec, InstanceConfig, InstanceId, Request, RequestId};
-use infless_faults::{FaultEvent, FaultSchedule};
+use infless_faults::FaultSchedule;
 use infless_llm::LlmConfig;
 use infless_models::{
     profile::ConfigGrid, HardwareCalibration, HardwareModel, ModelSpec, ProfileDatabase,
 };
-use infless_sim::{EventQueue, SimDuration, SimTime, StagedStream};
-use infless_telemetry::{DecisionEvent, DecisionKind, DecisionReason, FaultTag};
+use infless_sim::{EventQueue, SimDuration, SimTime};
+use infless_telemetry::{DecisionEvent, DecisionKind, DecisionReason};
 use infless_workload::Workload;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -30,7 +30,8 @@ use crate::chains::{split_slo, split_slo_equal, ChainReport, ChainSpec, ChainSpl
 use crate::coldstart::{
     ColdStartPolicy, FixedKeepAlive, HybridHistogram, Lsth, Windows, DEFAULT_GAMMA,
 };
-use crate::engine::{Engine, EngineEvent, FunctionInfo};
+use crate::driver::{self, Platform};
+use crate::engine::{CompletedBatch, Engine, EngineEvent, FaultOutcome, FunctionInfo};
 use crate::metrics::{RunReport, StartupKind};
 use crate::predictor::{CopPredictor, DEFAULT_OFFSET};
 use crate::residency::ResidencyConfig;
@@ -272,8 +273,8 @@ enum PendingRequest {
 /// request cannot be re-dispatched right now.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RetryMode {
-    /// Shed immediately (the legacy event loop: capacity was already
-    /// rebuilt by the fault handler).
+    /// Shed immediately (the eager run: capacity was already rebuilt
+    /// by the fault handler).
     Terminal,
     /// Park in the pending buffer until the next epoch barrier (the
     /// sharded path: scale-out is deferred, so the fleet the request
@@ -328,7 +329,8 @@ struct FnState {
 }
 
 /// The INFless platform. Create with [`InflessPlatform::new`], then
-/// [`InflessPlatform::run`] a workload to get a [`RunReport`].
+/// [`InflessPlatform::run`] a workload to get a [`RunReport`] (or
+/// [`driver::run`] it under a fault schedule).
 #[derive(Debug)]
 pub struct InflessPlatform {
     pub(crate) engine: Engine,
@@ -337,7 +339,6 @@ pub struct InflessPlatform {
     pub(crate) config: InflessConfig,
     fns: Vec<FnState>,
     chains: ChainCtx,
-    pub(crate) faults: FaultSchedule,
     /// Dispatch counter driving the sampled (1-in-64) wall-clock
     /// overhead measurement; deterministic, and the timing itself never
     /// feeds back into simulated state.
@@ -452,36 +453,9 @@ impl InflessPlatform {
             config,
             fns,
             chains,
-            faults: FaultSchedule::empty(),
             dispatch_tick: 0,
             deferred_scaling: false,
         }
-    }
-
-    /// Attaches a fault schedule to inject during [`Self::run`]. The
-    /// default (an empty schedule) leaves the run bit-identical to a
-    /// platform built without the fault subsystem.
-    pub fn with_fault_schedule(mut self, faults: FaultSchedule) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Attaches a telemetry sink. The default ([`NullSink`]) records
-    /// nothing and leaves the run bit-identical to a platform built
-    /// before the telemetry subsystem existed.
-    ///
-    /// [`NullSink`]: infless_telemetry::NullSink
-    pub fn with_telemetry(mut self, sink: Box<dyn infless_telemetry::TelemetrySink>) -> Self {
-        self.engine.set_telemetry(sink);
-        self
-    }
-
-    /// Attaches a shared metrics registry, fed at every scaler tick
-    /// with the gauge readings the collector records anyway. The
-    /// registry never feeds back into the simulation.
-    pub fn with_metrics(mut self, handle: infless_telemetry::MetricsHandle) -> Self {
-        self.engine.set_metrics(handle);
-        self
     }
 
     /// Access to the COP predictor (for the Fig. 8 experiment).
@@ -489,75 +463,124 @@ impl InflessPlatform {
         &self.predictor
     }
 
-    /// Runs the workload to completion and returns the report.
-    pub fn run(mut self, workload: &Workload) -> RunReport {
-        let mut queue: EventQueue<EngineEvent> = EventQueue::new();
-        // Arrivals stay in the sorted workload slice and merge ahead of
-        // the heap at pop time (equal-timestamp ties go to the arrival,
-        // exactly as when they were pre-scheduled with the lowest
-        // sequence numbers — including against fault events: the
-        // request reaches the gateway an instant before the machine
-        // dies). Keeping millions of arrivals out of the heap is a
-        // large constant-factor win on the hot path.
-        let mut arrivals = StagedStream::new(workload.arrivals());
-        let tick_horizon = workload.end_time() + SimDuration::from_secs(5);
-        if !workload.is_empty() {
-            queue.schedule(
-                SimTime::ZERO + self.config.scaler_period,
-                EngineEvent::ScalerTick,
-            );
+    /// Runs the workload to completion with no faults injected and
+    /// returns the report.
+    pub fn run(self, workload: &Workload) -> RunReport {
+        driver::run(self, workload, &FaultSchedule::empty())
+    }
+}
+
+impl Platform for InflessPlatform {
+    fn engine(&mut self) -> &mut Engine {
+        &mut self.engine
+    }
+
+    fn tick_period(&self) -> SimDuration {
+        self.config.scaler_period
+    }
+
+    fn on_arrival(&mut self, f: usize, queue: &mut EventQueue<EngineEvent>) {
+        // A gateway arrival at a chain's entry stage starts that
+        // chain's end-to-end clock.
+        let chain_start = self.chains.entry_of(f).map(|_| self.engine.now());
+        self.deliver(f, chain_start, queue);
+    }
+
+    fn on_done(&mut self, done: CompletedBatch, queue: &mut EventQueue<EngineEvent>) {
+        self.fns[done.function].last_activity = self.engine.now();
+        self.relay_chain_stages(&done, queue);
+    }
+
+    fn on_tick(&mut self, queue: &mut EventQueue<EngineEvent>) {
+        for f in 0..self.fns.len() {
+            self.scaler_pass_fn(f, queue);
         }
-        let faults = std::mem::take(&mut self.faults);
-        for &(t, ev) in faults.events() {
-            queue.schedule(t, EngineEvent::Fault(ev));
-        }
-        while let Some((t, ev)) = arrivals.next(&mut queue, EngineEvent::Arrival) {
-            self.engine.advance(t);
-            match ev {
-                EngineEvent::Arrival(f) => self.on_arrival(f, &mut queue),
-                EngineEvent::InstanceReady(id) => self.engine.on_instance_ready(id, &mut queue),
-                EngineEvent::SwapComplete(id) => self.engine.on_swap_complete(id, &mut queue),
-                EngineEvent::BatchTimeout(id) => self.engine.on_batch_timeout(id, &mut queue),
-                EngineEvent::BatchComplete(id) => {
-                    // A fault may have killed the instance mid-batch;
-                    // its completion event is then stale (None).
-                    if let Some(done) = self.engine.on_batch_complete(id, &mut queue) {
-                        self.fns[done.function].last_activity = t;
-                        self.relay_chain_stages(&done, &mut queue);
-                    }
-                }
-                EngineEvent::DecodeStep(id, gen) => {
-                    // Some only when the episode drained (instance idle).
-                    if let Some(done) = self.engine.on_decode_step(id, gen, &mut queue) {
-                        self.fns[done.function].last_activity = t;
-                        self.relay_chain_stages(&done, &mut queue);
-                    }
-                }
-                EngineEvent::ScalerTick => {
-                    self.scaler_tick(&mut queue);
-                    if t < tick_horizon {
-                        queue.schedule(t + self.config.scaler_period, EngineEvent::ScalerTick);
-                    }
-                }
-                EngineEvent::Fault(fault) => self.handle_fault(fault, &mut queue),
-                EngineEvent::DirectiveKill(id, tag) => {
-                    self.handle_kill_directive(id, tag, &mut queue)
-                }
-                EngineEvent::DirectiveStraggler {
-                    server,
-                    slowdown_pct,
-                    duration,
-                } => self
-                    .engine
-                    .apply_straggler_directive(server, slowdown_pct, duration),
-                EngineEvent::ResizeComplete(id) => self.on_resize_complete(id, &mut queue),
+        self.cluster_sample(queue);
+    }
+
+    /// The INFless recovery policy: forget dead instances, re-run
+    /// Algorithm 1 for the throughput they carried, then retry each
+    /// displaced request against the rebuilt dispatch set (shedding
+    /// only when the SLO budget is already exhausted or no capacity can
+    /// take it). In epoch mode the recapture waits for the next barrier
+    /// flush, and so do displaced requests no surviving instance can
+    /// take.
+    fn on_fault(&mut self, outcome: FaultOutcome, queue: &mut EventQueue<EngineEvent>) {
+        // Drop dead instances from the routing tables, tallying the
+        // dispatch throughput each function lost.
+        let mut lost = vec![0.0f64; self.fns.len()];
+        for &(f, id) in &outcome.killed {
+            let st = &mut self.fns[f];
+            if let Some(e) = st.dispatch.remove_by_id(id) {
+                lost[f] += e.window.r_up();
+            } else {
+                st.parked.retain(|p| p.id != id);
             }
         }
+        if self.deferred_scaling {
+            for (st, rate) in self.fns.iter_mut().zip(lost) {
+                st.pending_lost_rate += rate;
+            }
+            for req in outcome.displaced {
+                self.retry_displaced(req, RetryMode::Defer, queue);
+            }
+            return;
+        }
+        // Recapture the lost throughput with fresh Eq. 10 placements.
+        for (f, rate) in lost.iter().enumerate() {
+            if *rate > 0.0 {
+                let startup = self.startup_kind(f);
+                self.scale_out(f, *rate, startup, queue);
+            }
+        }
+        for req in outcome.displaced {
+            self.retry_or_shed(req, queue);
+        }
+    }
+
+    /// Lands a completed in-flight resize: the engine has swapped the
+    /// slot's configuration, so the router entry is retuned to the new
+    /// configuration's window. Touches no cluster books — those moved
+    /// at initiation, inside the journaled [`ClusterState::try_resize`]
+    /// — so completions can land mid-epoch in sharded runs.
+    ///
+    /// [`ClusterState::try_resize`]: infless_cluster::ClusterState::try_resize
+    fn on_resized(&mut self, f: usize, id: InstanceId, _queue: &mut EventQueue<EngineEvent>) {
+        let Some(rt) = self.fns[f].resize_retunes.remove(&id) else {
+            return;
+        };
+        let mut found = false;
+        self.fns[f].dispatch.retune(|entries| {
+            for e in entries {
+                if e.id == id {
+                    e.window = rt.window;
+                    e.rate = rt.window.r_up();
+                    e.sent = 0;
+                    e.predicted_exec = rt.predicted_exec;
+                    found = true;
+                }
+            }
+        });
+        if !found {
+            // Parked (drained) while the resize was in flight: carry
+            // the new window so a later unpark dispatches at it.
+            for p in &mut self.fns[f].parked {
+                if p.id == id {
+                    p.window = rt.window;
+                    p.predicted_exec = rt.predicted_exec;
+                }
+            }
+        }
+    }
+
+    fn finish(self) -> RunReport {
         let mut report = self.engine.finish();
         report.chains = self.chains.reports;
         report
     }
+}
 
+impl InflessPlatform {
     // --- epoch (sharded) driver hooks --------------------------------------
 
     /// Switches the platform into epoch mode (see
@@ -565,54 +588,6 @@ impl InflessPlatform {
     /// cluster books are deferred to the barrier flush.
     pub(crate) fn set_deferred_scaling(&mut self) {
         self.deferred_scaling = true;
-    }
-
-    /// Drains and delivers every event (staged arrival or queued) with
-    /// timestamp `<= until`, then advances the clock to the barrier.
-    /// Scaler ticks and raw fault events are never scheduled in epoch
-    /// mode — scaling runs at barriers and faults arrive pre-resolved
-    /// as directives.
-    pub(crate) fn epoch_drain(
-        &mut self,
-        arrivals: &mut StagedStream<'_, usize>,
-        queue: &mut EventQueue<EngineEvent>,
-        until: SimTime,
-    ) {
-        while let Some((t, ev)) = arrivals.next_until(queue, until, EngineEvent::Arrival) {
-            self.engine.advance(t);
-            match ev {
-                EngineEvent::Arrival(f) => self.on_arrival(f, queue),
-                EngineEvent::InstanceReady(id) => self.engine.on_instance_ready(id, queue),
-                EngineEvent::SwapComplete(id) => self.engine.on_swap_complete(id, queue),
-                EngineEvent::BatchTimeout(id) => self.engine.on_batch_timeout(id, queue),
-                EngineEvent::BatchComplete(id) => {
-                    if let Some(done) = self.engine.on_batch_complete(id, queue) {
-                        self.fns[done.function].last_activity = t;
-                        self.relay_chain_stages(&done, queue);
-                    }
-                }
-                EngineEvent::DecodeStep(id, gen) => {
-                    if let Some(done) = self.engine.on_decode_step(id, gen, queue) {
-                        self.fns[done.function].last_activity = t;
-                        self.relay_chain_stages(&done, queue);
-                    }
-                }
-                EngineEvent::DirectiveKill(id, tag) => self.handle_kill_directive(id, tag, queue),
-                EngineEvent::DirectiveStraggler {
-                    server,
-                    slowdown_pct,
-                    duration,
-                } => self
-                    .engine
-                    .apply_straggler_directive(server, slowdown_pct, duration),
-                EngineEvent::ResizeComplete(id) => self.on_resize_complete(id, queue),
-                EngineEvent::ScalerTick | EngineEvent::Fault(_) => {
-                    unreachable!("epoch mode schedules neither scaler ticks nor raw faults")
-                }
-            }
-        }
-        self.engine.advance(until);
-        queue.advance_to(until);
     }
 
     /// The barrier flush for one function: recapture throughput lost to
@@ -667,13 +642,6 @@ impl InflessPlatform {
     }
 
     // --- dispatcher (❷) ---------------------------------------------------
-
-    fn on_arrival(&mut self, f: usize, queue: &mut EventQueue<EngineEvent>) {
-        // A gateway arrival at a chain's entry stage starts that
-        // chain's end-to-end clock.
-        let chain_start = self.chains.entry_of(f).map(|_| self.engine.now());
-        self.deliver(f, chain_start, queue);
-    }
 
     /// Delivers one request to function `f`: updates the monitors,
     /// dispatches (unparking or emergency-scaling if needed), and
@@ -802,44 +770,6 @@ impl InflessPlatform {
         Some(p.window.r_up())
     }
 
-    /// Lands a completed in-flight resize: the engine swaps the slot's
-    /// configuration, then the router entry is retuned to the new
-    /// configuration's window. Touches no cluster books — those moved
-    /// at initiation, inside the journaled [`ClusterState::try_resize`]
-    /// — so completions can land mid-epoch in sharded runs.
-    ///
-    /// [`ClusterState::try_resize`]: infless_cluster::ClusterState::try_resize
-    fn on_resize_complete(&mut self, id: InstanceId, queue: &mut EventQueue<EngineEvent>) {
-        let Some((f, _new_config)) = self.engine.on_resize_complete(id, queue) else {
-            return; // died mid-resize: books already unwound by the kill path
-        };
-        let Some(rt) = self.fns[f].resize_retunes.remove(&id) else {
-            return;
-        };
-        let mut found = false;
-        self.fns[f].dispatch.retune(|entries| {
-            for e in entries {
-                if e.id == id {
-                    e.window = rt.window;
-                    e.rate = rt.window.r_up();
-                    e.sent = 0;
-                    e.predicted_exec = rt.predicted_exec;
-                    found = true;
-                }
-            }
-        });
-        if !found {
-            // Parked (drained) while the resize was in flight: carry
-            // the new window so a later unpark dispatches at it.
-            for p in &mut self.fns[f].parked {
-                if p.id == id {
-                    p.window = rt.window;
-                    p.predicted_exec = rt.predicted_exec;
-                }
-            }
-        }
-    }
-
     /// Drop-triggered scale-out between ticks (rate-limited unless the
     /// function has no capacity at all).
     fn emergency_scale(
@@ -886,18 +816,11 @@ impl InflessPlatform {
 
     // --- auto-scaling engine (❺) -------------------------------------------
 
-    fn scaler_tick(&mut self, queue: &mut EventQueue<EngineEvent>) {
-        for f in 0..self.fns.len() {
-            self.scaler_pass_fn(f, queue);
-        }
-        self.cluster_sample(queue);
-    }
-
     /// One function's slice of the scaler tick: monitor refresh, §3.2
     /// rate splitting, consolidation and the cold-start manager. The
     /// sharded coordinator calls this per function (function-major) at
-    /// scaler barriers; the legacy loop calls it for every function in
-    /// a row — same code, same order.
+    /// scaler barriers; the eager run's tick calls it for every
+    /// function in a row — same code, same order.
     pub(crate) fn scaler_pass_fn(&mut self, f: usize, queue: &mut EventQueue<EngineEvent>) {
         let now = self.engine.now();
         self.prune_monitor(f, now);
@@ -1251,80 +1174,6 @@ impl InflessPlatform {
     }
 
     // --- fault handling & recovery -----------------------------------------
-
-    /// Applies one injected fault and runs the INFless recovery policy:
-    /// forget dead instances, re-run Algorithm 1 for the throughput they
-    /// carried, then retry each displaced request against the rebuilt
-    /// dispatch set (shedding only when the SLO budget is already
-    /// exhausted or no capacity can take it).
-    fn handle_fault(&mut self, ev: FaultEvent, queue: &mut EventQueue<EngineEvent>) {
-        let outcome = self.engine.on_fault(ev, queue);
-        if outcome.killed.is_empty() && outcome.displaced.is_empty() {
-            return;
-        }
-        // Drop dead instances from the routing tables, tallying the
-        // dispatch throughput each function lost.
-        let mut lost = vec![0.0f64; self.fns.len()];
-        for &(f, id) in &outcome.killed {
-            let st = &mut self.fns[f];
-            if let Some(e) = st.dispatch.remove_by_id(id) {
-                lost[f] += e.window.r_up();
-            } else {
-                st.parked.retain(|p| p.id != id);
-            }
-        }
-        // Recapture the lost throughput with fresh Eq. 10 placements.
-        for (f, rate) in lost.iter().enumerate() {
-            if *rate > 0.0 {
-                let startup = self.startup_kind(f);
-                self.scale_out(f, *rate, startup, queue);
-            }
-        }
-        for req in outcome.displaced {
-            self.retry_or_shed(req, queue);
-        }
-    }
-
-    /// Applies a coordinator-resolved kill directive (sharded runs):
-    /// the victim is already pinned to a concrete instance id, so only
-    /// the recovery policy of [`handle_fault`] remains — forget the
-    /// instance, recapture its throughput, retry the displaced batch.
-    ///
-    /// [`handle_fault`]: InflessPlatform::handle_fault
-    fn handle_kill_directive(
-        &mut self,
-        id: InstanceId,
-        tag: FaultTag,
-        queue: &mut EventQueue<EngineEvent>,
-    ) {
-        let Some((f, displaced)) = self.engine.apply_kill_directive(id, tag, queue) else {
-            return;
-        };
-        let st = &mut self.fns[f];
-        let lost = if let Some(e) = st.dispatch.remove_by_id(id) {
-            e.window.r_up()
-        } else {
-            st.parked.retain(|p| p.id != id);
-            0.0
-        };
-        if self.deferred_scaling {
-            // Epoch mode: recapture the lost throughput at the next
-            // barrier flush; displaced requests that no surviving
-            // instance can take wait there too.
-            self.fns[f].pending_lost_rate += lost;
-            for req in displaced {
-                self.retry_displaced(req, RetryMode::Defer, queue);
-            }
-            return;
-        }
-        if lost > 0.0 {
-            let startup = self.startup_kind(f);
-            self.scale_out(f, lost, startup, queue);
-        }
-        for req in displaced {
-            self.retry_or_shed(req, queue);
-        }
-    }
 
     /// Re-dispatches a request displaced by a fault if its SLO budget
     /// still has room, otherwise sheds it. Displaced requests are not
@@ -1862,6 +1711,7 @@ impl InflessPlatform {
 mod tests {
     use super::*;
     use crate::apps::Application;
+    use infless_sim::StagedStream;
     use infless_workload::{FunctionLoad, TracePattern};
 
     fn run_constant(app: Application, rps: f64, secs: u64) -> RunReport {
@@ -1898,7 +1748,7 @@ mod tests {
         let mut stream = StagedStream::new(&arrivals);
         let mut queue = EventQueue::new();
         let barrier = SimTime::from_millis(40);
-        p.epoch_drain(&mut stream, &mut queue, barrier);
+        driver::drain_until(&mut p, &mut stream, &mut queue, barrier);
         assert_eq!(queue.now(), barrier);
         assert_eq!(p.engine.now(), barrier);
         assert!(queue.delivered_before(barrier, SimTime::from_millis(39)));
@@ -2504,7 +2354,7 @@ mod fault_tests {
             SimDuration::from_secs(40),
             seed,
         );
-        platform(&app).with_fault_schedule(schedule).run(&workload)
+        driver::run(platform(&app), &workload, &schedule)
     }
 
     /// Deterministic fingerprint of the per-function results. HashMap
@@ -2539,18 +2389,20 @@ mod fault_tests {
             .collect()
     }
 
-    /// The zero-cost-when-disabled acceptance gate: attaching an empty
-    /// schedule must leave the run bit-identical to a platform that
-    /// never heard of the fault subsystem (deterministic fields only —
-    /// wall-clock timings naturally differ between runs).
+    /// The zero-cost-when-disabled acceptance gate: a zero-intensity
+    /// fault plan must leave the run bit-identical to a fault-free one
+    /// (deterministic fields only — wall-clock timings naturally differ
+    /// between runs).
     #[test]
     fn empty_schedule_is_bit_identical() {
         let app = Application::qa_robot();
         let workload = constant_workload(&app, 30.0, 20);
         let plain = platform(&app).run(&workload);
-        let faultless = platform(&app)
-            .with_fault_schedule(FaultSchedule::empty())
-            .run(&workload);
+        let servers = ClusterSpec::testbed().servers;
+        let dur = SimDuration::from_secs(20);
+        let schedule = FaultSchedule::generate(&FaultPlan::sweep(0.0), servers, dur, 1);
+        assert!(schedule.events().is_empty());
+        let faultless = driver::run(platform(&app), &workload, &schedule);
         assert_eq!(fn_fingerprint(&plain), fn_fingerprint(&faultless));
         assert_eq!(plain.launches, faultless.launches);
         assert_eq!(plain.cold_launches, faultless.cold_launches);
@@ -2640,7 +2492,7 @@ mod telemetry_tests {
     use super::*;
     use crate::apps::Application;
     use infless_faults::FaultPlan;
-    use infless_telemetry::{FaultTag, MemorySink, NullSink, SpanKind};
+    use infless_telemetry::{FaultTag, MemorySink, NullSink, SpanKind, TelemetrySink};
     use infless_workload::FunctionLoad;
     use proptest::prelude::*;
     use std::collections::HashMap;
@@ -2654,13 +2506,15 @@ mod telemetry_tests {
         Workload::build(&loads, 17)
     }
 
-    fn platform(app: &Application) -> InflessPlatform {
-        InflessPlatform::new(
+    fn platform(app: &Application, sink: Box<dyn TelemetrySink>) -> InflessPlatform {
+        let mut p = InflessPlatform::new(
             ClusterSpec::testbed(),
             app.functions().to_vec(),
             InflessConfig::default(),
             17,
-        )
+        );
+        p.engine.set_telemetry(sink);
+        p
     }
 
     /// The disabled-telemetry acceptance gate, mirroring the
@@ -2672,14 +2526,16 @@ mod telemetry_tests {
     fn telemetry_sinks_are_bit_identical() {
         let app = Application::qa_robot();
         let workload = constant_workload(&app, 30.0, 20);
-        let plain = platform(&app).run(&workload);
-        let null = platform(&app)
-            .with_telemetry(Box::new(NullSink))
-            .run(&workload);
+        let plain = InflessPlatform::new(
+            ClusterSpec::testbed(),
+            app.functions().to_vec(),
+            InflessConfig::default(),
+            17,
+        )
+        .run(&workload);
+        let null = platform(&app, Box::new(NullSink)).run(&workload);
         let sink = MemorySink::new();
-        let recorded = platform(&app)
-            .with_telemetry(Box::new(sink.clone()))
-            .run(&workload);
+        let recorded = platform(&app, Box::new(sink.clone())).run(&workload);
         for other in [&null, &recorded] {
             assert_eq!(
                 super::fault_tests::fn_fingerprint(&plain),
@@ -2722,10 +2578,7 @@ mod telemetry_tests {
             99,
         );
         let sink = MemorySink::new();
-        let report = platform(&app)
-            .with_fault_schedule(schedule)
-            .with_telemetry(Box::new(sink.clone()))
-            .run(&workload);
+        let report = driver::run(platform(&app, Box::new(sink.clone())), &workload, &schedule);
         let store = sink.store();
         let count = |k: SpanKind| store.spans.iter().filter(|s| s.kind == k).count() as u64;
         assert!(
@@ -2773,10 +2626,7 @@ mod telemetry_tests {
                 seed,
             );
             let sink = MemorySink::new();
-            platform(&app)
-                .with_fault_schedule(schedule)
-                .with_telemetry(Box::new(sink.clone()))
-                .run(&workload);
+            driver::run(platform(&app, Box::new(sink.clone())), &workload, &schedule);
             let store = sink.store();
             let mut arrived: HashMap<u64, bool> = HashMap::new();
             let mut terminals: HashMap<u64, u32> = HashMap::new();

@@ -17,10 +17,10 @@
 //! touches *nothing* global:
 //!
 //! * **No mid-epoch allocation.** Platforms run in deferred-scaling
-//!   mode ([`InflessPlatform::set_deferred_scaling`]): requests that no
-//!   instance can take wait in a pending buffer instead of triggering
-//!   an emergency launch, and throughput lost to kills accrues in a
-//!   pending-rate account. Both are settled by the barrier flush.
+//!   mode: requests that no instance can take wait in a pending buffer
+//!   instead of triggering an emergency launch, and throughput lost to
+//!   kills accrues in a pending-rate account. Both are settled by the
+//!   barrier flush.
 //! * **Per-function RNG.** Execution-time noise comes from streams
 //!   keyed by function identity, not shard layout
 //!   ([`Engine::use_per_function_noise`]).
@@ -41,6 +41,8 @@
 //! With more than one shard, epochs execute on scoped worker threads
 //! (`std::thread::scope`) — no async runtime, no unordered channels;
 //! determinism needs no locks because shards share nothing mid-epoch.
+//!
+//! [`Engine::use_per_function_noise`]: crate::engine::Engine::use_per_function_noise
 
 use std::collections::{HashSet, VecDeque};
 
@@ -51,6 +53,7 @@ use infless_telemetry::{DecisionBufferSink, DecisionRecord, FaultTag, MetricsHan
 use infless_workload::Workload;
 
 use crate::chains::{ChainReport, ChainSpec};
+use crate::driver;
 use crate::engine::{EngineEvent, FunctionInfo};
 use crate::metrics::RunReport;
 use crate::platform::{InflessConfig, InflessPlatform};
@@ -138,7 +141,7 @@ impl ShardedInfless {
 
     /// Like [`run`](Self::run), but taps every shard's decision stream
     /// through a [`DecisionBufferSink`] and returns the merged records,
-    /// sorted by [`DecisionRecord::sort_key`]. Because decision values
+    /// sorted by [`DecisionRecord::canonical_cmp`]. Because decision values
     /// derive only from shard-invariant quantities and `(t_s, function,
     /// seq)` is a total order, the returned trace is byte-identical for
     /// every shard count.
@@ -149,11 +152,7 @@ impl ShardedInfless {
     ) -> (RunReport, Vec<DecisionRecord>) {
         let mut records = Vec::new();
         let report = self.run_inner(workload, shards, Some(&mut records));
-        records.sort_by(|a, b| {
-            let (ta, fa, sa) = a.sort_key();
-            let (tb, fb, sb) = b.sort_key();
-            ta.total_cmp(&tb).then(fa.cmp(&fb)).then(sa.cmp(&sb))
-        });
+        records.sort_by(DecisionRecord::canonical_cmp);
         (report, records)
     }
 
@@ -269,18 +268,28 @@ impl ShardedInfless {
                 // Drain the epoch — in parallel when sharded.
                 if s_count == 1 {
                     let sh = &mut shards_v[0];
-                    sh.platform.epoch_drain(&mut sh.stream, &mut sh.queue, t_b);
+                    driver::drain_until(&mut sh.platform, &mut sh.stream, &mut sh.queue, t_b);
                 } else {
                     std::thread::scope(|scope| {
                         for sh in shards_v.iter_mut() {
                             let busy = sh.stream.peek_time(&sh.queue).is_some_and(|t| t <= t_b);
                             if busy {
                                 scope.spawn(move || {
-                                    sh.platform.epoch_drain(&mut sh.stream, &mut sh.queue, t_b);
+                                    driver::drain_until(
+                                        &mut sh.platform,
+                                        &mut sh.stream,
+                                        &mut sh.queue,
+                                        t_b,
+                                    );
                                 });
                             } else {
                                 // Nothing to deliver: just advance the clock.
-                                sh.platform.epoch_drain(&mut sh.stream, &mut sh.queue, t_b);
+                                driver::drain_until(
+                                    &mut sh.platform,
+                                    &mut sh.stream,
+                                    &mut sh.queue,
+                                    t_b,
+                                );
                             }
                         }
                     });

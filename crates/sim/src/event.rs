@@ -679,9 +679,7 @@ mod tests {
     struct Reference {
         queued: Vec<(u64, u64, u64)>,
         next_seq: u64,
-        /// `(scheduled at, time, insertion)` of every non-initial
-        /// event, by id.
-        stamps: std::collections::HashMap<u64, (u64, u64, u64)>,
+        stamps: Stamps,
     }
 
     impl Reference {
@@ -715,6 +713,10 @@ mod tests {
             .collect()
     }
 
+    /// `(scheduled at, time, insertion)` of every non-initial event,
+    /// by id.
+    type Stamps = std::collections::HashMap<u64, (u64, u64, u64)>;
+
     /// Delivery order under today's contract. `virtual_event`, if set,
     /// is `(id, time, child time)`: an initial event whose only child is
     /// scheduled when it is delivered. Returns the order and the stamps.
@@ -723,10 +725,7 @@ mod tests {
         initial: &[u64],
         spawn: &[Vec<u64>],
         virtual_event: Option<(u64, u64, u64)>,
-    ) -> (
-        Vec<(u64, u64)>,
-        std::collections::HashMap<u64, (u64, u64, u64)>,
-    ) {
+    ) -> (Vec<(u64, u64)>, Stamps) {
         let mut r = Reference {
             queued: Vec::new(),
             next_seq: 0,

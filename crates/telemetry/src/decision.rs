@@ -315,12 +315,15 @@ impl DecisionRecord {
         }
     }
 
-    /// The total order a merged multi-shard trace is sorted by:
+    /// The canonical order every written trace is sorted by:
     /// `(t_s, function, seq)`. Within one function `seq` is unique, so
     /// the order is total and merge output is byte-identical no matter
     /// which shard buffered which record.
-    pub fn sort_key(&self) -> (f64, u32, u64) {
-        (self.t_s(), self.function(), self.seq())
+    pub fn canonical_cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.t_s()
+            .total_cmp(&other.t_s())
+            .then(self.function().cmp(&other.function()))
+            .then(self.seq().cmp(&other.seq()))
     }
 
     /// Renders the record as one JSONL line (no trailing newline) into
@@ -376,7 +379,7 @@ impl DecisionRecord {
 
 /// Writes a complete decisions trace: the metadata record followed by
 /// every record, in slice order. The sharded runner sorts its merged
-/// buffer by [`DecisionRecord::sort_key`] first, which makes the file
+/// buffer by [`DecisionRecord::canonical_cmp`] first, which makes the file
 /// byte-identical for every shard count.
 ///
 /// # Errors
@@ -483,7 +486,7 @@ mod tests {
     }
 
     #[test]
-    fn sort_key_orders_merged_records() {
+    fn canonical_cmp_orders_merged_records() {
         let mut a = DecisionEvent::new(DecisionKind::Launch);
         a.t_s = 1.0;
         a.function = 1;
@@ -492,11 +495,7 @@ mod tests {
         b.function = 0;
         b.seq = 3;
         let mut records = [DecisionRecord::Decision(a), DecisionRecord::Decision(b)];
-        records.sort_by(|x, y| {
-            let (tx, fx, sx) = x.sort_key();
-            let (ty, fy, sy) = y.sort_key();
-            tx.total_cmp(&ty).then(fx.cmp(&fy)).then(sx.cmp(&sy))
-        });
+        records.sort_by(DecisionRecord::canonical_cmp);
         assert_eq!(records[0].function(), 0);
     }
 }

@@ -31,7 +31,10 @@ pub const FLIGHT_BURST_WINDOW_S: f64 = 5.0;
 /// Most dumps one run may write.
 pub const FLIGHT_MAX_DUMPS: usize = 16;
 
-/// See the [module docs](self).
+/// A bounded ring of recent spans, dumped to JSONL when a fault burst
+/// hits: it wraps any inner sink and forwards every call, and when at
+/// least `burst_threshold` fault-tagged spans land within
+/// `burst_window` seconds it appends the whole ring to its dump file.
 #[derive(Debug)]
 pub struct FlightRecorder {
     inner: Box<dyn TelemetrySink>,

@@ -59,7 +59,9 @@ struct Family {
     buckets: Vec<f64>,
 }
 
-/// A registry of metric families. See the [module docs](self).
+/// A registry of metric families (counters, gauges and fixed-bucket
+/// histograms with label sets), rendered deterministically in the
+/// Prometheus text exposition format.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     families: BTreeMap<&'static str, Family>,

@@ -281,7 +281,7 @@ impl TelemetrySink for MemorySink {
 /// sharded runner taps each shard's decision stream without enabling
 /// span telemetry (which the epoch-barrier path rejects). The
 /// coordinator drains the buffers at every barrier and merges them in
-/// [`DecisionRecord::sort_key`] order.
+/// [`DecisionRecord::canonical_cmp`] order.
 #[derive(Debug, Clone, Default)]
 pub struct DecisionBufferSink {
     buf: Arc<Mutex<Vec<DecisionRecord>>>,

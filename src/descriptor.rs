@@ -45,6 +45,7 @@ use serde::Deserialize;
 use infless_baselines::{BatchPlatform, ReactiveConfig, ReactivePlatform};
 use infless_cluster::ClusterSpec;
 use infless_core::chains::ChainSpec;
+use infless_core::driver::{self, Platform};
 use infless_core::engine::FunctionInfo;
 use infless_core::metrics::RunReport;
 use infless_core::platform::{ColdStartConfig, InflessConfig, InflessPlatform, ScalePolicy};
@@ -294,15 +295,24 @@ impl TelemetrySink for DecisionTap {
     }
 }
 
-/// Sorts decision records into their canonical `(t_s, function, seq)`
-/// total order — the order the sharded merge uses, so single-core and
-/// sharded artifacts are directly comparable.
-fn sort_decisions(records: &mut [DecisionRecord]) {
-    records.sort_by(|a, b| {
-        let (ta, fa, sa) = a.sort_key();
-        let (tb, fb, sb) = b.sort_key();
-        ta.total_cmp(&tb).then(fa.cmp(&fb)).then(sa.cmp(&sb))
-    });
+/// Attaches a run's telemetry sink, metrics registry and LLM knobs to
+/// the platform's engine, then drives it over `workload` with
+/// `schedule` injected.
+fn run_attached<P: Platform>(
+    mut platform: P,
+    sink: Box<dyn TelemetrySink>,
+    metrics: Option<MetricsHandle>,
+    llm: LlmConfig,
+    workload: &Workload,
+    schedule: &FaultSchedule,
+) -> RunReport {
+    let engine = platform.engine();
+    engine.set_telemetry(sink);
+    engine.apply_llm(llm);
+    if let Some(handle) = metrics {
+        engine.set_metrics(handle);
+    }
+    driver::run(platform, workload, schedule)
 }
 
 /// Folds the finished report's totals into the metrics registry as
@@ -593,51 +603,30 @@ impl Scenario {
             None => sink,
         };
 
+        let (cluster, functions, seed) = (parts.cluster, parts.functions, self.seed);
+        let (workload, schedule) = (&parts.workload, &parts.schedule);
         let report = match self.platform {
             PlatformKind::Infless => {
-                let mut platform = InflessPlatform::with_chains(
-                    parts.cluster,
-                    parts.functions,
-                    parts.chains,
-                    infless_config,
-                    self.seed,
-                )
-                .with_fault_schedule(parts.schedule)
-                .with_telemetry(sink);
-                if let Some(handle) = &metrics {
-                    platform = platform.with_metrics(handle.clone());
-                }
-                platform.run(&parts.workload)
+                let chains = parts.chains;
+                let platform =
+                    InflessPlatform::with_chains(cluster, functions, chains, infless_config, seed);
+                run_attached(platform, sink, metrics.clone(), llm, workload, schedule)
             }
             PlatformKind::Openfaas => {
-                let mut platform = ReactivePlatform::new(
-                    parts.cluster,
-                    parts.functions,
-                    ReactiveConfig::openfaas(),
-                    self.seed,
-                )
-                .with_fault_schedule(parts.schedule)
-                .with_telemetry(sink)
-                .with_llm(llm);
-                if let Some(handle) = &metrics {
-                    platform = platform.with_metrics(handle.clone());
-                }
-                platform.run(&parts.workload)
+                let platform =
+                    ReactivePlatform::new(cluster, functions, ReactiveConfig::openfaas(), seed);
+                run_attached(platform, sink, metrics.clone(), llm, workload, schedule)
             }
             PlatformKind::Batch => {
-                let mut platform = BatchPlatform::new(parts.cluster, parts.functions, self.seed)
-                    .with_fault_schedule(parts.schedule)
-                    .with_telemetry(sink)
-                    .with_llm(llm);
-                if let Some(handle) = &metrics {
-                    platform = platform.with_metrics(handle.clone());
-                }
-                platform.run(&parts.workload)
+                let platform = BatchPlatform::new(cluster, functions, seed);
+                run_attached(platform, sink, metrics.clone(), llm, workload, schedule)
             }
         };
         if let (Some((buf, meta)), Some(path)) = (&tap, &decisions_out) {
             let mut records = buf.drain();
-            sort_decisions(&mut records);
+            // The sharded merge's order, so single-core and sharded
+            // artifacts are directly comparable.
+            records.sort_by(DecisionRecord::canonical_cmp);
             let meta = meta
                 .lock()
                 .expect("trace meta poisoned")

@@ -8,6 +8,7 @@ use infless::descriptor::Scenario;
 use infless::telemetry::{DecisionBufferSink, DecisionRecord};
 use infless::RunConfig;
 use infless_cluster::ClusterSpec;
+use infless_core::driver::{self, Platform};
 use infless_core::platform::{InflessConfig, InflessPlatform};
 use infless_core::sharded::ShardedInfless;
 use infless_faults::{FaultPlan, FaultSchedule};
@@ -235,15 +236,14 @@ proptest! {
         // Single-core loop: tap the decisions channel through a buffer
         // sink.
         let tap = DecisionBufferSink::new();
-        let report = InflessPlatform::new(
+        let mut platform = InflessPlatform::new(
             cluster,
             functions.clone(),
             InflessConfig::default(),
             seed,
-        )
-        .with_fault_schedule(schedule.clone())
-        .with_telemetry(Box::new(tap.clone()))
-        .run(&workload);
+        );
+        platform.engine().set_telemetry(Box::new(tap.clone()));
+        let report = driver::run(platform, &workload, &schedule);
         let single = tap.drain();
         let seen = check_breakdowns(&single, "single-core");
         prop_assert_eq!(

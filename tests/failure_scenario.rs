@@ -6,6 +6,7 @@
 use infless::descriptor::Scenario;
 use infless::RunConfig;
 use infless_cluster::ClusterSpec;
+use infless_core::driver;
 use infless_core::metrics::RunReport;
 use infless_core::platform::{InflessConfig, InflessPlatform};
 use infless_faults::{FaultPlan, FaultSchedule};
@@ -127,14 +128,8 @@ proptest! {
             SimDuration::from_secs(20),
             seed,
         );
-        let report = InflessPlatform::new(
-            cluster,
-            functions,
-            InflessConfig::default(),
-            seed,
-        )
-        .with_fault_schedule(schedule)
-        .run(&workload);
+        let platform = InflessPlatform::new(cluster, functions, InflessConfig::default(), seed);
+        let report = driver::run(platform, &workload, &schedule);
         let f = &report.failures;
         prop_assert_eq!(
             f.requests_displaced,
