@@ -147,6 +147,22 @@ pub enum LoadDescriptor {
     None,
 }
 
+impl LoadDescriptor {
+    /// The arrivals a curve-driven load expects (rate × duration). A
+    /// CSV load is counted once its row is read; `none` expects none.
+    fn curve_arrivals(&self) -> f64 {
+        match self {
+            LoadDescriptor::Constant { rps, duration_secs } => rps * *duration_secs as f64,
+            LoadDescriptor::Trace {
+                mean_rps,
+                duration_secs,
+                ..
+            } => mean_rps * *duration_secs as f64,
+            LoadDescriptor::Csv { .. } | LoadDescriptor::None => 0.0,
+        }
+    }
+}
+
 /// The autoregressive class of one function, by workload archetype.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Deserialize)]
 #[serde(rename_all = "lowercase")]
@@ -435,7 +451,6 @@ impl Scenario {
         if self.functions.is_empty() {
             return Err(ScenarioError::Invalid("no functions declared".into()));
         }
-        let mut expected_arrivals = 0.0;
         for f in &self.functions {
             f.model
                 .parse::<ModelId>()
@@ -455,7 +470,6 @@ impl Scenario {
             match &f.load {
                 LoadDescriptor::Constant { rps, duration_secs } => {
                     check_rate(&f.name, "rps", *rps, *duration_secs)?;
-                    expected_arrivals += rps * *duration_secs as f64;
                 }
                 LoadDescriptor::Trace {
                     pattern,
@@ -464,7 +478,6 @@ impl Scenario {
                 } => {
                     parse_pattern(pattern)?;
                     check_rate(&f.name, "mean_rps", *mean_rps, *duration_secs)?;
-                    expected_arrivals += mean_rps * *duration_secs as f64;
                 }
                 LoadDescriptor::Csv { .. } | LoadDescriptor::None => {}
             }
@@ -476,12 +489,7 @@ impl Scenario {
                 )));
             }
         }
-        if expected_arrivals > MAX_EXPECTED_ARRIVALS {
-            return Err(ScenarioError::Invalid(format!(
-                "the loads expect {expected_arrivals:.3e} arrivals; \
-                 at most {MAX_EXPECTED_ARRIVALS:.0e} are supported"
-            )));
-        }
+        check_arrivals(self.functions.iter().map(|f| f.load.curve_arrivals()).sum())?;
         for c in &self.chains {
             if self.platform != PlatformKind::Infless {
                 return Err(ScenarioError::Invalid(
@@ -682,13 +690,18 @@ impl Scenario {
             })
             .collect();
 
+        // CSV rows count once read, against the ceiling the curve-driven
+        // loads were validated under.
+        let mut expected: f64 = self.functions.iter().map(|f| f.load.curve_arrivals()).sum();
         let loads: Result<Vec<FunctionLoad>, ScenarioError> = self
             .functions
             .iter()
             .enumerate()
-            .map(|(i, f)| self.build_load(i, f))
+            .map(|(i, f)| self.build_load(i, f, &mut expected))
             .collect();
-        let workload = Workload::build(&loads?, self.seed);
+        let loads = loads?;
+        check_arrivals(expected)?;
+        let workload = Workload::build(&loads, self.seed);
 
         let chains: Vec<ChainSpec> = self
             .chains
@@ -733,10 +746,13 @@ impl Scenario {
         })
     }
 
+    /// Builds function `index`'s load, adding a CSV row's invocations
+    /// to `expected`.
     fn build_load(
         &self,
         index: usize,
         f: &FunctionDescriptor,
+        expected: &mut f64,
     ) -> Result<FunctionLoad, ScenarioError> {
         match &f.load {
             LoadDescriptor::Constant { rps, duration_secs } => Ok(FunctionLoad::constant(
@@ -760,6 +776,8 @@ impl Scenario {
                 let row = rows.iter().find(|r| r.name() == function).ok_or_else(|| {
                     ScenarioError::Invalid(format!("trace {path:?} has no row named {function:?}"))
                 })?;
+                // Summed as f64: the row's u64 total can overflow.
+                *expected += row.per_minute().iter().map(|&c| c as f64).sum::<f64>();
                 Ok(row.to_load())
             }
             LoadDescriptor::None => Ok(FunctionLoad::explicit(Vec::new())),
@@ -772,6 +790,17 @@ impl Scenario {
 /// `fig_scale`'s full run. Arrival schedules are generated up front, so
 /// a scenario far past this aborts on allocation instead of running.
 pub const MAX_EXPECTED_ARRIVALS: f64 = 2e9;
+
+/// Rejects loads expecting more than [`MAX_EXPECTED_ARRIVALS`] arrivals.
+fn check_arrivals(expected: f64) -> Result<(), ScenarioError> {
+    if expected > MAX_EXPECTED_ARRIVALS {
+        return Err(ScenarioError::Invalid(format!(
+            "the loads expect {expected:.3e} arrivals; \
+             at most {MAX_EXPECTED_ARRIVALS:.0e} are supported"
+        )));
+    }
+    Ok(())
+}
 
 /// The longest load in seconds whose microsecond length fits the
 /// simulator's `u64` clock.
@@ -1146,5 +1175,20 @@ mod tests {
         // ~10 rps over 5 minutes.
         let total = report.total_completed() + report.total_dropped();
         assert!((2000..4500).contains(&(total as usize)), "total {total}");
+    }
+
+    #[test]
+    fn csv_load_past_the_ceiling_is_rejected_not_allocated() {
+        let path = std::env::temp_dir().join(format!("infless-huge-{}.csv", std::process::id()));
+        std::fs::write(&path, "name,m0\nhot,1000000000000\n").unwrap();
+        let json = MINIMAL.replace(
+            r#""kind": "constant", "rps": 15.0, "duration_secs": 10"#,
+            &format!(r#""kind": "csv", "path": {path:?}, "function": "hot""#),
+        );
+        let scenario = Scenario::from_json(&json).expect("the count is unknown until read");
+        match scenario.execute(RunConfig::new()) {
+            Err(ScenarioError::Invalid(msg)) => assert!(msg.contains("arrivals"), "{msg}"),
+            other => panic!("expected Invalid, got {other:?}"),
+        }
     }
 }
