@@ -17,7 +17,7 @@
 //!   through a fragmentation-aware best-fit placement instead.
 //! * **Fixed keep-alive** — no pre-warming, constant keep-alive window.
 
-use infless_cluster::{ClusterSpec, InstanceConfig, InstanceId, ServerId};
+use infless_cluster::{ClusterSpec, InstanceConfig, InstanceId, Server, ServerId};
 use infless_faults::FaultSchedule;
 use infless_models::{profile::ConfigGrid, HardwareModel, ModelSpec, ProfileDatabase};
 use infless_sim::{EventQueue, SimDuration, SimTime};
@@ -226,57 +226,6 @@ impl BatchPlatform {
         }
     }
 
-    fn tick(&mut self, now: SimTime, queue: &mut EventQueue<EngineEvent>) {
-        for f in 0..self.fns.len() {
-            // Monitor.
-            let horizon = now.saturating_sub(self.config.monitor_window);
-            while let Some(&t) = self.fns[f].recent_arrivals.front() {
-                if t < horizon {
-                    self.fns[f].recent_arrivals.pop_front();
-                } else {
-                    break;
-                }
-            }
-            let window = self
-                .config
-                .monitor_window
-                .min(now.saturating_since(SimTime::ZERO))
-                .as_secs_f64()
-                .max(1.0);
-            let rps = self.fns[f].recent_arrivals.len() as f64 / window;
-
-            let Some(plan) = self.fns[f].plan else {
-                continue;
-            };
-            // Uniform scaling: n = ceil(R / r_up), plus one catch-up
-            // instance per tick while the buffer holds a backlog.
-            let mut desired = (rps / plan.window.r_up()).ceil() as usize;
-            if self.fns[f].buffer.len() > plan.config.batch() as usize {
-                desired += 1;
-            }
-            let live = self.engine.instances_of(f).len();
-            for _ in live..desired {
-                if self.launch(f, plan, queue).is_none() {
-                    break;
-                }
-            }
-            self.pump(f, queue);
-            // Fixed keep-alive reaping (no proactive scale-in).
-            let dead: Vec<InstanceId> = self
-                .engine
-                .instances_of(f)
-                .iter()
-                .copied()
-                .filter(|id| self.engine.instance(*id).idle_for(now) > self.config.keep_alive)
-                .collect();
-            for id in dead {
-                self.engine.retire(id);
-            }
-        }
-        self.engine.sample_provisioning(now);
-        self.engine.sample_telemetry(queue);
-    }
-
     fn launch(
         &mut self,
         f: usize,
@@ -286,47 +235,27 @@ impl BatchPlatform {
         // The OTP buffer cannot pre-warm inside the platform: every
         // launch pays the full cold start.
         let startup = StartupKind::Cold;
-        let server = match self.config.placement {
-            BatchPlacement::Spread => self.spread_server(plan.config)?,
-            BatchPlacement::BestFit => self.best_fit_server(plan.config)?,
-        };
+        let server = self.pick_server(plan.config)?;
         self.engine
             .launch_on(f, server, plan.config, startup, plan.wait_budget, queue)
             .ok()
     }
 
-    /// Stock placement: the fitting server with the *most* free
-    /// capacity (Kubernetes least-allocated spreading).
-    fn spread_server(&self, config: InstanceConfig) -> Option<ServerId> {
+    /// The fitting server a launch lands on, by weighted free capacity:
+    /// the *most* for stock BATCH (Kubernetes least-allocated
+    /// spreading), the *least* for BATCH+RS (tightest fit → fewest
+    /// stranded fragments).
+    fn pick_server(&self, config: InstanceConfig) -> Option<ServerId> {
         let beta = self.engine.beta();
-        self.engine
-            .cluster()
-            .servers()
-            .iter()
-            .filter(|s| s.fits(config.resources()))
-            .max_by(|a, b| {
-                let fa = beta * f64::from(a.cpu_free()) + f64::from(a.gpu_free_total());
-                let fb = beta * f64::from(b.cpu_free()) + f64::from(b.gpu_free_total());
-                fa.partial_cmp(&fb).expect("finite")
-            })
-            .map(|s| s.id())
-    }
-
-    /// BATCH+RS placement: the fitting server with the least weighted
-    /// free capacity (tightest fit → fewest stranded fragments).
-    fn best_fit_server(&self, config: InstanceConfig) -> Option<ServerId> {
-        let beta = self.engine.beta();
-        self.engine
-            .cluster()
-            .servers()
-            .iter()
-            .filter(|s| s.fits(config.resources()))
-            .min_by(|a, b| {
-                let fa = beta * f64::from(a.cpu_free()) + f64::from(a.gpu_free_total());
-                let fb = beta * f64::from(b.cpu_free()) + f64::from(b.gpu_free_total());
-                fa.partial_cmp(&fb).expect("finite")
-            })
-            .map(|s| s.id())
+        let free = |s: &Server| beta * f64::from(s.cpu_free()) + f64::from(s.gpu_free_total());
+        let by_free = |a: &&Server, b: &&Server| free(a).partial_cmp(&free(b)).expect("finite");
+        let servers = self.engine.cluster().servers().iter();
+        let fitting = servers.filter(|s| s.fits(config.resources()));
+        match self.config.placement {
+            BatchPlacement::Spread => fitting.max_by(by_free),
+            BatchPlacement::BestFit => fitting.min_by(by_free),
+        }
+        .map(|s| s.id())
     }
 }
 
@@ -371,7 +300,44 @@ impl Platform for BatchPlatform {
     }
 
     fn on_tick(&mut self, queue: &mut EventQueue<EngineEvent>) {
-        self.tick(self.engine.now(), queue);
+        let now = self.engine.now();
+        for f in 0..self.fns.len() {
+            // Monitor.
+            let horizon = now.saturating_sub(self.config.monitor_window);
+            while let Some(&t) = self.fns[f].recent_arrivals.front() {
+                if t < horizon {
+                    self.fns[f].recent_arrivals.pop_front();
+                } else {
+                    break;
+                }
+            }
+            let window = self
+                .config
+                .monitor_window
+                .min(now.saturating_since(SimTime::ZERO))
+                .as_secs_f64()
+                .max(1.0);
+            let rps = self.fns[f].recent_arrivals.len() as f64 / window;
+
+            let Some(plan) = self.fns[f].plan else {
+                continue;
+            };
+            // Uniform scaling: n = ceil(R / r_up), plus one catch-up
+            // instance per tick while the buffer holds a backlog.
+            let mut desired = (rps / plan.window.r_up()).ceil() as usize;
+            if self.fns[f].buffer.len() > plan.config.batch() as usize {
+                desired += 1;
+            }
+            let live = self.engine.instances_of(f).len();
+            for _ in live..desired {
+                if self.launch(f, plan, queue).is_none() {
+                    break;
+                }
+            }
+            self.pump(f, queue);
+            // Fixed keep-alive reaping (no proactive scale-in).
+            self.engine.retire_idle(f, self.config.keep_alive);
+        }
     }
 
     /// Displaced requests whose SLO budget survives (and that still fit

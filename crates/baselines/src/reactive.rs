@@ -214,16 +214,6 @@ impl ReactivePlatform {
                 && !matches!(inst.state(), InstanceState::Busy { .. })
         })
     }
-
-    fn reap(&mut self, now: SimTime) {
-        let dead: Vec<InstanceId> = (0..self.engine.functions().len())
-            .flat_map(|f| self.engine.instances_of(f).to_vec())
-            .filter(|id| self.engine.instance(*id).idle_for(now) > self.config.keep_alive)
-            .collect();
-        for id in dead {
-            self.engine.retire(id);
-        }
-    }
 }
 
 impl Platform for ReactivePlatform {
@@ -246,11 +236,10 @@ impl Platform for ReactivePlatform {
         }
     }
 
-    fn on_tick(&mut self, queue: &mut EventQueue<EngineEvent>) {
-        let now = self.engine.now();
-        self.reap(now);
-        self.engine.sample_provisioning(now);
-        self.engine.sample_telemetry(queue);
+    fn on_tick(&mut self, _queue: &mut EventQueue<EngineEvent>) {
+        for f in 0..self.engine.functions().len() {
+            self.engine.retire_idle(f, self.config.keep_alive);
+        }
     }
 
     /// Reactive recovery: displaced requests with SLO budget left

@@ -50,7 +50,8 @@ pub trait Platform {
     /// A batch or a decode episode completed its requests.
     fn on_done(&mut self, _done: CompletedBatch, _queue: &mut EventQueue<EngineEvent>) {}
 
-    /// The periodic control tick (scaling, reaping, sampling).
+    /// The periodic control tick (scaling, reaping). The driver samples
+    /// the provisioning timeline and the gauges right after it.
     fn on_tick(&mut self, queue: &mut EventQueue<EngineEvent>);
 
     /// A fault or a coordinator kill directive killed instances and
@@ -110,6 +111,17 @@ pub fn run<P: Platform>(mut platform: P, workload: &Workload, faults: &FaultSche
     platform.finish()
 }
 
+/// Pops and delivers the next queued event, returning `false` once the
+/// queue is empty. No arrivals are staged and ticks do not repeat: the
+/// engine tests step the policy-free [`Engine`] platform this way.
+pub fn step<P: Platform>(platform: &mut P, queue: &mut EventQueue<EngineEvent>) -> bool {
+    let Some((t, ev)) = queue.pop() else {
+        return false;
+    };
+    deliver(platform, t, ev, queue);
+    true
+}
+
 /// Delivers every event (staged arrival or queued) with timestamp
 /// `<= until`, then advances the clocks to the barrier. Epoch-mode
 /// runs schedule neither scaler ticks nor raw faults: scaling runs at
@@ -125,6 +137,32 @@ pub fn drain_until<P: Platform>(
     }
     platform.engine().advance(until);
     queue.advance_to(until);
+}
+
+/// The engine on its own is the platform with no policy: arrivals are
+/// dropped, ticks do nothing, and a fault's displaced requests are left
+/// where the engine put them.
+impl Platform for Engine {
+    fn engine(&mut self) -> &mut Engine {
+        self
+    }
+
+    fn tick_period(&self) -> SimDuration {
+        SimDuration::from_secs(1)
+    }
+
+    fn on_arrival(&mut self, f: usize, _queue: &mut EventQueue<EngineEvent>) {
+        let req = self.mint_request(f);
+        self.drop_request(&req);
+    }
+
+    fn on_tick(&mut self, _queue: &mut EventQueue<EngineEvent>) {}
+
+    fn on_fault(&mut self, _outcome: FaultOutcome, _queue: &mut EventQueue<EngineEvent>) {}
+
+    fn finish(self) -> RunReport {
+        Engine::finish(self)
+    }
 }
 
 /// Advances the clock to `t` and delivers `ev`: the one place an
@@ -160,7 +198,11 @@ fn deliver<P: Platform>(
                 p.on_done(done, queue);
             }
         }
-        EngineEvent::ScalerTick => p.on_tick(queue),
+        EngineEvent::ScalerTick => {
+            p.on_tick(queue);
+            p.engine().sample_provisioning(t);
+            p.engine().sample_telemetry(queue);
+        }
         EngineEvent::Fault(fault) => {
             let outcome = p.engine().on_fault(fault, queue);
             if !outcome.killed.is_empty() || !outcome.displaced.is_empty() {

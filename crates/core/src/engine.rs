@@ -196,9 +196,8 @@ pub struct Engine {
     /// Per-server straggler episodes: `(until, slowdown factor)`.
     /// Batches started on a listed server before `until` run slower.
     straggle: HashMap<ServerId, (SimTime, f64)>,
-    /// Outstanding capacity-loss probes for the time-to-recapacity
-    /// metric, oldest first.
-    recapacity: VecDeque<RecapacityProbe>,
+    /// Outstanding capacity-loss probes.
+    recapacity: RecapacityProbes,
     next_instance: u64,
     next_request: u64,
     noise: NoiseRng,
@@ -439,11 +438,32 @@ fn sample_token_count<R: Rng + ?Sized>(rng: &mut R, mean: u32) -> u32 {
     (t.round() as u32).max(1)
 }
 
-/// Weighted capacity lost to a fault, awaiting replacement launches.
-#[derive(Debug, Clone, Copy)]
-struct RecapacityProbe {
-    since: SimTime,
-    remaining: f64,
+/// Weighted capacity lost to faults, awaiting replacement launches:
+/// `(since, remaining)` probes for the time-to-recapacity metric,
+/// oldest first.
+pub(crate) type RecapacityProbes = VecDeque<(SimTime, f64)>;
+
+/// Credits weighted capacity launched ready at `ready_at` to the oldest
+/// probes, sampling time-to-recapacity for each probe it closes —
+/// whichever launches supply the capacity.
+pub(crate) fn credit_recapacity(
+    probes: &mut RecapacityProbes,
+    ready_at: SimTime,
+    mut credit: f64,
+    collector: &mut Collector,
+) {
+    while credit > 0.0 {
+        let Some(front) = probes.front_mut() else {
+            break;
+        };
+        let used = credit.min(front.1);
+        front.1 -= used;
+        credit -= used;
+        if front.1 <= 1e-9 {
+            let (since, _) = probes.pop_front().expect("probe exists");
+            collector.recapacity_sample(ready_at.saturating_since(since).as_millis_f64());
+        }
+    }
 }
 
 /// Where execution-time noise draws come from.
@@ -1005,21 +1025,8 @@ impl Engine {
         // launches supply it.
         if self.recapacity_external {
             self.launch_log.push((ready_at, w));
-        } else if !self.recapacity.is_empty() {
-            let mut credit = w;
-            while credit > 0.0 {
-                let Some(front) = self.recapacity.front_mut() else {
-                    break;
-                };
-                let used = credit.min(front.remaining);
-                front.remaining -= used;
-                credit -= used;
-                if front.remaining <= 1e-9 {
-                    let probe = self.recapacity.pop_front().expect("probe exists");
-                    self.collector
-                        .recapacity_sample(ready_at.saturating_since(probe.since).as_millis_f64());
-                }
-            }
+        } else {
+            credit_recapacity(&mut self.recapacity, ready_at, w, &mut self.collector);
         }
         if matches!(startup, StartupKind::SwapIn) {
             if self.telemetry.enabled() {
@@ -1155,6 +1162,21 @@ impl Engine {
         let (w, c, g) = self.weights(inst.config());
         self.collector.usage_delta(function, self.now, -w, -c, -g);
         self.collector.retire();
+    }
+
+    /// Retires every instance of `function` idle for longer than
+    /// `keep_alive`, in launch order — the baselines' fixed keep-alive
+    /// reaping.
+    pub fn retire_idle(&mut self, function: usize, keep_alive: SimDuration) {
+        let now = self.now;
+        let dead: Vec<InstanceId> = self.live_by_function[function]
+            .iter()
+            .copied()
+            .filter(|id| self.instance(*id).idle_for(now) > keep_alive)
+            .collect();
+        for id in dead {
+            self.retire(id);
+        }
     }
 
     /// Tries to enqueue `request` on `id`; returns `false` (request not
@@ -1513,10 +1535,7 @@ impl Engine {
                 self.cluster.set_health(server, ServerHealth::Down);
                 self.collector.server_crash();
                 if lost > 0.0 && !self.recapacity_external {
-                    self.recapacity.push_back(RecapacityProbe {
-                        since: self.now,
-                        remaining: lost,
-                    });
+                    self.recapacity.push_back((self.now, lost));
                 }
             }
             FaultEvent::ServerRecoveryBegin { server } => {
@@ -1571,24 +1590,30 @@ impl Engine {
                 self.collector.straggler();
             }
         }
-        if !outcome.displaced.is_empty() {
-            self.collector.displaced(outcome.displaced.len() as u64);
-            if self.telemetry.enabled() {
-                for req in &outcome.displaced {
-                    self.telemetry.record(SpanEvent {
-                        t_s: self.now.as_secs_f64(),
-                        kind: SpanKind::Displaced,
-                        request: req.id.raw(),
-                        function: req.function.raw() as u32,
-                        instance: -1,
-                        server: -1,
-                        batch: 0,
-                        fault: fault_tag,
-                    });
-                }
+        self.book_displaced(&outcome.displaced, fault_tag);
+        outcome
+    }
+
+    /// Tallies requests a kill displaced and records their spans.
+    fn book_displaced(&mut self, displaced: &[Request], fault: FaultTag) {
+        if displaced.is_empty() {
+            return;
+        }
+        self.collector.displaced(displaced.len() as u64);
+        if self.telemetry.enabled() {
+            for req in displaced {
+                self.telemetry.record(SpanEvent {
+                    t_s: self.now.as_secs_f64(),
+                    kind: SpanKind::Displaced,
+                    request: req.id.raw(),
+                    function: req.function.raw() as u32,
+                    instance: -1,
+                    server: -1,
+                    batch: 0,
+                    fault,
+                });
             }
         }
-        outcome
     }
 
     /// Kills a single instance and books a recapacity probe for it.
@@ -1604,10 +1629,7 @@ impl Engine {
         outcome.killed.push((function, id));
         outcome.displaced.extend(displaced);
         if lost > 0.0 && !self.recapacity_external {
-            self.recapacity.push_back(RecapacityProbe {
-                since: self.now,
-                remaining: lost,
-            });
+            self.recapacity.push_back((self.now, lost));
         }
     }
 
@@ -1631,23 +1653,7 @@ impl Engine {
         }
         let function = self.instance(id).function().raw();
         let displaced = self.kill_instance(id, queue);
-        if !displaced.is_empty() {
-            self.collector.displaced(displaced.len() as u64);
-            if self.telemetry.enabled() {
-                for req in &displaced {
-                    self.telemetry.record(SpanEvent {
-                        t_s: self.now.as_secs_f64(),
-                        kind: SpanKind::Displaced,
-                        request: req.id.raw(),
-                        function: req.function.raw() as u32,
-                        instance: -1,
-                        server: -1,
-                        batch: 0,
-                        fault: tag,
-                    });
-                }
-            }
-        }
+        self.book_displaced(&displaced, tag);
         Some((function, displaced))
     }
 
@@ -1916,10 +1922,9 @@ impl Engine {
 
     /// Ends the run: flushes the telemetry sink and freezes metrics at
     /// the current instant.
-    pub fn finish(mut self) -> crate::metrics::RunReport {
-        self.telemetry.finish();
-        self.book_kv_residents();
-        self.collector.finish(self.now)
+    pub fn finish(self) -> crate::metrics::RunReport {
+        let now = self.now;
+        self.into_collector().finish(now)
     }
 
     /// Dismantles the engine without freezing a report: flushes the
@@ -2506,6 +2511,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::step;
     use infless_models::{ModelId, ResourceConfig};
 
     fn engine() -> (Engine, EventQueue<EngineEvent>) {
@@ -2529,41 +2535,9 @@ mod tests {
         InstanceConfig::new(4, ResourceConfig::new(1, 10))
     }
 
-    /// Drains engine-handled events, returning completed request counts.
+    /// Delivers queued events until none is left.
     fn drain(engine: &mut Engine, queue: &mut EventQueue<EngineEvent>) {
         while step(engine, queue) {}
-    }
-
-    /// Pops and handles one engine event; `false` once the queue is empty.
-    fn step(engine: &mut Engine, queue: &mut EventQueue<EngineEvent>) -> bool {
-        let Some((t, ev)) = queue.pop() else {
-            return false;
-        };
-        engine.advance(t);
-        match ev {
-            EngineEvent::InstanceReady(id) => engine.on_instance_ready(id, queue),
-            EngineEvent::SwapComplete(id) => engine.on_swap_complete(id, queue),
-            EngineEvent::BatchTimeout(id) => engine.on_batch_timeout(id, queue),
-            EngineEvent::BatchComplete(id) => {
-                // Faults can kill an instance mid-batch; its
-                // completion event is then stale.
-                if engine.is_live(id) {
-                    engine.on_batch_complete(id, queue);
-                }
-            }
-            EngineEvent::DecodeStep(id, gen) => {
-                engine.on_decode_step(id, gen, queue);
-            }
-            EngineEvent::Fault(f) => {
-                engine.on_fault(f, queue);
-            }
-            EngineEvent::ResizeComplete(id) => {
-                engine.on_resize_complete(id, queue);
-            }
-            EngineEvent::Arrival(_) | EngineEvent::ScalerTick => {}
-            EngineEvent::DirectiveKill(..) | EngineEvent::DirectiveStraggler { .. } => {}
-        }
-        true
     }
 
     #[test]

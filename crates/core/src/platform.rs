@@ -495,7 +495,9 @@ impl Platform for InflessPlatform {
         for f in 0..self.fns.len() {
             self.scaler_pass_fn(f, queue);
         }
-        self.cluster_sample(queue);
+        // Read by the gauge sampling the driver runs after the tick.
+        let host_mb = self.host_cache_mb_now();
+        self.engine.set_host_cache_mb(host_mb);
     }
 
     /// The INFless recovery policy: forget dead instances, re-run
@@ -867,18 +869,6 @@ impl InflessPlatform {
         // Cold-start manager (❻): refresh windows and reap.
         self.refresh_windows(f, now);
         self.reap(f, now);
-    }
-
-    /// The cluster-wide tail of the scaler tick: fragment ratio,
-    /// provisioning timeline and gauge sampling. Legacy runs call it
-    /// after every per-function pass; the sharded coordinator replaces
-    /// it with cross-shard sums recorded on shard 0.
-    fn cluster_sample(&mut self, queue: &EventQueue<EngineEvent>) {
-        let now = self.engine.now();
-        self.engine.sample_provisioning(now);
-        let host_mb = self.host_cache_mb_now();
-        self.engine.set_host_cache_mb(host_mb);
-        self.engine.sample_telemetry(queue);
     }
 
     /// Host-RAM model-cache occupancy right now: the summed weight
@@ -2327,7 +2317,7 @@ mod fault_tests {
     use infless_faults::FaultPlan;
     use infless_workload::FunctionLoad;
 
-    fn constant_workload(app: &Application, rps: f64, secs: u64) -> Workload {
+    pub(super) fn constant_workload(app: &Application, rps: f64, secs: u64) -> Workload {
         let loads: Vec<FunctionLoad> = app
             .functions()
             .iter()
@@ -2336,7 +2326,7 @@ mod fault_tests {
         Workload::build(&loads, 17)
     }
 
-    fn platform(app: &Application) -> InflessPlatform {
+    pub(super) fn platform(app: &Application) -> InflessPlatform {
         InflessPlatform::new(
             ClusterSpec::testbed(),
             app.functions().to_vec(),
@@ -2489,30 +2479,16 @@ mod fault_tests {
 
 #[cfg(test)]
 mod telemetry_tests {
+    use super::fault_tests::{constant_workload, fn_fingerprint};
     use super::*;
     use crate::apps::Application;
     use infless_faults::FaultPlan;
     use infless_telemetry::{FaultTag, MemorySink, NullSink, SpanKind, TelemetrySink};
-    use infless_workload::FunctionLoad;
     use proptest::prelude::*;
     use std::collections::HashMap;
 
-    fn constant_workload(app: &Application, rps: f64, secs: u64) -> Workload {
-        let loads: Vec<FunctionLoad> = app
-            .functions()
-            .iter()
-            .map(|_| FunctionLoad::constant(rps, SimDuration::from_secs(secs)))
-            .collect();
-        Workload::build(&loads, 17)
-    }
-
     fn platform(app: &Application, sink: Box<dyn TelemetrySink>) -> InflessPlatform {
-        let mut p = InflessPlatform::new(
-            ClusterSpec::testbed(),
-            app.functions().to_vec(),
-            InflessConfig::default(),
-            17,
-        );
+        let mut p = super::fault_tests::platform(app);
         p.engine.set_telemetry(sink);
         p
     }
@@ -2526,21 +2502,12 @@ mod telemetry_tests {
     fn telemetry_sinks_are_bit_identical() {
         let app = Application::qa_robot();
         let workload = constant_workload(&app, 30.0, 20);
-        let plain = InflessPlatform::new(
-            ClusterSpec::testbed(),
-            app.functions().to_vec(),
-            InflessConfig::default(),
-            17,
-        )
-        .run(&workload);
+        let plain = super::fault_tests::platform(&app).run(&workload);
         let null = platform(&app, Box::new(NullSink)).run(&workload);
         let sink = MemorySink::new();
         let recorded = platform(&app, Box::new(sink.clone())).run(&workload);
         for other in [&null, &recorded] {
-            assert_eq!(
-                super::fault_tests::fn_fingerprint(&plain),
-                super::fault_tests::fn_fingerprint(other)
-            );
+            assert_eq!(fn_fingerprint(&plain), fn_fingerprint(other));
             assert_eq!(plain.launches, other.launches);
             assert_eq!(plain.retirements, other.retirements);
             assert_eq!(

@@ -44,7 +44,7 @@
 //!
 //! [`Engine::use_per_function_noise`]: crate::engine::Engine::use_per_function_noise
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 
 use infless_cluster::{ClusterOp, ClusterSpec, InstanceId, ServerHealth, ServerId};
 use infless_faults::{FaultEvent, FaultSchedule};
@@ -54,7 +54,7 @@ use infless_workload::Workload;
 
 use crate::chains::{ChainReport, ChainSpec};
 use crate::driver;
-use crate::engine::{EngineEvent, FunctionInfo};
+use crate::engine::{credit_recapacity, EngineEvent, FunctionInfo, RecapacityProbes};
 use crate::metrics::RunReport;
 use crate::platform::{InflessConfig, InflessPlatform};
 
@@ -228,10 +228,10 @@ impl ShardedInfless {
         let tick_horizon = workload.end_time() + SimDuration::from_secs(5);
         let fault_events = self.faults.events();
         let mut fault_idx = 0usize;
-        // Coordinator-owned time-to-recapacity probes: (since, remaining
-        // weighted capacity). Launches credit them in function-major
-        // barrier order, which no shard layout can perturb.
-        let mut probes: VecDeque<(SimTime, f64)> = VecDeque::new();
+        // Coordinator-owned time-to-recapacity probes. Launches credit
+        // them in function-major barrier order, which no shard layout
+        // can perturb.
+        let mut probes = RecapacityProbes::new();
         let mut tombstones: HashSet<(usize, InstanceId)> = HashSet::new();
 
         let mut t_prev = SimTime::ZERO;
@@ -353,7 +353,7 @@ impl ShardedInfless {
         owner_of_fn: &[usize],
         k: u64,
         t_b: SimTime,
-        probes: &mut VecDeque<(SimTime, f64)>,
+        probes: &mut RecapacityProbes,
     ) {
         let n = self.functions.len();
         let scaler_barrier = k.is_multiple_of(5);
@@ -397,23 +397,8 @@ impl ShardedInfless {
             // function's launches (function-major order).
             let log = shards[s].platform.engine.take_launch_log();
             for (ready_at, w) in log {
-                let mut credit = w;
-                while credit > 0.0 {
-                    let Some(front) = probes.front_mut() else {
-                        break;
-                    };
-                    let used = credit.min(front.1);
-                    front.1 -= used;
-                    credit -= used;
-                    if front.1 <= 1e-9 {
-                        let (since, _) = probes.pop_front().expect("probe exists");
-                        shards[0]
-                            .platform
-                            .engine
-                            .collector
-                            .recapacity_sample(ready_at.saturating_since(since).as_millis_f64());
-                    }
-                }
+                let collector = &mut shards[0].platform.engine.collector;
+                credit_recapacity(probes, ready_at, w, collector);
             }
         }
 
@@ -483,7 +468,7 @@ impl ShardedInfless {
         mut idx: usize,
         until: SimTime,
         owner_of_fn: &[usize],
-        probes: &mut VecDeque<(SimTime, f64)>,
+        probes: &mut RecapacityProbes,
         tombstones: &mut HashSet<(usize, InstanceId)>,
     ) -> usize {
         if idx >= events.len() || events[idx].0 > until {
@@ -603,7 +588,7 @@ impl ShardedInfless {
         t: SimTime,
         tag: FaultTag,
         eligible: impl Fn(&Shard<'_>, InstanceId) -> bool,
-        probes: &mut VecDeque<(SimTime, f64)>,
+        probes: &mut RecapacityProbes,
         tombstones: &mut HashSet<(usize, InstanceId)>,
     ) {
         let n = self.functions.len();

@@ -5,6 +5,7 @@
 use std::collections::HashMap;
 
 use infless_cluster::{ClusterSpec, InstanceConfig, InstanceId, InstanceState};
+use infless_core::driver;
 use infless_core::engine::{Engine, EngineEvent, FunctionInfo};
 use infless_core::metrics::StartupKind;
 use infless_models::{HardwareModel, ModelId, ResourceConfig};
@@ -110,28 +111,7 @@ proptest! {
                     }
                 }
                 Op::Step => {
-                    if let Some((t, ev)) = queue.pop() {
-                        engine.advance(t);
-                        match ev {
-                            EngineEvent::InstanceReady(id) => engine.on_instance_ready(id, &mut queue),
-                            EngineEvent::SwapComplete(id) => engine.on_swap_complete(id, &mut queue),
-                            EngineEvent::BatchTimeout(id) => engine.on_batch_timeout(id, &mut queue),
-                            EngineEvent::BatchComplete(id) => {
-                                engine.on_batch_complete(id, &mut queue);
-                            }
-                            EngineEvent::DecodeStep(id, gen) => {
-                                engine.on_decode_step(id, gen, &mut queue);
-                            }
-                            EngineEvent::Arrival(_)
-                            | EngineEvent::ScalerTick
-                            | EngineEvent::ResizeComplete(_)
-                            | EngineEvent::DirectiveKill(..)
-                            | EngineEvent::DirectiveStraggler { .. } => {}
-                            EngineEvent::Fault(f) => {
-                                engine.on_fault(f, &queue);
-                            }
-                        }
-                    }
+                    driver::step(&mut engine, &mut queue);
                 }
                 Op::Retire { f, i } => {
                     let ids = engine.instances_of(f).to_vec();
@@ -154,28 +134,7 @@ proptest! {
         }
 
         // Drain everything so all in-flight work completes.
-        while let Some((t, ev)) = queue.pop() {
-            engine.advance(t);
-            match ev {
-                EngineEvent::InstanceReady(id) => engine.on_instance_ready(id, &mut queue),
-                EngineEvent::SwapComplete(id) => engine.on_swap_complete(id, &mut queue),
-                EngineEvent::BatchTimeout(id) => engine.on_batch_timeout(id, &mut queue),
-                EngineEvent::BatchComplete(id) => {
-                    engine.on_batch_complete(id, &mut queue);
-                }
-                EngineEvent::DecodeStep(id, gen) => {
-                    engine.on_decode_step(id, gen, &mut queue);
-                }
-                EngineEvent::Arrival(_)
-                | EngineEvent::ScalerTick
-                | EngineEvent::ResizeComplete(_)
-                | EngineEvent::DirectiveKill(..)
-                | EngineEvent::DirectiveStraggler { .. } => {}
-                EngineEvent::Fault(f) => {
-                    engine.on_fault(f, &queue);
-                }
-            }
-        }
+        while driver::step(&mut engine, &mut queue) {}
         // Remaining queued requests (on instances whose timeout budget
         // already fired before they were enqueued) stay pending; count
         // them as accounted.

@@ -16,6 +16,7 @@ use std::path::Path;
 use serde_json::Value;
 
 use crate::decision::DecisionKind;
+use crate::summary::{field_f64, field_str, field_u64, parse_meta};
 
 /// The five decomposition stages, in wire order.
 pub const STAGES: [&str; 5] = [
@@ -175,24 +176,6 @@ impl fmt::Display for DecisionAnalysis {
     }
 }
 
-fn field_f64(obj: &Value, key: &str, line_no: usize) -> Result<f64, String> {
-    obj.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("line {line_no}: missing or non-numeric \"{key}\""))
-}
-
-fn field_u64(obj: &Value, key: &str, line_no: usize) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("line {line_no}: missing or non-integer \"{key}\""))
-}
-
-fn field_str<'v>(obj: &'v Value, key: &str, line_no: usize) -> Result<&'v str, String> {
-    obj.get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("line {line_no}: missing or non-string \"{key}\""))
-}
-
 /// Parses and validates a decisions trace.
 ///
 /// Validation is strict, like [`crate::summarize`]: the first line must
@@ -217,21 +200,9 @@ pub fn analyze<R: BufRead>(reader: R) -> Result<DecisionAnalysis, String> {
         let value: Value = serde_json::from_str(&line)
             .map_err(|e| format!("line {line_no}: invalid JSON: {e}"))?;
         if line_no == 1 {
-            let meta = value
-                .get("meta")
-                .ok_or_else(|| "line 1: expected the {\"meta\":…} record".to_string())?;
-            out.platform = field_str(meta, "platform", line_no)?.to_string();
-            let functions = meta
-                .get("functions")
-                .and_then(Value::as_array)
-                .ok_or_else(|| "line 1: meta.functions must be an array".to_string())?;
-            for f in functions {
-                out.functions.push(
-                    f.as_str()
-                        .ok_or("line 1: non-string function name")?
-                        .to_string(),
-                );
-            }
+            let meta = parse_meta(&value)?;
+            out.platform = meta.platform;
+            out.functions = meta.functions;
             out.per_function = vec![FunctionAttribution::default(); out.functions.len()];
             dominant_share_sums = vec![0.0; out.functions.len()];
             saw_meta = true;

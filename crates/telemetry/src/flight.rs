@@ -119,21 +119,7 @@ impl FlightRecorder {
         out.write_all(self.line.as_bytes())
             .expect("write flight-recorder dump");
         for span in &self.ring {
-            self.line.clear();
-            writeln!(
-                self.line,
-                "{{\"t_s\":{},\"kind\":\"{}\",\"req\":{},\"fn\":{},\"inst\":{},\"srv\":{},\
-                 \"batch\":{},\"fault\":\"{}\"}}",
-                span.t_s,
-                span.kind.name(),
-                span.request,
-                span.function,
-                span.instance,
-                span.server,
-                span.batch,
-                span.fault.name(),
-            )
-            .expect("write to String cannot fail");
+            span.render(&mut self.line);
             out.write_all(self.line.as_bytes())
                 .expect("write flight-recorder dump");
         }

@@ -153,6 +153,29 @@ pub struct SpanEvent {
     pub fault: FaultTag,
 }
 
+impl SpanEvent {
+    /// Renders the span as one JSONL line (with trailing newline) into
+    /// `out`, which is cleared first: the span trace's format and the
+    /// flight-recorder dump's alike.
+    pub(crate) fn render(&self, out: &mut String) {
+        out.clear();
+        writeln!(
+            out,
+            "{{\"t_s\":{},\"kind\":\"{}\",\"req\":{},\"fn\":{},\"inst\":{},\"srv\":{},\
+             \"batch\":{},\"fault\":\"{}\"}}",
+            self.t_s,
+            self.kind.name(),
+            self.request,
+            self.function,
+            self.instance,
+            self.server,
+            self.batch,
+            self.fault.name(),
+        )
+        .expect("write to String cannot fail");
+    }
+}
+
 /// Run identification written as the first JSONL record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceMeta {
@@ -437,21 +460,7 @@ impl FileSink {
 
     fn flush_ring(trace: &mut TraceWriter) {
         for span in &trace.ring {
-            trace.line.clear();
-            writeln!(
-                trace.line,
-                "{{\"t_s\":{},\"kind\":\"{}\",\"req\":{},\"fn\":{},\"inst\":{},\"srv\":{},\
-                 \"batch\":{},\"fault\":\"{}\"}}",
-                span.t_s,
-                span.kind.name(),
-                span.request,
-                span.function,
-                span.instance,
-                span.server,
-                span.batch,
-                span.fault.name(),
-            )
-            .expect("write to String cannot fail");
+            span.render(&mut trace.line);
             trace
                 .out
                 .write_all(trace.line.as_bytes())

@@ -9,7 +9,7 @@ use std::path::Path;
 use serde_json::Value;
 
 use crate::hist::Log2Histogram;
-use crate::sink::{FaultTag, SpanKind};
+use crate::sink::{FaultTag, SpanKind, TraceMeta};
 
 /// Per-function tallies recomputed from spans.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -156,7 +156,30 @@ impl fmt::Display for TraceSummary {
     }
 }
 
-fn field_u64(obj: &Value, key: &str, line_no: usize) -> Result<u64, String> {
+/// Parses the `{"meta":…}` record every trace opens with (line 1).
+pub(crate) fn parse_meta(value: &Value) -> Result<TraceMeta, String> {
+    let meta = value
+        .get("meta")
+        .ok_or_else(|| "line 1: expected the {\"meta\":…} record".to_string())?;
+    let platform = field_str(meta, "platform", 1)?.to_string();
+    let functions = meta
+        .get("functions")
+        .and_then(Value::as_array)
+        .ok_or_else(|| "line 1: meta.functions must be an array".to_string())?
+        .iter()
+        .map(|f| {
+            f.as_str()
+                .map(str::to_string)
+                .ok_or_else(|| "line 1: non-string function name".to_string())
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(TraceMeta {
+        platform,
+        functions,
+    })
+}
+
+pub(crate) fn field_u64(obj: &Value, key: &str, line_no: usize) -> Result<u64, String> {
     obj.get(key)
         .and_then(Value::as_u64)
         .ok_or_else(|| format!("line {line_no}: missing or non-integer \"{key}\""))
@@ -168,13 +191,13 @@ fn field_i64(obj: &Value, key: &str, line_no: usize) -> Result<i64, String> {
         .ok_or_else(|| format!("line {line_no}: missing or non-integer \"{key}\""))
 }
 
-fn field_f64(obj: &Value, key: &str, line_no: usize) -> Result<f64, String> {
+pub(crate) fn field_f64(obj: &Value, key: &str, line_no: usize) -> Result<f64, String> {
     obj.get(key)
         .and_then(Value::as_f64)
         .ok_or_else(|| format!("line {line_no}: missing or non-numeric \"{key}\""))
 }
 
-fn field_str<'v>(obj: &'v Value, key: &str, line_no: usize) -> Result<&'v str, String> {
+pub(crate) fn field_str<'v>(obj: &'v Value, key: &str, line_no: usize) -> Result<&'v str, String> {
     obj.get(key)
         .and_then(Value::as_str)
         .ok_or_else(|| format!("line {line_no}: missing or non-string \"{key}\""))
@@ -205,21 +228,9 @@ pub fn summarize<R: BufRead>(reader: R) -> Result<TraceSummary, String> {
         let value: Value = serde_json::from_str(&line)
             .map_err(|e| format!("line {line_no}: invalid JSON: {e}"))?;
         if line_no == 1 {
-            let meta = value
-                .get("meta")
-                .ok_or_else(|| "line 1: expected the {\"meta\":…} record".to_string())?;
-            summary.platform = field_str(meta, "platform", line_no)?.to_string();
-            let functions = meta
-                .get("functions")
-                .and_then(Value::as_array)
-                .ok_or_else(|| "line 1: meta.functions must be an array".to_string())?;
-            for f in functions {
-                summary.functions.push(
-                    f.as_str()
-                        .ok_or("line 1: non-string function name")?
-                        .to_string(),
-                );
-            }
+            let meta = parse_meta(&value)?;
+            summary.platform = meta.platform;
+            summary.functions = meta.functions;
             summary.per_function = vec![FunctionCounts::default(); summary.functions.len()];
             saw_meta = true;
             continue;
