@@ -25,7 +25,8 @@
 //!   plus the statically-provisioned EC2 reference point.
 //!
 //! All platforms run on `infless-core`'s [`Engine`](infless_core::Engine)
-//! so that differences in results come from policy, not plumbing.
+//! and its one event loop ([`infless_core::driver`]), so that
+//! differences in results come from policy, not plumbing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
