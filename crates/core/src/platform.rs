@@ -1725,7 +1725,7 @@ mod tests {
     /// and including the barrier instant as run, and events scheduled
     /// there tie as scheduled at the barrier.
     #[test]
-    fn epoch_drain_moves_the_queue_clock_to_the_barrier() {
+    fn drain_until_moves_the_queue_clock_to_the_barrier() {
         let app = Application::qa_robot();
         let mut p = InflessPlatform::new(
             ClusterSpec::testbed(),
