@@ -23,6 +23,9 @@
 //!   (Fig. 2, Fig. 3).
 //! * [`cost`] — the Table 4 cost model (CPU $0.034/h, 2080Ti $2.5/h)
 //!   plus the statically-provisioned EC2 reference point.
+//! * [`System`] — the registry of every platform above plus INFless,
+//!   and [`System::serve`], the one run executor every entry point
+//!   calls ([`system`]).
 //!
 //! All platforms run on `infless-core`'s [`Engine`](infless_core::Engine)
 //! and its one event loop ([`infless_core::driver`]), so that
@@ -35,6 +38,7 @@ pub mod batch;
 pub mod cost;
 pub mod lambda;
 pub mod reactive;
+pub mod system;
 
 pub use batch::{
     uniform_plan, BatchConfig, BatchPlacement, BatchPlatform, UniformPlan, BATCH_PROFILE_MARGIN,
@@ -42,3 +46,4 @@ pub use batch::{
 pub use cost::{CostModel, CostSummary};
 pub use lambda::{LambdaModel, LAMBDA_MEMORY_STEPS_MB};
 pub use reactive::{LaunchPath, ReactiveConfig, ReactivePlatform};
+pub use system::{Deployment, RunError, System};

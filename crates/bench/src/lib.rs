@@ -19,16 +19,11 @@
 use std::fs;
 use std::path::PathBuf;
 
-use infless_baselines::{
-    BatchConfig, BatchPlacement, BatchPlatform, ReactiveConfig, ReactivePlatform,
-};
+/// The platform registry and its run executor, re-exported so benches
+/// name every platform through the harness.
+pub use infless_baselines::System;
 use infless_cluster::ClusterSpec;
-use infless_core::driver::{self, Platform};
-use infless_core::engine::FunctionInfo;
 use infless_core::metrics::RunReport;
-use infless_core::platform::{InflessConfig, InflessPlatform};
-use infless_core::runconfig::RunConfig;
-use infless_core::sharded::ShardedInfless;
 use infless_faults::{FaultPlan, FaultSchedule};
 use infless_models::CacheOutcome;
 use infless_sim::SimDuration;
@@ -76,167 +71,6 @@ fn results_dir() -> PathBuf {
     dir.pop(); // crates/
     dir.pop(); // workspace root
     dir.join("target").join("infless-results")
-}
-
-/// The platforms under comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum System {
-    /// The one-to-one baseline.
-    OpenFaasPlus,
-    /// The OTP batching baseline.
-    Batch,
-    /// BATCH with best-fit placement (Fig. 17b).
-    BatchRs,
-    /// The paper's system.
-    Infless,
-    /// The GPU-memory-tier baseline (host-RAM model cache + PCIe
-    /// swap-in launches).
-    Torpor,
-}
-
-impl System {
-    /// The Figs. 11/12/15 comparison trio.
-    pub fn trio() -> [System; 3] {
-        [System::OpenFaasPlus, System::Batch, System::Infless]
-    }
-
-    /// The trio plus the Torpor swap baseline — the cold-start and
-    /// failure-sweep comparison set.
-    pub fn all() -> [System; 4] {
-        [
-            System::OpenFaasPlus,
-            System::Batch,
-            System::Torpor,
-            System::Infless,
-        ]
-    }
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            System::OpenFaasPlus => "OpenFaaS+",
-            System::Batch => "BATCH",
-            System::BatchRs => "BATCH+RS",
-            System::Infless => "INFless",
-            System::Torpor => "Torpor",
-        }
-    }
-
-    /// Runs this system with default knobs — shorthand for
-    /// [`System::execute`] with a default [`RunConfig`].
-    pub fn run(
-        self,
-        cluster: ClusterSpec,
-        functions: &[FunctionInfo],
-        workload: &Workload,
-        seed: u64,
-    ) -> RunReport {
-        self.execute(cluster, functions, workload, seed, RunConfig::new())
-    }
-
-    /// Runs this system under the unified execution API: shards, fault
-    /// schedule, telemetry sink and residency knobs all ride in
-    /// `config`. A default config is the classic single-core,
-    /// fault-free, telemetry-free run, bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `config` fails [`RunConfig::validate`], when it asks
-    /// for a decision trace, metrics snapshot or flight-recorder dump
-    /// (only `Scenario::execute` writes those files), or when a
-    /// sharded run (an explicit shard count, even 1) is requested for
-    /// a system other than INFless — the baselines have no
-    /// epoch-barrier driver.
-    pub fn execute(
-        self,
-        cluster: ClusterSpec,
-        functions: &[FunctionInfo],
-        workload: &Workload,
-        seed: u64,
-        config: RunConfig,
-    ) -> RunReport {
-        if let Err(e) = config.validate() {
-            panic!("invalid run config for {}: {e}", self.name());
-        }
-        if config.decisions_out.is_some()
-            || config.metrics_out.is_some()
-            || config.flight_out.is_some()
-        {
-            panic!(
-                "invalid run config for {}: decisions_out, metrics_out and flight_out are \
-                 written only by Scenario::execute",
-                self.name()
-            );
-        }
-        let sharded = config.is_sharded().then(|| config.effective_shards());
-        // An empty schedule, the NullSink and a disabled LLM config are
-        // the engine's own defaults; attaching them explicitly is
-        // bit-identical to not doing so.
-        let schedule = config.fault_schedule.unwrap_or_else(FaultSchedule::empty);
-        let sink = config
-            .telemetry
-            .unwrap_or_else(|| Box::new(infless_telemetry::NullSink));
-        let llm = config.llm.unwrap_or_default();
-        let infless_config = || {
-            let mut cfg = InflessConfig::default();
-            if let Some(residency) = config.residency {
-                cfg.residency = residency;
-            }
-            cfg.llm = llm;
-            if let Some(policy) = config.scale_policy {
-                cfg.scale_policy = policy;
-            }
-            cfg
-        };
-        if let Some(shards) = sharded {
-            assert!(
-                self == System::Infless,
-                "sharded execution is INFless-only; {} has no epoch-barrier driver",
-                self.name()
-            );
-            return ShardedInfless::new(cluster, functions.to_vec(), infless_config(), seed)
-                .with_fault_schedule(schedule)
-                .run(workload, shards);
-        }
-        let functions = functions.to_vec();
-        match self {
-            System::OpenFaasPlus | System::Torpor => {
-                let reactive = if self == System::Torpor {
-                    ReactiveConfig::torpor()
-                } else {
-                    ReactiveConfig::openfaas()
-                };
-                let platform = ReactivePlatform::new(cluster, functions, reactive, seed);
-                run_attached(platform, sink, llm, workload, &schedule)
-            }
-            System::Batch | System::BatchRs => {
-                let mut batch = BatchConfig::default();
-                if self == System::BatchRs {
-                    batch.placement = BatchPlacement::BestFit;
-                }
-                let platform = BatchPlatform::with_config(cluster, functions, batch, seed);
-                run_attached(platform, sink, llm, workload, &schedule)
-            }
-            System::Infless => {
-                let platform = InflessPlatform::new(cluster, functions, infless_config(), seed);
-                run_attached(platform, sink, llm, workload, &schedule)
-            }
-        }
-    }
-}
-
-/// Attaches a run's telemetry sink and LLM knobs to the platform's
-/// engine, then drives it over `workload` with `schedule` injected.
-fn run_attached<P: Platform>(
-    mut platform: P,
-    sink: Box<dyn infless_telemetry::TelemetrySink>,
-    llm: infless_llm::LlmConfig,
-    workload: &Workload,
-    schedule: &FaultSchedule,
-) -> RunReport {
-    platform.engine().set_telemetry(sink);
-    platform.engine().apply_llm(llm);
-    driver::run(platform, workload, schedule)
 }
 
 /// Generates the seeded fault schedule for a `(plan, cluster,
@@ -354,31 +188,6 @@ mod tests {
     fn quick_flag_reads_env() {
         // Not set in the test environment by default.
         assert!(!quick() || std::env::var("INFLESS_QUICK").is_ok());
-    }
-
-    #[test]
-    fn systems_have_names() {
-        assert_eq!(System::Infless.name(), "INFless");
-        assert_eq!(System::trio().len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "written only by Scenario::execute")]
-    fn execute_rejects_file_outputs_it_would_drop() {
-        let w = constant_workload(1, 10.0, SimDuration::from_secs(1), 1);
-        let functions = [FunctionInfo::new(
-            infless_models::ModelId::Mnist.spec(),
-            SimDuration::from_millis(100),
-        )];
-        System::Infless.execute(
-            ClusterSpec::testbed(),
-            &functions,
-            &w,
-            1,
-            RunConfig::new()
-                .decisions_out("decisions.jsonl")
-                .metrics_out("metrics.prom"),
-        );
     }
 
     #[test]

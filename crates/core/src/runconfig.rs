@@ -2,19 +2,23 @@
 //! `run_*` method per feature combination.
 //!
 //! Every way of running a workload — sharded or single-core, with or
-//! without fault injection, telemetry, or the GPU memory tier — is a
-//! knob on [`RunConfig`]. Entry points take it by value (the telemetry
-//! sink is an owned trait object):
+//! without fault injection, telemetry, the GPU memory tier or output
+//! files — is a knob on [`RunConfig`]. One executor,
+//! `infless_baselines::System::serve`, honours every knob on every
+//! platform; the entry points build a deployment and hand it the config
+//! by value (the telemetry sink is an owned trait object):
 //!
 //! ```ignore
 //! let report = scenario.execute(RunConfig::new().shards(4))?;
 //! let report = System::Torpor.execute(cluster, &functions, &workload, seed,
-//!     RunConfig::new().fault_schedule(faults));
+//!     RunConfig::new().fault_schedule(faults).decisions_out("decisions.jsonl"));
 //! ```
 //!
 //! Leaving every knob at its default runs the classic single-shard,
 //! fault-free, telemetry-free, residency-free simulation —
-//! bit-identical to the pre-`RunConfig` `run()` path.
+//! bit-identical to the pre-`RunConfig` `run()` path. Every requested
+//! output file is created (or truncated) before the first event, so an
+//! unwritable path fails the run before it starts.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -56,10 +60,11 @@ pub struct RunConfig {
     /// Where to write the Prometheus text-format metrics snapshot at
     /// the end of the run. Works at every shard count.
     pub metrics_out: Option<PathBuf>,
-    /// Where the flight recorder appends its postmortem dumps: a
+    /// Where the flight recorder writes its postmortem dumps: a
     /// bounded ring of recent spans, flushed when a fault burst hits.
-    /// Rides the span channel, so — like `telemetry` — single-core
-    /// runs only.
+    /// The file is truncated at run start, so a run without a burst
+    /// leaves it empty. Rides the span channel, so — like `telemetry`
+    /// — single-core runs only.
     pub flight_out: Option<PathBuf>,
     /// Residual-coverage policy override. `None` defers to the
     /// scenario descriptor (whose own default is `Horizontal` —
@@ -167,9 +172,9 @@ impl RunConfig {
         self
     }
 
-    /// Appends flight-recorder dumps (a bounded span ring flushed on
-    /// fault bursts) to `path`. Single-core runs only, like
-    /// [`telemetry`](Self::telemetry).
+    /// Writes flight-recorder dumps (a bounded span ring flushed on
+    /// fault bursts) to `path`, truncated at run start. Single-core
+    /// runs only, like [`telemetry`](Self::telemetry).
     pub fn flight_out(mut self, path: impl Into<PathBuf>) -> Self {
         self.flight_out = Some(path.into());
         self
@@ -199,7 +204,7 @@ impl RunConfig {
         self.shards != 0
     }
 
-    /// Checks the knob combination. Every executor calls this first;
+    /// Checks the knob combination. The run executor calls this first;
     /// callers that want a friendly error before spending simulation
     /// time can call it themselves.
     pub fn validate(&self) -> Result<(), RunConfigError> {

@@ -13,9 +13,8 @@
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::fs::OpenOptions;
+use std::fs::File;
 use std::io::{BufWriter, Write};
-use std::path::PathBuf;
 
 use crate::decision::DecisionRecord;
 use crate::sink::{FaultTag, SpanEvent, TelemetrySink, TraceMeta};
@@ -44,18 +43,18 @@ pub struct FlightRecorder {
     fault_times: VecDeque<f64>,
     burst_threshold: usize,
     burst_window: f64,
-    path: PathBuf,
+    out: File,
     dumps: usize,
     line: String,
 }
 
 impl FlightRecorder {
-    /// Wraps `inner`, dumping to `path` with the default ring size and
-    /// burst parameters.
-    pub fn new(inner: Box<dyn TelemetrySink>, path: PathBuf) -> Self {
+    /// Wraps `inner`, dumping to `out` (an open, writable file) with
+    /// the default ring size and burst parameters.
+    pub fn new(inner: Box<dyn TelemetrySink>, out: File) -> Self {
         Self::with_params(
             inner,
-            path,
+            out,
             FLIGHT_RING_CAPACITY,
             FLIGHT_BURST_THRESHOLD,
             FLIGHT_BURST_WINDOW_S,
@@ -70,7 +69,7 @@ impl FlightRecorder {
     /// is not positive.
     pub fn with_params(
         inner: Box<dyn TelemetrySink>,
-        path: PathBuf,
+        out: File,
         capacity: usize,
         burst_threshold: usize,
         burst_window: f64,
@@ -85,7 +84,7 @@ impl FlightRecorder {
             fault_times: VecDeque::new(),
             burst_threshold,
             burst_window,
-            path,
+            out,
             dumps: 0,
             line: String::with_capacity(256),
         }
@@ -102,12 +101,7 @@ impl FlightRecorder {
     }
 
     fn dump(&mut self, t_s: f64) {
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)
-            .expect("open flight-recorder dump");
-        let mut out = BufWriter::new(file);
+        let mut out = BufWriter::new(&self.out);
         self.line.clear();
         writeln!(
             self.line,
@@ -201,10 +195,9 @@ mod tests {
     fn burst_triggers_one_dump_and_forwards_to_inner() {
         let dir = std::env::temp_dir();
         let path = dir.join("infless-flight-test.jsonl");
-        std::fs::remove_file(&path).ok();
         let inner = MemorySink::new();
-        let mut rec =
-            FlightRecorder::with_params(Box::new(inner.clone()), path.clone(), 16, 3, 5.0);
+        let out = File::create(&path).unwrap();
+        let mut rec = FlightRecorder::with_params(Box::new(inner.clone()), out, 16, 3, 5.0);
         // Background traffic, no faults: no dump.
         for i in 0..10 {
             rec.record(span(i as f64 * 0.1, FaultTag::None));
@@ -235,9 +228,8 @@ mod tests {
     fn faults_outside_the_window_do_not_accumulate() {
         let dir = std::env::temp_dir();
         let path = dir.join("infless-flight-window-test.jsonl");
-        std::fs::remove_file(&path).ok();
-        let mut rec =
-            FlightRecorder::with_params(Box::new(crate::NullSink), path.clone(), 8, 2, 1.0);
+        let out = File::create(&path).unwrap();
+        let mut rec = FlightRecorder::with_params(Box::new(crate::NullSink), out, 8, 2, 1.0);
         rec.record(span(0.0, FaultTag::ServerCrash));
         // 10 s later: the first fault left the window.
         rec.record(span(10.0, FaultTag::ServerCrash));
@@ -251,9 +243,8 @@ mod tests {
     fn ring_is_bounded() {
         let dir = std::env::temp_dir();
         let path = dir.join("infless-flight-bound-test.jsonl");
-        std::fs::remove_file(&path).ok();
-        let mut rec =
-            FlightRecorder::with_params(Box::new(crate::NullSink), path.clone(), 4, 1, 1.0);
+        let out = File::create(&path).unwrap();
+        let mut rec = FlightRecorder::with_params(Box::new(crate::NullSink), out, 4, 1, 1.0);
         for i in 0..100 {
             rec.record(span(i as f64, FaultTag::None));
         }

@@ -373,7 +373,6 @@ impl TelemetrySink for DecisionBufferSink {
 pub struct FileSink {
     trace: Option<TraceWriter>,
     timeseries: Option<TimeseriesWriter>,
-    decisions: Option<DecisionsWriter>,
     functions: Vec<String>,
 }
 
@@ -389,13 +388,6 @@ struct TimeseriesWriter {
     out: BufWriter<File>,
     line: String,
     wrote_header: bool,
-}
-
-#[derive(Debug)]
-struct DecisionsWriter {
-    out: BufWriter<File>,
-    ring: Vec<DecisionRecord>,
-    line: String,
 }
 
 impl FileSink {
@@ -427,35 +419,8 @@ impl FileSink {
         Ok(FileSink {
             trace,
             timeseries,
-            decisions: None,
             functions: Vec::new(),
         })
-    }
-
-    /// Adds a decisions JSONL output (`--decisions-out`): one
-    /// [`DecisionRecord`] per line after the metadata record.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying error if the file cannot be created.
-    pub fn with_decisions(mut self, path: &Path) -> std::io::Result<FileSink> {
-        self.decisions = Some(DecisionsWriter {
-            out: BufWriter::new(File::create(path)?),
-            ring: Vec::with_capacity(SPAN_RING_CAPACITY),
-            line: String::with_capacity(256),
-        });
-        Ok(self)
-    }
-
-    fn flush_decisions(dec: &mut DecisionsWriter) {
-        for rec in &dec.ring {
-            rec.render(&mut dec.line);
-            dec.line.push('\n');
-            dec.out
-                .write_all(dec.line.as_bytes())
-                .expect("write decision trace");
-        }
-        dec.ring.clear();
     }
 
     fn flush_ring(trace: &mut TraceWriter) {
@@ -471,8 +436,9 @@ impl FileSink {
 }
 
 /// Renders the `{"meta":…}` record (with trailing newline) into `out`,
-/// which is cleared first. Shared by the trace and decisions writers so
-/// both artifacts open with an identical metadata line.
+/// which is cleared first. Shared by the span trace and
+/// [`crate::write_decision_trace`] so both artifacts open with an
+/// identical metadata line.
 pub(crate) fn render_meta(meta: &TraceMeta, out: &mut String) {
     out.clear();
     out.push_str("{\"meta\":{\"platform\":\"");
@@ -525,12 +491,6 @@ impl TelemetrySink for FileSink {
                 .out
                 .write_all(trace.line.as_bytes())
                 .expect("write telemetry trace meta");
-        }
-        if let Some(dec) = &mut self.decisions {
-            render_meta(meta, &mut dec.line);
-            dec.out
-                .write_all(dec.line.as_bytes())
-                .expect("write decision trace meta");
         }
         if let Some(ts) = &mut self.timeseries {
             ts.line.clear();
@@ -596,27 +556,10 @@ impl TelemetrySink for FileSink {
         }
     }
 
-    fn decisions_enabled(&self) -> bool {
-        self.decisions.is_some()
-    }
-
-    fn record_decision(&mut self, rec: &DecisionRecord) {
-        if let Some(dec) = &mut self.decisions {
-            dec.ring.push(*rec);
-            if dec.ring.len() >= SPAN_RING_CAPACITY {
-                Self::flush_decisions(dec);
-            }
-        }
-    }
-
     fn finish(&mut self) {
         if let Some(trace) = &mut self.trace {
             Self::flush_ring(trace);
             trace.out.flush().expect("flush telemetry trace");
-        }
-        if let Some(dec) = &mut self.decisions {
-            Self::flush_decisions(dec);
-            dec.out.flush().expect("flush decision trace");
         }
         if let Some(ts) = &mut self.timeseries {
             ts.out.flush().expect("flush telemetry timeseries");

@@ -9,9 +9,9 @@
 //! cargo run --release --example azure_trace
 //! ```
 
+use infless::baselines::System;
 use infless::cluster::ClusterSpec;
 use infless::core::engine::FunctionInfo;
-use infless::core::platform::{InflessConfig, InflessPlatform};
 use infless::models::ModelId;
 use infless::sim::SimDuration;
 use infless::workload::trace_io::{read_csv, series_to_row, write_csv, TraceRow};
@@ -71,13 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let workload = Workload::build(&loads, 91);
-    let report = InflessPlatform::new(
-        ClusterSpec::testbed(),
-        functions,
-        InflessConfig::default(),
-        91,
-    )
-    .run(&workload);
+    let report = System::Infless.run(ClusterSpec::testbed(), &functions, &workload, 91);
 
     println!(
         "\nreplay: {} completed, {} dropped, {:.2}% SLO violations, thpt/resource {:.3}",

@@ -6,9 +6,9 @@
 //! cargo run --release --example osvt
 //! ```
 
+use infless::baselines::System;
 use infless::cluster::ClusterSpec;
 use infless::core::apps::Application;
-use infless::core::platform::{InflessConfig, InflessPlatform};
 use infless::sim::SimDuration;
 use infless::workload::{FunctionLoad, TracePattern, Workload};
 
@@ -25,13 +25,7 @@ fn main() {
             .map(|(i, _)| FunctionLoad::trace(pattern, mean_rps, duration, 100 + i as u64))
             .collect();
         let workload = Workload::build(&loads, 7);
-        let report = InflessPlatform::new(
-            ClusterSpec::testbed(),
-            app.functions().to_vec(),
-            InflessConfig::default(),
-            7,
-        )
-        .run(&workload);
+        let report = System::Infless.run(ClusterSpec::testbed(), app.functions(), &workload, 7);
 
         println!(
             "--- {} trace ({} requests over {}) ---",

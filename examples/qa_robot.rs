@@ -7,9 +7,9 @@
 //! cargo run --release --example qa_robot
 //! ```
 
+use infless::baselines::System;
 use infless::cluster::ClusterSpec;
 use infless::core::apps::Application;
-use infless::core::platform::{InflessConfig, InflessPlatform};
 use infless::sim::SimDuration;
 use infless::workload::{FunctionLoad, TracePattern, Workload};
 
@@ -24,13 +24,7 @@ fn main() {
         .collect();
     let workload = Workload::build(&loads, 13);
 
-    let report = InflessPlatform::new(
-        ClusterSpec::testbed(),
-        app.functions().to_vec(),
-        InflessConfig::default(),
-        13,
-    )
-    .run(&workload);
+    let report = System::Infless.run(ClusterSpec::testbed(), app.functions(), &workload, 13);
 
     println!(
         "Q&A robot, bursty load, {} requests over {} — SLO 50 ms\n",

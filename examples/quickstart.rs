@@ -6,10 +6,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use infless::baselines::{BatchPlatform, CostModel, ReactiveConfig, ReactivePlatform};
+use infless::baselines::{CostModel, System};
 use infless::cluster::ClusterSpec;
 use infless::core::apps::Application;
-use infless::core::platform::{InflessConfig, InflessPlatform};
 use infless::core::RunReport;
 use infless::sim::SimDuration;
 use infless::workload::{FunctionLoad, Workload};
@@ -33,21 +32,9 @@ fn main() {
 
     let cluster = ClusterSpec::testbed();
     let reports: Vec<RunReport> = vec![
-        ReactivePlatform::new(
-            cluster,
-            app.functions().to_vec(),
-            ReactiveConfig::openfaas(),
-            42,
-        )
-        .run(&workload),
-        BatchPlatform::new(cluster, app.functions().to_vec(), 42).run(&workload),
-        InflessPlatform::new(
-            cluster,
-            app.functions().to_vec(),
-            InflessConfig::default(),
-            42,
-        )
-        .run(&workload),
+        System::OpenFaasPlus.run(cluster, app.functions(), &workload, 42),
+        System::Batch.run(cluster, app.functions(), &workload, 42),
+        System::Infless.run(cluster, app.functions(), &workload, 42),
     ];
 
     let cost = CostModel::default();

@@ -7,9 +7,9 @@
 //! cargo run --release --example trace_replay
 //! ```
 
+use infless::baselines::System;
 use infless::cluster::ClusterSpec;
 use infless::core::engine::FunctionInfo;
-use infless::core::platform::{InflessConfig, InflessPlatform};
 use infless::models::ModelId;
 use infless::sim::SimDuration;
 use infless::workload::{FunctionLoad, TracePattern, Workload};
@@ -28,13 +28,7 @@ fn main() {
         "Replaying a 24 h diurnal trace ({} requests, mean 60 RPS) for ResNet-50\n",
         workload.len()
     );
-    let report = InflessPlatform::new(
-        ClusterSpec::testbed(),
-        functions,
-        InflessConfig::default(),
-        2024,
-    )
-    .run(&workload);
+    let report = System::Infless.run(ClusterSpec::testbed(), &functions, &workload, 2024);
 
     println!(
         "completed {}  dropped {}  violations {:.2}%  launches {}  retirements {}\n",

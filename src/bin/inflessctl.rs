@@ -55,8 +55,11 @@ decompositions. Works at every shard count — sharded runs merge
 per-shard buffers into a byte-identical trace. --metrics-out writes an
 end-of-run Prometheus text-format snapshot (gauges sampled at scaler
 ticks plus final counters from the report). --flight-out arms the
-flight recorder: a bounded ring of recent spans appended to the file
-whenever a fault burst hits (single-core runs only, like --trace-out).
+flight recorder: a bounded ring of recent spans written to the file
+whenever a fault burst hits (single-core runs only, like --trace-out);
+a run without a burst leaves the file empty. Every output file is
+created before the run starts: an unwritable path fails with an error
+naming it, before any simulation.
 
 `trace summary` validates a span trace and prints conservation and
 fault-displacement accounting recomputed from the spans alone; `trace
@@ -169,7 +172,7 @@ fn main() -> ExitCode {
         config = config.flight_out(path);
     }
     // An invalid combination (e.g. --shards with telemetry streaming)
-    // surfaces through RunConfig::validate inside execute.
+    // or an unwritable output surfaces from execute before the run.
     match scenario.execute(config) {
         Ok(report) => {
             if canonical {

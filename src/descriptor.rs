@@ -38,28 +38,21 @@
 use std::fmt;
 use std::fs;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
 
 use serde::Deserialize;
 
-use infless_baselines::{BatchPlatform, ReactiveConfig, ReactivePlatform};
+use infless_baselines::{Deployment, RunError, System};
 use infless_cluster::ClusterSpec;
 use infless_core::chains::ChainSpec;
-use infless_core::driver::{self, Platform};
 use infless_core::engine::FunctionInfo;
 use infless_core::metrics::RunReport;
-use infless_core::platform::{ColdStartConfig, InflessConfig, InflessPlatform, ScalePolicy};
+use infless_core::platform::{ColdStartConfig, InflessConfig, ScalePolicy};
 use infless_core::residency::ResidencyConfig;
 use infless_core::runconfig::RunConfig;
-use infless_core::ShardedInfless;
 use infless_faults::{FaultPlan, FaultSchedule};
 use infless_llm::{LlmClass, LlmConfig};
 use infless_models::ModelId;
 use infless_sim::SimDuration;
-use infless_telemetry::{
-    write_decision_trace, DecisionBufferSink, DecisionRecord, FlightRecorder, GaugeRow,
-    MetricsHandle, MetricsRegistry, SpanEvent, TelemetrySink, TraceMeta,
-};
 use infless_workload::{FunctionLoad, TracePattern, Workload};
 
 /// Which platform serves the scenario.
@@ -72,6 +65,17 @@ pub enum PlatformKind {
     Openfaas,
     /// The OTP batching baseline.
     Batch,
+}
+
+impl PlatformKind {
+    /// The platform in the [`System`] registry.
+    fn system(self) -> System {
+        match self {
+            PlatformKind::Infless => System::Infless,
+            PlatformKind::Openfaas => System::OpenFaasPlus,
+            PlatformKind::Batch => System::Batch,
+        }
+    }
 }
 
 /// Cluster shape (defaults to the Table 2 testbed).
@@ -258,129 +262,6 @@ fn default_seed() -> u64 {
     42
 }
 
-/// Everything a platform run needs, built once from the descriptor.
-struct ScenarioParts {
-    functions: Vec<FunctionInfo>,
-    workload: Workload,
-    chains: Vec<ChainSpec>,
-    cluster: ClusterSpec,
-    schedule: FaultSchedule,
-}
-
-/// Wraps a run's telemetry sink with a decisions tap: every decision
-/// record is buffered (for the `--decisions-out` artifact) *and*
-/// forwarded to the inner sink. The tap reports `decisions_enabled`
-/// itself but delegates `enabled` — wrapping a [`infless_telemetry::NullSink`]
-/// turns on decision emission without paying for span construction.
-#[derive(Debug)]
-struct DecisionTap {
-    inner: Box<dyn TelemetrySink>,
-    buf: DecisionBufferSink,
-    meta: Arc<Mutex<Option<TraceMeta>>>,
-}
-
-impl TelemetrySink for DecisionTap {
-    fn enabled(&self) -> bool {
-        self.inner.enabled()
-    }
-
-    fn begin(&mut self, meta: &TraceMeta) {
-        *self.meta.lock().expect("trace meta poisoned") = Some(meta.clone());
-        self.inner.begin(meta);
-    }
-
-    fn record(&mut self, span: SpanEvent) {
-        self.inner.record(span);
-    }
-
-    fn sample(&mut self, row: &GaugeRow) {
-        self.inner.sample(row);
-    }
-
-    fn decisions_enabled(&self) -> bool {
-        true
-    }
-
-    fn record_decision(&mut self, rec: &DecisionRecord) {
-        self.buf.record_decision(rec);
-        self.inner.record_decision(rec);
-    }
-
-    fn finish(&mut self) {
-        self.inner.finish();
-    }
-}
-
-/// Attaches a run's telemetry sink, metrics registry and LLM knobs to
-/// the platform's engine, then drives it over `workload` with
-/// `schedule` injected.
-fn run_attached<P: Platform>(
-    mut platform: P,
-    sink: Box<dyn TelemetrySink>,
-    metrics: Option<MetricsHandle>,
-    llm: LlmConfig,
-    workload: &Workload,
-    schedule: &FaultSchedule,
-) -> RunReport {
-    let engine = platform.engine();
-    engine.set_telemetry(sink);
-    engine.apply_llm(llm);
-    if let Some(handle) = metrics {
-        engine.set_metrics(handle);
-    }
-    driver::run(platform, workload, schedule)
-}
-
-/// Folds the finished report's totals into the metrics registry as
-/// counter families and writes the Prometheus text snapshot.
-fn export_metrics(
-    report: &RunReport,
-    handle: &MetricsHandle,
-    path: &Path,
-) -> Result<(), ScenarioError> {
-    let mut reg = handle.lock().expect("metrics registry poisoned");
-    for f in &report.functions {
-        let labels = [("function", f.name.as_str())];
-        reg.counter_add(
-            "infless_requests_completed_total",
-            "Requests completed.",
-            &labels,
-            f.completed as f64,
-        );
-        reg.counter_add(
-            "infless_requests_dropped_total",
-            "Requests dropped at the gateway.",
-            &labels,
-            f.dropped as f64,
-        );
-        reg.counter_add(
-            "infless_slo_violations_total",
-            "Completed requests that exceeded their latency SLO.",
-            &labels,
-            f.violations as f64,
-        );
-        reg.counter_add(
-            "infless_cold_requests_total",
-            "Completed requests that observed a cold start.",
-            &labels,
-            f.cold_requests as f64,
-        );
-    }
-    for (path_label, count) in [
-        ("cold", report.cold_launches),
-        ("pre_warmed", report.prewarmed_launches),
-        ("swap_in", report.swap_launches),
-    ] {
-        reg.counter_add(
-            "infless_launches_total",
-            "Instance launches by startup path.",
-            &[("path", path_label)],
-            count as f64,
-        );
-    }
-    reg.write_to(path).map_err(ScenarioError::Io)
-}
-
 /// Errors building or running a scenario.
 #[derive(Debug)]
 pub enum ScenarioError {
@@ -390,6 +271,9 @@ pub enum ScenarioError {
     Json(serde_json::Error),
     /// The scenario was semantically invalid.
     Invalid(String),
+    /// The run executor refused the run config or could not write an
+    /// output file.
+    Run(RunError),
 }
 
 impl fmt::Display for ScenarioError {
@@ -398,6 +282,7 @@ impl fmt::Display for ScenarioError {
             ScenarioError::Io(e) => write!(f, "failed to read scenario: {e}"),
             ScenarioError::Json(e) => write!(f, "failed to parse scenario: {e}"),
             ScenarioError::Invalid(m) => write!(f, "invalid scenario: {m}"),
+            ScenarioError::Run(e) => e.fmt(f),
         }
     }
 }
@@ -408,6 +293,7 @@ impl std::error::Error for ScenarioError {
             ScenarioError::Io(e) => Some(e),
             ScenarioError::Json(e) => Some(e),
             ScenarioError::Invalid(_) => None,
+            ScenarioError::Run(e) => Some(e),
         }
     }
 }
@@ -415,6 +301,12 @@ impl std::error::Error for ScenarioError {
 impl From<std::io::Error> for ScenarioError {
     fn from(e: std::io::Error) -> Self {
         ScenarioError::Io(e)
+    }
+}
+
+impl From<RunError> for ScenarioError {
+    fn from(e: RunError) -> Self {
+        ScenarioError::Run(e)
     }
 }
 
@@ -508,169 +400,43 @@ impl Scenario {
         Ok(())
     }
 
-    /// Builds the function table, chains and workload, runs the chosen
-    /// platform to completion under `config`, and returns the report.
+    /// Builds the function table, chains and workload, and serves them
+    /// on the chosen platform under `config` through the run executor,
+    /// [`System::serve`].
     ///
     /// The [`RunConfig`] carries everything that varies a run of the
     /// same descriptor: shard count (an explicit count — even 1 —
     /// drives the INFless platform through the epoch-barrier
-    /// [`ShardedInfless`] engine, byte-identically for every shard
-    /// count), a telemetry sink
-    /// (attaching [`infless_telemetry::NullSink`] is bit-identical to
-    /// attaching none), an explicit fault schedule (overrides the
-    /// descriptor's `faults` plan when set), and a residency override
-    /// (overrides the descriptor's `residency` block when set).
+    /// [`infless_core::ShardedInfless`] engine, byte-identically for
+    /// every shard count), a telemetry sink (attaching
+    /// [`infless_telemetry::NullSink`] is bit-identical to attaching
+    /// none), the output files, an explicit fault schedule (overrides
+    /// the descriptor's `faults` plan when set), and residency, LLM and
+    /// scale-policy overrides of the descriptor's blocks.
     ///
     /// # Errors
     ///
     /// Returns [`ScenarioError`] if a CSV load cannot be read or a
-    /// referenced row is missing; [`ScenarioError::Invalid`] when
-    /// `config` fails [`RunConfig::validate`] or requests a sharded
-    /// run for a baseline platform (only the INFless engine is
-    /// sharded).
+    /// referenced row is missing; [`ScenarioError::Run`] when `config`
+    /// fails [`RunConfig::validate`], requests a sharded run for a
+    /// baseline platform (only the INFless engine is sharded), or names
+    /// an output file that cannot be written.
     pub fn execute(&self, config: RunConfig) -> Result<RunReport, ScenarioError> {
-        config
-            .validate()
-            .map_err(|e| ScenarioError::Invalid(e.to_string()))?;
-        let sharded = config.is_sharded().then(|| config.effective_shards());
         let llm = config.llm.unwrap_or(self.llm);
-        let mut parts = self.build_parts(llm)?;
-        if let Some(schedule) = config.fault_schedule {
-            parts.schedule = schedule;
-        }
-        let decisions_out = config.decisions_out;
-        let metrics_out = config.metrics_out;
-        let flight_out = config.flight_out;
-        let metrics = metrics_out.as_ref().map(|_| MetricsRegistry::handle());
-        let policy = config.scale_policy.unwrap_or(self.policy);
-        let infless_config = self.infless_config(config.residency, llm, policy);
-
-        if let Some(shards) = sharded {
-            if self.platform != PlatformKind::Infless {
-                return Err(ScenarioError::Invalid(
-                    "sharded execution requires the INFless platform".into(),
-                ));
-            }
-            let meta = TraceMeta {
-                platform: "INFless".to_string(),
-                functions: parts
-                    .functions
-                    .iter()
-                    .map(|f| f.spec().name().to_string())
-                    .collect(),
-            };
-            let mut runner = ShardedInfless::with_chains(
-                parts.cluster,
-                parts.functions,
-                parts.chains,
-                infless_config,
-                self.seed,
-            )
-            .with_fault_schedule(parts.schedule);
-            if let Some(handle) = &metrics {
-                runner = runner.with_metrics(handle.clone());
-            }
-            let report = match &decisions_out {
-                Some(path) => {
-                    let (report, records) = runner.run_with_decisions(&parts.workload, shards);
-                    write_decision_trace(path, &meta, &records)?;
-                    report
-                }
-                None => runner.run(&parts.workload, shards),
-            };
-            if let (Some(handle), Some(path)) = (&metrics, &metrics_out) {
-                export_metrics(&report, handle, path)?;
-            }
-            return Ok(report);
-        }
-
-        let inner = config
-            .telemetry
-            .unwrap_or_else(|| Box::new(infless_telemetry::NullSink));
-        // The decisions tap buffers every record alongside whatever the
-        // user's sink does with them, so the JSONL artifact can be
-        // written in canonical sort order at the end of the run.
-        let tap = decisions_out.as_ref().map(|_| {
-            (
-                DecisionBufferSink::new(),
-                Arc::new(Mutex::new(None::<TraceMeta>)),
-            )
-        });
-        let sink: Box<dyn TelemetrySink> = match &tap {
-            Some((buf, meta)) => Box::new(DecisionTap {
-                inner,
-                buf: buf.clone(),
-                meta: meta.clone(),
-            }),
-            None => inner,
-        };
-        // The flight recorder wraps outermost so its ring sees every
-        // span, whatever the user sink keeps.
-        let sink: Box<dyn TelemetrySink> = match &flight_out {
-            Some(path) => Box::new(FlightRecorder::new(sink, path.clone())),
-            None => sink,
-        };
-
-        let (cluster, functions, seed) = (parts.cluster, parts.functions, self.seed);
-        let (workload, schedule) = (&parts.workload, &parts.schedule);
-        let report = match self.platform {
-            PlatformKind::Infless => {
-                let chains = parts.chains;
-                let platform =
-                    InflessPlatform::with_chains(cluster, functions, chains, infless_config, seed);
-                run_attached(platform, sink, metrics.clone(), llm, workload, schedule)
-            }
-            PlatformKind::Openfaas => {
-                let platform =
-                    ReactivePlatform::new(cluster, functions, ReactiveConfig::openfaas(), seed);
-                run_attached(platform, sink, metrics.clone(), llm, workload, schedule)
-            }
-            PlatformKind::Batch => {
-                let platform = BatchPlatform::new(cluster, functions, seed);
-                run_attached(platform, sink, metrics.clone(), llm, workload, schedule)
-            }
-        };
-        if let (Some((buf, meta)), Some(path)) = (&tap, &decisions_out) {
-            let mut records = buf.drain();
-            // The sharded merge's order, so single-core and sharded
-            // artifacts are directly comparable.
-            records.sort_by(DecisionRecord::canonical_cmp);
-            let meta = meta
-                .lock()
-                .expect("trace meta poisoned")
-                .take()
-                .expect("set_telemetry announces the run before it starts");
-            write_decision_trace(path, &meta, &records)?;
-        }
-        if let (Some(handle), Some(path)) = (&metrics, &metrics_out) {
-            export_metrics(&report, handle, path)?;
-        }
-        Ok(report)
-    }
-
-    /// The INFless configuration every scenario run uses (LSTH
-    /// keep-alive, the descriptor's residency block unless overridden
-    /// by the run config) — shared by the single-core and sharded
-    /// paths so their reports stay comparable.
-    fn infless_config(
-        &self,
-        residency_override: Option<ResidencyConfig>,
-        llm: LlmConfig,
-        policy: ScalePolicy,
-    ) -> InflessConfig {
-        InflessConfig {
-            coldstart: ColdStartConfig::Lsth { gamma: 0.5 },
-            residency: residency_override.unwrap_or(self.residency),
-            llm,
-            scale_policy: policy,
-            ..InflessConfig::default()
-        }
+        let (deployment, workload) = self.deployment(llm)?;
+        Ok(self
+            .platform
+            .system()
+            .serve(deployment, &workload, config)?)
     }
 
     /// Builds everything a platform needs from the descriptor: the
-    /// function table, the workload, the chains, the cluster spec and
-    /// the fault schedule.
-    fn build_parts(&self, llm: LlmConfig) -> Result<ScenarioParts, ScenarioError> {
+    /// deployment (function table, chains, cluster spec, fault schedule
+    /// and the INFless configuration every scenario run starts from —
+    /// LSTH keep-alive plus the descriptor's residency, LLM and policy
+    /// blocks) and the workload. `llm` is the effective LLM block:
+    /// classes attach only when it is enabled.
+    fn deployment(&self, llm: LlmConfig) -> Result<(Deployment, Workload), ScenarioError> {
         let functions: Vec<FunctionInfo> = self
             .functions
             .iter()
@@ -737,13 +503,21 @@ impl Scenario {
             }
             None => FaultSchedule::empty(),
         };
-        Ok(ScenarioParts {
-            functions,
-            workload,
-            chains,
+        let deployment = Deployment {
             cluster,
-            schedule,
-        })
+            functions,
+            chains,
+            seed: self.seed,
+            faults: schedule,
+            infless: InflessConfig {
+                coldstart: ColdStartConfig::Lsth { gamma: 0.5 },
+                residency: self.residency,
+                llm,
+                scale_policy: self.policy,
+                ..InflessConfig::default()
+            },
+        };
+        Ok((deployment, workload))
     }
 
     /// Builds function `index`'s load, adding a CSV row's invocations

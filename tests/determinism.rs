@@ -2,10 +2,9 @@
 //! every platform — the property that makes A/B comparisons on the same
 //! workload meaningful (and the paper's simulator methodology sound).
 
-use infless::baselines::{BatchPlatform, ReactiveConfig, ReactivePlatform};
+use infless::baselines::System;
 use infless::cluster::ClusterSpec;
 use infless::core::apps::Application;
-use infless::core::platform::{InflessConfig, InflessPlatform};
 use infless::sim::SimDuration;
 use infless::workload::{FunctionLoad, TracePattern, Workload};
 
@@ -56,57 +55,29 @@ fn workload_generation_is_deterministic() {
 #[test]
 fn infless_runs_are_identical_per_seed() {
     let (app, w) = workload(21);
-    let run = || {
-        InflessPlatform::new(
-            ClusterSpec::testbed(),
-            app.functions().to_vec(),
-            InflessConfig::default(),
-            21,
-        )
-        .run(&w)
-    };
+    let run = || System::Infless.run(ClusterSpec::testbed(), app.functions(), &w, 21);
     assert_eq!(digest(&run()), digest(&run()));
 }
 
 #[test]
 fn openfaas_runs_are_identical_per_seed() {
     let (app, w) = workload(22);
-    let run = || {
-        ReactivePlatform::new(
-            ClusterSpec::testbed(),
-            app.functions().to_vec(),
-            ReactiveConfig::openfaas(),
-            22,
-        )
-        .run(&w)
-    };
+    let run = || System::OpenFaasPlus.run(ClusterSpec::testbed(), app.functions(), &w, 22);
     assert_eq!(digest(&run()), digest(&run()));
 }
 
 #[test]
 fn batch_runs_are_identical_per_seed() {
     let (app, w) = workload(23);
-    let run = || BatchPlatform::new(ClusterSpec::testbed(), app.functions().to_vec(), 23).run(&w);
+    let run = || System::Batch.run(ClusterSpec::testbed(), app.functions(), &w, 23);
     assert_eq!(digest(&run()), digest(&run()));
 }
 
 #[test]
 fn different_seeds_change_noise_not_magnitudes() {
     let (app, w) = workload(31);
-    let r1 = InflessPlatform::new(
-        ClusterSpec::testbed(),
-        app.functions().to_vec(),
-        InflessConfig::default(),
-        31,
-    )
-    .run(&w);
-    let r2 = InflessPlatform::new(
-        ClusterSpec::testbed(),
-        app.functions().to_vec(),
-        InflessConfig::default(),
-        32,
-    )
-    .run(&w);
+    let r1 = System::Infless.run(ClusterSpec::testbed(), app.functions(), &w, 31);
+    let r2 = System::Infless.run(ClusterSpec::testbed(), app.functions(), &w, 32);
     // Same workload, different execution noise: totals stay close.
     let a = r1.total_completed() as f64;
     let b = r2.total_completed() as f64;

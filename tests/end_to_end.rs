@@ -2,10 +2,9 @@
 //! must hold on a full platform run — INFless beats both baselines on
 //! throughput per unit of resource while keeping SLO violations low.
 
-use infless::baselines::{BatchPlatform, ReactiveConfig, ReactivePlatform};
+use infless::baselines::System;
 use infless::cluster::ClusterSpec;
 use infless::core::apps::Application;
-use infless::core::platform::{InflessConfig, InflessPlatform};
 use infless::core::RunReport;
 use infless::sim::SimDuration;
 use infless::workload::{FunctionLoad, Workload};
@@ -19,25 +18,9 @@ fn workload(app: &Application, rps: f64, secs: u64, seed: u64) -> Workload {
     Workload::build(&loads, seed)
 }
 
+/// OpenFaaS+, BATCH and INFless, in that order.
 fn run_all(app: &Application, w: &Workload, seed: u64) -> [RunReport; 3] {
-    let cluster = ClusterSpec::testbed();
-    [
-        ReactivePlatform::new(
-            cluster,
-            app.functions().to_vec(),
-            ReactiveConfig::openfaas(),
-            seed,
-        )
-        .run(w),
-        BatchPlatform::new(cluster, app.functions().to_vec(), seed).run(w),
-        InflessPlatform::new(
-            cluster,
-            app.functions().to_vec(),
-            InflessConfig::default(),
-            seed,
-        )
-        .run(w),
-    ]
+    System::trio().map(|s| s.run(ClusterSpec::testbed(), app.functions(), w, seed))
 }
 
 #[test]

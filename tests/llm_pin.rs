@@ -83,12 +83,11 @@ fn read(path: &Path) -> String {
 }
 
 /// Pins a trace too large to commit by its byte length and FNV-1a-64
-/// digest, streaming it, then deletes it. A file the run never wrote
-/// (a flight recorder that never dumped) reads as `absent`.
+/// digest, streaming it, then deletes it. Every requested output is
+/// created before the run starts, so a flight recorder that never
+/// dumped reads as `0 bytes, fnv1a64 cbf29ce484222325`.
 fn digest(path: &Path) -> String {
-    let Ok(mut file) = fs::File::open(path) else {
-        return "absent".to_string();
-    };
+    let mut file = fs::File::open(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     let (mut len, mut hash) = (0u64, 0xcbf2_9ce4_8422_2325u64);
     let mut buf = vec![0u8; 1 << 16];
     loop {
@@ -226,7 +225,7 @@ fn pin_c() -> String {
 }
 
 /// Runs the `(d)` deployment through the library surface, where the
-/// class's KV arena can be set: decisions come through the file sink.
+/// class's KV arena can be set.
 fn pin_d() -> String {
     let mut class = LlmClass::chat();
     class.kv_arena_mb = 40.0; // 800 tokens: two to three mean chat sequences
@@ -243,9 +242,7 @@ fn pin_d() -> String {
         dir.join("gauges.csv"),
         dir.join("decisions.jsonl"),
     );
-    let sink = FileSink::create(Some(&trace), Some(&gauges))
-        .and_then(|s| s.with_decisions(&decisions))
-        .expect("sink");
+    let sink = FileSink::create(Some(&trace), Some(&gauges)).expect("sink");
     let report = System::Infless.execute(
         ClusterSpec::testbed(),
         &functions,
@@ -253,7 +250,8 @@ fn pin_d() -> String {
         5,
         RunConfig::new()
             .llm(LlmConfig::continuous())
-            .telemetry(Box::new(sink)),
+            .telemetry(Box::new(sink))
+            .decisions_out(&decisions),
     );
     let mut out = String::new();
     section(&mut out, "canonical", &report.canonical_json());

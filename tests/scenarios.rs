@@ -69,3 +69,43 @@ fn seed_override_changes_nothing_but_noise() {
     assert_eq!(ra.launches, rb.launches);
     assert_eq!(PlatformKind::Infless, PlatformKind::Infless);
 }
+
+/// An output that cannot be created fails the run up front with an
+/// error naming the path — for every output, eager and sharded, and
+/// without the flight recorder panicking mid-run on a scenario whose
+/// faults would make it dump.
+#[test]
+fn unwritable_outputs_are_reported_by_path() {
+    let dir = std::env::temp_dir().join(format!("infless-no-such-dir-{}", std::process::id()));
+    let shipped = |stem: &str| {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("scenarios")
+            .join(format!("{stem}.json"));
+        Scenario::from_file(path).expect("shipped scenario parses")
+    };
+    let osvt = shipped("osvt");
+    let cases = [
+        (&osvt, RunConfig::new().decisions_out(dir.join("d.jsonl"))),
+        (&osvt, RunConfig::new().metrics_out(dir.join("m.prom"))),
+        (
+            &osvt,
+            RunConfig::new()
+                .shards(2)
+                .decisions_out(dir.join("d.jsonl")),
+        ),
+        (
+            &shipped("swap_sweep"),
+            RunConfig::new().flight_out(dir.join("f.jsonl")),
+        ),
+    ];
+    for (scenario, config) in cases {
+        let label = format!("{config:?}");
+        let err = scenario
+            .execute(config)
+            .expect_err("an unwritable output must fail the run")
+            .to_string();
+        assert!(err.contains("cannot write"), "{label}: {err}");
+        assert!(err.contains(&*dir.to_string_lossy()), "{label}: {err}");
+        assert!(!err.contains("read scenario"), "{label}: {err}");
+    }
+}

@@ -1,10 +1,10 @@
 //! SLO guarantees and auto-scaling behaviour across trace patterns —
 //! the integration-level counterpart of Figs. 14 and 15.
 
+use infless::baselines::System;
 use infless::cluster::ClusterSpec;
 use infless::core::apps::Application;
 use infless::core::engine::FunctionInfo;
-use infless::core::platform::{InflessConfig, InflessPlatform};
 use infless::models::ModelId;
 use infless::sim::SimDuration;
 use infless::workload::{FunctionLoad, TracePattern, Workload};
@@ -19,13 +19,7 @@ fn run_pattern(pattern: TracePattern, mean_rps: f64, mins: u64) -> infless::core
         .map(|(i, _)| FunctionLoad::trace(pattern, mean_rps, duration, 70 + i as u64))
         .collect();
     let workload = Workload::build(&loads, 71);
-    InflessPlatform::new(
-        ClusterSpec::testbed(),
-        app.functions().to_vec(),
-        InflessConfig::default(),
-        71,
-    )
-    .run(&workload)
+    System::Infless.run(ClusterSpec::testbed(), app.functions(), &workload, 71)
 }
 
 #[test]
@@ -108,13 +102,7 @@ fn large_model_tight_slo_is_detected_as_infeasible_or_served() {
     )];
     let loads = vec![FunctionLoad::constant(10.0, SimDuration::from_secs(30))];
     let workload = Workload::build(&loads, 80);
-    let report = InflessPlatform::new(
-        ClusterSpec::testbed(),
-        functions,
-        InflessConfig::default(),
-        80,
-    )
-    .run(&workload);
+    let report = System::Infless.run(ClusterSpec::testbed(), &functions, &workload, 80);
     let total = report.total_completed() + report.total_dropped();
     assert_eq!(total as usize, workload.len());
     if report.total_completed() > 50 {
@@ -134,13 +122,7 @@ fn mixed_application_shares_the_cluster() {
         .map(|_| FunctionLoad::constant(30.0, duration))
         .collect();
     let workload = Workload::build(&loads, 90);
-    let report = InflessPlatform::new(
-        ClusterSpec::testbed(),
-        app.functions().to_vec(),
-        InflessConfig::default(),
-        90,
-    )
-    .run(&workload);
+    let report = System::Infless.run(ClusterSpec::testbed(), app.functions(), &workload, 90);
     // Every function makes progress.
     for f in &report.functions {
         assert!(
@@ -170,8 +152,7 @@ fn memory_tight_cluster_degrades_gracefully() {
     };
     let loads = vec![FunctionLoad::constant(2000.0, SimDuration::from_secs(20))];
     let workload = Workload::build(&loads, 44);
-    let report =
-        InflessPlatform::new(cluster, functions, InflessConfig::default(), 44).run(&workload);
+    let report = System::Infless.run(cluster, &functions, &workload, 44);
     let total = report.total_completed() + report.total_dropped();
     assert_eq!(total as usize, workload.len(), "every request accounted");
     assert!(report.total_completed() > 0, "some capacity fits");
