@@ -40,14 +40,8 @@ fn main() {
             &format!("{} — throughput share by batchsize (ResNet-50)", sys.name()),
         );
         let f = &r.functions[0];
-        let mut batches: Vec<(u32, u64)> = f
-            .per_batch_completed
-            .iter()
-            .map(|(b, n)| (*b, *n))
-            .collect();
-        batches.sort_unstable();
         let mut batch_rows = Vec::new();
-        for (b, n) in &batches {
+        for (b, n) in &f.per_batch_completed {
             let share = *n as f64 / f.completed.max(1) as f64;
             println!("  b={:<3} {:>8} requests ({:>5.1}%)", b, n, share * 100.0);
             batch_rows.push(serde_json::json!({"batch": b, "requests": n, "share": share}));

@@ -18,6 +18,11 @@ pub struct Request {
     pub function: FunctionId,
     /// When it arrived at the platform gateway.
     pub arrival: SimTime,
+    /// When it last entered an instance's batch queue; equal to
+    /// `arrival` until the first successful [`Instance::enqueue`]. A
+    /// displaced request re-dispatched elsewhere is re-stamped, so the
+    /// latest enqueue wins.
+    pub enqueued: SimTime,
 }
 
 /// The non-uniform per-instance configuration: batchsize plus hybrid
@@ -247,8 +252,9 @@ impl Instance {
         self.executed_batches
     }
 
-    /// Tries to enqueue a request into the batch queue. Returns `false`
-    /// (dropping the request) when a full batch is already pending.
+    /// Tries to enqueue a request into the batch queue, stamping `now`
+    /// into its [`Request::enqueued`]. Returns `false` (dropping the
+    /// request, unstamped) when a full batch is already pending.
     pub fn enqueue(&mut self, request: Request, now: SimTime) -> bool {
         if self.queue.len() >= self.config.batch as usize {
             return false;
@@ -256,7 +262,10 @@ impl Instance {
         if self.queue.is_empty() {
             self.queue_opened_at = Some(now);
         }
-        self.queue.push_back(request);
+        self.queue.push_back(Request {
+            enqueued: now,
+            ..request
+        });
         true
     }
 
@@ -413,6 +422,7 @@ mod tests {
             id: RequestId::new(id),
             function: FunctionId::new(0),
             arrival: t,
+            enqueued: t,
         }
     }
 

@@ -13,7 +13,7 @@
 //! then the platform's policy hooks react (that is where systems
 //! differ).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use infless_cluster::{
     ClusterSpec, ClusterState, FunctionId, Instance, InstanceConfig, InstanceId, PlacementError,
@@ -22,7 +22,7 @@ use infless_cluster::{
 use infless_faults::FaultEvent;
 use infless_llm::{LlmBatching, LlmClass, LlmConfig};
 use infless_models::{HardwareModel, ModelId, ModelSpec, ResourceConfig};
-use infless_sim::{EventQueue, SimDuration, SimTime};
+use infless_sim::{EventQueue, FxHashMap, SimDuration, SimTime};
 use infless_telemetry::{
     BreakdownEvent, DecisionEvent, DecisionKind, DecisionReason, DecisionRecord, FaultTag,
     GaugeRow, MetricsHandle, NullSink, SpanEvent, SpanKind, TelemetrySink, TraceMeta,
@@ -176,7 +176,7 @@ pub struct Engine {
     /// predictor's cache. The value is a pure function of the key and
     /// the immutable hardware model, so the memo returns exactly what a
     /// fresh DAG walk would; noise is still drawn once per batch start.
-    batch_latency: HashMap<(ModelId, u32, ResourceConfig), f64>,
+    batch_latency: FxHashMap<(ModelId, u32, ResourceConfig), f64>,
     cluster: ClusterState,
     functions: Vec<FunctionInfo>,
     /// Instance slab, indexed by the raw [`InstanceId`]. Ids are minted
@@ -195,7 +195,7 @@ pub struct Engine {
     gpus_per_server: usize,
     /// Per-server straggler episodes: `(until, slowdown factor)`.
     /// Batches started on a listed server before `until` run slower.
-    straggle: HashMap<ServerId, (SimTime, f64)>,
+    straggle: FxHashMap<ServerId, (SimTime, f64)>,
     /// Outstanding capacity-loss probes.
     recapacity: RecapacityProbes,
     next_instance: u64,
@@ -212,7 +212,7 @@ pub struct Engine {
     finished: Vec<LlmSeq>,
     /// Prompt/output token counts per in-system LLM request, keyed by
     /// raw request id. Minted at arrival, removed at completion/shed.
-    token_table: HashMap<u64, TokenInfo>,
+    token_table: FxHashMap<u64, TokenInfo>,
     /// Lazily-created per-function token-count streams with
     /// shard-invariant labels (`llm/{platform}/fn{i}`). Empty until an
     /// LLM function mints its first request, so non-LLM runs never
@@ -243,12 +243,6 @@ pub struct Engine {
     /// and schedules no events, so a sink-less run is bit-identical to
     /// one that predates the telemetry subsystem.
     telemetry: Box<dyn TelemetrySink>,
-    /// Gateway-arrival → (latest) instance-enqueue instant per
-    /// in-system request, feeding the queueing component of the
-    /// latency decomposition. Always maintained: the breakdown
-    /// histograms are part of the canonical report, so the map cannot
-    /// be gated on a sink.
-    enqueue_at: HashMap<u64, SimTime>,
     /// Per-function monotonic decision sequence numbers — the
     /// tiebreaker that makes a merged multi-shard decision trace
     /// totally ordered (a function is wholly owned by one shard, so
@@ -263,7 +257,7 @@ pub struct Engine {
     decision_inst_seq: Vec<u64>,
     /// Raw instance id → launch ordinal, for decision events that
     /// reference an already-launched instance.
-    decision_inst_ids: HashMap<u64, i64>,
+    decision_inst_ids: FxHashMap<u64, i64>,
     /// Per-function arrival ordinals for the decision trace — the
     /// request-id analogue of `decision_inst_seq`: raw request ids are
     /// engine-global mint order and therefore shard-local, while a
@@ -271,7 +265,7 @@ pub struct Engine {
     /// count. Observability-only.
     decision_req_seq: Vec<u64>,
     /// Raw request id → arrival ordinal.
-    decision_req_ids: HashMap<u64, i64>,
+    decision_req_ids: FxHashMap<u64, i64>,
     /// Host-cache occupancy gauge (MB), set by the owning platform
     /// just before telemetry sampling.
     host_cache_mb: f64,
@@ -503,7 +497,7 @@ impl Engine {
         let gpu_devices = cluster.servers * gpus_per_server;
         Engine {
             hardware,
-            batch_latency: HashMap::new(),
+            batch_latency: FxHashMap::default(),
             cluster: cluster.build(),
             functions,
             slots: Vec::new(),
@@ -511,7 +505,7 @@ impl Engine {
             in_flight_count: 0,
             gpu_busy_pct: vec![0; gpu_devices],
             gpus_per_server,
-            straggle: HashMap::new(),
+            straggle: FxHashMap::default(),
             recapacity: VecDeque::new(),
             next_instance: 0,
             next_request: 0,
@@ -522,7 +516,7 @@ impl Engine {
             llm_batching: LlmBatching::Static,
             live_episodes: 0,
             finished: Vec::new(),
-            token_table: HashMap::new(),
+            token_table: FxHashMap::default(),
             token_streams: Vec::new(),
             seed,
             interference_snapshot: None,
@@ -532,12 +526,11 @@ impl Engine {
             beta,
             collector,
             telemetry: Box::new(NullSink),
-            enqueue_at: HashMap::new(),
             decision_seq: vec![0; n],
             decision_inst_seq: vec![0; n],
-            decision_inst_ids: HashMap::new(),
+            decision_inst_ids: FxHashMap::default(),
             decision_req_seq: vec![0; n],
-            decision_req_ids: HashMap::new(),
+            decision_req_ids: FxHashMap::default(),
             host_cache_mb: 0.0,
             metrics: None,
             now: SimTime::ZERO,
@@ -914,6 +907,7 @@ impl Engine {
             id,
             function: FunctionId::new(function),
             arrival,
+            enqueued: arrival,
         };
         if self.telemetry.decisions_enabled() {
             let ordinal = self.decision_req_seq[function] as i64;
@@ -1198,9 +1192,6 @@ impl Engine {
         }
         let server = inst.placement().server().raw() as i64;
         let full = inst.batch_full();
-        // Latest enqueue wins: a displaced request re-dispatched by the
-        // recovery path attributes the retry delay to queueing.
-        self.enqueue_at.insert(request.id.raw(), now);
         if self.telemetry.enabled() {
             self.emit(
                 SpanKind::Enqueued,
@@ -1336,11 +1327,7 @@ impl Engine {
             } else {
                 SimDuration::ZERO
             };
-            let enqueue_delay = self
-                .enqueue_at
-                .remove(&req.id.raw())
-                .map(|t| t.saturating_since(req.arrival))
-                .unwrap_or(SimDuration::ZERO);
+            let enqueue_delay = req.enqueued.saturating_since(req.arrival);
             let parts = LatencyParts::derive(wait, fl.exec, cold, enqueue_delay, fl.exec_base);
             self.collector
                 .complete_with_parts(function, wait, fl.exec, cold, batch_setting, parts);
@@ -1463,7 +1450,6 @@ impl Engine {
     /// Records a dropped request.
     pub fn drop_request(&mut self, request: &Request) {
         self.token_table.remove(&request.id.raw());
-        self.enqueue_at.remove(&request.id.raw());
         self.collector.drop_request(request.function.raw());
         if self.telemetry.enabled() {
             self.emit(SpanKind::Dropped, self.now, request, -1, -1, 0);
@@ -1475,7 +1461,6 @@ impl Engine {
     /// purposes *and* in the failure section's shed tally.
     pub fn shed_request(&mut self, request: &Request) {
         self.token_table.remove(&request.id.raw());
-        self.enqueue_at.remove(&request.id.raw());
         self.collector.shed(request.function.raw());
         if self.telemetry.enabled() {
             self.emit(SpanKind::Shed, self.now, request, -1, -1, 0);
@@ -2325,11 +2310,7 @@ impl Engine {
             } else {
                 SimDuration::ZERO
             };
-            let enqueue_delay = self
-                .enqueue_at
-                .remove(&seq.req.id.raw())
-                .map(|t| t.saturating_since(seq.req.arrival))
-                .unwrap_or(SimDuration::ZERO);
+            let enqueue_delay = seq.req.enqueued.saturating_since(seq.req.arrival);
             // The episode's interference/straggler multiplier is known,
             // so dividing it out recovers the pre-interference estimate.
             let exec_base = if ep.interf > 1.0 {
@@ -3078,6 +3059,11 @@ mod tests {
             )
             .unwrap();
         drain(&mut engine, &mut queue);
+        let arrival = engine.now();
+        let (kept, dropped) = (engine.mint_request(0), engine.mint_request(0));
+        let t1 = arrival + SimDuration::from_millis(10);
+        engine.advance(t1);
+        assert!(engine.enqueue(id, kept, &mut queue) && engine.enqueue(id, dropped, &mut queue));
         let server = engine.instance(id).placement().server();
         let outcome = engine.on_fault(FaultEvent::ServerCrash { server }, &queue);
         assert_eq!(outcome.killed.len(), 1);
@@ -3090,9 +3076,34 @@ mod tests {
         assert_eq!(engine.cluster().health(server), ServerHealth::Recovering);
         engine.on_fault(FaultEvent::ServerUp { server }, &queue);
         assert_eq!(engine.cluster().health(server), ServerHealth::Up);
+        // Latest enqueue wins: one displaced request is re-dispatched to
+        // a replacement once it is ready (t3 > t1), the other dropped.
+        let b = engine
+            .launch_anywhere(
+                0,
+                cfg(),
+                StartupKind::PreWarmed,
+                SimDuration::from_millis(30),
+                &mut queue,
+            )
+            .unwrap();
+        drain(&mut engine, &mut queue);
+        let t3 = engine.now();
+        engine.drop_request(&outcome.displaced[1]);
+        assert!(engine.enqueue(b, outcome.displaced[0], &mut queue));
+        drain(&mut engine, &mut queue);
         let report = engine.finish();
         assert_eq!(report.failures.server_crashes, 1);
         assert_eq!(report.failures.server_recoveries, 1);
+        let f = &report.functions[0];
+        assert_eq!((f.completed, f.dropped), (1, 1));
+        // The batch starts on its 30 ms timeout, so wait > t3 − arrival
+        // and queueing is min(t3 − arrival, wait) = t3 − arrival, not
+        // t1 − arrival. The dropped request adds no sample.
+        let queueing = &f.breakdown.queueing_ms;
+        assert!(t3 > t1);
+        assert_eq!(queueing.count(), 1);
+        assert_eq!(queueing.min(), Some((t3 - arrival).as_millis_f64()));
     }
 
     #[test]

@@ -92,3 +92,47 @@ pub use router::{DeficitRouter, LeastLoadedScratch, RouterEntry};
 pub use runconfig::{RunConfig, RunConfigError};
 pub use scheduler::{PlacementStrategy, ScheduledInstance, Scheduler, SchedulerConfig};
 pub use sharded::ShardedInfless;
+
+#[cfg(test)]
+mod tests {
+    use std::hash::{BuildHasher, BuildHasherDefault};
+
+    use infless_models::{ModelId, ResourceConfig};
+    use infless_sim::FxHasher;
+
+    /// The per-request and per-batch path keys its caches through
+    /// `FxHashMap`; a std `HashMap`/`HashSet` (randomly seeded SipHash)
+    /// in the non-test code of these files fails the build's tests.
+    #[test]
+    fn no_std_hash_maps_on_the_per_request_path() {
+        for (file, src) in [
+            ("engine.rs", include_str!("engine.rs")),
+            ("predictor.rs", include_str!("predictor.rs")),
+            ("scheduler.rs", include_str!("scheduler.rs")),
+        ] {
+            let code = src.split("#[cfg(test)]").next().unwrap_or(src);
+            for (n, line) in code.lines().enumerate() {
+                let line = line.split("//").next().unwrap_or(line);
+                for name in ["HashMap", "HashSet"] {
+                    let std_map = line.match_indices(name).any(|(i, _)| {
+                        !line[..i].ends_with(|c: char| c.is_alphanumeric() || c == '_')
+                    });
+                    assert!(
+                        !std_map,
+                        "{file}:{}: std {name} on the per-request path: {}",
+                        n + 1,
+                        line.trim()
+                    );
+                }
+            }
+        }
+    }
+
+    /// The COP memo key hashes to the same value on every run and host.
+    #[test]
+    fn cop_key_hash_is_pinned() {
+        let key = (ModelId::ResNet50, 8u32, ResourceConfig::new(2, 20));
+        let hash = BuildHasherDefault::<FxHasher>::default().hash_one(key);
+        assert_eq!(hash, 0x7df9_a38f_1cd4_e679);
+    }
+}

@@ -5,7 +5,7 @@
 //! derived metrics (SLO violation rate, throughput per unit of
 //! resource, cold-start rate, fragment statistics, …).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
 use infless_cluster::InstanceConfig;
@@ -71,7 +71,8 @@ pub struct LatencyParts {
 
 impl LatencyParts {
     /// Partitions a request's `wait`/`exec` phases by clamped cascade:
-    /// `enqueue_delay` (final enqueue − arrival) is credited to
+    /// `enqueue_delay` (the request's own `enqueued − arrival`, stamped
+    /// by its latest successful instance enqueue) is credited to
     /// queueing, the startup overlap to startup, and the remainder of
     /// the wait to batch-wait; `exec_base` (the pre-interference
     /// execution estimate) splits the exec phase into execution and
@@ -166,8 +167,9 @@ pub struct FunctionReport {
     pub exec_ms: Welford,
     /// Cold-start component (ms).
     pub cold_ms: Welford,
-    /// Completed requests per serving-instance batchsize (Fig. 13a/b).
-    pub per_batch_completed: HashMap<u32, u64>,
+    /// Completed requests per serving-instance batchsize (Fig. 13a/b),
+    /// in ascending batchsize order.
+    pub per_batch_completed: BTreeMap<u32, u64>,
     /// SLO latency decomposition histograms (always maintained, so
     /// the report carries them with or without a telemetry sink).
     pub breakdown: BreakdownHists,
@@ -192,7 +194,7 @@ impl FunctionReport {
             queue_ms: Welford::new(),
             exec_ms: Welford::new(),
             cold_ms: Welford::new(),
-            per_batch_completed: HashMap::new(),
+            per_batch_completed: BTreeMap::new(),
             breakdown: BreakdownHists::default(),
             llm: None,
         }
@@ -447,12 +449,7 @@ impl RunReport {
             .functions
             .iter()
             .map(|f| {
-                let mut per_batch: Vec<(u32, u64)> = f
-                    .per_batch_completed
-                    .iter()
-                    .map(|(b, n)| (*b, *n))
-                    .collect();
-                per_batch.sort_unstable();
+                let per_batch: Vec<_> = f.per_batch_completed.iter().collect();
                 let mut v = serde_json::json!({
                     "name": f.name,
                     "slo_ms": f.slo.as_millis_f64(),

@@ -2347,20 +2347,12 @@ mod fault_tests {
         driver::run(platform(&app), &workload, &schedule)
     }
 
-    /// Deterministic fingerprint of the per-function results. HashMap
-    /// debug order varies between two maps built in the same process,
-    /// so order-dependent fields are sorted before formatting.
+    /// Deterministic fingerprint of the per-function results.
     pub(super) fn fn_fingerprint(report: &RunReport) -> String {
-        use std::collections::BTreeMap;
         report
             .functions
             .iter()
             .map(|f| {
-                let batches: BTreeMap<u32, u64> = f
-                    .per_batch_completed
-                    .iter()
-                    .map(|(k, v)| (*k, *v))
-                    .collect();
                 format!(
                     "{} {:?} {} {} {} {} {:?} {:?} {:?} {:?} {:?};",
                     f.name,
@@ -2373,7 +2365,7 @@ mod fault_tests {
                     f.queue_ms,
                     f.exec_ms,
                     f.cold_ms,
-                    batches
+                    f.per_batch_completed
                 )
             })
             .collect()

@@ -13,13 +13,12 @@
 //! profiling noise.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use infless_models::{
     profile::ConfigGrid, HardwareModel, ModelId, ModelSpec, ProfileDatabase, ResourceConfig,
 };
-use infless_sim::SimDuration;
+use infless_sim::{FxHashMap, SimDuration};
 
 /// The default prediction inflation (§3.3: "we choose to increase the
 /// prediction offset by 10% to reduce the risk of SLO violations").
@@ -56,7 +55,7 @@ pub struct CopPredictor {
     db: Arc<ProfileDatabase>,
     hardware: HardwareModel,
     offset: f64,
-    cache: RefCell<HashMap<(ModelId, u32, ResourceConfig), Option<SimDuration>>>,
+    cache: RefCell<FxHashMap<(ModelId, u32, ResourceConfig), Option<SimDuration>>>,
 }
 
 impl CopPredictor {
@@ -84,7 +83,7 @@ impl CopPredictor {
             db: db.into(),
             hardware,
             offset,
-            cache: RefCell::new(HashMap::new()),
+            cache: RefCell::new(FxHashMap::default()),
         }
     }
 

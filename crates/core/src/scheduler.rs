@@ -17,12 +17,10 @@
 //! *free* resources). A placement that exactly fills a server leaves no
 //! fragment and is preferred unconditionally.
 
-use std::collections::HashMap;
-
 use infless_cluster::{ClusterState, InstanceConfig, Placement, Server, ServerId};
 use infless_llm::LlmClass;
 use infless_models::{ModelSpec, ResourceConfig};
-use infless_sim::SimDuration;
+use infless_sim::{FxHashMap, SimDuration};
 use infless_telemetry::{DecisionEvent, DecisionKind, DecisionReason};
 use serde::{Deserialize, Serialize};
 
@@ -113,7 +111,7 @@ pub struct Scheduler {
     /// autoregressive-class discriminant). The last component keeps a
     /// chat and a summarization function sharing one model from
     /// aliasing each other's two-phase feasibility sets.
-    cache: HashMap<(&'static str, SimDuration, u32, Option<LlmKey>), CachedCandidates>,
+    cache: FxHashMap<(&'static str, SimDuration, u32, Option<LlmKey>), CachedCandidates>,
     /// Per-round scratch: the rk-filtered view of the cached masters,
     /// reused across rounds and calls so the steady state allocates
     /// nothing.
@@ -163,7 +161,7 @@ pub struct ResizeCandidate {
 /// free function over the cache field so callers can keep disjoint
 /// borrows of the scheduler's other fields.
 fn plan_entry<'a>(
-    cache: &'a mut HashMap<(&'static str, SimDuration, u32, Option<LlmKey>), CachedCandidates>,
+    cache: &'a mut FxHashMap<(&'static str, SimDuration, u32, Option<LlmKey>), CachedCandidates>,
     config: SchedulerConfig,
     predictor: &CopPredictor,
     function: &FunctionInfo,
@@ -202,7 +200,7 @@ impl Scheduler {
     pub fn new(config: SchedulerConfig) -> Self {
         Scheduler {
             config,
-            cache: HashMap::new(),
+            cache: FxHashMap::default(),
             sets: Vec::new(),
         }
     }

@@ -17,6 +17,8 @@
 //!   sketches, fixed-width histograms, time-weighted integrals) used by
 //!   the schedulers, the LSTH/HHP cold-start policies and the benchmark
 //!   harness.
+//! * [`FxHashMap`] — a `HashMap` over a seedless, deterministic hasher
+//!   for the engine's internal keyed caches.
 //!
 //! # Example
 //!
@@ -38,10 +40,12 @@
 #![warn(missing_docs)]
 
 mod event;
+mod hash;
 mod time;
 
 pub mod rng;
 pub mod stats;
 
 pub use event::{as_of_ties, EventQueue, ScheduledEvent, StagedStream};
+pub use hash::{FxHashMap, FxHasher};
 pub use time::{SimDuration, SimTime};

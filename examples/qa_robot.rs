@@ -46,14 +46,8 @@ fn main() {
             lat.quantile(0.5).unwrap_or(0.0),
             lat.quantile(0.99).unwrap_or(0.0)
         );
-        let mut batches: Vec<(u32, u64)> = f
-            .per_batch_completed
-            .iter()
-            .map(|(b, n)| (*b, *n))
-            .collect();
-        batches.sort_unstable();
-        for (b, n) in batches {
-            let share = n as f64 / f.completed.max(1) as f64 * 100.0;
+        for (b, n) in &f.per_batch_completed {
+            let share = *n as f64 / f.completed.max(1) as f64 * 100.0;
             println!("  batchsize {b:>2}: {n:>7} requests ({share:>5.1}%)");
         }
     }
