@@ -1330,7 +1330,7 @@ impl Engine {
             let enqueue_delay = req.enqueued.saturating_since(req.arrival);
             let parts = LatencyParts::derive(wait, fl.exec, cold, enqueue_delay, fl.exec_base);
             self.collector
-                .complete_with_parts(function, wait, fl.exec, cold, batch_setting, parts);
+                .complete_request(function, wait, fl.exec, cold, parts);
             if decisions_on {
                 self.emit_breakdown(function, req.id.raw(), parts, wait + fl.exec);
             }
@@ -1345,6 +1345,15 @@ impl Engine {
                 );
             }
         }
+        // Exec time, its split and the batch setting are the same for
+        // every request of the batch: record them once for all of them.
+        self.collector.complete_batch(
+            function,
+            fl.exec,
+            fl.exec_base,
+            batch_setting,
+            fl.batch.len() as u64,
+        );
         // Leftover requests may already form a startable batch.
         self.try_start(id, queue);
         // If a partial batch remains, re-arm its timeout.

@@ -107,6 +107,7 @@ mod tests {
     fn no_std_hash_maps_on_the_per_request_path() {
         for (file, src) in [
             ("engine.rs", include_str!("engine.rs")),
+            ("platform.rs", include_str!("platform.rs")),
             ("predictor.rs", include_str!("predictor.rs")),
             ("scheduler.rs", include_str!("scheduler.rs")),
         ] {

@@ -88,8 +88,7 @@ impl LatencyParts {
         let queueing = enqueue_delay.min(wait);
         let startup = cold.min(wait - queueing);
         let batch_wait = wait - queueing - startup;
-        let execution = exec_base.min(exec);
-        let interference = exec - execution;
+        let (execution, interference) = Self::split_exec(exec, exec_base);
         LatencyParts {
             queueing,
             batch_wait,
@@ -97,6 +96,13 @@ impl LatencyParts {
             execution,
             interference,
         }
+    }
+
+    /// The execution/interference split of an exec phase. Both depend
+    /// only on the batch, so every request of one batch shares them.
+    fn split_exec(exec: SimDuration, exec_base: SimDuration) -> (SimDuration, SimDuration) {
+        let execution = exec_base.min(exec);
+        (execution, exec - execution)
     }
 
     /// A decomposition with everything attributed the way the
@@ -120,16 +126,6 @@ pub struct BreakdownHists {
     pub execution_ms: Log2Histogram,
     /// Interference component, ms.
     pub interference_ms: Log2Histogram,
-}
-
-impl BreakdownHists {
-    fn add(&mut self, parts: LatencyParts) {
-        self.queueing_ms.add(parts.queueing.as_millis_f64());
-        self.batch_wait_ms.add(parts.batch_wait.as_millis_f64());
-        self.startup_ms.add(parts.startup.as_millis_f64());
-        self.execution_ms.add(parts.execution.as_millis_f64());
-        self.interference_ms.add(parts.interference.as_millis_f64());
-    }
 }
 
 /// Per-function results.
@@ -688,7 +684,9 @@ impl Collector {
     }
 
     /// Records a completed request with its five-way latency
-    /// decomposition.
+    /// decomposition: the per-request part, then the per-batch part for
+    /// a batch of one. The LLM sequence path calls this; one-shot
+    /// batches call the two parts themselves.
     #[allow(clippy::too_many_arguments)]
     pub fn complete_with_parts(
         &mut self,
@@ -699,22 +697,71 @@ impl Collector {
         batch_setting: u32,
         parts: LatencyParts,
     ) {
+        self.complete_request(function, queue, exec, cold, parts);
+        // `parts.execution` is at most `exec`, so as the base estimate
+        // it splits `exec` back into the same two components.
+        self.complete_batch(function, exec, parts.execution, batch_setting, 1);
+    }
+
+    /// The per-request part of recording a completion: everything that
+    /// varies between the requests of one batch. Ignores
+    /// `parts.execution` and `parts.interference`, which
+    /// [`complete_batch`](Self::complete_batch) records.
+    pub(crate) fn complete_request(
+        &mut self,
+        function: usize,
+        queue: SimDuration,
+        exec: SimDuration,
+        cold: SimDuration,
+        parts: LatencyParts,
+    ) {
         let f = &mut self.functions[function];
         let latency = queue + exec;
         f.completed += 1;
         f.latency_ms.add(latency.as_millis_f64());
         f.queue_ms.add((queue - cold).as_millis_f64());
-        f.exec_ms.add(exec.as_millis_f64());
         f.cold_ms.add(cold.as_millis_f64());
-        f.breakdown.add(parts);
+        let b = &mut f.breakdown;
+        b.queueing_ms.add(parts.queueing.as_millis_f64());
+        b.batch_wait_ms.add(parts.batch_wait.as_millis_f64());
+        b.startup_ms.add(parts.startup.as_millis_f64());
         if latency > f.slo {
             f.violations += 1;
         }
         if !cold.is_zero() {
             f.cold_requests += 1;
         }
-        f.batch_sizes.add(f64::from(batch_setting));
-        *f.per_batch_completed.entry(batch_setting).or_insert(0) += 1;
+    }
+
+    /// The per-batch part of recording `n` completions that share one
+    /// exec phase (`exec`, of which `exec_base` is the pre-interference
+    /// estimate) and one batch setting. Each accumulator sees the same
+    /// values in the same order as `n` single-request records, so the
+    /// report is bit-identical; the bucket lookups happen once.
+    pub(crate) fn complete_batch(
+        &mut self,
+        function: usize,
+        exec: SimDuration,
+        exec_base: SimDuration,
+        batch_setting: u32,
+        n: u64,
+    ) {
+        if n == 0 {
+            return;
+        }
+        let f = &mut self.functions[function];
+        let exec_ms = exec.as_millis_f64();
+        // Welford's update is order-dependent arithmetic: no folding.
+        for _ in 0..n {
+            f.exec_ms.add(exec_ms);
+        }
+        let (execution, interference) = LatencyParts::split_exec(exec, exec_base);
+        f.breakdown.execution_ms.add_n(execution.as_millis_f64(), n);
+        f.breakdown
+            .interference_ms
+            .add_n(interference.as_millis_f64(), n);
+        f.batch_sizes.add_n(f64::from(batch_setting), n);
+        *f.per_batch_completed.entry(batch_setting).or_insert(0) += n;
     }
 
     /// Folds one tick's gauge readings into the run's time-series

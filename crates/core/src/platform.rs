@@ -19,11 +19,10 @@ use infless_llm::LlmConfig;
 use infless_models::{
     profile::ConfigGrid, HardwareCalibration, HardwareModel, ModelSpec, ProfileDatabase,
 };
-use infless_sim::{EventQueue, SimDuration, SimTime};
+use infless_sim::{EventQueue, FxHashMap, SimDuration, SimTime};
 use infless_telemetry::{DecisionEvent, DecisionKind, DecisionReason};
 use infless_workload::Workload;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 use crate::batching::{split_rate, RpsWindow, DEFAULT_ALPHA};
 use crate::chains::{split_slo, split_slo_equal, ChainReport, ChainSpec, ChainSplit};
@@ -188,7 +187,7 @@ struct ChainCtx {
     /// Whether the function is some chain's entry stage.
     entry_of_fn: Vec<Option<usize>>,
     /// Chain-entry timestamps of in-flight stage requests.
-    starts: HashMap<RequestId, SimTime>,
+    starts: FxHashMap<RequestId, SimTime>,
     /// Per-chain end-to-end results.
     reports: Vec<ChainReport>,
 }
@@ -203,7 +202,7 @@ impl ChainCtx {
             chain_of_fn: vec![None; functions],
             next_of_fn: vec![None; functions],
             entry_of_fn: vec![None; functions],
-            starts: HashMap::new(),
+            starts: FxHashMap::default(),
             reports: specs.iter().map(ChainReport::new).collect(),
         };
         for (ci, chain) in specs.iter().enumerate() {
@@ -317,7 +316,7 @@ struct FnState {
     /// Router retunes awaiting their in-flight resizes' completion,
     /// keyed by instance. Entries for instances that die mid-resize
     /// are purged with the routing tables.
-    resize_retunes: HashMap<InstanceId, ResizeRetune>,
+    resize_retunes: FxHashMap<InstanceId, ResizeRetune>,
     /// Sub-minute idle gaps swallowed by the 5 s recording rate limit
     /// since the last recorded sample — folded back into the histogram
     /// (count × max) at the next recorded sample so dense traffic
@@ -441,7 +440,7 @@ impl InflessPlatform {
                 pending_startup: None,
                 host_copy_since: None,
                 candidates_traced: false,
-                resize_retunes: HashMap::new(),
+                resize_retunes: FxHashMap::default(),
                 suppressed_idle_gaps: 0,
                 suppressed_idle_max: SimDuration::ZERO,
             })
