@@ -243,6 +243,12 @@ pub struct Engine {
     /// and schedules no events, so a sink-less run is bit-identical to
     /// one that predates the telemetry subsystem.
     telemetry: Box<dyn TelemetrySink>,
+    /// `telemetry.enabled()`, read once in [`Self::set_telemetry`]: the
+    /// span/gauge gate as a plain field read on the per-request path.
+    spans_on: bool,
+    /// `telemetry.decisions_enabled()`, read once in
+    /// [`Self::set_telemetry`].
+    decisions_on: bool,
     /// Per-function monotonic decision sequence numbers — the
     /// tiebreaker that makes a merged multi-shard decision trace
     /// totally ordered (a function is wholly owned by one shard, so
@@ -526,6 +532,8 @@ impl Engine {
             beta,
             collector,
             telemetry: Box::new(NullSink),
+            spans_on: false,
+            decisions_on: false,
             decision_seq: vec![0; n],
             decision_inst_seq: vec![0; n],
             decision_inst_ids: FxHashMap::default(),
@@ -539,7 +547,9 @@ impl Engine {
 
     /// Attaches a telemetry sink, announcing the run's identity to it.
     /// Spans and gauge rows flow to the sink from then on; attach
-    /// before driving the event loop to capture the whole run.
+    /// before driving the event loop to capture the whole run. The
+    /// sink's two gates are read here, once: a sink answers them the
+    /// same way for its whole life.
     pub fn set_telemetry(&mut self, mut sink: Box<dyn TelemetrySink>) {
         sink.begin(&TraceMeta {
             platform: self.collector.platform().to_string(),
@@ -549,6 +559,8 @@ impl Engine {
                 .map(|f| f.spec().name().to_string())
                 .collect(),
         });
+        self.spans_on = sink.enabled();
+        self.decisions_on = sink.decisions_enabled();
         self.telemetry = sink;
     }
 
@@ -556,7 +568,7 @@ impl Engine {
     /// gate every [`DecisionEvent`] construction on this, mirroring the
     /// span contract: a decision-less run builds nothing.
     pub fn decisions_enabled(&self) -> bool {
-        self.telemetry.decisions_enabled()
+        self.decisions_on
     }
 
     /// Stamps `ev` with the clock and the function's next sequence
@@ -909,7 +921,7 @@ impl Engine {
             arrival,
             enqueued: arrival,
         };
-        if self.telemetry.decisions_enabled() {
+        if self.decisions_on {
             let ordinal = self.decision_req_seq[function] as i64;
             self.decision_req_seq[function] += 1;
             self.decision_req_ids.insert(id.raw(), ordinal);
@@ -918,7 +930,7 @@ impl Engine {
             let info = self.mint_tokens(function);
             self.token_table.insert(id.raw(), info);
         }
-        if self.telemetry.enabled() {
+        if self.spans_on {
             // Timestamped at the gateway arrival, which the BATCH
             // baseline backdates relative to "now".
             self.emit(SpanKind::Arrival, arrival, &request, -1, -1, 0);
@@ -950,7 +962,7 @@ impl Engine {
     }
 
     /// Builds and records one span (`instance`/`server` are raw ids or
-    /// -1). Callers gate on `telemetry.enabled()` so the disabled path
+    /// -1). Callers gate on `spans_on` so the disabled path
     /// never constructs a [`SpanEvent`].
     fn emit(
         &mut self,
@@ -1023,7 +1035,7 @@ impl Engine {
             credit_recapacity(&mut self.recapacity, ready_at, w, &mut self.collector);
         }
         if matches!(startup, StartupKind::SwapIn) {
-            if self.telemetry.enabled() {
+            if self.spans_on {
                 self.emit_swap(SpanKind::SwapBegin, self.now, function, id, placement);
             }
             if ready_at > self.now {
@@ -1032,7 +1044,7 @@ impl Engine {
         } else if ready_at > self.now {
             queue.schedule(ready_at, EngineEvent::InstanceReady(id));
         }
-        if self.telemetry.decisions_enabled() {
+        if self.decisions_on {
             let ordinal = self.decision_inst_seq[function] as i64;
             self.decision_inst_seq[function] += 1;
             self.decision_inst_ids.insert(id.raw(), ordinal);
@@ -1192,7 +1204,7 @@ impl Engine {
         }
         let server = inst.placement().server().raw() as i64;
         let full = inst.batch_full();
-        if self.telemetry.enabled() {
+        if self.spans_on {
             self.emit(
                 SpanKind::Enqueued,
                 now,
@@ -1258,7 +1270,7 @@ impl Engine {
         if !self.is_live(id) {
             return;
         }
-        if self.telemetry.enabled() {
+        if self.spans_on {
             let slot = self.slot(id);
             let function = slot.inst.function().raw();
             let placement = slot.inst.placement();
@@ -1318,8 +1330,8 @@ impl Engine {
             let device = self.device_index(placement.server(), gpu);
             self.gpu_busy_pct[device] -= config.resources().gpu_pct();
         }
-        let telemetry_on = self.telemetry.enabled();
-        let decisions_on = self.telemetry.decisions_enabled();
+        let spans_on = self.spans_on;
+        let decisions_on = self.decisions_on;
         for req in &fl.batch {
             let wait = fl.started - req.arrival;
             let cold = if was_cold && ready_at > req.arrival {
@@ -1334,7 +1346,7 @@ impl Engine {
             if decisions_on {
                 self.emit_breakdown(function, req.id.raw(), parts, wait + fl.exec);
             }
-            if telemetry_on {
+            if spans_on {
                 self.emit(
                     SpanKind::Complete,
                     self.now,
@@ -1460,7 +1472,7 @@ impl Engine {
     pub fn drop_request(&mut self, request: &Request) {
         self.token_table.remove(&request.id.raw());
         self.collector.drop_request(request.function.raw());
-        if self.telemetry.enabled() {
+        if self.spans_on {
             self.emit(SpanKind::Dropped, self.now, request, -1, -1, 0);
         }
     }
@@ -1471,7 +1483,7 @@ impl Engine {
     pub fn shed_request(&mut self, request: &Request) {
         self.token_table.remove(&request.id.raw());
         self.collector.shed(request.function.raw());
-        if self.telemetry.enabled() {
+        if self.spans_on {
             self.emit(SpanKind::Shed, self.now, request, -1, -1, 0);
         }
     }
@@ -1480,7 +1492,7 @@ impl Engine {
     /// platform's recovery policy.
     pub fn record_retry(&mut self, request: &Request) {
         self.collector.retried();
-        if self.telemetry.enabled() {
+        if self.spans_on {
             self.emit(SpanKind::Retried, self.now, request, -1, -1, 0);
         }
     }
@@ -1594,7 +1606,7 @@ impl Engine {
             return;
         }
         self.collector.displaced(displaced.len() as u64);
-        if self.telemetry.enabled() {
+        if self.spans_on {
             for req in displaced {
                 self.telemetry.record(SpanEvent {
                     t_s: self.now.as_secs_f64(),
@@ -1898,7 +1910,7 @@ impl Engine {
                 host_cache_mb_used,
             );
         }
-        if self.telemetry.enabled() {
+        if self.spans_on {
             self.telemetry.sample(&GaugeRow {
                 t_s: self.now.as_secs_f64(),
                 instances,
@@ -2039,7 +2051,7 @@ impl Engine {
         }
         let until = now + exec;
         let batch = self.slot_mut(id).inst.begin_batch(now, until);
-        if self.telemetry.enabled() {
+        if self.spans_on {
             let blen = batch.len() as u32;
             let inst_raw = id.raw() as i64;
             let srv = placement.server().raw() as i64;
@@ -2118,7 +2130,7 @@ impl Engine {
         }
         if blocked {
             self.collector.llm_cache_full(function);
-            if self.telemetry.decisions_enabled() {
+            if self.decisions_on {
                 let mut ev = DecisionEvent::new(DecisionKind::CacheFull);
                 ev.request = if blocked_req >= 0 {
                     self.decision_request_ordinal(blocked_req as u64)
@@ -2174,12 +2186,12 @@ impl Engine {
         let batch = self.slot_mut(id).inst.begin_batch_of(n, now, until);
         debug_assert_eq!(batch.len(), n);
         let bpt = llm.kv_bytes_per_token();
-        let telemetry_on = self.telemetry.enabled();
-        let decisions_on = self.telemetry.decisions_enabled();
+        let spans_on = self.spans_on;
+        let decisions_on = self.decisions_on;
         let mut active = Vec::with_capacity(n);
         for (req, info) in batch.into_iter().zip(infos) {
             self.collector.kv_alloc(u64::from(info.prompt) * bpt);
-            if telemetry_on {
+            if spans_on {
                 self.emit(
                     SpanKind::PrefillStart,
                     now,
@@ -2272,8 +2284,8 @@ impl Engine {
         let llm = *self.functions[function].llm().expect("LLM function");
         let bpt = llm.kv_bytes_per_token();
         let batch_setting = config.batch();
-        let telemetry_on = self.telemetry.enabled();
-        let decisions_on = self.telemetry.decisions_enabled();
+        let spans_on = self.spans_on;
+        let decisions_on = self.decisions_on;
         let srv = placement.server().raw() as i64;
         let inst_raw = id.raw() as i64;
         let nseq = ep.active.len() as u32;
@@ -2293,7 +2305,7 @@ impl Engine {
                 if !std::mem::replace(&mut info.first_token_seen, true) {
                     self.collector
                         .llm_first_token(function, now - req.arrival, llm.ttft_slo);
-                    if telemetry_on {
+                    if spans_on {
                         self.emit(SpanKind::FirstToken, now, &req, inst_raw, srv, nseq);
                     }
                 }
@@ -2347,7 +2359,7 @@ impl Engine {
                 .llm_complete(function, tpot, llm.tpot_slo, u64::from(produced));
             self.collector.kv_free(kv_tokens * bpt);
             self.token_table.remove(&seq.req.id.raw());
-            if telemetry_on {
+            if spans_on {
                 self.emit(SpanKind::DecodeComplete, now, &seq.req, inst_raw, srv, nseq);
                 self.emit(SpanKind::Complete, now, &seq.req, inst_raw, srv, nseq);
             }
@@ -2385,7 +2397,7 @@ impl Engine {
                 ep.resident_tokens += u64::from(info.prompt);
                 ep.pending_prefill_tokens += u64::from(info.prompt);
                 self.collector.kv_alloc(u64::from(info.prompt) * bpt);
-                if telemetry_on {
+                if spans_on {
                     self.emit(SpanKind::PrefillStart, now, &head, inst_raw, srv, nseq);
                 }
                 if decisions_on {

@@ -129,6 +129,27 @@ mod tests {
         }
     }
 
+    /// The engine reads the sink's two gates once, off the incoming
+    /// `sink` in `set_telemetry`, and the per-request path reads the
+    /// cached fields. A call through `telemetry` anywhere in the engine
+    /// is a virtual call per request and would bypass the cache.
+    #[test]
+    fn telemetry_gates_are_read_only_at_attach() {
+        let src = include_str!("engine.rs");
+        let code = src.split("#[cfg(test)]").next().unwrap_or(src);
+        for (n, line) in code.lines().enumerate() {
+            let line = line.split("//").next().unwrap_or(line);
+            for gate in ["telemetry.enabled()", "telemetry.decisions_enabled()"] {
+                assert!(
+                    !line.contains(gate),
+                    "engine.rs:{}: `{gate}` outside set_telemetry: {}",
+                    n + 1,
+                    line.trim()
+                );
+            }
+        }
+    }
+
     /// The COP memo key hashes to the same value on every run and host.
     #[test]
     fn cop_key_hash_is_pinned() {

@@ -5,19 +5,20 @@
 //! the lowest *credit* `sent / rate`. The original implementation
 //! rebuilt and sorted a candidate `Vec` per request, an O(n log n)
 //! allocation on the hottest path in the simulator. [`DeficitRouter`]
-//! replaces it with a keyed binary min-heap over the same credits:
+//! replaces it with a binary min-heap of cached credits:
 //!
-//! * **Allocation-free in steady state.** The heap, its position
-//!   index and the retry scratch buffer are reused across dispatches;
-//!   after warm-up a dispatch performs no allocation.
-//! * **O(log n) per dispatch.** One pop + one reinsert when the best
-//!   instance accepts; instances whose pending batch is full are set
-//!   aside in a scratch buffer and reinserted after the decision.
-//! * **Identical routing order.** The heap orders by
-//!   `(credit, insertion index)`, exactly the order a stable sort by
-//!   credit produces, so routing decisions match the straightforward
-//!   reference implementation request for request (pinned by a
-//!   property test below).
+//! * **One division and one sift-down per dispatch, no allocation.**
+//!   Heap slots hold `(credit, entry index)`, so comparisons never
+//!   divide. The accepting root is charged in place (`sent += 1`, key
+//!   recomputed); a credit only grows, so it can only sink. Instances
+//!   whose pending batch is full wait in a reused scratch buffer and
+//!   are reinserted, keys unchanged, after the decision.
+//! * **Identical routing order.** `(credit, insertion index)` is a
+//!   strict total order, the order a stable sort by credit produces,
+//!   so every valid heap yields the same minimum. A cached key comes
+//!   from the same `sent / rate` expression as a fresh one, so it is
+//!   bit-equal to it. Routing matches the straightforward reference
+//!   implementation request for request (pinned by a property test).
 //!
 //! Credit staleness fix: credits are *relative* — an entry added to a
 //! set whose veterans carry large `sent` counters would have credit 0
@@ -55,22 +56,27 @@ impl RouterEntry {
     }
 }
 
-/// Marker for "not in the heap" in the position index.
-const ABSENT: u32 = u32::MAX;
+/// A heap slot: an entry's cached credit and its index in `entries`.
+type Key = (f64, u32);
 
-/// Keyed min-heap over dispatch-set credits. See the module docs.
+/// The strict `(credit, index)` order. A credit is never NaN: `rate`
+/// is positive and `sent` finite (a subnormal rate gives `inf`, which
+/// ties with `inf` and falls back to the index).
+fn less(a: Key, b: Key) -> bool {
+    debug_assert!(!a.0.is_nan() && !b.0.is_nan(), "credits are never NaN");
+    a.0 < b.0 || (a.0 == b.0 && a.1 < b.1)
+}
+
+/// Min-heap of cached dispatch-set credits. See the module docs.
 #[derive(Debug, Default)]
 pub struct DeficitRouter {
     /// Entries in insertion order (the tie-break order).
     entries: Vec<RouterEntry>,
-    /// Binary min-heap of indices into `entries`, keyed by
-    /// `(credit, index)`.
-    heap: Vec<u32>,
-    /// `pos[i]` = slot of entry `i` in `heap`, or [`ABSENT`].
-    pos: Vec<u32>,
+    /// Binary min-heap under [`less`] over the positive-rate entries.
+    heap: Vec<Key>,
     /// Entries popped as full during the current dispatch, awaiting
     /// reinsertion. Reused across calls.
-    scratch: Vec<u32>,
+    scratch: Vec<Key>,
     /// When set, the heap is rebuilt lazily before the next dispatch
     /// (membership or rate changes invalidate it wholesale).
     dirty: bool,
@@ -169,101 +175,98 @@ impl DeficitRouter {
         }
         debug_assert!(self.scratch.is_empty());
         let mut hit = None;
-        while let Some(idx) = self.pop_min() {
-            if try_enqueue(self.entries[idx as usize].id) {
-                self.entries[idx as usize].sent += 1;
-                hit = Some(self.entries[idx as usize].id);
-                self.insert(idx);
+        while let Some(&(_, idx)) = self.heap.first() {
+            let e = &mut self.entries[idx as usize];
+            if try_enqueue(e.id) {
+                e.sent += 1;
+                self.heap[0].0 = e.credit();
+                hit = Some(e.id);
+                self.sift_down(0);
                 break;
             }
-            self.scratch.push(idx);
+            self.scratch.push(self.heap.swap_remove(0));
+            self.sift_down(0);
         }
-        while let Some(idx) = self.scratch.pop() {
-            self.insert(idx);
+        while let Some(key) = self.scratch.pop() {
+            self.insert(key);
         }
         hit
     }
 
     // --- heap internals ----------------------------------------------------
 
+    /// Recomputes every positive-rate key and heapifies bottom-up.
     fn rebuild(&mut self) {
         self.heap.clear();
-        self.pos.clear();
-        self.pos.resize(self.entries.len(), ABSENT);
-        for i in 0..self.entries.len() {
-            if self.entries[i].rate > 0.0 {
-                self.insert(i as u32);
-            }
+        self.heap.extend(
+            self.entries
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| e.rate > 0.0)
+                .map(|(i, e)| (e.credit(), i as u32)),
+        );
+        for slot in (0..self.heap.len() / 2).rev() {
+            self.sift_down(slot);
         }
         self.dirty = false;
     }
 
-    /// `(credit, index)` strict ordering; finite because `rate > 0`.
-    fn less(&self, a: u32, b: u32) -> bool {
-        let ca = self.entries[a as usize].credit();
-        let cb = self.entries[b as usize].credit();
-        match ca.partial_cmp(&cb).expect("credits are finite") {
-            std::cmp::Ordering::Less => true,
-            std::cmp::Ordering::Greater => false,
-            std::cmp::Ordering::Equal => a < b,
-        }
-    }
-
-    fn insert(&mut self, idx: u32) {
-        let slot = self.heap.len();
-        self.heap.push(idx);
-        self.pos[idx as usize] = slot as u32;
-        self.sift_up(slot);
-    }
-
-    fn pop_min(&mut self) -> Option<u32> {
-        let min = *self.heap.first()?;
-        let last = self.heap.pop().expect("non-empty");
-        self.pos[min as usize] = ABSENT;
-        if !self.heap.is_empty() {
-            self.heap[0] = last;
-            self.pos[last as usize] = 0;
-            self.sift_down(0);
-        }
-        Some(min)
-    }
-
-    fn sift_up(&mut self, mut slot: usize) {
+    fn insert(&mut self, key: Key) {
+        let mut slot = self.heap.len();
+        self.heap.push(key);
         while slot > 0 {
             let parent = (slot - 1) / 2;
-            if self.less(self.heap[slot], self.heap[parent]) {
-                self.swap_slots(slot, parent);
-                slot = parent;
-            } else {
+            if !less(self.heap[slot], self.heap[parent]) {
                 break;
             }
+            self.heap.swap(slot, parent);
+            slot = parent;
         }
     }
 
     fn sift_down(&mut self, mut slot: usize) {
+        let heap = &mut self.heap;
         loop {
             let left = 2 * slot + 1;
-            if left >= self.heap.len() {
+            if left >= heap.len() {
                 break;
             }
             let right = left + 1;
-            let mut best = left;
-            if right < self.heap.len() && self.less(self.heap[right], self.heap[left]) {
-                best = right;
-            }
-            if self.less(self.heap[best], self.heap[slot]) {
-                self.swap_slots(slot, best);
-                slot = best;
+            let best = if right < heap.len() && less(heap[right], heap[left]) {
+                right
             } else {
+                left
+            };
+            if !less(heap[best], heap[slot]) {
                 break;
             }
+            heap.swap(slot, best);
+            slot = best;
         }
     }
 
-    fn swap_slots(&mut self, a: usize, b: usize) {
-        self.heap.swap(a, b);
-        self.pos[self.heap[a] as usize] = a as u32;
-        self.pos[self.heap[b] as usize] = b as u32;
+    /// Asserts the heap invariants: the heap property under [`less`],
+    /// every cached key bit-equal to its entry's credit, and exactly
+    /// the positive-rate entries present. A dirty heap is stale by
+    /// design (the next dispatch rebuilds it), so it is not checked.
+    #[cfg(test)]
+    fn check_heap(&self) {
+        assert!(self.scratch.is_empty());
+        if self.dirty {
+            return;
+        }
+        for (slot, &(key, idx)) in self.heap.iter().enumerate() {
+            assert!(slot == 0 || !less((key, idx), self.heap[(slot - 1) / 2]));
+            assert_eq!(key.to_bits(), self.entries[idx as usize].credit().to_bits());
+        }
+        let mut held: Vec<u32> = self.heap.iter().map(|&(_, idx)| idx).collect();
+        held.sort_unstable();
+        let positive =
+            (0..self.entries.len() as u32).filter(|&i| self.entries[i as usize].rate > 0.0);
+        assert!(
+            held.into_iter().eq(positive),
+            "heap holds the positive-rate entries"
+        );
     }
 }
 
@@ -320,51 +323,26 @@ mod tests {
     }
 
     /// The straightforward reference: filter positive rates, stable
-    /// sort by credit, first acceptor wins — with the same
-    /// reset-credits-on-membership-change rule as the indexed router.
-    #[derive(Default)]
-    struct ReferenceRouter {
-        entries: Vec<RouterEntry>,
+    /// sort by credit, first acceptor wins.
+    fn reference_dispatch(
+        entries: &mut [RouterEntry],
+        mut try_enqueue: impl FnMut(InstanceId) -> bool,
+    ) -> Option<InstanceId> {
+        let mut order: Vec<usize> = (0..entries.len())
+            .filter(|&i| entries[i].rate > 0.0)
+            .collect();
+        order.sort_by(|&a, &b| {
+            let (ka, kb) = (entries[a].credit(), entries[b].credit());
+            ka.partial_cmp(&kb).expect("credits are never NaN")
+        });
+        let i = order.into_iter().find(|&i| try_enqueue(entries[i].id))?;
+        entries[i].sent += 1;
+        Some(entries[i].id)
     }
 
-    impl ReferenceRouter {
-        fn push(&mut self, e: RouterEntry) {
-            self.entries.push(e);
-            self.reset();
-        }
-
-        fn remove_at(&mut self, i: usize) -> RouterEntry {
-            let e = self.entries.remove(i);
-            self.reset();
-            e
-        }
-
-        fn reset(&mut self) {
-            for e in &mut self.entries {
-                e.sent = 0;
-            }
-        }
-
-        fn dispatch(
-            &mut self,
-            mut try_enqueue: impl FnMut(InstanceId) -> bool,
-        ) -> Option<InstanceId> {
-            let mut order: Vec<usize> = (0..self.entries.len())
-                .filter(|&i| self.entries[i].rate > 0.0)
-                .collect();
-            order.sort_by(|&a, &b| {
-                let ka = self.entries[a].credit();
-                let kb = self.entries[b].credit();
-                ka.partial_cmp(&kb).expect("finite")
-            });
-            for i in order {
-                if try_enqueue(self.entries[i].id) {
-                    self.entries[i].sent += 1;
-                    return Some(self.entries[i].id);
-                }
-            }
-            None
-        }
+    /// The reference's credit reset on every membership change.
+    fn reset(entries: &mut [RouterEntry]) {
+        entries.iter_mut().for_each(|e| e.sent = 0);
     }
 
     #[test]
@@ -455,45 +433,64 @@ mod tests {
 
     #[derive(Debug, Clone)]
     enum Op {
-        Push { rate: f64 },
+        Push { rates: Vec<f64> },
         RemoveAt(usize),
         Retune { rates: Vec<f64> },
         ResetCredits,
-        Dispatch { salt: u64 },
+        DispatchMany { n: usize, salt: u64 },
     }
 
-    fn op_strategy() -> impl Strategy<Value = Op> {
+    /// Integer rates give exact credit ties, `r / 7` rates inexact
+    /// credits, and the smallest subnormal rate `inf` credits that tie.
+    fn rate_strategy() -> impl Strategy<Value = f64> {
         prop_oneof![
-            (1u64..200).prop_map(|r| Op::Push { rate: r as f64 }),
-            (0usize..8).prop_map(Op::RemoveAt),
-            prop::collection::vec(0u64..50, 0..8).prop_map(|rs| Op::Retune {
-                rates: rs.iter().map(|&r| r as f64).collect()
-            }),
+            (1u64..200).prop_map(|r| r as f64),
+            (1u64..200).prop_map(|r| r as f64 / 7.0),
+            Just(f64::from_bits(1)),
+        ]
+    }
+
+    /// Pushes come in runs, so up to ~64 entries build heaps 6 levels
+    /// deep.
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        let retune_rate = prop_oneof![Just(0.0), rate_strategy(), rate_strategy()];
+        prop_oneof![
+            prop::collection::vec(rate_strategy(), 1..6).prop_map(|rates| Op::Push { rates }),
+            (0usize..64).prop_map(Op::RemoveAt),
+            prop::collection::vec(retune_rate, 0..64).prop_map(|rates| Op::Retune { rates }),
             Just(Op::ResetCredits),
-            (0u64..20).prop_map(|salt| Op::Dispatch { salt }),
+            (0u64..20).prop_map(|salt| Op::DispatchMany { n: 1, salt }),
+            (1usize..200, 0u64..20).prop_map(|(n, salt)| Op::DispatchMany { n, salt }),
         ]
     }
 
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
         /// Tentpole pin: over random dispatch-set churn the indexed
         /// router emits the identical request→instance sequence as the
-        /// reference implementation, and both end in the same state.
+        /// reference implementation, both end in the same state, and
+        /// the heap's invariants hold after every op.
         #[test]
         fn prop_router_matches_reference(ops in prop::collection::vec(op_strategy(), 1..120)) {
             let mut indexed = DeficitRouter::new();
-            let mut reference = ReferenceRouter::default();
+            let mut reference: Vec<RouterEntry> = Vec::new();
             let mut next_id = 0u64;
             for op in ops {
                 match op {
-                    Op::Push { rate } => {
-                        indexed.push(entry(next_id, rate));
-                        reference.push(entry(next_id, rate));
-                        next_id += 1;
+                    Op::Push { rates } => {
+                        for rate in rates {
+                            indexed.push(entry(next_id, rate));
+                            reference.push(entry(next_id, rate));
+                            reset(&mut reference);
+                            next_id += 1;
+                        }
                     }
                     Op::RemoveAt(i) => {
                         if i < indexed.len() {
                             let a = indexed.remove_at(i);
-                            let b = reference.remove_at(i);
+                            let b = reference.remove(i);
+                            reset(&mut reference);
                             prop_assert_eq!(a.id, b.id);
                         }
                     }
@@ -504,28 +501,30 @@ mod tests {
                             }
                         };
                         indexed.retune(apply);
-                        apply(&mut reference.entries);
+                        apply(&mut reference);
                     }
                     Op::ResetCredits => {
                         indexed.reset_credits();
-                        reference.reset();
+                        reset(&mut reference);
                     }
-                    Op::Dispatch { salt } => {
+                    Op::DispatchMany { n, salt } => {
                         // Acceptance must be a pure function of the
                         // instance id so both routers see the same
                         // "queue full" answers.
                         let accept = |id: InstanceId| !(id.raw() + salt).is_multiple_of(4);
-                        let a = indexed.dispatch(accept);
-                        let b = reference.dispatch(accept);
-                        prop_assert_eq!(a, b);
+                        for _ in 0..n {
+                            let b = reference_dispatch(&mut reference, accept);
+                            prop_assert_eq!(indexed.dispatch(accept), b);
+                        }
                     }
                 }
+                indexed.check_heap();
                 // State equivalence after every op.
-                prop_assert_eq!(indexed.len(), reference.entries.len());
-                for (x, y) in indexed.iter().zip(&reference.entries) {
+                prop_assert_eq!(indexed.len(), reference.len());
+                for (x, y) in indexed.iter().zip(&reference) {
                     prop_assert_eq!(x.id, y.id);
                     prop_assert_eq!(x.sent, y.sent);
-                    prop_assert_eq!(x.rate, y.rate);
+                    prop_assert_eq!(x.rate.to_bits(), y.rate.to_bits());
                 }
             }
         }

@@ -197,6 +197,10 @@ pub struct TraceMeta {
 /// engine (and therefore its sink) onto a worker thread at every epoch.
 pub trait TelemetrySink: std::fmt::Debug + Send {
     /// `false` skips span/gauge construction entirely.
+    ///
+    /// The engine reads this once, when the sink is attached
+    /// (`Engine::set_telemetry`), and caches the answer. It must stay
+    /// the same for the sink's whole life.
     fn enabled(&self) -> bool;
 
     /// Called once, before any span, with the run's identity.
@@ -211,6 +215,9 @@ pub trait TelemetrySink: std::fmt::Debug + Send {
     /// `false` skips decision-event construction entirely. Gated
     /// separately from [`enabled`](Self::enabled) so a decisions-only
     /// sink does not pay for span construction (and vice versa).
+    ///
+    /// Like [`enabled`](Self::enabled), read once at attach and cached:
+    /// the answer must stay the same for the sink's whole life.
     fn decisions_enabled(&self) -> bool {
         false
     }
