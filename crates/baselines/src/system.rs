@@ -5,14 +5,16 @@
 //! run: it validates the config, dispatches explicit shard counts to
 //! the epoch-barrier driver, applies the config's overrides onto the
 //! caller's [`Deployment`], opens every requested output file before
-//! the first event, composes and attaches the telemetry sinks, and
-//! writes the decision trace and metrics snapshot at the end.
+//! the first event, composes and attaches the telemetry sinks, streams
+//! the decision trace, and writes the metrics snapshot at the end.
 //! `System::execute` (the bench harness) and `Scenario::execute` (the
 //! descriptor pipeline) both build a deployment and call it.
 
 use std::fmt;
 use std::fs::File;
+use std::io::BufWriter;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 
 use infless_cluster::ClusterSpec;
 use infless_core::chains::ChainSpec;
@@ -24,8 +26,7 @@ use infless_core::runconfig::{RunConfig, RunConfigError};
 use infless_core::sharded::ShardedInfless;
 use infless_faults::FaultSchedule;
 use infless_telemetry::{
-    write_decision_trace, DecisionBufferSink, DecisionRecord, FlightRecorder, GaugeRow,
-    MetricsHandle, MetricsRegistry, NullSink, SpanEvent, TelemetrySink, TraceMeta,
+    DecisionTap, DecisionWriter, FlightRecorder, MetricsHandle, MetricsRegistry, NullSink,
 };
 use infless_workload::Workload;
 
@@ -219,10 +220,12 @@ impl System {
             return Err(RunError::ShardedBaseline(self.name()));
         }
         let create = |path: &PathBuf| File::create(path).map_err(|e| output_error(path, e));
-        for path in [&config.decisions_out, &config.metrics_out]
-            .into_iter()
-            .flatten()
-        {
+        let mut decisions = config
+            .decisions_out
+            .as_ref()
+            .map(|path| Ok(DecisionWriter::new(BufWriter::new(create(path)?))))
+            .transpose()?;
+        if let Some(path) = &config.metrics_out {
             create(path)?;
         }
         let flight = config.flight_out.as_ref().map(create).transpose()?;
@@ -249,28 +252,19 @@ impl System {
             .as_ref()
             .map(|_| MetricsRegistry::handle());
 
-        let (report, records) = if let Some(shards) = shards {
+        let (report, written) = if let Some(shards) = shards {
             let mut runner = ShardedInfless::with_chains(cluster, functions, chains, infless, seed)
                 .with_fault_schedule(schedule);
             if let Some(handle) = &metrics {
                 runner = runner.with_metrics(handle.clone());
             }
-            if config.decisions_out.is_some() {
-                runner.run_with_decisions(workload, shards)
-            } else {
-                (runner.run(workload, shards), Vec::new())
-            }
+            let report = runner.run_into(workload, shards, decisions.as_mut());
+            (report, decisions.map(|mut writer| writer.finish()))
         } else {
             let mut sink = config.telemetry.unwrap_or_else(|| Box::new(NullSink));
-            let tap = config
-                .decisions_out
-                .as_ref()
-                .map(|_| DecisionBufferSink::new());
-            if let Some(buf) = &tap {
-                sink = Box::new(DecisionTap {
-                    inner: sink,
-                    buf: buf.clone(),
-                });
+            let decisions = decisions.map(|writer| Arc::new(Mutex::new(writer)));
+            if let Some(writer) = &decisions {
+                sink = Box::new(DecisionTap::new(sink, writer.clone()));
             }
             // Outermost, so the ring sees every span whatever the
             // inner sinks keep.
@@ -312,19 +306,13 @@ impl System {
                     driver::run(platform, workload, &schedule)
                 }
             };
-            // The sharded merge's order, so single-core and sharded
-            // traces are directly comparable.
-            let mut records = tap.map_or_else(Vec::new, |buf| buf.drain());
-            records.sort_by(DecisionRecord::canonical_cmp);
-            (report, records)
+            let written =
+                decisions.map(|writer| writer.lock().expect("decision writer poisoned").finish());
+            (report, written)
         };
 
-        if let Some(path) = &config.decisions_out {
-            let meta = TraceMeta {
-                platform: report.platform.clone(),
-                functions: report.functions.iter().map(|f| f.name.clone()).collect(),
-            };
-            write_decision_trace(path, &meta, &records).map_err(|e| output_error(path, e))?;
+        if let (Some(path), Some(written)) = (&config.decisions_out, written) {
+            written.map_err(|e| output_error(path, e))?;
         }
         if let (Some(path), Some(handle)) = (&config.metrics_out, &metrics) {
             export_metrics(&report, handle, path)?;
@@ -337,48 +325,6 @@ fn output_error(path: &Path, source: std::io::Error) -> RunError {
     RunError::Output {
         path: path.to_path_buf(),
         source,
-    }
-}
-
-/// Wraps a run's telemetry sink with a decisions tap: every decision
-/// record is buffered (for the decision trace) *and* forwarded to the
-/// inner sink. The tap reports `decisions_enabled` itself but delegates
-/// `enabled`, so wrapping a [`NullSink`] turns on decision emission
-/// without paying for span construction.
-#[derive(Debug)]
-struct DecisionTap {
-    inner: Box<dyn TelemetrySink>,
-    buf: DecisionBufferSink,
-}
-
-impl TelemetrySink for DecisionTap {
-    fn enabled(&self) -> bool {
-        self.inner.enabled()
-    }
-
-    fn begin(&mut self, meta: &TraceMeta) {
-        self.inner.begin(meta);
-    }
-
-    fn record(&mut self, span: SpanEvent) {
-        self.inner.record(span);
-    }
-
-    fn sample(&mut self, row: &GaugeRow) {
-        self.inner.sample(row);
-    }
-
-    fn decisions_enabled(&self) -> bool {
-        true
-    }
-
-    fn record_decision(&mut self, rec: &DecisionRecord) {
-        self.buf.record_decision(rec);
-        self.inner.record_decision(rec);
-    }
-
-    fn finish(&mut self) {
-        self.inner.finish();
     }
 }
 
@@ -432,7 +378,7 @@ mod tests {
     use super::*;
     use infless_models::ModelId;
     use infless_sim::SimDuration;
-    use infless_telemetry::{validate_prometheus_text, MemorySink};
+    use infless_telemetry::{validate_prometheus_text, write_decision_trace, MemorySink};
     use infless_workload::FunctionLoad;
 
     #[test]
@@ -479,11 +425,9 @@ mod tests {
             RunConfig::new().telemetry(Box::new(capture.clone())),
         );
         let store = capture.store();
-        let mut records = store.decisions.clone();
-        assert!(!records.is_empty(), "the run made no decisions");
-        records.sort_by(DecisionRecord::canonical_cmp);
+        assert!(!store.decisions.is_empty(), "the run made no decisions");
         let expected = dir.join("expected.decisions.jsonl");
-        write_decision_trace(&expected, store.meta.as_ref().unwrap(), &records).unwrap();
+        write_decision_trace(&expected, store.meta.as_ref().unwrap(), &store.decisions).unwrap();
         assert_eq!(eager, std::fs::read(&expected).unwrap());
         std::fs::remove_dir_all(&dir).ok();
     }

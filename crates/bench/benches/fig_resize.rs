@@ -21,6 +21,8 @@
 //! capacity that the launch-only policy re-buys cold after each
 //! valley.
 
+use std::sync::{Arc, Mutex};
+
 use infless_bench::{header, quick, record, run_parallel, System};
 use infless_cluster::ClusterSpec;
 use infless_core::engine::FunctionInfo;
@@ -29,7 +31,7 @@ use infless_core::platform::ScalePolicy;
 use infless_core::runconfig::RunConfig;
 use infless_models::ModelId;
 use infless_sim::SimDuration;
-use infless_telemetry::{DecisionBufferSink, DecisionKind, DecisionRecord};
+use infless_telemetry::{DecisionKind, DecisionRecord, DecisionTap, DecisionWriter, NullSink};
 use infless_workload::{FunctionLoad, RateSeries, TracePattern, Workload};
 
 /// The committed ramp shape (see the probe sweep below for how it was
@@ -138,12 +140,19 @@ fn run_traced(
     workload: &Workload,
     seed: u64,
 ) -> (RunReport, Vec<DecisionRecord>) {
-    let sink = DecisionBufferSink::new();
+    let writer = Arc::new(Mutex::new(DecisionWriter::new(Vec::new())));
     let config = RunConfig::new()
         .scale_policy(policy)
-        .telemetry(Box::new(sink.clone()));
+        .telemetry(Box::new(DecisionTap::new(
+            Box::new(NullSink),
+            writer.clone(),
+        )));
     let report = System::Infless.execute(ClusterSpec::testbed(), functions, workload, seed, config);
-    (report, sink.drain())
+    let mut writer = writer.lock().expect("decision writer poisoned");
+    writer
+        .finish()
+        .expect("collecting records in memory cannot fail");
+    (report, std::mem::take(writer.output_mut()))
 }
 
 fn attainment(r: &RunReport) -> f64 {

@@ -16,6 +16,11 @@ pub struct Request {
     pub id: RequestId,
     /// The function it invokes.
     pub function: FunctionId,
+    /// Its arrival ordinal within its function: how many requests for
+    /// the function were minted before it. Unlike `id`, which counts
+    /// every request an engine mints, it is the same at every shard
+    /// count, so the decision trace keys requests by it.
+    pub ordinal: u64,
     /// When it arrived at the platform gateway.
     pub arrival: SimTime,
     /// When it last entered an instance's batch queue; equal to
@@ -421,6 +426,7 @@ mod tests {
         Request {
             id: RequestId::new(id),
             function: FunctionId::new(0),
+            ordinal: id,
             arrival: t,
             enqueued: t,
         }

@@ -254,24 +254,16 @@ pub struct Engine {
     /// totally ordered (a function is wholly owned by one shard, so
     /// its counter is globally unique).
     decision_seq: Vec<u64>,
-    /// Per-function launch ordinals for the decision trace. Raw
-    /// instance ids are dense engine-local slot indices and therefore
-    /// differ across shard counts; launches within a function happen
-    /// in the same order at every shard count, so this ordinal is
-    /// shard-invariant. Observability-only: written when decisions are
-    /// enabled and never read by the simulation.
-    decision_inst_seq: Vec<u64>,
-    /// Raw instance id → launch ordinal, for decision events that
-    /// reference an already-launched instance.
-    decision_inst_ids: FxHashMap<u64, i64>,
-    /// Per-function arrival ordinals for the decision trace — the
-    /// request-id analogue of `decision_inst_seq`: raw request ids are
-    /// engine-global mint order and therefore shard-local, while a
-    /// function's arrivals happen in the same order at every shard
-    /// count. Observability-only.
-    decision_req_seq: Vec<u64>,
-    /// Raw request id → arrival ordinal.
-    decision_req_ids: FxHashMap<u64, i64>,
+    /// Per-function launch counters, the source of
+    /// `InstanceMeta::ordinal`. Raw instance ids are dense engine-local
+    /// slot indices and therefore differ across shard counts; launches
+    /// within a function happen in the same order at every shard
+    /// count, so the ordinal is shard-invariant.
+    launches_minted: Vec<u64>,
+    /// Per-function arrival counters, the source of
+    /// [`Request::ordinal`] — the request analogue of
+    /// `launches_minted`.
+    requests_minted: Vec<u64>,
     /// Host-cache occupancy gauge (MB), set by the owning platform
     /// just before telemetry sampling.
     host_cache_mb: f64,
@@ -285,6 +277,9 @@ pub struct Engine {
 struct InstanceMeta {
     wait_budget: SimDuration,
     startup: StartupKind,
+    /// Launch ordinal within the function: the decision trace's
+    /// shard-invariant instance key.
+    ordinal: u64,
 }
 
 /// One live instance's slab entry: the instance itself plus the
@@ -535,10 +530,8 @@ impl Engine {
             spans_on: false,
             decisions_on: false,
             decision_seq: vec![0; n],
-            decision_inst_seq: vec![0; n],
-            decision_inst_ids: FxHashMap::default(),
-            decision_req_seq: vec![0; n],
-            decision_req_ids: FxHashMap::default(),
+            launches_minted: vec![0; n],
+            requests_minted: vec![0; n],
             host_cache_mb: 0.0,
             metrics: None,
             now: SimTime::ZERO,
@@ -551,17 +544,22 @@ impl Engine {
     /// sink's two gates are read here, once: a sink answers them the
     /// same way for its whole life.
     pub fn set_telemetry(&mut self, mut sink: Box<dyn TelemetrySink>) {
-        sink.begin(&TraceMeta {
+        sink.begin(&self.trace_meta());
+        self.spans_on = sink.enabled();
+        self.decisions_on = sink.decisions_enabled();
+        self.telemetry = sink;
+    }
+
+    /// The run's identity, as announced to every attached sink.
+    pub fn trace_meta(&self) -> TraceMeta {
+        TraceMeta {
             platform: self.collector.platform().to_string(),
             functions: self
                 .functions
                 .iter()
                 .map(|f| f.spec().name().to_string())
                 .collect(),
-        });
-        self.spans_on = sink.enabled();
-        self.decisions_on = sink.decisions_enabled();
-        self.telemetry = sink;
+        }
     }
 
     /// `true` when the attached sink wants decision records. Platforms
@@ -588,22 +586,36 @@ impl Engine {
         seq
     }
 
-    /// The shard-invariant launch ordinal assigned to `id` when its
-    /// launch decision was recorded, or `-1` if decisions were not
-    /// enabled at launch time. Observability-only.
-    pub fn decision_instance_ordinal(&self, id: InstanceId) -> i64 {
-        self.decision_inst_ids.get(&id.raw()).copied().unwrap_or(-1)
+    /// Live instance `id`'s launch ordinal within its function — the
+    /// shard-invariant instance key of the decision trace.
+    pub fn launch_ordinal(&self, id: InstanceId) -> i64 {
+        self.slot(id).meta.ordinal as i64
     }
 
-    /// The shard-invariant arrival ordinal assigned to the request with
-    /// raw id `raw` when it was minted, or `-1` if decisions were not
-    /// enabled at mint time. Observability-only.
-    pub fn decision_request_ordinal(&self, raw: u64) -> i64 {
-        self.decision_req_ids.get(&raw).copied().unwrap_or(-1)
+    /// Records a KV admission decision (`Admit` or `CacheFull`) for
+    /// `req` on instance `id`: `need` tokens asked for, `free` left.
+    fn record_kv_decision(
+        &mut self,
+        kind: DecisionKind,
+        req: &Request,
+        id: InstanceId,
+        batch: usize,
+        need: u64,
+        free: u64,
+    ) {
+        let mut ev = DecisionEvent::new(kind);
+        ev.request = req.ordinal as i64;
+        ev.instance = self.launch_ordinal(id);
+        ev.server = self.slot(id).inst.placement().server().raw() as i64;
+        ev.batch = batch as u32;
+        ev.value = need as f64;
+        ev.aux = free as f64;
+        self.record_decision(req.function.raw(), ev);
     }
 
     /// Emits one per-request latency decomposition on the decisions
-    /// channel. Callers gate on [`Self::decisions_enabled`].
+    /// channel, keyed by the request's arrival ordinal. Callers gate on
+    /// [`Self::decisions_enabled`].
     fn emit_breakdown(
         &mut self,
         function: usize,
@@ -612,13 +624,6 @@ impl Engine {
         total: SimDuration,
     ) {
         let seq = self.next_decision_seq(function);
-        // The trace carries the shard-invariant arrival ordinal, not
-        // the engine-local raw id (see `decision_req_ids`).
-        let request = self
-            .decision_req_ids
-            .get(&request)
-            .map(|&o| o as u64)
-            .unwrap_or(request);
         self.telemetry
             .record_decision(&DecisionRecord::Breakdown(BreakdownEvent {
                 t_s: self.now.as_secs_f64(),
@@ -918,14 +923,11 @@ impl Engine {
         let request = Request {
             id,
             function: FunctionId::new(function),
+            ordinal: self.requests_minted[function],
             arrival,
             enqueued: arrival,
         };
-        if self.decisions_on {
-            let ordinal = self.decision_req_seq[function] as i64;
-            self.decision_req_seq[function] += 1;
-            self.decision_req_ids.insert(id.raw(), ordinal);
-        }
+        self.requests_minted[function] += 1;
         if self.functions[function].llm().is_some() {
             let info = self.mint_tokens(function);
             self.token_table.insert(id.raw(), info);
@@ -1010,11 +1012,14 @@ impl Engine {
             ready_at,
         );
         debug_assert_eq!(id.raw() as usize, self.slots.len(), "ids are dense");
+        let ordinal = self.launches_minted[function];
+        self.launches_minted[function] += 1;
         self.slots.push(Some(Slot {
             inst,
             meta: InstanceMeta {
                 wait_budget,
                 startup,
+                ordinal,
             },
             in_flight: None,
             pending_resize: None,
@@ -1045,11 +1050,8 @@ impl Engine {
             queue.schedule(ready_at, EngineEvent::InstanceReady(id));
         }
         if self.decisions_on {
-            let ordinal = self.decision_inst_seq[function] as i64;
-            self.decision_inst_seq[function] += 1;
-            self.decision_inst_ids.insert(id.raw(), ordinal);
             let mut ev = DecisionEvent::new(DecisionKind::Launch);
-            ev.instance = ordinal;
+            ev.instance = ordinal as i64;
             ev.server = placement.server().raw() as i64;
             ev.batch = config.batch();
             ev.cpu = config.resources().cpu_cores();
@@ -1344,7 +1346,7 @@ impl Engine {
             self.collector
                 .complete_request(function, wait, fl.exec, cold, parts);
             if decisions_on {
-                self.emit_breakdown(function, req.id.raw(), parts, wait + fl.exec);
+                self.emit_breakdown(function, req.ordinal, parts, wait + fl.exec);
             }
             if spans_on {
                 self.emit(
@@ -2110,9 +2112,7 @@ impl Engine {
         let max_batch = config.batch() as usize;
         let mut reserved = 0u64;
         let mut infos: Vec<TokenInfo> = Vec::new();
-        let mut blocked = false;
-        let mut blocked_req = -1i64;
-        let mut blocked_need = 0u64;
+        let mut blocked = None;
         for req in inst.queued() {
             if infos.len() >= max_batch {
                 break;
@@ -2120,28 +2120,17 @@ impl Engine {
             let info = self.token_table[&req.id.raw()];
             let need = u64::from(info.prompt) + u64::from(info.output);
             if !infos.is_empty() && reserved + need > cap {
-                blocked = true;
-                blocked_req = req.id.raw() as i64;
-                blocked_need = need;
+                blocked = Some((*req, need));
                 break;
             }
             reserved += need;
             infos.push(info);
         }
-        if blocked {
+        if let Some((req, need)) = blocked {
             self.collector.llm_cache_full(function);
             if self.decisions_on {
-                let mut ev = DecisionEvent::new(DecisionKind::CacheFull);
-                ev.request = if blocked_req >= 0 {
-                    self.decision_request_ordinal(blocked_req as u64)
-                } else {
-                    -1
-                };
-                ev.instance = self.decision_instance_ordinal(id);
-                ev.server = placement.server().raw() as i64;
-                ev.value = blocked_need as f64;
-                ev.aux = cap.saturating_sub(reserved) as f64;
-                self.record_decision(function, ev);
+                let free = cap.saturating_sub(reserved);
+                self.record_kv_decision(DecisionKind::CacheFull, &req, id, 0, need, free);
             }
         }
         debug_assert!(!infos.is_empty());
@@ -2202,14 +2191,9 @@ impl Engine {
                 );
             }
             if decisions_on {
-                let mut ev = DecisionEvent::new(DecisionKind::Admit);
-                ev.request = self.decision_request_ordinal(req.id.raw());
-                ev.instance = self.decision_instance_ordinal(id);
-                ev.server = placement.server().raw() as i64;
-                ev.batch = n as u32;
-                ev.value = (u64::from(info.prompt) + u64::from(info.output)) as f64;
-                ev.aux = cap.saturating_sub(reserved) as f64;
-                self.record_decision(function, ev);
+                let need = u64::from(info.prompt) + u64::from(info.output);
+                let free = cap.saturating_sub(reserved);
+                self.record_kv_decision(DecisionKind::Admit, &req, id, n, need, free);
             }
             active.push(LlmSeq {
                 req,
@@ -2343,7 +2327,7 @@ impl Engine {
             self.collector
                 .complete_with_parts(function, wait, exec, cold, batch_setting, parts);
             if decisions_on {
-                self.emit_breakdown(function, seq.req.id.raw(), parts, wait + exec);
+                self.emit_breakdown(function, seq.req.ordinal, parts, wait + exec);
             }
             let tpot = if seq.output > 1 {
                 let first = seq
@@ -2381,13 +2365,8 @@ impl Engine {
                 if ep.reserved_tokens + need > cap {
                     self.collector.llm_cache_full(function);
                     if decisions_on {
-                        let mut ev = DecisionEvent::new(DecisionKind::CacheFull);
-                        ev.request = self.decision_request_ordinal(head.id.raw());
-                        ev.instance = self.decision_instance_ordinal(id);
-                        ev.server = srv;
-                        ev.value = need as f64;
-                        ev.aux = cap.saturating_sub(ep.reserved_tokens) as f64;
-                        self.record_decision(function, ev);
+                        let free = cap.saturating_sub(ep.reserved_tokens);
+                        self.record_kv_decision(DecisionKind::CacheFull, &head, id, 0, need, free);
                     }
                     break;
                 }
@@ -2401,14 +2380,9 @@ impl Engine {
                     self.emit(SpanKind::PrefillStart, now, &head, inst_raw, srv, nseq);
                 }
                 if decisions_on {
-                    let mut ev = DecisionEvent::new(DecisionKind::Admit);
-                    ev.request = self.decision_request_ordinal(head.id.raw());
-                    ev.instance = self.decision_instance_ordinal(id);
-                    ev.server = srv;
-                    ev.batch = (ep.active.len() + 1) as u32;
-                    ev.value = need as f64;
-                    ev.aux = cap.saturating_sub(ep.reserved_tokens) as f64;
-                    self.record_decision(function, ev);
+                    let (batch, free) =
+                        (ep.active.len() + 1, cap.saturating_sub(ep.reserved_tokens));
+                    self.record_kv_decision(DecisionKind::Admit, &head, id, batch, need, free);
                 }
                 ep.active.push(LlmSeq {
                     req: head,

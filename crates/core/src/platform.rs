@@ -1010,7 +1010,7 @@ impl InflessPlatform {
             ) else {
                 if decisions_on {
                     let mut ev = DecisionEvent::new(DecisionKind::Resize);
-                    ev.instance = self.engine.decision_instance_ordinal(id);
+                    ev.instance = self.engine.launch_ordinal(id);
                     ev.server = placement.server().raw() as i64;
                     ev.batch = old_cfg.batch();
                     ev.cpu = old_cfg.resources().cpu_cores();
@@ -1047,7 +1047,7 @@ impl InflessPlatform {
                     residual -= cand.window.r_up() - old_r_up;
                     if decisions_on {
                         let mut ev = DecisionEvent::new(DecisionKind::Resize);
-                        ev.instance = self.engine.decision_instance_ordinal(id);
+                        ev.instance = self.engine.launch_ordinal(id);
                         ev.server = new_placement.server().raw() as i64;
                         ev.batch = cand.batch;
                         ev.cpu = cand.resources.cpu_cores();
@@ -1060,7 +1060,7 @@ impl InflessPlatform {
                 Err(_) => {
                     if decisions_on {
                         let mut ev = DecisionEvent::new(DecisionKind::Resize);
-                        ev.instance = self.engine.decision_instance_ordinal(id);
+                        ev.instance = self.engine.launch_ordinal(id);
                         ev.server = placement.server().raw() as i64;
                         ev.batch = cand.batch;
                         ev.cpu = cand.resources.cpu_cores();
@@ -1517,7 +1517,7 @@ impl InflessPlatform {
         );
         if self.engine.decisions_enabled() {
             let mut ev = DecisionEvent::new(DecisionKind::Resize);
-            ev.instance = self.engine.decision_instance_ordinal(id);
+            ev.instance = self.engine.launch_ordinal(id);
             ev.server = new_placement.server().raw() as i64;
             ev.batch = cand.batch;
             ev.cpu = cand.resources.cpu_cores();
@@ -1562,7 +1562,7 @@ impl InflessPlatform {
             if decisions_on {
                 let inst = self.engine.instance(*id);
                 let mut ev = DecisionEvent::new(DecisionKind::Evict);
-                ev.instance = self.engine.decision_instance_ordinal(*id);
+                ev.instance = self.engine.launch_ordinal(*id);
                 ev.server = inst.placement().server().raw() as i64;
                 ev.value = keep_alive.as_secs_f64();
                 ev.aux = inst.idle_for(now).as_secs_f64();

@@ -54,8 +54,8 @@ pub struct RunConfig {
     /// `enabled: false` — is bit-identical to the pre-LLM engine.
     pub llm: Option<LlmConfig>,
     /// Where to write the decision trace (JSONL). Unlike `telemetry`
-    /// this works with sharding: the driver buffers decisions per
-    /// shard and merges them deterministically at epoch barriers.
+    /// this works with sharding: the driver merges every shard's
+    /// records deterministically at epoch barriers.
     pub decisions_out: Option<PathBuf>,
     /// Where to write the Prometheus text-format metrics snapshot at
     /// the end of the run. Works at every shard count.
@@ -157,9 +157,8 @@ impl RunConfig {
         self
     }
 
-    /// Writes a decision trace (JSONL) to `path`. Valid at every shard
-    /// count — sharded runs merge per-shard buffers at epoch barriers
-    /// into a byte-identical trace.
+    /// Writes a decision trace (JSONL) to `path`, streamed in bounded
+    /// memory. Valid at every shard count, with a byte-identical trace.
     pub fn decisions_out(mut self, path: impl Into<PathBuf>) -> Self {
         self.decisions_out = Some(path.into());
         self

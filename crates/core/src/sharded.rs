@@ -45,11 +45,14 @@
 //! [`Engine::use_per_function_noise`]: crate::engine::Engine::use_per_function_noise
 
 use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
 
 use infless_cluster::{ClusterOp, ClusterSpec, InstanceId, ServerHealth, ServerId};
 use infless_faults::{FaultEvent, FaultSchedule};
 use infless_sim::{EventQueue, SimDuration, SimTime, StagedStream};
-use infless_telemetry::{DecisionBufferSink, DecisionRecord, FaultTag, MetricsHandle};
+use infless_telemetry::{
+    DecisionOut, DecisionRecord, DecisionTap, DecisionWriter, FaultTag, MetricsHandle, NullSink,
+};
 use infless_workload::Workload;
 
 use crate::chains::{ChainReport, ChainSpec};
@@ -136,31 +139,36 @@ impl ShardedInfless {
     /// (wall-clock fields excepted; see
     /// [`RunReport::canonical_json`]).
     pub fn run(&self, workload: &Workload, shards: usize) -> RunReport {
-        self.run_inner(workload, shards, None)
+        self.run_into::<Vec<DecisionRecord>>(workload, shards, None)
     }
 
-    /// Like [`run`](Self::run), but taps every shard's decision stream
-    /// through a [`DecisionBufferSink`] and returns the merged records,
-    /// sorted by [`DecisionRecord::canonical_cmp`]. Because decision values
-    /// derive only from shard-invariant quantities and `(t_s, function,
-    /// seq)` is a total order, the returned trace is byte-identical for
-    /// every shard count.
+    /// Like [`run`](Self::run), but returns the decision trace
+    /// [`run_into`](Self::run_into) writes, collected in memory.
     pub fn run_with_decisions(
         &self,
         workload: &Workload,
         shards: usize,
     ) -> (RunReport, Vec<DecisionRecord>) {
-        let mut records = Vec::new();
-        let report = self.run_inner(workload, shards, Some(&mut records));
-        records.sort_by(DecisionRecord::canonical_cmp);
-        (report, records)
+        let mut writer = DecisionWriter::new(Vec::new());
+        let report = self.run_into(workload, shards, Some(&mut writer));
+        writer
+            .finish()
+            .expect("collecting records in memory cannot fail");
+        (report, std::mem::take(writer.output_mut()))
     }
 
-    fn run_inner(
+    /// Like [`run`](Self::run), but taps every shard's decision stream
+    /// into `decisions`, if given: the metadata record first, then at
+    /// each barrier every record strictly before the barrier time.
+    /// Because decision values derive only from shard-invariant
+    /// quantities and `(t_s, function, seq)` is a total order, the trace
+    /// is byte-identical for every shard count. The caller finishes the
+    /// writer.
+    pub fn run_into<O: DecisionOut>(
         &self,
         workload: &Workload,
         shards: usize,
-        mut decisions: Option<&mut Vec<DecisionRecord>>,
+        mut decisions: Option<&mut DecisionWriter<O>>,
     ) -> RunReport {
         let s_count = shards.max(1);
         let (owner_of_fn, owned_by_shard) = self.partition(s_count);
@@ -201,20 +209,29 @@ impl ShardedInfless {
             })
             .collect();
 
-        // Decision tap: one buffer sink per shard. The sink reports
-        // `enabled() == false`, so span/gauge construction stays off
-        // and the run is bit-identical to an untapped one.
-        let taps: Vec<DecisionBufferSink> = if decisions.is_some() {
-            shards_v
-                .iter_mut()
-                .map(|sh| {
-                    let tap = DecisionBufferSink::new();
-                    sh.platform.engine.set_telemetry(Box::new(tap.clone()));
-                    tap
-                })
-                .collect()
-        } else {
-            Vec::new()
+        // Decision tap: one in-memory writer per shard, ordered by the
+        // shard's own clock. The tap wraps a `NullSink`, so span/gauge
+        // construction stays off and the run is bit-identical to an
+        // untapped one.
+        let mut taps = Vec::new();
+        if let Some(writer) = decisions.as_deref_mut() {
+            writer.begin(&shards_v[0].platform.engine.trace_meta());
+            for sh in &mut shards_v {
+                let tap = Arc::new(Mutex::new(DecisionWriter::new(Vec::new())));
+                let sink = DecisionTap::new(Box::new(NullSink), tap.clone());
+                sh.platform.engine.set_telemetry(Box::new(sink));
+                taps.push(tap);
+            }
+        }
+        // Moves every shard's records before `t` into `writer`.
+        let collect = |writer: &mut DecisionWriter<O>, t: f64| {
+            for tap in &taps {
+                let mut shard = tap.lock().expect("decision writer poisoned");
+                shard.flush_below(t);
+                for rec in shard.output_mut().drain(..) {
+                    writer.push(rec);
+                }
+            }
         };
         if let Some(handle) = &self.metrics {
             shards_v[0].platform.engine.set_metrics(handle.clone());
@@ -296,18 +313,18 @@ impl ShardedInfless {
                 }
 
                 self.barrier_sweep(&mut shards_v, &owner_of_fn, k, t_b, &mut probes);
-                if let Some(acc) = decisions.as_deref_mut() {
-                    for tap in &taps {
-                        acc.extend(tap.drain());
-                    }
+                if let Some(writer) = decisions.as_deref_mut() {
+                    // `drain_until` and the sweep both emit at `t_b`
+                    // itself, so only earlier records are final.
+                    let t = t_b.as_secs_f64();
+                    collect(writer, t);
+                    writer.flush_below(t);
                 }
                 t_prev = t_b;
             }
         }
-        if let Some(acc) = decisions {
-            for tap in &taps {
-                acc.extend(tap.drain());
-            }
+        if let Some(writer) = decisions {
+            collect(writer, f64::INFINITY);
         }
 
         self.merge(shards_v, t_prev)

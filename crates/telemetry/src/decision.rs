@@ -16,11 +16,13 @@
 //! from shard-invariant quantities, so a trace merged at epoch barriers
 //! is byte-identical for every shard count.
 
-use std::fmt::Write as _;
-use std::io::Write as _;
+use std::fmt;
+use std::io::{self, Write};
 use std::path::Path;
+use std::sync::{Arc, Mutex};
 
-use crate::sink::TraceMeta;
+use crate::sink::{SpanEvent, TelemetrySink, TraceMeta};
+use crate::timeseries::GaugeRow;
 
 /// What kind of decision a [`DecisionEvent`] records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -325,62 +327,179 @@ impl DecisionRecord {
             .then(self.function().cmp(&other.function()))
             .then(self.seq().cmp(&other.seq()))
     }
+}
 
-    /// Renders the record as one JSONL line (no trailing newline) into
-    /// `out`, which is cleared first.
-    pub fn render(&self, out: &mut String) {
-        out.clear();
+/// The record's JSONL line, without the trailing newline.
+impl fmt::Display for DecisionRecord {
+    fn fmt(&self, out: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DecisionRecord::Decision(d) => {
-                write!(
-                    out,
-                    "{{\"t_s\":{},\"kind\":\"{}\",\"fn\":{},\"seq\":{},\"req\":{},\"inst\":{},\
-                     \"srv\":{},\"batch\":{},\"cpu\":{},\"gpu\":{},\"reason\":\"{}\",\
-                     \"value\":{},\"aux\":{}}}",
-                    d.t_s,
-                    d.kind.name(),
-                    d.function,
-                    d.seq,
-                    d.request,
-                    d.instance,
-                    d.server,
-                    d.batch,
-                    d.cpu,
-                    d.gpu,
-                    d.reason.name(),
-                    d.value,
-                    d.aux,
-                )
-                .expect("write to String cannot fail");
-            }
-            DecisionRecord::Breakdown(b) => {
-                write!(
-                    out,
-                    "{{\"t_s\":{},\"kind\":\"breakdown\",\"fn\":{},\"seq\":{},\"req\":{},\
-                     \"slo_ms\":{},\"queue_ms\":{},\"batch_wait_ms\":{},\"startup_ms\":{},\
-                     \"exec_ms\":{},\"interference_ms\":{},\"total_ms\":{}}}",
-                    b.t_s,
-                    b.function,
-                    b.seq,
-                    b.request,
-                    b.slo_ms,
-                    b.queue_ms,
-                    b.batch_wait_ms,
-                    b.startup_ms,
-                    b.exec_ms,
-                    b.interference_ms,
-                    b.total_ms,
-                )
-                .expect("write to String cannot fail");
-            }
+            DecisionRecord::Decision(d) => write!(
+                out,
+                "{{\"t_s\":{},\"kind\":\"{}\",\"fn\":{},\"seq\":{},\"req\":{},\"inst\":{},\
+                 \"srv\":{},\"batch\":{},\"cpu\":{},\"gpu\":{},\"reason\":\"{}\",\
+                 \"value\":{},\"aux\":{}}}",
+                d.t_s,
+                d.kind.name(),
+                d.function,
+                d.seq,
+                d.request,
+                d.instance,
+                d.server,
+                d.batch,
+                d.cpu,
+                d.gpu,
+                d.reason.name(),
+                d.value,
+                d.aux,
+            ),
+            DecisionRecord::Breakdown(b) => write!(
+                out,
+                "{{\"t_s\":{},\"kind\":\"breakdown\",\"fn\":{},\"seq\":{},\"req\":{},\
+                 \"slo_ms\":{},\"queue_ms\":{},\"batch_wait_ms\":{},\"startup_ms\":{},\
+                 \"exec_ms\":{},\"interference_ms\":{},\"total_ms\":{}}}",
+                b.t_s,
+                b.function,
+                b.seq,
+                b.request,
+                b.slo_ms,
+                b.queue_ms,
+                b.batch_wait_ms,
+                b.startup_ms,
+                b.exec_ms,
+                b.interference_ms,
+                b.total_ms,
+            ),
         }
     }
 }
 
-/// Writes a complete decisions trace: the metadata record followed by
-/// every record, in slice order. The sharded runner sorts its merged
-/// buffer by [`DecisionRecord::canonical_cmp`] first, which makes the file
-/// byte-identical for every shard count.
+/// Where a [`DecisionWriter`] sends records once their order is final.
+pub trait DecisionOut {
+    /// Starts the output with the run's metadata record.
+    fn begin(&mut self, _meta: &TraceMeta) -> io::Result<()> {
+        Ok(())
+    }
+
+    /// Takes the next record in canonical order.
+    fn put(&mut self, rec: &DecisionRecord) -> io::Result<()>;
+
+    /// Flushes buffered output.
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Collects the records in memory.
+impl DecisionOut for Vec<DecisionRecord> {
+    fn put(&mut self, rec: &DecisionRecord) -> io::Result<()> {
+        self.push(*rec);
+        Ok(())
+    }
+}
+
+/// The JSONL trace: the `{"meta":…}` record, then one record per line,
+/// formatted straight into the reused buffer.
+impl<W: Write> DecisionOut for io::BufWriter<W> {
+    fn begin(&mut self, meta: &TraceMeta) -> io::Result<()> {
+        let mut line = String::new();
+        crate::sink::render_meta(meta, &mut line);
+        self.write_all(line.as_bytes())
+    }
+
+    fn put(&mut self, rec: &DecisionRecord) -> io::Result<()> {
+        writeln!(self, "{rec}")
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Write::flush(self)
+    }
+}
+
+/// Writes decision records in [`DecisionRecord::canonical_cmp`] order
+/// as soon as no earlier record can still arrive.
+///
+/// Every record is stamped with its engine's clock, and a clock never
+/// goes back. Once the caller's clock has passed `t`,
+/// [`flush_below`](Self::flush_below) writes every pending record
+/// before `t`. Each written prefix is then a prefix of the whole run's
+/// canonical sort, and `pending` holds only records at or after the
+/// last watermark. The first I/O error is kept for
+/// [`finish`](Self::finish), and nothing is written after it.
+#[derive(Debug)]
+pub struct DecisionWriter<O> {
+    out: O,
+    pending: Vec<DecisionRecord>,
+    watermark: f64,
+    error: Option<io::Error>,
+    pending_peak: usize,
+}
+
+impl<O: DecisionOut> DecisionWriter<O> {
+    /// A writer with nothing pending.
+    pub fn new(out: O) -> Self {
+        DecisionWriter {
+            out,
+            pending: Vec::new(),
+            watermark: f64::NEG_INFINITY,
+            error: None,
+            pending_peak: 0,
+        }
+    }
+
+    /// Writes the metadata record; call before the first record.
+    pub fn begin(&mut self, meta: &TraceMeta) {
+        self.error = self.out.begin(meta).err();
+    }
+
+    /// Holds `rec` until a watermark passes it. A record behind the
+    /// last watermark has lost its place: debug builds panic on one.
+    pub fn push(&mut self, rec: DecisionRecord) {
+        debug_assert!(
+            rec.t_s() >= self.watermark,
+            "decision record behind the watermark t_s = {}: {rec:?}",
+            self.watermark
+        );
+        self.pending.push(rec);
+        self.pending_peak = self.pending_peak.max(self.pending.len());
+    }
+
+    /// Writes every pending record with `t_s < t`, in canonical order.
+    pub fn flush_below(&mut self, t: f64) {
+        self.pending.sort_unstable_by(DecisionRecord::canonical_cmp);
+        let n = self.pending.partition_point(|rec| rec.t_s() < t);
+        for rec in self.pending.drain(..n) {
+            if self.error.is_none() {
+                self.error = self.out.put(&rec).err();
+            }
+        }
+        self.watermark = self.watermark.max(t);
+    }
+
+    /// Writes what remains and flushes the output.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first I/O error of the writer's life.
+    pub fn finish(&mut self) -> io::Result<()> {
+        self.flush_below(f64::INFINITY);
+        let flushed = self.out.flush();
+        self.error.take().map_or(flushed, Err)
+    }
+
+    /// What has been written so far.
+    pub fn output_mut(&mut self) -> &mut O {
+        &mut self.out
+    }
+
+    /// The most records `pending` ever held at once.
+    #[doc(hidden)]
+    pub fn pending_peak(&self) -> usize {
+        self.pending_peak
+    }
+}
+
+/// Writes a complete decisions trace through a [`DecisionWriter`]: the
+/// metadata record, then every record in canonical order.
 ///
 /// # Errors
 ///
@@ -389,18 +508,71 @@ pub fn write_decision_trace(
     path: &Path,
     meta: &TraceMeta,
     records: &[DecisionRecord],
-) -> std::io::Result<()> {
-    let file = std::fs::File::create(path)?;
-    let mut out = std::io::BufWriter::new(file);
-    let mut line = String::with_capacity(256);
-    crate::sink::render_meta(meta, &mut line);
-    out.write_all(line.as_bytes())?;
+) -> io::Result<()> {
+    let mut writer = DecisionWriter::new(io::BufWriter::new(std::fs::File::create(path)?));
+    writer.begin(meta);
     for rec in records {
-        rec.render(&mut line);
-        line.push('\n');
-        out.write_all(line.as_bytes())?;
+        writer.push(*rec);
     }
-    out.flush()
+    writer.finish()
+}
+
+/// Taps a sink's decision stream into a shared [`DecisionWriter`] and
+/// forwards everything to the inner sink. It delegates `enabled`, so
+/// tapping a [`crate::NullSink`] adds no span construction. One engine's
+/// clock is the watermark: a record later than the pending ones flushes
+/// them first. Whoever holds the writer finishes it after the run.
+#[derive(Debug)]
+pub struct DecisionTap<O> {
+    inner: Box<dyn TelemetrySink>,
+    writer: Arc<Mutex<DecisionWriter<O>>>,
+}
+
+impl<O> DecisionTap<O> {
+    /// Taps `inner` into `writer`.
+    pub fn new(inner: Box<dyn TelemetrySink>, writer: Arc<Mutex<DecisionWriter<O>>>) -> Self {
+        DecisionTap { inner, writer }
+    }
+}
+
+impl<O: DecisionOut + std::fmt::Debug + Send> TelemetrySink for DecisionTap<O> {
+    fn enabled(&self) -> bool {
+        self.inner.enabled()
+    }
+
+    fn begin(&mut self, meta: &TraceMeta) {
+        self.writer
+            .lock()
+            .expect("decision writer poisoned")
+            .begin(meta);
+        self.inner.begin(meta);
+    }
+
+    fn record(&mut self, span: SpanEvent) {
+        self.inner.record(span);
+    }
+
+    fn sample(&mut self, row: &GaugeRow) {
+        self.inner.sample(row);
+    }
+
+    fn decisions_enabled(&self) -> bool {
+        true
+    }
+
+    fn record_decision(&mut self, rec: &DecisionRecord) {
+        let mut writer = self.writer.lock().expect("decision writer poisoned");
+        if rec.t_s() > writer.watermark {
+            writer.flush_below(rec.t_s());
+        }
+        writer.push(*rec);
+        drop(writer);
+        self.inner.record_decision(rec);
+    }
+
+    fn finish(&mut self) {
+        self.inner.finish();
+    }
 }
 
 #[cfg(test)]
@@ -459,10 +631,8 @@ mod tests {
         d.gpu = 20;
         d.value = 0.25;
         d.aux = 0.9;
-        let mut line = String::new();
-        DecisionRecord::Decision(d).render(&mut line);
         assert_eq!(
-            line,
+            DecisionRecord::Decision(d).to_string(),
             "{\"t_s\":1.5,\"kind\":\"chosen\",\"fn\":2,\"seq\":7,\"req\":-1,\"inst\":-1,\
              \"srv\":-1,\"batch\":8,\"cpu\":4,\"gpu\":20,\"reason\":\"none\",\
              \"value\":0.25,\"aux\":0.9}"
@@ -480,7 +650,7 @@ mod tests {
             interference_ms: 3.0,
             total_ms: 26.0,
         };
-        DecisionRecord::Breakdown(b).render(&mut line);
+        let line = DecisionRecord::Breakdown(b).to_string();
         assert!(line.contains("\"kind\":\"breakdown\""));
         assert!(line.contains("\"total_ms\":26"));
     }
@@ -497,5 +667,103 @@ mod tests {
         let mut records = [DecisionRecord::Decision(a), DecisionRecord::Decision(b)];
         records.sort_by(DecisionRecord::canonical_cmp);
         assert_eq!(records[0].function(), 0);
+    }
+
+    fn at(t_s: f64, function: u32, seq: u64) -> DecisionRecord {
+        let mut d = DecisionEvent::new(DecisionKind::Launch);
+        d.t_s = t_s;
+        d.function = function;
+        d.seq = seq;
+        DecisionRecord::Decision(d)
+    }
+
+    fn keys(records: &[DecisionRecord]) -> Vec<(f64, u32, u64)> {
+        records
+            .iter()
+            .map(|r| (r.t_s(), r.function(), r.seq()))
+            .collect()
+    }
+
+    #[test]
+    fn writer_sorts_same_instant_records() {
+        let mut writer = DecisionWriter::new(Vec::new());
+        for rec in [at(1.0, 1, 0), at(1.0, 0, 5), at(1.0, 0, 2)] {
+            writer.push(rec);
+        }
+        writer.flush_below(2.0);
+        assert_eq!(
+            keys(writer.output_mut()),
+            [(1.0, 0, 2), (1.0, 0, 5), (1.0, 1, 0)]
+        );
+    }
+
+    #[test]
+    fn writer_holds_a_record_at_the_watermark() {
+        let mut writer = DecisionWriter::new(Vec::new());
+        writer.push(at(2.0, 0, 1));
+        writer.push(at(1.0, 0, 0));
+        writer.flush_below(2.0);
+        assert_eq!(writer.output_mut().len(), 1, "t_s == watermark must wait");
+        // Another record at the watermark instant may still arrive and
+        // sort ahead of the held one.
+        writer.push(at(2.0, 0, 0));
+        writer.finish().unwrap();
+        assert_eq!(
+            keys(writer.output_mut()),
+            [(1.0, 0, 0), (2.0, 0, 0), (2.0, 0, 1)]
+        );
+    }
+
+    #[test]
+    fn writer_finish_writes_the_remainder() {
+        let meta = TraceMeta {
+            platform: "test".into(),
+            functions: vec!["f".into()],
+        };
+        let mut writer = DecisionWriter::new(io::BufWriter::new(Vec::new()));
+        writer.begin(&meta);
+        writer.push(at(3.0, 0, 1));
+        writer.push(at(0.5, 0, 0));
+        writer.flush_below(1.0);
+        assert_eq!(writer.pending_peak(), 2);
+        writer.finish().unwrap();
+        let text = String::from_utf8(writer.output_mut().get_ref().clone()).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 3);
+        assert!(lines[0].starts_with("{\"meta\""));
+        assert!(lines[1].starts_with("{\"t_s\":0.5,"));
+        assert!(lines[2].starts_with("{\"t_s\":3,"));
+    }
+
+    /// A writer whose every write fails.
+    struct Broken;
+
+    impl Write for Broken {
+        fn write(&mut self, _buf: &[u8]) -> io::Result<usize> {
+            Err(io::Error::other("disk full"))
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn writer_keeps_the_first_error_for_finish() {
+        let mut writer = DecisionWriter::new(io::BufWriter::with_capacity(0, Broken));
+        writer.push(at(0.0, 0, 0));
+        writer.flush_below(1.0);
+        writer.push(at(1.0, 0, 1));
+        let err = writer.finish().unwrap_err();
+        assert_eq!(err.to_string(), "disk full");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "behind the watermark")]
+    fn writer_rejects_a_record_behind_the_watermark() {
+        let mut writer = DecisionWriter::new(Vec::new());
+        writer.flush_below(2.0);
+        writer.push(at(1.5, 0, 0));
     }
 }

@@ -37,7 +37,9 @@
 //! consolidator, keep-alive reaper, and KV admission gate acted, plus a
 //! per-request SLO latency decomposition, all on a dedicated
 //! `--decisions-out` channel gated by
-//! [`TelemetrySink::decisions_enabled`]. [`MetricsRegistry`] renders an
+//! [`TelemetrySink::decisions_enabled`]. [`DecisionWriter`] streams
+//! that channel to disk in canonical order, holding only the records
+//! its clock has not yet passed. [`MetricsRegistry`] renders an
 //! exportable Prometheus text surface, and [`FlightRecorder`] keeps a
 //! bounded ring of recent spans that dumps to JSONL on fault bursts.
 
@@ -55,8 +57,8 @@ mod timeseries;
 
 pub use analyze::{analyze, analyze_file, DecisionAnalysis, FunctionAttribution, STAGES};
 pub use decision::{
-    write_decision_trace, BreakdownEvent, DecisionEvent, DecisionKind, DecisionReason,
-    DecisionRecord,
+    write_decision_trace, BreakdownEvent, DecisionEvent, DecisionKind, DecisionOut, DecisionReason,
+    DecisionRecord, DecisionTap, DecisionWriter,
 };
 pub use flight::{
     FlightRecorder, FLIGHT_BURST_THRESHOLD, FLIGHT_BURST_WINDOW_S, FLIGHT_MAX_DUMPS,
@@ -65,8 +67,8 @@ pub use flight::{
 pub use hist::Log2Histogram;
 pub use registry::{validate_prometheus_text, MetricsHandle, MetricsRegistry};
 pub use sink::{
-    DecisionBufferSink, FaultTag, FileSink, MemorySink, MemoryStore, NullSink, SpanEvent, SpanKind,
-    TelemetrySink, TraceMeta, SPAN_RING_CAPACITY,
+    FaultTag, FileSink, MemorySink, MemoryStore, NullSink, SpanEvent, SpanKind, TelemetrySink,
+    TraceMeta, SPAN_RING_CAPACITY,
 };
 pub use summary::{summarize, summarize_file, TraceSummary};
 pub use timeseries::{GaugeRow, TimeseriesSummary};

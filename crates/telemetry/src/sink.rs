@@ -307,53 +307,6 @@ impl TelemetrySink for MemorySink {
     }
 }
 
-/// A decisions-only sink buffering into a shared store — how the
-/// sharded runner taps each shard's decision stream without enabling
-/// span telemetry (which the epoch-barrier path rejects). The
-/// coordinator drains the buffers at every barrier and merges them in
-/// [`DecisionRecord::canonical_cmp`] order.
-#[derive(Debug, Clone, Default)]
-pub struct DecisionBufferSink {
-    buf: Arc<Mutex<Vec<DecisionRecord>>>,
-}
-
-impl DecisionBufferSink {
-    /// An empty buffer sink; clone the handle before installing it.
-    pub fn new() -> Self {
-        DecisionBufferSink::default()
-    }
-
-    /// Drains everything buffered so far, in emission order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a clone poisoned the buffer by panicking mid-record.
-    pub fn drain(&self) -> Vec<DecisionRecord> {
-        std::mem::take(&mut *self.buf.lock().expect("decision buffer poisoned"))
-    }
-}
-
-impl TelemetrySink for DecisionBufferSink {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&mut self, _span: SpanEvent) {}
-
-    fn sample(&mut self, _row: &GaugeRow) {}
-
-    fn decisions_enabled(&self) -> bool {
-        true
-    }
-
-    fn record_decision(&mut self, rec: &DecisionRecord) {
-        self.buf
-            .lock()
-            .expect("decision buffer poisoned")
-            .push(*rec);
-    }
-}
-
 /// A sink writing a JSONL span trace and/or a CSV time-series.
 ///
 /// Formats:

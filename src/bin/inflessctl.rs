@@ -8,6 +8,7 @@
 //! cargo run --release --bin inflessctl -- trace summary trace.jsonl
 //! ```
 
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -51,8 +52,8 @@ to a CSV.
 evaluation and rejection reason, chosen configs, scale-out rounds,
 consolidation commits/rollbacks, keep-alive evictions, launch startup
 paths, continuous-batching admissions, and per-request SLO latency
-decompositions. Works at every shard count — sharded runs merge
-per-shard buffers into a byte-identical trace. --metrics-out writes an
+decompositions. Works at every shard count with a byte-identical trace,
+written as the run goes in bounded memory. --metrics-out writes an
 end-of-run Prometheus text-format snapshot (gauges sampled at scaler
 ticks plus final counters from the report). --flight-out arms the
 flight recorder: a bounded ring of recent spans written to the file
@@ -124,10 +125,7 @@ fn main() -> ExitCode {
                 Some(p) => flight_out = Some(PathBuf::from(p)),
                 None => return usage("--flight-out needs a path"),
             },
-            "-h" | "--help" => {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
+            "-h" | "--help" => return emit(|out| writeln!(out, "{USAGE}")),
             other if path.is_none() && !other.starts_with('-') => path = Some(other.to_string()),
             other => return usage(&format!("unexpected argument {other:?}")),
         }
@@ -174,16 +172,15 @@ fn main() -> ExitCode {
     // An invalid combination (e.g. --shards with telemetry streaming)
     // or an unwritable output surfaces from execute before the run.
     match scenario.execute(config) {
-        Ok(report) => {
+        Ok(report) => emit(|out| {
             if canonical {
-                println!("{}", report.canonical_json());
+                writeln!(out, "{}", report.canonical_json())
             } else if json {
-                print_json(&report);
+                print_json(out, &report)
             } else {
-                print_table(&report);
+                print_table(out, &report)
             }
-            ExitCode::SUCCESS
-        }
+        }),
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
@@ -197,7 +194,9 @@ fn trace_command(args: &[String]) -> ExitCode {
     match args {
         [sub, path] if sub == "summary" => match summarize_file(std::path::Path::new(path)) {
             Ok(summary) => {
-                print!("{summary}");
+                if emit(|out| write!(out, "{summary}")) != ExitCode::SUCCESS {
+                    return ExitCode::FAILURE;
+                }
                 let mut ok = true;
                 if !summary.conserved() {
                     eprintln!(
@@ -225,10 +224,7 @@ fn trace_command(args: &[String]) -> ExitCode {
             }
         },
         [sub, path] if sub == "analyze" => match analyze_file(std::path::Path::new(path)) {
-            Ok(analysis) => {
-                print!("{analysis}");
-                ExitCode::SUCCESS
-            }
+            Ok(analysis) => emit(|out| write!(out, "{analysis}")),
             Err(e) => {
                 eprintln!("error: {e}");
                 ExitCode::FAILURE
@@ -241,30 +237,48 @@ fn trace_command(args: &[String]) -> ExitCode {
     }
 }
 
+/// Writes a command's output to stdout. A reader that closed the pipe
+/// early (`inflessctl … | head`) wanted no more, so that exits 0
+/// quietly; any other write error is reported and exits 1.
+fn emit(write: impl FnOnce(&mut dyn Write) -> io::Result<()>) -> ExitCode {
+    let mut out = io::stdout().lock();
+    match write(&mut out).and_then(|()| out.flush()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: cannot write output: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
 fn usage(problem: &str) -> ExitCode {
     eprintln!("error: {problem}\n\n{USAGE}");
     ExitCode::FAILURE
 }
 
-fn print_table(report: &RunReport) {
-    println!(
+fn print_table(out: &mut dyn Write, report: &RunReport) -> io::Result<()> {
+    writeln!(
+        out,
         "{} served {} requests over {} ({} dropped, {:.2}% SLO violations)",
         report.platform,
         report.total_completed(),
         report.duration,
         report.total_dropped(),
         report.violation_rate() * 100.0
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "throughput/resource {:.3}   cold-start rate {:.3}%   launches {}   retirements {}",
         report.throughput_per_resource(),
         report.cold_request_rate() * 100.0,
         report.launches,
         report.retirements
-    );
+    )?;
     let f = &report.failures;
     if f.any() {
-        println!(
+        writeln!(
+            out,
             "faults: {} crashes ({} recovered), {} instances killed, {} cold-start failures, \
              {} stragglers; displaced {} = retried {} + shed {}{}",
             f.server_crashes,
@@ -279,11 +293,12 @@ fn print_table(report: &RunReport) {
                 .map_or_else(String::new, |m| format!(
                     "; mean time-to-recapacity {m:.0} ms"
                 )),
-        );
+        )?;
     }
     let ts = &report.timeseries_summary;
     if ts.any() {
-        println!(
+        writeln!(
+            out,
             "timeseries: {} samples; peak {} instances (mean {:.1}), peak occupancy cpu {:.1}% \
              gpu {:.1}%, max queue depth {}, peak in-flight batches {}",
             ts.samples,
@@ -293,12 +308,13 @@ fn print_table(report: &RunReport) {
             ts.peak_gpu_occupancy * 100.0,
             ts.max_queue_depth,
             ts.peak_in_flight_batches
-        );
+        )?;
     }
     let disp = &report.dispatch_overhead_ns;
     let sched = &report.sched_overhead_hist_us;
     if !disp.is_empty() || !sched.is_empty() {
-        println!(
+        writeln!(
+            out,
             "overhead: dispatch p50 {:.0} ns  p99 {:.0} ns ({} sampled)   \
              schedule p50 {:.0} µs  p99 {:.0} µs ({} rounds)",
             disp.quantile(0.5).unwrap_or(0.0),
@@ -307,15 +323,17 @@ fn print_table(report: &RunReport) {
             sched.quantile(0.5).unwrap_or(0.0),
             sched.quantile(0.99).unwrap_or(0.0),
             sched.count(),
-        );
+        )?;
     }
-    println!();
-    println!(
+    writeln!(out)?;
+    writeln!(
+        out,
         "{:<14} {:>10} {:>9} {:>9} {:>9} {:>9}",
         "function", "completed", "p50 ms", "p99 ms", "viol %", "cold %"
-    );
+    )?;
     for f in &report.functions {
-        println!(
+        writeln!(
+            out,
             "{:<14} {:>10} {:>9.1} {:>9.1} {:>9.2} {:>9.2}",
             f.name,
             f.completed,
@@ -323,22 +341,24 @@ fn print_table(report: &RunReport) {
             f.latency_p99_ms,
             f.violation_rate() * 100.0,
             f.cold_rate() * 100.0
-        );
+        )?;
     }
     for c in &report.chains {
         let e2e = &c.e2e_ms;
-        println!(
+        writeln!(
+            out,
             "\nchain {:<10} {:>8} traversals  e2e p50 {:>7.1} ms  p99 {:>7.1} ms  viol {:.2}%",
             c.name,
             c.completed,
             e2e.quantile(0.5).unwrap_or(0.0),
             e2e.quantile(0.99).unwrap_or(0.0),
             c.violation_rate() * 100.0
-        );
+        )?;
     }
+    Ok(())
 }
 
-fn print_json(report: &RunReport) {
+fn print_json(out: &mut dyn Write, report: &RunReport) -> io::Result<()> {
     let functions: Vec<serde_json::Value> = report
         .functions
         .iter()
@@ -370,7 +390,7 @@ fn print_json(report: &RunReport) {
             })
         })
         .collect();
-    let out = serde_json::json!({
+    let json = serde_json::json!({
         "platform": report.platform,
         "duration_s": report.duration.as_secs_f64(),
         "completed": report.total_completed(),
@@ -387,8 +407,9 @@ fn print_json(report: &RunReport) {
         "functions": functions,
         "chains": chains,
     });
-    println!(
+    writeln!(
+        out,
         "{}",
-        serde_json::to_string_pretty(&out).expect("valid json")
-    );
+        serde_json::to_string_pretty(&json).expect("valid json")
+    )
 }

@@ -5,7 +5,9 @@
 //! dump on fault bursts.
 
 use infless::descriptor::Scenario;
-use infless::telemetry::{DecisionBufferSink, DecisionRecord};
+use std::sync::{Arc, Mutex};
+
+use infless::telemetry::{DecisionRecord, DecisionTap, DecisionWriter, NullSink};
 use infless::RunConfig;
 use infless_cluster::ClusterSpec;
 use infless_core::driver::{self, Platform};
@@ -163,6 +165,53 @@ fn sharded_flight_recorder_is_rejected() {
     );
 }
 
+/// The decision writer holds only the records its clock has not yet
+/// passed: on a long constant-load run, eager and at 4 shards, its
+/// pending buffer never holds 1% of the records it writes.
+#[test]
+fn decision_writer_memory_stays_bounded() {
+    let functions = vec![
+        infless_core::engine::FunctionInfo::new(
+            ModelId::Mnist.spec(),
+            SimDuration::from_millis(60),
+        ),
+        infless_core::engine::FunctionInfo::new(
+            ModelId::Mnist.spec(),
+            SimDuration::from_millis(80),
+        ),
+    ];
+    let loads: Vec<FunctionLoad> = (0..functions.len())
+        .map(|_| FunctionLoad::constant(1000.0, SimDuration::from_secs(40)))
+        .collect();
+    let workload = Workload::build(&loads, 7);
+    let cluster = ClusterSpec::testbed();
+    let check = |label: &str, written: usize, peak: usize| {
+        assert!(written > 70_000, "{label}: only {written} records");
+        assert!(
+            peak * 100 < written,
+            "{label}: pending peaked at {peak} of {written} records written"
+        );
+    };
+
+    let writer = Arc::new(Mutex::new(DecisionWriter::new(Vec::new())));
+    let mut platform =
+        InflessPlatform::new(cluster, functions.clone(), InflessConfig::default(), 7);
+    platform.engine().set_telemetry(Box::new(DecisionTap::new(
+        Box::new(NullSink),
+        writer.clone(),
+    )));
+    driver::run(platform, &workload, &FaultSchedule::empty());
+    let mut writer = writer.lock().unwrap();
+    writer.finish().unwrap();
+    check("eager", writer.output_mut().len(), writer.pending_peak());
+
+    let runner = ShardedInfless::new(cluster, functions, InflessConfig::default(), 7);
+    let mut writer = DecisionWriter::new(Vec::new());
+    runner.run_into(&workload, 4, Some(&mut writer));
+    writer.finish().unwrap();
+    check("4 shards", writer.output_mut().len(), writer.pending_peak());
+}
+
 fn check_breakdowns(records: &[DecisionRecord], label: &str) -> usize {
     let mut seen = 0;
     for rec in records {
@@ -233,18 +282,21 @@ proptest! {
             SimDuration::from_secs(20),
             seed,
         );
-        // Single-core loop: tap the decisions channel through a buffer
-        // sink.
-        let tap = DecisionBufferSink::new();
+        // Single-core loop: tap the decisions channel into memory.
+        let writer = Arc::new(Mutex::new(DecisionWriter::new(Vec::new())));
         let mut platform = InflessPlatform::new(
             cluster,
             functions.clone(),
             InflessConfig::default(),
             seed,
         );
-        platform.engine().set_telemetry(Box::new(tap.clone()));
+        platform
+            .engine()
+            .set_telemetry(Box::new(DecisionTap::new(Box::new(NullSink), writer.clone())));
         let report = driver::run(platform, &workload, &schedule);
-        let single = tap.drain();
+        let mut writer = writer.lock().unwrap();
+        writer.finish().unwrap();
+        let single = std::mem::take(writer.output_mut());
         let seen = check_breakdowns(&single, "single-core");
         prop_assert_eq!(
             seen as u64,

@@ -109,3 +109,27 @@ fn unwritable_outputs_are_reported_by_path() {
         assert!(!err.contains("read scenario"), "{label}: {err}");
     }
 }
+
+/// A reader that closes the pipe early (`inflessctl … | head`) ends the
+/// run quietly: exit 0, no panic, for the table and the JSON report.
+#[test]
+fn closed_stdout_exits_quietly() {
+    let scenario = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("scenarios")
+        .join("osvt.json");
+    for flags in [&[][..], &["--json"][..]] {
+        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_inflessctl"))
+            .arg(&scenario)
+            .args(flags)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("inflessctl starts");
+        // Close the read end before the run finishes and prints.
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("inflessctl exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{flags:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(0), "{flags:?}: {stderr}");
+    }
+}
