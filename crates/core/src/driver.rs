@@ -16,7 +16,7 @@
 
 use infless_cluster::InstanceId;
 use infless_faults::FaultSchedule;
-use infless_sim::{EventQueue, SimDuration, SimTime, StagedStream};
+use infless_sim::{EventQueue, SimDuration, SimTime, Staged, StagedStream};
 use infless_workload::Workload;
 
 use crate::engine::{CompletedBatch, Engine, EngineEvent, FaultOutcome};
@@ -35,7 +35,8 @@ pub trait Platform {
     fn tick_period(&self) -> SimDuration;
 
     /// How long after its gateway arrival the platform sees a request
-    /// (BATCH's OTP buffer). Zero by default.
+    /// (BATCH's OTP buffer). Zero by default; [`run`] requires it to be
+    /// shorter than [`TICK_MARGIN`].
     fn arrival_delay(&self) -> SimDuration {
         SimDuration::ZERO
     }
@@ -65,38 +66,41 @@ pub trait Platform {
     fn finish(self) -> RunReport;
 }
 
+/// Scaler ticks repeat until the first one at or past this long after
+/// the last arrival.
+pub const TICK_MARGIN: SimDuration = SimDuration::from_secs(5);
+
 /// Runs `platform` over `workload` with `faults` injected and returns
 /// its report.
 ///
-/// Arrivals stay in the sorted workload slice and merge ahead of the
-/// heap at pop time; an arrival wins an equal-timestamp tie against
-/// any queued event, faults included (the request reaches the gateway
-/// an instant before the machine dies). Keeping millions of arrivals
-/// out of the heap is a large constant-factor win on the hot path.
+/// Arrivals stream from the workload's [`ArrivalSource`], merged a chunk
+/// at a time and shifted by the platform's arrival delay, and merge
+/// ahead of the heap at pop time; an arrival wins an equal-timestamp
+/// tie against any queued event, faults included (the request reaches
+/// the gateway an instant before the machine dies). Keeping millions of
+/// arrivals out of the heap is a large constant-factor win on the hot
+/// path, and no arrival list is ever built.
 ///
 /// The first scaler tick fires one period in, and only for a non-empty
 /// workload; ticks then repeat until the first one at or past
-/// `end_time() + 5 s`.
+/// [`TICK_MARGIN`] after the last arrival.
+///
+/// # Panics
+///
+/// Panics if the platform's arrival delay is not shorter than
+/// [`TICK_MARGIN`].
+///
+/// [`ArrivalSource`]: infless_workload::ArrivalSource
 pub fn run<P: Platform>(mut platform: P, workload: &Workload, faults: &FaultSchedule) -> RunReport {
     let mut queue = EventQueue::new();
     let delay = platform.arrival_delay();
-    let shifted: Vec<(SimTime, usize)>;
-    let staged = if delay > SimDuration::ZERO {
-        // A shifted copy only for a platform that delays arrivals; the
-        // uniform shift keeps the list sorted.
-        shifted = workload
-            .arrivals()
-            .iter()
-            .map(|&(t, f)| (t + delay, f))
-            .collect();
-        &shifted
-    } else {
-        workload.arrivals()
-    };
-    let mut arrivals = StagedStream::new(staged);
-    let tick_horizon = workload.end_time() + SimDuration::from_secs(5);
+    assert!(
+        delay < TICK_MARGIN,
+        "an arrival delay of {delay} is not shorter than the {TICK_MARGIN} tick margin"
+    );
+    let mut arrivals = StagedStream::from_source(workload.source(delay, |_| true));
     let period = platform.tick_period();
-    if !workload.is_empty() {
+    if arrivals.staged_time().is_some() {
         queue.schedule(SimTime::ZERO + period, EngineEvent::ScalerTick);
     }
     for &(t, ev) in faults.events() {
@@ -104,7 +108,13 @@ pub fn run<P: Platform>(mut platform: P, workload: &Workload, faults: &FaultSche
     }
     while let Some((t, ev)) = arrivals.next(&mut queue, EngineEvent::Arrival) {
         deliver(&mut platform, t, ev, &mut queue);
-        if ev == EngineEvent::ScalerTick && t < tick_horizon {
+        // An arrival still staged lies after `t` (arrivals win ties),
+        // so, less a delay under the margin, the last arrival lies after
+        // `t - TICK_MARGIN`. Once the stream is exhausted, the source
+        // knows the last arrival.
+        if ev == EngineEvent::ScalerTick
+            && (arrivals.staged_time().is_some() || t < arrivals.source().last() + TICK_MARGIN)
+        {
             queue.schedule(t + period, EngineEvent::ScalerTick);
         }
     }
@@ -126,9 +136,9 @@ pub fn step<P: Platform>(platform: &mut P, queue: &mut EventQueue<EngineEvent>) 
 /// `<= until`, then advances the clocks to the barrier. Epoch-mode
 /// runs schedule neither scaler ticks nor raw faults: scaling runs at
 /// barriers and faults arrive pre-resolved as directives.
-pub fn drain_until<P: Platform>(
+pub fn drain_until<P: Platform, S: Staged<Payload = usize>>(
     platform: &mut P,
-    arrivals: &mut StagedStream<'_, usize>,
+    arrivals: &mut StagedStream<S>,
     queue: &mut EventQueue<EngineEvent>,
     until: SimTime,
 ) {

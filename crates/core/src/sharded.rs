@@ -53,10 +53,10 @@ use infless_sim::{EventQueue, SimDuration, SimTime, StagedStream};
 use infless_telemetry::{
     DecisionOut, DecisionRecord, DecisionTap, DecisionWriter, FaultTag, MetricsHandle, NullSink,
 };
-use infless_workload::Workload;
+use infless_workload::{ArrivalSource, Workload};
 
 use crate::chains::{ChainReport, ChainSpec};
-use crate::driver;
+use crate::driver::{self, TICK_MARGIN};
 use crate::engine::{credit_recapacity, EngineEvent, FunctionInfo, RecapacityProbes};
 use crate::metrics::RunReport;
 use crate::platform::{InflessConfig, InflessPlatform};
@@ -81,7 +81,7 @@ pub struct ShardedInfless {
 struct Shard<'a> {
     platform: InflessPlatform,
     queue: EventQueue<EngineEvent>,
-    stream: StagedStream<'a, usize>,
+    stream: StagedStream<ArrivalSource<'a>>,
     /// Function indices this shard owns (ascending).
     owned: Vec<usize>,
 }
@@ -173,19 +173,6 @@ impl ShardedInfless {
         let s_count = shards.max(1);
         let (owner_of_fn, owned_by_shard) = self.partition(s_count);
 
-        // Per-shard arrival slices: each shard stages only the arrivals
-        // of functions it owns, preserving global order within a shard.
-        let per_shard_arrivals: Vec<Vec<(SimTime, usize)>> = (0..s_count)
-            .map(|s| {
-                workload
-                    .arrivals()
-                    .iter()
-                    .filter(|(_, f)| owner_of_fn[*f] == s)
-                    .copied()
-                    .collect()
-            })
-            .collect();
-
         let mut shards_v: Vec<Shard<'_>> = (0..s_count)
             .map(|s| {
                 let mut platform = InflessPlatform::with_chains(
@@ -203,7 +190,11 @@ impl ShardedInfless {
                 Shard {
                     platform,
                     queue: EventQueue::new(),
-                    stream: StagedStream::new(&per_shard_arrivals[s]),
+                    // Only the arrivals of functions this shard owns,
+                    // in global order.
+                    stream: StagedStream::from_source(
+                        workload.source(SimDuration::ZERO, |f| owner_of_fn[f] == s),
+                    ),
                     owned: owned_by_shard[s].clone(),
                 }
             })
@@ -242,7 +233,6 @@ impl ShardedInfless {
             epoch > SimDuration::ZERO,
             "scaler_period too short to derive an epoch length"
         );
-        let tick_horizon = workload.end_time() + SimDuration::from_secs(5);
         let fault_events = self.faults.events();
         let mut fault_idx = 0usize;
         // Coordinator-owned time-to-recapacity probes. Launches credit
@@ -252,7 +242,8 @@ impl ShardedInfless {
         let mut tombstones: HashSet<(usize, InstanceId)> = HashSet::new();
 
         let mut t_prev = SimTime::ZERO;
-        if !workload.is_empty() || !fault_events.is_empty() {
+        let has_arrivals = shards_v.iter().any(|sh| sh.stream.staged_time().is_some());
+        if has_arrivals || !fault_events.is_empty() {
             let mut k = 0u64;
             loop {
                 let has_events = shards_v
@@ -263,7 +254,7 @@ impl ShardedInfless {
                 // tick at or past the horizon.
                 if !has_events
                     && fault_idx >= fault_events.len()
-                    && t_prev >= tick_horizon
+                    && t_prev >= last_arrival(&shards_v) + TICK_MARGIN
                     && k.is_multiple_of(5)
                 {
                     break;
@@ -677,4 +668,14 @@ impl ShardedInfless {
             .collect();
         report
     }
+}
+
+/// The last arrival across the shards' streams, once every stream is
+/// exhausted (each source then knows its own).
+fn last_arrival(shards: &[Shard<'_>]) -> SimTime {
+    shards
+        .iter()
+        .map(|sh| sh.stream.source().last())
+        .max()
+        .unwrap_or(SimTime::ZERO)
 }

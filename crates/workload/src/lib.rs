@@ -13,7 +13,8 @@
 //! * [`TracePattern`] — generators for the four pattern classes.
 //! * [`poisson_arrivals`] — turns a rate curve into individual arrival
 //!   timestamps via a per-bin Poisson process.
-//! * [`Workload`] — merged, sorted arrival streams for many functions.
+//! * [`Workload`] — one arrival source per function; an
+//!   [`ArrivalSource`] merges them in time order as a run reads them.
 //!
 //! # Example
 //!
@@ -44,4 +45,4 @@ pub use arrivals::{constant_arrivals, poisson_arrivals};
 pub use series::RateSeries;
 pub use trace_io::{read_csv, series_to_row, write_csv, TraceRow};
 pub use traces::TracePattern;
-pub use workload::{FunctionLoad, Workload};
+pub use workload::{ArrivalSource, FunctionLoad, Workload};
