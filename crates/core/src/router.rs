@@ -8,17 +8,20 @@
 //! replaces it with a binary min-heap of cached credits:
 //!
 //! * **One division and one sift-down per dispatch, no allocation.**
-//!   Heap slots hold `(credit, entry index)`, so comparisons never
-//!   divide. The accepting root is charged in place (`sent += 1`, key
-//!   recomputed); a credit only grows, so it can only sink. Instances
-//!   whose pending batch is full wait in a reused scratch buffer and
-//!   are reinserted, keys unchanged, after the decision.
+//!   Heap slots hold `(credit, entry index)` packed into one integer,
+//!   so a comparison is one integer compare and never divides. The
+//!   router offers slots best-first: the root, then the least key on a
+//!   frontier of the refused slots' children. A refusal (pending batch
+//!   full) leaves the heap untouched. The accepting slot is charged in
+//!   place (`sent += 1`, key recomputed); a credit only grows, so one
+//!   sift-down from that slot restores the heap.
 //! * **Identical routing order.** `(credit, insertion index)` is a
 //!   strict total order, the order a stable sort by credit produces,
-//!   so every valid heap yields the same minimum. A cached key comes
-//!   from the same `sent / rate` expression as a fresh one, so it is
+//!   and a child's key is never below its parent's, so the walk offers
+//!   instances in exactly ascending key order. A cached key comes from
+//!   the same `sent / rate` expression as a fresh one, so it is
 //!   bit-equal to it. Routing matches the straightforward reference
-//!   implementation request for request (pinned by a property test).
+//!   implementation offer for offer (pinned by a property test).
 //!
 //! Credit staleness fix: credits are *relative* — an entry added to a
 //! set whose veterans carry large `sent` counters would have credit 0
@@ -26,6 +29,9 @@
 //! therefore resets every credit to zero whenever the dispatch-set
 //! membership changes (push, removal, restore), so routing always
 //! tracks the *current* target rates rather than stale history.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use infless_cluster::InstanceId;
 use infless_sim::SimDuration;
@@ -56,15 +62,25 @@ impl RouterEntry {
     }
 }
 
-/// A heap slot: an entry's cached credit and its index in `entries`.
-type Key = (f64, u32);
+/// A heap slot: an entry's cached credit bits above its index in
+/// `entries`, so integer order is the strict `(credit, index)` order.
+type Key = u128;
 
-/// The strict `(credit, index)` order. A credit is never NaN: `rate`
-/// is positive and `sent` finite (a subnormal rate gives `inf`, which
-/// ties with `inf` and falls back to the index).
-fn less(a: Key, b: Key) -> bool {
-    debug_assert!(!a.0.is_nan() && !b.0.is_nan(), "credits are never NaN");
-    a.0 < b.0 || (a.0 == b.0 && a.1 < b.1)
+/// Packs `(credit, index)` into a [`Key`]. A credit is `sent / rate`
+/// with `rate > 0`, so it lies in [+0, +∞] (a subnormal rate gives
+/// +∞) and is never NaN or negative; on that range `f64::to_bits` is
+/// monotone.
+fn key(credit: f64, index: u32) -> Key {
+    debug_assert!(
+        credit.is_sign_positive() && !credit.is_nan(),
+        "credits are non-negative numbers"
+    );
+    (u128::from(credit.to_bits()) << 32) | u128::from(index)
+}
+
+/// The entry index a [`Key`] carries.
+fn index(key: Key) -> usize {
+    key as u32 as usize
 }
 
 /// Min-heap of cached dispatch-set credits. See the module docs.
@@ -72,11 +88,12 @@ fn less(a: Key, b: Key) -> bool {
 pub struct DeficitRouter {
     /// Entries in insertion order (the tie-break order).
     entries: Vec<RouterEntry>,
-    /// Binary min-heap under [`less`] over the positive-rate entries.
+    /// Binary min-heap of packed keys over the positive-rate entries.
     heap: Vec<Key>,
-    /// Entries popped as full during the current dispatch, awaiting
-    /// reinsertion. Reused across calls.
-    scratch: Vec<Key>,
+    /// The best-first walk's frontier during a dispatch: `(key, slot)`
+    /// of the refused slots' children, least key first. Reused across
+    /// calls.
+    frontier: BinaryHeap<Reverse<(Key, usize)>>,
     /// When set, the heap is rebuilt lazily before the next dispatch
     /// (membership or rate changes invalidate it wholesale).
     dirty: bool,
@@ -165,7 +182,7 @@ impl DeficitRouter {
     /// (ties: insertion order) until `try_enqueue` accepts one, charges
     /// that instance's deficit counter, and returns its id. Returns
     /// `None` when every positive-rate instance refuses (pending batch
-    /// full).
+    /// full); the heap is then unchanged.
     pub fn dispatch(
         &mut self,
         mut try_enqueue: impl FnMut(InstanceId) -> bool,
@@ -173,24 +190,26 @@ impl DeficitRouter {
         if self.dirty {
             self.rebuild();
         }
-        debug_assert!(self.scratch.is_empty());
-        let mut hit = None;
-        while let Some(&(_, idx)) = self.heap.first() {
-            let e = &mut self.entries[idx as usize];
-            if try_enqueue(e.id) {
+        self.frontier.clear();
+        let mut slot = 0;
+        let mut next = *self.heap.first()?;
+        loop {
+            let i = index(next);
+            let e = &mut self.entries[i];
+            let id = e.id;
+            if try_enqueue(id) {
                 e.sent += 1;
-                self.heap[0].0 = e.credit();
-                hit = Some(e.id);
-                self.sift_down(0);
-                break;
+                self.heap[slot] = key(e.credit(), i as u32);
+                self.sift_down(slot);
+                return Some(id);
             }
-            self.scratch.push(self.heap.swap_remove(0));
-            self.sift_down(0);
+            for child in [2 * slot + 1, 2 * slot + 2] {
+                if let Some(&k) = self.heap.get(child) {
+                    self.frontier.push(Reverse((k, child)));
+                }
+            }
+            Reverse((next, slot)) = self.frontier.pop()?;
         }
-        while let Some(key) = self.scratch.pop() {
-            self.insert(key);
-        }
-        hit
     }
 
     // --- heap internals ----------------------------------------------------
@@ -203,7 +222,7 @@ impl DeficitRouter {
                 .iter()
                 .enumerate()
                 .filter(|(_, e)| e.rate > 0.0)
-                .map(|(i, e)| (e.credit(), i as u32)),
+                .map(|(i, e)| key(e.credit(), i as u32)),
         );
         for slot in (0..self.heap.len() / 2).rev() {
             self.sift_down(slot);
@@ -211,58 +230,48 @@ impl DeficitRouter {
         self.dirty = false;
     }
 
-    fn insert(&mut self, key: Key) {
-        let mut slot = self.heap.len();
-        self.heap.push(key);
-        while slot > 0 {
-            let parent = (slot - 1) / 2;
-            if !less(self.heap[slot], self.heap[parent]) {
-                break;
-            }
-            self.heap.swap(slot, parent);
-            slot = parent;
-        }
-    }
-
+    /// Moves the key at `slot` down to its place, shifting smaller
+    /// children up into the hole instead of swapping.
     fn sift_down(&mut self, mut slot: usize) {
         let heap = &mut self.heap;
+        let moving = heap[slot];
         loop {
             let left = 2 * slot + 1;
             if left >= heap.len() {
                 break;
             }
             let right = left + 1;
-            let best = if right < heap.len() && less(heap[right], heap[left]) {
-                right
+            let best = if right < heap.len() {
+                left + usize::from(heap[right] < heap[left])
             } else {
                 left
             };
-            if !less(heap[best], heap[slot]) {
+            if heap[best] > moving {
                 break;
             }
-            heap.swap(slot, best);
+            heap[slot] = heap[best];
             slot = best;
         }
+        heap[slot] = moving;
     }
 
-    /// Asserts the heap invariants: the heap property under [`less`],
+    /// Asserts the heap invariants: the heap property under key order,
     /// every cached key bit-equal to its entry's credit, and exactly
     /// the positive-rate entries present. A dirty heap is stale by
     /// design (the next dispatch rebuilds it), so it is not checked.
     #[cfg(test)]
     fn check_heap(&self) {
-        assert!(self.scratch.is_empty());
         if self.dirty {
             return;
         }
-        for (slot, &(key, idx)) in self.heap.iter().enumerate() {
-            assert!(slot == 0 || !less((key, idx), self.heap[(slot - 1) / 2]));
-            assert_eq!(key.to_bits(), self.entries[idx as usize].credit().to_bits());
+        for (slot, &k) in self.heap.iter().enumerate() {
+            assert!(slot == 0 || k > self.heap[(slot - 1) / 2]);
+            let credit = self.entries[index(k)].credit();
+            assert_eq!((k >> 32) as u64, credit.to_bits());
         }
-        let mut held: Vec<u32> = self.heap.iter().map(|&(_, idx)| idx).collect();
+        let mut held: Vec<usize> = self.heap.iter().map(|&k| index(k)).collect();
         held.sort_unstable();
-        let positive =
-            (0..self.entries.len() as u32).filter(|&i| self.entries[i as usize].rate > 0.0);
+        let positive = (0..self.entries.len()).filter(|&i| self.entries[i].rate > 0.0);
         assert!(
             held.into_iter().eq(positive),
             "heap holds the positive-rate entries"
@@ -384,7 +393,7 @@ mod tests {
         );
         // Everyone refuses.
         assert_eq!(r.dispatch(|_| false), None);
-        // Refused entries were reinserted: a normal dispatch still works.
+        // Refusals left the heap as it was: a normal dispatch still works.
         assert_eq!(r.dispatch(|_| true), Some(InstanceId::new(0)));
     }
 
@@ -395,6 +404,45 @@ mod tests {
         assert_eq!(r.dispatch(|_| true), None);
         r.retune(|es| es[0].rate = 5.0);
         assert_eq!(r.dispatch(|_| true), Some(InstanceId::new(0)));
+    }
+
+    /// A dispatch every instance refuses offers each one once and
+    /// leaves every cached key bit-identical; routing then carries on
+    /// exactly as the reference does.
+    #[test]
+    fn full_refusal_leaves_keys_untouched() {
+        let mut r = DeficitRouter::new();
+        let mut reference = Vec::new();
+        for (id, rate) in [3.0, 5.0, 7.0, 2.0 / 7.0, 11.0, 5.0, 13.0]
+            .into_iter()
+            .enumerate()
+        {
+            r.push(entry(id as u64, rate));
+            reference.push(entry(id as u64, rate));
+        }
+        for _ in 0..40 {
+            assert_eq!(
+                r.dispatch(|_| true),
+                reference_dispatch(&mut reference, |_| true)
+            );
+        }
+        let keys = r.heap.clone();
+        let mut offered = Vec::new();
+        let refuse = |id| {
+            offered.push(id);
+            false
+        };
+        assert_eq!(r.dispatch(refuse), None);
+        assert_eq!(reference_dispatch(&mut reference, |_| false), None);
+        assert_eq!(offered.len(), 7);
+        assert_eq!(r.heap, keys);
+        r.check_heap();
+        for _ in 0..40 {
+            assert_eq!(
+                r.dispatch(|_| true),
+                reference_dispatch(&mut reference, |_| true)
+            );
+        }
     }
 
     /// Satellite bugfix pin: a newcomer joining veterans with large
@@ -437,7 +485,46 @@ mod tests {
         RemoveAt(usize),
         Retune { rates: Vec<f64> },
         ResetCredits,
-        DispatchMany { n: usize, salt: u64 },
+        DispatchMany { n: usize, accept: Accept },
+    }
+
+    /// How `try_enqueue` answers within one dispatch: a function of the
+    /// offered id and of how many offers came before it, so both routers
+    /// give the same answers as long as they offer the same sequence.
+    #[derive(Debug, Clone, Copy)]
+    enum Accept {
+        /// Refuses the ids with `(id + salt) % 4 == 0`.
+        MostIds(u64),
+        /// Accepts only the ids with `(id + salt) % 4 == 0`: most
+        /// dispatches walk deep, as under a drop flood.
+        FewIds(u64),
+        /// Refuses every offer.
+        Nobody,
+        /// Accepts only the offer after `n` refusals, so a non-root
+        /// slot is charged.
+        After(usize),
+    }
+
+    impl Accept {
+        fn answer(self, id: InstanceId, refused: usize) -> bool {
+            match self {
+                Accept::MostIds(salt) => !(id.raw() + salt).is_multiple_of(4),
+                Accept::FewIds(salt) => (id.raw() + salt).is_multiple_of(4),
+                Accept::Nobody => false,
+                Accept::After(n) => refused == n,
+            }
+        }
+
+        /// A `try_enqueue` that answers by `self` and logs each offer
+        /// into `offered`, which starts the dispatch empty.
+        fn logging(self, offered: &mut Vec<InstanceId>) -> impl FnMut(InstanceId) -> bool + '_ {
+            offered.clear();
+            move |id| {
+                let refused = offered.len();
+                offered.push(id);
+                self.answer(id, refused)
+            }
+        }
     }
 
     /// Integer rates give exact credit ties, `r / 7` rates inexact
@@ -459,18 +546,40 @@ mod tests {
             (0usize..64).prop_map(Op::RemoveAt),
             prop::collection::vec(retune_rate, 0..64).prop_map(|rates| Op::Retune { rates }),
             Just(Op::ResetCredits),
-            (0u64..20).prop_map(|salt| Op::DispatchMany { n: 1, salt }),
-            (1usize..200, 0u64..20).prop_map(|(n, salt)| Op::DispatchMany { n, salt }),
+            accept_strategy().prop_map(|accept| Op::DispatchMany { n: 1, accept }),
+            (1usize..200, accept_strategy()).prop_map(|(n, accept)| Op::DispatchMany { n, accept }),
+        ]
+    }
+
+    fn accept_strategy() -> impl Strategy<Value = Accept> {
+        prop_oneof![
+            (0u64..20).prop_map(Accept::MostIds),
+            (0u64..20).prop_map(Accept::FewIds),
+            Just(Accept::Nobody),
+            (0usize..70).prop_map(Accept::After),
+        ]
+    }
+
+    /// Non-negative credits: zero, exact and inexact quotients,
+    /// subnormal quotients, +∞ from the smallest subnormal rate, and
+    /// arbitrary bit patterns up to +∞.
+    fn credit_strategy() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            (0u64..1000, rate_strategy()).prop_map(|(sent, rate)| sent as f64 / rate),
+            (1u64..4).prop_map(|sent| sent as f64 / f64::MAX),
+            (0u64..1000).prop_map(|sent| sent as f64 / f64::from_bits(1)),
+            (0u64..=f64::INFINITY.to_bits()).prop_map(f64::from_bits),
         ]
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1024))]
 
-        /// Tentpole pin: over random dispatch-set churn the indexed
-        /// router emits the identical request→instance sequence as the
-        /// reference implementation, both end in the same state, and
-        /// the heap's invariants hold after every op.
+        /// Over random dispatch-set churn the indexed router offers the
+        /// same instances in the same order and picks the same winner
+        /// as the reference implementation, both end in the same state,
+        /// and the heap's invariants hold after every op.
         #[test]
         fn prop_router_matches_reference(ops in prop::collection::vec(op_strategy(), 1..120)) {
             let mut indexed = DeficitRouter::new();
@@ -507,14 +616,14 @@ mod tests {
                         indexed.reset_credits();
                         reset(&mut reference);
                     }
-                    Op::DispatchMany { n, salt } => {
-                        // Acceptance must be a pure function of the
-                        // instance id so both routers see the same
-                        // "queue full" answers.
-                        let accept = |id: InstanceId| !(id.raw() + salt).is_multiple_of(4);
+                    Op::DispatchMany { n, accept } => {
+                        // The engine enqueues in offer order, so the
+                        // offered sequence is pinned, not just the winner.
+                        let (mut a, mut b) = (Vec::new(), Vec::new());
                         for _ in 0..n {
-                            let b = reference_dispatch(&mut reference, accept);
-                            prop_assert_eq!(indexed.dispatch(accept), b);
+                            let want = reference_dispatch(&mut reference, accept.logging(&mut b));
+                            prop_assert_eq!(indexed.dispatch(accept.logging(&mut a)), want);
+                            prop_assert_eq!(&a, &b);
                         }
                     }
                 }
@@ -527,6 +636,24 @@ mod tests {
                     prop_assert_eq!(x.rate.to_bits(), y.rate.to_bits());
                 }
             }
+        }
+    }
+
+    proptest! {
+        /// Packed-key order is the `(credit <, index <)` order on every
+        /// credit a dispatch set can hold.
+        #[test]
+        fn prop_packed_keys_order_as_credit_then_index(
+            a in credit_strategy(),
+            b in credit_strategy(),
+            same in any::<bool>(),
+            i in any::<u32>(),
+            j in any::<u32>(),
+        ) {
+            let b = if same { a } else { b };
+            prop_assert_eq!(key(a, i) < key(b, j), a < b || (a == b && i < j));
+            prop_assert_eq!(key(a, i) == key(b, j), a == b && i == j);
+            prop_assert_eq!(index(key(a, i)), i as usize);
         }
     }
 }
