@@ -295,7 +295,7 @@ impl Platform for BatchPlatform {
         }
     }
 
-    fn on_done(&mut self, done: CompletedBatch, queue: &mut EventQueue<EngineEvent>) {
+    fn on_done(&mut self, done: &CompletedBatch, queue: &mut EventQueue<EngineEvent>) {
         self.pump(done.function, queue);
     }
 

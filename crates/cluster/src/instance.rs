@@ -298,27 +298,16 @@ impl Instance {
             }
     }
 
-    /// Takes the queued requests (up to one batch) and marks the
-    /// instance busy until `until`. Returns the batch.
+    /// Takes the queued requests (up to one batch), appending them to
+    /// `batch`, and marks the instance busy until `until`.
     ///
     /// # Panics
     ///
     /// Panics if called when [`Self::can_execute`] is false — executing
     /// on a busy or cold instance is a platform logic error.
-    pub fn begin_batch(&mut self, now: SimTime, until: SimTime) -> Vec<Request> {
+    pub fn begin_batch(&mut self, now: SimTime, until: SimTime, batch: &mut Vec<Request>) {
         assert!(self.can_execute(now), "begin_batch on a non-ready instance");
-        let take = (self.config.batch as usize).min(self.queue.len());
-        let batch: Vec<Request> = self.queue.drain(..take).collect();
-        self.queue_opened_at = if self.queue.is_empty() {
-            None
-        } else {
-            // Remaining requests started waiting when they arrived; the
-            // oldest remaining one reopens the window "now".
-            Some(now)
-        };
-        self.state = InstanceState::Busy { until };
-        self.executed_batches += 1;
-        batch
+        self.begin_batch_of(self.config.batch as usize, now, until, batch);
     }
 
     /// Like [`Self::begin_batch`], but takes at most `n` requests —
@@ -330,45 +319,51 @@ impl Instance {
     ///
     /// Panics if called when [`Self::can_execute`] is false, or if `n`
     /// is zero.
-    pub fn begin_batch_of(&mut self, n: usize, now: SimTime, until: SimTime) -> Vec<Request> {
+    pub fn begin_batch_of(
+        &mut self,
+        n: usize,
+        now: SimTime,
+        until: SimTime,
+        batch: &mut Vec<Request>,
+    ) {
         assert!(n >= 1, "begin_batch_of needs at least one request");
         assert!(
             self.can_execute(now),
             "begin_batch_of on a non-ready instance"
         );
-        let take = n.min(self.config.batch as usize).min(self.queue.len());
-        let batch: Vec<Request> = self.queue.drain(..take).collect();
-        self.queue_opened_at = if self.queue.is_empty() {
-            None
-        } else {
-            Some(now)
-        };
+        self.take_queued(n.min(self.config.batch as usize), now, batch);
         self.state = InstanceState::Busy { until };
         self.executed_batches += 1;
-        batch
     }
 
-    /// Drains up to `n` queued requests *while busy* — continuous
-    /// batching admits waiting sequences into the running decode batch
-    /// at step boundaries without the instance ever going idle.
+    /// Drains up to `n` queued requests *while busy*, appending them to
+    /// `joined` — continuous batching admits waiting sequences into the
+    /// running decode batch at step boundaries without the instance
+    /// ever going idle.
     ///
     /// # Panics
     ///
     /// Panics if the instance is not busy (joining an idle instance's
     /// queue is what [`Self::begin_batch_of`] is for).
-    pub fn drain_queued(&mut self, n: usize, now: SimTime) -> Vec<Request> {
+    pub fn drain_queued(&mut self, n: usize, now: SimTime, joined: &mut Vec<Request>) {
         assert!(
             matches!(self.state, InstanceState::Busy { .. }),
             "drain_queued on a non-busy instance"
         );
+        self.take_queued(n, now, joined);
+    }
+
+    /// Moves up to `n` requests from the head of the queue to `into`.
+    /// Requests left behind started waiting when they arrived; the
+    /// oldest of them reopens the batch window "now".
+    fn take_queued(&mut self, n: usize, now: SimTime, into: &mut Vec<Request>) {
         let take = n.min(self.queue.len());
-        let joined: Vec<Request> = self.queue.drain(..take).collect();
+        into.extend(self.queue.drain(..take));
         self.queue_opened_at = if self.queue.is_empty() {
             None
         } else {
             Some(now)
         };
-        joined
     }
 
     /// Extends the busy window to `until` — one decode step scheduled
@@ -480,7 +475,8 @@ mod tests {
         assert!(inst.can_execute(t0));
 
         let until = t0 + SimDuration::from_millis(50);
-        let batch = inst.begin_batch(t0, until);
+        let mut batch = Vec::new();
+        inst.begin_batch(t0, until, &mut batch);
         assert_eq!(batch.len(), 2);
         assert_eq!(inst.queue_len(), 0);
         assert_eq!(inst.queue_opened_at(), None);
@@ -501,7 +497,7 @@ mod tests {
         inst.enqueue(request(0, t0), t0);
         inst.enqueue(request(1, t0), t0);
         let until = t0 + SimDuration::from_millis(10);
-        inst.begin_batch(t0, until);
+        inst.begin_batch(t0, until, &mut Vec::new());
         // While busy, new requests queue for the next batch.
         let t1 = t0 + SimDuration::from_millis(2);
         assert!(inst.enqueue(request(2, t1), t1));
@@ -521,7 +517,7 @@ mod tests {
         let t0 = SimTime::from_secs(1);
         inst.enqueue(request(0, t0), t0);
         let until = t0 + SimDuration::from_millis(100);
-        inst.begin_batch(t0, until);
+        inst.begin_batch(t0, until, &mut Vec::new());
         inst.complete_batch(until, 1);
         let later = until + SimDuration::from_secs(30);
         assert_eq!(inst.idle_for(later), SimDuration::from_secs(30));
@@ -534,7 +530,7 @@ mod tests {
     #[should_panic(expected = "non-ready")]
     fn begin_batch_on_empty_queue_panics() {
         let mut inst = warm_instance(2);
-        inst.begin_batch(SimTime::ZERO, SimTime::from_millis(1));
+        inst.begin_batch(SimTime::ZERO, SimTime::from_millis(1), &mut Vec::new());
     }
 
     #[test]
@@ -559,15 +555,19 @@ mod tests {
         }
         // KV headroom admits only 2 of the 3 queued requests.
         let until = t0 + SimDuration::from_millis(10);
-        let batch = inst.begin_batch_of(2, t0, until);
-        assert_eq!(batch.len(), 2);
+        // The batch fills a recycled buffer after what it already holds.
+        let mut batch = vec![request(9, t0)];
+        inst.begin_batch_of(2, t0, until, &mut batch);
+        assert_eq!(batch.len(), 3);
+        assert_eq!(batch[1].id, RequestId::new(0));
         assert_eq!(inst.queue_len(), 1);
         assert_eq!(inst.queue_opened_at(), Some(t0));
 
         // A decode-step boundary: one joiner drains into the running
         // batch, the busy window rolls forward without going idle.
         let t1 = t0 + SimDuration::from_millis(4);
-        let joined = inst.drain_queued(4, t1);
+        let mut joined = Vec::new();
+        inst.drain_queued(4, t1, &mut joined);
         assert_eq!(joined.len(), 1);
         assert_eq!(inst.queue_opened_at(), None);
         let until2 = t1 + SimDuration::from_millis(10);
@@ -587,6 +587,6 @@ mod tests {
         let mut inst = warm_instance(2);
         let t = SimTime::ZERO;
         inst.enqueue(request(0, t), t);
-        inst.drain_queued(1, t);
+        inst.drain_queued(1, t, &mut Vec::new());
     }
 }

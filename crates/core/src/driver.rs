@@ -48,8 +48,10 @@ pub trait Platform {
     /// meanwhile; the event is then stale).
     fn on_ready(&mut self, _id: InstanceId, _queue: &mut EventQueue<EngineEvent>) {}
 
-    /// A batch or a decode episode completed its requests.
-    fn on_done(&mut self, _done: CompletedBatch, _queue: &mut EventQueue<EngineEvent>) {}
+    /// A batch or a decode episode completed its requests. The hook
+    /// only reads the batch: the driver hands its buffer back to the
+    /// engine afterwards, for the next batch to fill.
+    fn on_done(&mut self, _done: &CompletedBatch, _queue: &mut EventQueue<EngineEvent>) {}
 
     /// The periodic control tick (scaling, reaping). The driver samples
     /// the provisioning timeline and the gauges right after it.
@@ -199,13 +201,15 @@ fn deliver<P: Platform>(
         // Stale (None) when a fault killed the instance mid-batch.
         EngineEvent::BatchComplete(id) => {
             if let Some(done) = p.engine().on_batch_complete(id, queue) {
-                p.on_done(done, queue);
+                p.on_done(&done, queue);
+                p.engine().recycle_batch(done.requests);
             }
         }
         // Some only when the decode episode drained (instance idle).
         EngineEvent::DecodeStep(id, gen) => {
             if let Some(done) = p.engine().on_decode_step(id, gen, queue) {
-                p.on_done(done, queue);
+                p.on_done(&done, queue);
+                p.engine().recycle_batch(done.requests);
             }
         }
         EngineEvent::ScalerTick => {

@@ -22,7 +22,7 @@ use infless_cluster::{
 use infless_faults::FaultEvent;
 use infless_llm::{LlmBatching, LlmClass, LlmConfig};
 use infless_models::{HardwareModel, ModelId, ModelSpec, ResourceConfig};
-use infless_sim::{EventQueue, FxHashMap, SimDuration, SimTime};
+use infless_sim::{EventQueue, FxHashMap, SimDuration, SimTime, Ticket};
 use infless_telemetry::{
     BreakdownEvent, DecisionEvent, DecisionKind, DecisionReason, DecisionRecord, FaultTag,
     GaugeRow, MetricsHandle, NullSink, SpanEvent, SpanKind, TelemetrySink, TraceMeta,
@@ -93,6 +93,11 @@ impl FunctionInfo {
         self.llm.as_ref()
     }
 }
+
+/// Batch buffers an [`Engine`] keeps for reuse: enough for the batches
+/// that complete and start within one event, few enough that a run's
+/// largest batches do not pin memory.
+const SPARE_BATCHES: usize = 16;
 
 /// A finished batch, as reported by [`Engine::on_batch_complete`].
 #[derive(Debug, Clone)]
@@ -210,6 +215,14 @@ pub struct Engine {
     /// Sequences that finished at the current decode step (reused
     /// across steps, so a step allocates nothing).
     finished: Vec<LlmSeq>,
+    /// Emptied batch buffers handed back through
+    /// [`Self::recycle_batch`]; a batch start fills one instead of
+    /// allocating. At most [`SPARE_BATCHES`] are kept.
+    spare_batches: Vec<Vec<Request>>,
+    /// The latest deadline any batch timer was armed for. A timer the
+    /// engine never pushed (see [`Self::arm_batch_timer`]) would still
+    /// have held the clock open until then, so the run ends no earlier.
+    timer_horizon: SimTime,
     /// Prompt/output token counts per in-system LLM request, keyed by
     /// raw request id. Minted at arrival, removed at completion/shed.
     token_table: FxHashMap<u64, TokenInfo>,
@@ -300,6 +313,58 @@ struct Slot {
     /// [`EngineEvent::DecodeStep`]; bumped at every schedule, so a
     /// replaced event is recognisably stale.
     decode_gen: u32,
+    /// The instance's batch timers (see [`Engine::arm_batch_timer`]).
+    timer: BatchTimer,
+}
+
+/// One instance's [`EngineEvent::BatchTimeout`]s: at most one in the
+/// event heap, plus at most one reserved behind it and pushed only if
+/// its firing could still start something.
+#[derive(Debug, Default)]
+struct BatchTimer {
+    /// When the timer this slot tracks in the heap fires.
+    armed: Option<SimTime>,
+    /// A timer reserved no earlier than `armed`, with the queue-open
+    /// instant it was armed for. With nothing armed it is a leftover
+    /// whose queue was consumed, kept only until the next arm or
+    /// wait-budget change settles it.
+    reserved: Option<(Ticket, SimTime)>,
+}
+
+/// Discarded batch timers that could still have started a batch (debug
+/// builds only; see [`live_timer_drops`]).
+#[cfg(debug_assertions)]
+static LIVE_TIMER_DROPS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+/// Counts `live` in debug builds: a batch timer discarded although its
+/// queue was still open or it fired no earlier than the deadline of the
+/// queue that replaced it.
+#[inline]
+fn note_timer_drop(live: bool) {
+    #[cfg(debug_assertions)]
+    if live {
+        LIVE_TIMER_DROPS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    }
+    #[cfg(not(debug_assertions))]
+    let _ = live;
+}
+
+/// The number of batch timers the engine discarded although their
+/// firing might have started a batch, process-wide: one whose queue was
+/// still open, or one firing at or after the deadline of the queue that
+/// replaced it. Every discard relies on neither holding; a run that
+/// reports zero here kept every timer whose firing could matter, so it
+/// popped exactly the events an always-schedule engine would have acted
+/// on. Always zero in release builds, which do not count.
+pub fn live_timer_drops() -> u64 {
+    #[cfg(debug_assertions)]
+    {
+        LIVE_TIMER_DROPS.load(std::sync::atomic::Ordering::Relaxed)
+    }
+    #[cfg(not(debug_assertions))]
+    {
+        0
+    }
 }
 
 /// The target of an in-flight resize: applied to the slot atomically at
@@ -517,6 +582,8 @@ impl Engine {
             llm_batching: LlmBatching::Static,
             live_episodes: 0,
             finished: Vec::new(),
+            spare_batches: Vec::new(),
+            timer_horizon: SimTime::ZERO,
             token_table: FxHashMap::default(),
             token_streams: Vec::new(),
             seed,
@@ -824,6 +891,13 @@ impl Engine {
         self.now
     }
 
+    /// The latest deadline any batch timer of this engine was armed
+    /// for, pushed to the event heap or not: a barrier loop that runs
+    /// while events remain also runs while this lies ahead.
+    pub(crate) fn timer_horizon(&self) -> SimTime {
+        self.timer_horizon
+    }
+
     /// Advances the clock to a popped event's timestamp.
     ///
     /// # Panics
@@ -1025,6 +1099,7 @@ impl Engine {
             pending_resize: None,
             episode: None,
             decode_gen: 0,
+            timer: BatchTimer::default(),
         }));
         self.live_by_function[function].push(id);
         self.collector.launch(function, config, startup);
@@ -1217,7 +1292,7 @@ impl Engine {
             );
         }
         if was_empty && budget < SimDuration::MAX {
-            queue.schedule(now + budget, EngineEvent::BatchTimeout(id));
+            self.arm_batch_timer(id, now, queue);
         }
         // LLM functions also try on every enqueue: under continuous
         // batching an idle instance starts immediately (TTFT is the
@@ -1281,12 +1356,101 @@ impl Engine {
         self.try_start(id, queue);
     }
 
-    /// Handles [`EngineEvent::BatchTimeout`].
+    /// Handles [`EngineEvent::BatchTimeout`]: starts a batch if the
+    /// queue is due, exactly as every timeout always has, then settles
+    /// the timer reserved behind this one. The engine keeps one timer
+    /// per instance in the event heap and reserves later deadlines
+    /// behind it ([`EventQueue::reserve`]). The reserved timer is pushed
+    /// when its queue is still open or opened this instant; otherwise
+    /// that queue was consumed, the reservation fires before any queue
+    /// opened from here on is due, and it is held back unpushed.
     pub fn on_batch_timeout(&mut self, id: InstanceId, queue: &mut EventQueue<EngineEvent>) {
         if !self.is_live(id) {
             return;
         }
         self.try_start(id, queue);
+        let now = self.now;
+        let slot = self.slot_mut(id);
+        if slot.timer.armed != Some(now) {
+            return;
+        }
+        slot.timer.armed = None;
+        if let Some((ticket, opened)) = slot.timer.reserved {
+            if opened == now || slot.inst.queue_opened_at() == Some(opened) {
+                queue.schedule_ticket(ticket, EngineEvent::BatchTimeout(id));
+                slot.timer = BatchTimer {
+                    armed: Some(ticket.time()),
+                    reserved: None,
+                };
+            }
+        }
+    }
+
+    /// Arms `id`'s batch timer for the queue opened at `opened`,
+    /// keeping at most one timer per instance in the event heap. The
+    /// pop order of every timer that is ever pushed is the order
+    /// scheduling each one here would give: a timer is either scheduled
+    /// now or reserved now and pushed later under the same key.
+    ///
+    /// - Nothing armed, or an armed timer later than the new deadline:
+    ///   schedule it. A leftover reservation fires before the new
+    ///   queue is due, so it is dropped.
+    /// - An armed timer no later than the deadline: reserve the new
+    ///   timer behind it, replacing a reservation for a consumed queue
+    ///   (which fires before the new queue is due). A re-arm for the
+    ///   queue the reservation already covers adds nothing: the
+    ///   reservation fires at the same deadline, first.
+    ///
+    /// A dropped timer could not have started a batch: it fires before
+    /// any queue still to come is due, and a full or startable queue is
+    /// started by the event that made it so. "Before" holds while the
+    /// wait budget stays fixed, so [`Self::on_resize_complete`] pushes
+    /// a pending reservation whenever the budget changes.
+    fn arm_batch_timer(
+        &mut self,
+        id: InstanceId,
+        opened: SimTime,
+        queue: &mut EventQueue<EngineEvent>,
+    ) {
+        let deadline = opened + self.slot(id).meta.wait_budget;
+        self.timer_horizon = self.timer_horizon.max(deadline);
+        let slot = self.slot_mut(id);
+        let open = slot.inst.queue_opened_at();
+        let drop_stale = |(ticket, at): (Ticket, SimTime)| {
+            note_timer_drop(ticket.time() >= deadline || open == Some(at));
+        };
+        let timer = &mut slot.timer;
+        match timer.armed {
+            Some(armed) if armed <= deadline => match timer.reserved {
+                Some((ticket, at)) if at == opened => note_timer_drop(ticket.time() != deadline),
+                stale => {
+                    if let Some(stale) = stale {
+                        drop_stale(stale);
+                    }
+                    timer.reserved = Some((queue.reserve(deadline), opened));
+                }
+            },
+            armed => {
+                if armed.is_none() {
+                    if let Some(stale) = timer.reserved.take() {
+                        drop_stale(stale);
+                    }
+                }
+                queue.schedule(deadline, EngineEvent::BatchTimeout(id));
+                timer.armed = Some(deadline);
+            }
+        }
+    }
+
+    /// Re-arms `id`'s batch timer after its batch or episode ended, if
+    /// a partial queue remains and the wait budget allows timeouts.
+    fn rearm_batch_timer(&mut self, id: InstanceId, queue: &mut EventQueue<EngineEvent>) {
+        let slot = self.slot(id);
+        if slot.meta.wait_budget < SimDuration::MAX {
+            if let Some(opened) = slot.inst.queue_opened_at() {
+                self.arm_batch_timer(id, opened, queue);
+            }
+        }
     }
 
     /// Handles [`EngineEvent::BatchComplete`]: records the latency
@@ -1324,7 +1488,6 @@ impl Engine {
         // Swap-ins attribute their (much shorter) startup wait the same
         // way cold boots do; pre-warmed attaches stay invisible.
         let was_cold = !matches!(slot.meta.startup, StartupKind::PreWarmed);
-        let budget = slot.meta.wait_budget;
         self.in_flight_count -= 1;
         let (w, _, _) = self.weights(config);
         self.collector.busy_delta(function, self.now, -w);
@@ -1371,16 +1534,26 @@ impl Engine {
         // Leftover requests may already form a startable batch.
         self.try_start(id, queue);
         // If a partial batch remains, re-arm its timeout.
-        let inst = &self.slot(id).inst;
-        if inst.queue_len() > 0 && budget < SimDuration::MAX {
-            if let Some(opened) = inst.queue_opened_at() {
-                queue.schedule(opened + budget, EngineEvent::BatchTimeout(id));
-            }
-        }
+        self.rearm_batch_timer(id, queue);
         Some(CompletedBatch {
             function,
             requests: fl.batch,
         })
+    }
+
+    /// Hands a batch's request buffer back for reuse, once its
+    /// requests have been read (the driver does so after
+    /// [`crate::Platform::on_done`]). Keeps at most 16.
+    pub fn recycle_batch(&mut self, mut batch: Vec<Request>) {
+        if self.spare_batches.len() < SPARE_BATCHES && batch.capacity() > 0 {
+            batch.clear();
+            self.spare_batches.push(batch);
+        }
+    }
+
+    /// An empty request buffer: a recycled one if any is spare.
+    fn spare_batch(&mut self) -> Vec<Request> {
+        self.spare_batches.pop().unwrap_or_default()
     }
 
     /// Starts an in-flight resize of `id` toward `new_config` at
@@ -1446,6 +1619,17 @@ impl Engine {
         let pr = slot.pending_resize.take()?;
         let old_config = slot.inst.config();
         slot.inst.apply_resize(pr.new_config, pr.new_placement);
+        if slot.meta.wait_budget != pr.new_wait_budget {
+            // A held-back timer was only known not to matter under the
+            // old budget: push it if its turn has not passed, and let
+            // the next arm start afresh.
+            if let Some((ticket, _)) = slot.timer.reserved.take() {
+                if queue.is_pending(ticket) {
+                    queue.schedule_ticket(ticket, EngineEvent::BatchTimeout(id));
+                }
+            }
+            slot.timer.armed = None;
+        }
         slot.meta.wait_budget = pr.new_wait_budget;
         let function = slot.inst.function().raw();
         let (w_old, c_old, g_old) = self.weights(old_config);
@@ -1706,7 +1890,8 @@ impl Engine {
                 let device = self.device_index(placement.server(), gpu);
                 self.gpu_busy_pct[device] -= fl.config.resources().gpu_pct();
             }
-            displaced.extend(fl.batch);
+            displaced.extend_from_slice(&fl.batch);
+            self.recycle_batch(fl.batch);
         }
         if let Some(mut ep) = slot.episode {
             self.live_episodes -= 1;
@@ -1929,9 +2114,11 @@ impl Engine {
     }
 
     /// Ends the run: flushes the telemetry sink and freezes metrics at
-    /// the current instant.
+    /// the current instant, or at the last batch timer's deadline if
+    /// that is later (an unpushed timer ends the run where it would
+    /// have fired, as a no-op).
     pub fn finish(self) -> crate::metrics::RunReport {
-        let now = self.now;
+        let now = self.now.max(self.timer_horizon);
         self.into_collector().finish(now)
     }
 
@@ -2052,7 +2239,8 @@ impl Engine {
             }
         }
         let until = now + exec;
-        let batch = self.slot_mut(id).inst.begin_batch(now, until);
+        let mut batch = self.spare_batch();
+        self.slot_mut(id).inst.begin_batch(now, until, &mut batch);
         if self.spans_on {
             let blen = batch.len() as u32;
             let inst_raw = id.raw() as i64;
@@ -2172,13 +2360,16 @@ impl Engine {
             .mul_f64(slow);
         let until = now + prefill;
         let n = infos.len();
-        let batch = self.slot_mut(id).inst.begin_batch_of(n, now, until);
+        let mut batch = self.spare_batch();
+        self.slot_mut(id)
+            .inst
+            .begin_batch_of(n, now, until, &mut batch);
         debug_assert_eq!(batch.len(), n);
         let bpt = llm.kv_bytes_per_token();
         let spans_on = self.spans_on;
         let decisions_on = self.decisions_on;
         let mut active = Vec::with_capacity(n);
-        for (req, info) in batch.into_iter().zip(infos) {
+        for (req, info) in batch.drain(..).zip(infos) {
             self.collector.kv_alloc(u64::from(info.prompt) * bpt);
             if spans_on {
                 self.emit(
@@ -2204,6 +2395,7 @@ impl Engine {
                 first_token: None,
             });
         }
+        self.recycle_batch(batch);
         let (w, _, _) = self.weights(config);
         self.collector.busy_delta(function, now, w);
         self.in_flight_count += 1;
@@ -2254,7 +2446,7 @@ impl Engine {
             .episode
             .take()
             .expect("DecodeStep on a live instance without an episode");
-        let (function, config, placement, ready_at, was_cold, budget) = {
+        let (function, config, placement, ready_at, was_cold) = {
             let slot = self.slot(id);
             (
                 slot.inst.function().raw(),
@@ -2262,7 +2454,6 @@ impl Engine {
                 slot.inst.placement(),
                 slot.inst.ready_at(),
                 !matches!(slot.meta.startup, StartupKind::PreWarmed),
-                slot.meta.wait_budget,
             )
         };
         let llm = *self.functions[function].llm().expect("LLM function");
@@ -2370,8 +2561,10 @@ impl Engine {
                     }
                     break;
                 }
-                let joined = self.slot_mut(id).inst.drain_queued(1, now);
+                let mut joined = self.spare_batch();
+                self.slot_mut(id).inst.drain_queued(1, now, &mut joined);
                 debug_assert_eq!(joined.len(), 1);
+                self.recycle_batch(joined);
                 ep.reserved_tokens += need;
                 ep.resident_tokens += u64::from(info.prompt);
                 ep.pending_prefill_tokens += u64::from(info.prompt);
@@ -2398,7 +2591,8 @@ impl Engine {
             // Episode over: the instance goes idle and the one-shot
             // completion plumbing (books, timeout re-arm, next start)
             // takes back over.
-            let completed_now = finished.drain(..).map(|seq| seq.req).collect();
+            let mut completed_now = self.spare_batch();
+            completed_now.extend(finished.drain(..).map(|seq| seq.req));
             self.finished = finished;
             self.live_episodes -= 1;
             let n = ep.completed;
@@ -2411,12 +2605,7 @@ impl Engine {
                 self.gpu_busy_pct[device] -= config.resources().gpu_pct();
             }
             self.try_start(id, queue);
-            let inst = &self.slot(id).inst;
-            if inst.queue_len() > 0 && budget < SimDuration::MAX {
-                if let Some(opened) = inst.queue_opened_at() {
-                    queue.schedule(opened + budget, EngineEvent::BatchTimeout(id));
-                }
-            }
+            self.rearm_batch_timer(id, queue);
             Some(CompletedBatch {
                 function,
                 requests: completed_now,
@@ -2488,6 +2677,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::driver::step;
+    use infless_cluster::InstanceState;
     use infless_models::{ModelId, ResourceConfig};
 
     fn engine() -> (Engine, EventQueue<EngineEvent>) {
@@ -2511,9 +2701,11 @@ mod tests {
         InstanceConfig::new(4, ResourceConfig::new(1, 10))
     }
 
-    /// Delivers queued events until none is left.
+    /// Delivers queued events until none is left, then checks that no
+    /// batch timer that could have started a batch went unpushed.
     fn drain(engine: &mut Engine, queue: &mut EventQueue<EngineEvent>) {
         while step(engine, queue) {}
+        assert_eq!(live_timer_drops(), 0);
     }
 
     #[test]
@@ -3257,6 +3449,123 @@ mod tests {
         let report = engine.finish();
         assert_eq!(report.failures.stragglers, 1);
         assert_eq!(report.failures.straggled_batches, 1);
+    }
+
+    /// A resize that shrinks the wait budget below the timer already in
+    /// the heap: the next queue's earlier deadline still fires on time,
+    /// ahead of the armed timer, and the timer reserved behind the armed
+    /// one under the old budget is pushed and still fires.
+    #[test]
+    fn shrunk_wait_budget_fires_before_the_armed_timer() {
+        let (mut engine, mut queue) = engine();
+        let long = SimDuration::from_millis(500);
+        let id = engine
+            .launch_anywhere(0, cfg(), StartupKind::PreWarmed, long, &mut queue)
+            .unwrap();
+        drain(&mut engine, &mut queue);
+        let idle = |e: &Engine| matches!(e.instance(id).state(), InstanceState::Idle);
+        // Two full batches, one after the other: the first arms a 500 ms
+        // timer, the second reserves one behind it.
+        let mut opened = Vec::new();
+        for _ in 0..2 {
+            opened.push(engine.now());
+            for _ in 0..4 {
+                let req = engine.mint_request(0);
+                assert!(engine.enqueue(id, req, &mut queue));
+            }
+            while !idle(&engine) {
+                assert!(step(&mut engine, &mut queue));
+            }
+        }
+        let placement = engine.instance(id).placement();
+        let short = SimDuration::from_millis(10);
+        let delay = engine.begin_resize(id, cfg(), placement, short, &mut queue);
+        assert!(delay.is_zero(), "an equal-cost resize is free");
+        assert!(step(&mut engine, &mut queue));
+        assert!(!engine.has_pending_resize(id));
+        let t1 = engine.now();
+        assert!(t1 + short < opened[0] + long);
+        let req = engine.mint_request(0);
+        assert!(engine.enqueue(id, req, &mut queue));
+        assert_eq!(queue.peek_time(), Some(t1 + short));
+        assert!(step(&mut engine, &mut queue));
+        assert!(
+            matches!(engine.instance(id).state(), InstanceState::Busy { .. }),
+            "the lone request starts at the shrunk deadline"
+        );
+        drain(&mut engine, &mut queue);
+        assert_eq!(engine.now(), opened[1] + long, "the reserved timer fired");
+        assert_eq!(engine.finish().total_completed(), 9);
+    }
+
+    /// Back-to-back full batches consume their queues before any
+    /// timeout: the heap holds one timer for the instance, not one per
+    /// batch, and the run still ends at the last armed deadline.
+    #[test]
+    fn consumed_queues_leave_one_timer_in_the_heap() {
+        let (mut engine, mut queue) = engine();
+        let budget = SimDuration::from_millis(500);
+        let id = engine
+            .launch_anywhere(0, cfg(), StartupKind::PreWarmed, budget, &mut queue)
+            .unwrap();
+        drain(&mut engine, &mut queue);
+        let mut last_open = engine.now();
+        for _ in 0..50 {
+            last_open = engine.now();
+            for _ in 0..4 {
+                let req = engine.mint_request(0);
+                assert!(engine.enqueue(id, req, &mut queue));
+            }
+            // The first timer and the running batch's completion.
+            assert_eq!(queue.len(), 2);
+            assert!(step(&mut engine, &mut queue));
+        }
+        drain(&mut engine, &mut queue);
+        assert_eq!(engine.timer_horizon(), last_open + budget);
+        let report = engine.finish();
+        assert_eq!(report.total_completed(), 200);
+        assert_eq!(report.duration, (last_open + budget) - SimTime::ZERO);
+    }
+
+    /// A queue that opens and fills in the very instant the armed timer
+    /// fires keeps the timer reserved for it: a queue reopened later in
+    /// that instant is due exactly when the reservation fires, and the
+    /// reservation, being older, is what starts it.
+    #[test]
+    fn reservation_for_a_queue_consumed_this_instant_is_kept() {
+        let (mut engine, mut queue) = engine();
+        let budget = SimDuration::from_millis(30);
+        let id = engine
+            .launch_anywhere(0, cfg(), StartupKind::PreWarmed, budget, &mut queue)
+            .unwrap();
+        drain(&mut engine, &mut queue);
+        let enqueue = |engine: &mut Engine, queue: &mut EventQueue<EngineEvent>, n: usize| {
+            for _ in 0..n {
+                let req = engine.mint_request(0);
+                assert!(engine.enqueue(id, req, queue));
+            }
+        };
+        // A full batch arms a timer and starts at once; it completes
+        // long before the timer fires.
+        enqueue(&mut engine, &mut queue, 4);
+        let deadline = engine.now() + budget;
+        assert!(step(&mut engine, &mut queue));
+        assert!(engine.now() < deadline);
+        // At the deadline, just ahead of the timer, another queue opens
+        // and fills; the timer then fires, and a third queue opens.
+        engine.advance(deadline);
+        queue.advance_to(deadline);
+        enqueue(&mut engine, &mut queue, 4);
+        assert!(step(&mut engine, &mut queue));
+        assert_eq!(engine.now(), deadline, "the armed timer fired");
+        enqueue(&mut engine, &mut queue, 1);
+        // The third queue starts when the second's timer fires.
+        while engine.instance(id).queue_len() > 0 {
+            assert!(step(&mut engine, &mut queue));
+        }
+        assert_eq!(engine.now(), deadline + budget);
+        drain(&mut engine, &mut queue);
+        assert_eq!(engine.finish().total_completed(), 9);
     }
 
     #[test]

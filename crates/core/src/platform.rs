@@ -485,9 +485,9 @@ impl Platform for InflessPlatform {
         self.deliver(f, chain_start, queue);
     }
 
-    fn on_done(&mut self, done: CompletedBatch, queue: &mut EventQueue<EngineEvent>) {
+    fn on_done(&mut self, done: &CompletedBatch, queue: &mut EventQueue<EngineEvent>) {
         self.fns[done.function].last_activity = self.engine.now();
-        self.relay_chain_stages(&done, queue);
+        self.relay_chain_stages(done, queue);
     }
 
     fn on_tick(&mut self, queue: &mut EventQueue<EngineEvent>) {

@@ -13,10 +13,12 @@
 //! profiling noise.
 
 use std::cell::RefCell;
+use std::ops::Range;
 use std::sync::Arc;
 
 use infless_models::{
-    profile::ConfigGrid, HardwareModel, ModelId, ModelSpec, ProfileDatabase, ResourceConfig,
+    profile::ConfigGrid, HardwareModel, ModelId, ModelSpec, OpSignature, ProfileDatabase,
+    ResourceConfig,
 };
 use infless_sim::{FxHashMap, SimDuration};
 
@@ -55,6 +57,8 @@ pub struct CopPredictor {
     db: Arc<ProfileDatabase>,
     hardware: HardwareModel,
     offset: f64,
+    /// This run's predictions, per `(model, b, config)`: a model's whole
+    /// grid is filled in one DAG walk at its first prediction.
     cache: RefCell<FxHashMap<(ModelId, u32, ResourceConfig), Option<SimDuration>>>,
 }
 
@@ -111,7 +115,9 @@ impl CopPredictor {
     /// Predicts the batch execution time `f(b, c, g)` of `spec`, or
     /// `None` if some operator or the configuration was never profiled.
     ///
-    /// Predictions are memoized per `(model, b, config)`.
+    /// Predictions are memoized per `(model, b, config)`. A model's
+    /// first prediction predicts its whole grid in one DAG walk (see
+    /// [`Self::combine_raw`]), so every later one is a lookup.
     pub fn predict(
         &self,
         spec: &ModelSpec,
@@ -122,9 +128,25 @@ impl CopPredictor {
         if let Some(hit) = self.cache.borrow().get(&key) {
             return *hit;
         }
-        let result = self.predict_uncached(spec, batch, cfg);
-        self.cache.borrow_mut().insert(key, result);
-        result
+        let (b0, cfg0) = self.db.grid().points().next().expect("grids are non-empty");
+        if !self.cache.borrow().contains_key(&(spec.id(), b0, cfg0)) {
+            self.tabulate(spec);
+        }
+        // Off the grid: remembered as unpredictable.
+        *self.cache.borrow_mut().entry(key).or_insert(None)
+    }
+
+    /// Fills the memo with `spec`'s prediction at every grid point.
+    fn tabulate(&self, spec: &ModelSpec) {
+        let grid = self.db.grid();
+        let raw = self.combine_columns(spec, 0..grid.points().count());
+        let mut cache = self.cache.borrow_mut();
+        for (j, (batch, cfg)) in grid.points().enumerate() {
+            let predicted = raw
+                .as_ref()
+                .map(|raw| SimDuration::from_secs_f64(raw[j] * self.offset));
+            cache.insert((spec.id(), batch, cfg), predicted);
+        }
     }
 
     /// Predicted prefill latency of `prompt_tokens` total tokens under
@@ -163,42 +185,55 @@ impl CopPredictor {
     }
 
     /// The raw (un-inflated) combination of operator profiles, exposed
-    /// for the Fig. 8 prediction-error experiment.
+    /// for the Fig. 8 prediction-error experiment; `None` off the grid
+    /// or when some operator was never profiled.
     pub fn combine_raw(&self, spec: &ModelSpec, batch: u32, cfg: ResourceConfig) -> Option<f64> {
-        // Critical path over the profiled per-operator times. A missing
-        // profile entry aborts the combination.
+        let point = self.db.grid().point_index(batch, cfg)?;
+        Some(self.combine_columns(spec, point..point + 1)?[0])
+    }
+
+    /// The raw combination at the grid points `columns` (positions in
+    /// [`ConfigGrid::points`]), in one walk of `spec`'s DAG over the
+    /// operators' dense profile rows; `None` when some operator was
+    /// never profiled.
+    fn combine_columns(&self, spec: &ModelSpec, columns: Range<usize>) -> Option<Vec<f64>> {
+        // Critical path over the profiled per-operator times: a node
+        // finishes its own time after the last of its predecessors,
+        // folded with `f64::max` from the 0.0 each row starts at.
         let dag = spec.dag();
-        let mut finish = vec![0.0f64; dag.len()];
-        let mut best = 0.0f64;
+        let width = columns.len();
+        let mut finish = vec![0.0f64; dag.len() * width];
+        let mut best = vec![0.0f64; width];
         for (id, op) in dag.iter() {
-            let t = self.db.op_time_s(op, batch, cfg)?;
-            let start = dag
-                .predecessors(id)
-                .map(|p| finish[p.index()])
-                .fold(0.0f64, f64::max);
-            finish[id.index()] = start + t;
-            best = best.max(finish[id.index()]);
+            let times = &self.db.row(OpSignature::of(op))?[columns.clone()];
+            let (done, rest) = finish.split_at_mut(id.index() * width);
+            let node = &mut rest[..width];
+            for p in dag.predecessors(id) {
+                let pred = &done[p.index() * width..][..width];
+                for (start, &f) in node.iter_mut().zip(pred) {
+                    *start = start.max(f);
+                }
+            }
+            for ((f, &t), best) in node.iter_mut().zip(times).zip(&mut best) {
+                *f += t;
+                *best = best.max(*f);
+            }
         }
         // Known platform constants: framework overhead, transfer,
         // preprocessing (the template instruments these, so the
         // predictor may use them directly).
         let cal = self.hardware.calibration();
-        let mut total = best + cal.framework_base_s + cal.framework_per_sample_s * f64::from(batch);
-        if !cfg.is_cpu_only() {
-            total += f64::from(batch) * spec.input_kb() / cal.pcie_kb_per_s;
-            total += f64::from(batch) * cal.preproc_per_sample_s / f64::from(cfg.cpu_cores());
-        }
-        Some(total)
-    }
-
-    fn predict_uncached(
-        &self,
-        spec: &ModelSpec,
-        batch: u32,
-        cfg: ResourceConfig,
-    ) -> Option<SimDuration> {
-        self.combine_raw(spec, batch, cfg)
-            .map(|raw| SimDuration::from_secs_f64(raw * self.offset))
+        let points = self.db.grid().points().skip(columns.start);
+        let totals = best.iter().zip(points).map(|(&best, (batch, cfg))| {
+            let mut total =
+                best + cal.framework_base_s + cal.framework_per_sample_s * f64::from(batch);
+            if !cfg.is_cpu_only() {
+                total += f64::from(batch) * spec.input_kb() / cal.pcie_kb_per_s;
+                total += f64::from(batch) * cal.preproc_per_sample_s / f64::from(cfg.cpu_cores());
+            }
+            total
+        });
+        Some(totals.collect())
     }
 }
 
@@ -311,6 +346,69 @@ mod tests {
         let a = p.predict(&spec, 4, cfg);
         let b = p.predict(&spec, 4, cfg);
         assert_eq!(a, b);
+    }
+
+    /// The per-point walk `combine_raw` ran before whole-grid
+    /// prediction, kept verbatim as the oracle both paths must match.
+    fn per_point_oracle(
+        db: &ProfileDatabase,
+        hw: &HardwareModel,
+        spec: &ModelSpec,
+        batch: u32,
+        cfg: ResourceConfig,
+    ) -> Option<f64> {
+        let dag = spec.dag();
+        let mut finish = vec![0.0f64; dag.len()];
+        let mut best = 0.0f64;
+        for (id, op) in dag.iter() {
+            let t = db.op_time_s(op, batch, cfg)?;
+            let start = dag
+                .predecessors(id)
+                .map(|p| finish[p.index()])
+                .fold(0.0f64, f64::max);
+            finish[id.index()] = start + t;
+            best = best.max(finish[id.index()]);
+        }
+        let cal = hw.calibration();
+        let mut total = best + cal.framework_base_s + cal.framework_per_sample_s * f64::from(batch);
+        if !cfg.is_cpu_only() {
+            total += f64::from(batch) * spec.input_kb() / cal.pcie_kb_per_s;
+            total += f64::from(batch) * cal.preproc_per_sample_s / f64::from(cfg.cpu_cores());
+        }
+        Some(total)
+    }
+
+    /// Whole-grid prediction is bit-identical to the per-point walk:
+    /// every zoo model, every standard grid point, three offsets, with
+    /// `combine_raw` and `predict` each asked first on fresh predictors.
+    #[test]
+    fn grid_walk_matches_the_per_point_oracle_bit_for_bit() {
+        let hw = HardwareModel::default();
+        let specs: Vec<ModelSpec> = ModelId::all().iter().map(|id| id.spec()).collect();
+        let grid = ConfigGrid::standard();
+        let db = ProfileDatabase::cached(&hw, &specs, &grid, 11);
+        for offset in [DEFAULT_OFFSET, 1.5, 2.0] {
+            let raw_first = CopPredictor::with_offset(Arc::clone(&db), hw.clone(), offset);
+            let predict_first = CopPredictor::with_offset(Arc::clone(&db), hw.clone(), offset);
+            for spec in &specs {
+                for (b, cfg) in grid.points() {
+                    let oracle = per_point_oracle(&db, &hw, spec, b, cfg).expect("profiled");
+                    let expected = SimDuration::from_secs_f64(oracle * offset);
+                    let raw = raw_first.combine_raw(spec, b, cfg).expect("profiled");
+                    assert_eq!(raw.to_bits(), oracle.to_bits(), "{} b={b} {cfg}", spec.id());
+                    assert_eq!(predict_first.predict(spec, b, cfg), Some(expected));
+                    assert_eq!(raw_first.predict(spec, b, cfg), Some(expected));
+                }
+            }
+        }
+        // A model whose operators were never profiled predicts nothing
+        // anywhere, on either path.
+        let mnist_only = ProfileDatabase::cached(&hw, &[ModelId::Mnist.spec()], &grid, 11);
+        let p = CopPredictor::new(mnist_only, hw.clone());
+        let spec = ModelId::ResNet50.spec();
+        let cfg = ResourceConfig::new(1, 10);
+        assert!(p.combine_raw(&spec, 8, cfg).is_none());
+        assert!(p.predict(&spec, 8, cfg).is_none());
     }
 
     #[test]

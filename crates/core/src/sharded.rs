@@ -246,9 +246,12 @@ impl ShardedInfless {
         if has_arrivals || !fault_events.is_empty() {
             let mut k = 0u64;
             loop {
-                let has_events = shards_v
-                    .iter()
-                    .any(|sh| sh.stream.peek_time(&sh.queue).is_some());
+                // A batch timer the engine never pushed counts as an
+                // event until its deadline passes.
+                let has_events = shards_v.iter().any(|sh| {
+                    sh.stream.peek_time(&sh.queue).is_some()
+                        || sh.platform.engine.timer_horizon() > t_prev
+                });
                 // `k % 5 == 0`: stop only on a scaler barrier, mirroring
                 // the legacy loop whose final event is the first scaler
                 // tick at or past the horizon.

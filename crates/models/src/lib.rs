@@ -57,5 +57,5 @@ pub mod zoo;
 pub use dag::{DagBuilder, NodeId, OperatorDag};
 pub use hardware::{HardwareCalibration, HardwareModel, ResourceConfig};
 pub use operator::{OpClass, OpKind, Operator};
-pub use profile::{CacheOutcome, CacheStats, OpSignature, ProfileDatabase, ProfileKey};
+pub use profile::{CacheOutcome, CacheStats, OpSignature, ProfileDatabase};
 pub use zoo::{ModelId, ModelSpec};

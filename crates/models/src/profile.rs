@@ -82,18 +82,6 @@ impl OpSignature {
     }
 }
 
-/// A single profile lookup key: which operator, at which batchsize,
-/// under which resource configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct ProfileKey {
-    /// The distinct operator.
-    pub signature: OpSignature,
-    /// The profiled batchsize.
-    pub batch: u32,
-    /// The profiled resource configuration.
-    pub config: ResourceConfig,
-}
-
 /// The discrete configuration grid profiled offline and searched by the
 /// scheduler (`AvailableConfig` in Algorithm 1 iterates it).
 ///
@@ -157,6 +145,14 @@ impl ConfigGrid {
             .iter()
             .flat_map(move |&b| self.configs.iter().map(move |&c| (b, c)))
     }
+
+    /// The position of `(batch, config)` in [`Self::points`], or `None`
+    /// off the grid. A point listed twice answers its last position.
+    pub fn point_index(&self, batch: u32, config: ResourceConfig) -> Option<usize> {
+        let b = self.batches.iter().rposition(|&x| x == batch)?;
+        let c = self.configs.iter().rposition(|&x| x == config)?;
+        Some(b * self.configs.len() + c)
+    }
 }
 
 /// The operator profile database: offline "measurements" of every
@@ -179,7 +175,12 @@ impl ConfigGrid {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileDatabase {
-    entries: HashMap<ProfileKey, f64>,
+    /// The profiled operators, sorted.
+    signatures: Vec<OpSignature>,
+    /// One dense row of measured times (seconds) per signature, in
+    /// `signatures` order; a row lists the grid's points in
+    /// [`ConfigGrid::points`] order.
+    times: Vec<f64>,
     grid: ConfigGrid,
 }
 
@@ -197,8 +198,8 @@ impl ProfileDatabase {
         seed: u64,
     ) -> Self {
         let signatures = Self::distinct_signatures(specs);
-        let mut entries = HashMap::new();
-        for sig in signatures {
+        let mut times = Vec::with_capacity(signatures.len() * grid.points().count());
+        for &sig in &signatures {
             let rep = sig.representative();
             let mut rng = infless_sim::rng::stream(
                 seed,
@@ -207,18 +208,12 @@ impl ProfileDatabase {
             for (batch, config) in grid.points() {
                 let true_t = hardware.op_latency_s(&rep, batch, config);
                 let noise = 1.0 + Self::PROFILING_NOISE * gaussian(&mut rng);
-                entries.insert(
-                    ProfileKey {
-                        signature: sig,
-                        batch,
-                        config,
-                    },
-                    true_t * noise.max(0.5),
-                );
+                times.push(true_t * noise.max(0.5));
             }
         }
         ProfileDatabase {
-            entries,
+            signatures,
+            times,
             grid: grid.clone(),
         }
     }
@@ -227,13 +222,17 @@ impl ProfileDatabase {
     /// `op` at `(batch, config)`, or `None` if the operator or the
     /// configuration was never profiled.
     pub fn op_time_s(&self, op: &Operator, batch: u32, config: ResourceConfig) -> Option<f64> {
-        self.entries
-            .get(&ProfileKey {
-                signature: OpSignature::of(op),
-                batch,
-                config,
-            })
-            .copied()
+        let point = self.grid.point_index(batch, config)?;
+        Some(self.row(OpSignature::of(op))?[point])
+    }
+
+    /// The measured times (seconds) of operator `signature` at every
+    /// grid point, in [`ConfigGrid::points`] order, or `None` if it was
+    /// never profiled.
+    pub fn row(&self, signature: OpSignature) -> Option<&[f64]> {
+        let i = self.signatures.binary_search(&signature).ok()?;
+        let width = self.times.len() / self.signatures.len();
+        Some(&self.times[i * width..(i + 1) * width])
     }
 
     /// The configuration grid this database covers.
@@ -241,22 +240,26 @@ impl ProfileDatabase {
         &self.grid
     }
 
-    /// Number of profile entries.
+    /// Number of profile entries: distinct `(operator, batch, config)`
+    /// keys.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        let grid = &self.grid;
+        let distinct_points = grid
+            .points()
+            .enumerate()
+            .filter(|&(i, (b, c))| grid.point_index(b, c) == Some(i))
+            .count();
+        self.signatures.len() * distinct_points
     }
 
     /// `true` if the database holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.signatures.is_empty()
     }
 
     /// Number of distinct operators profiled.
     pub fn distinct_operators(&self) -> usize {
-        let mut sigs: Vec<OpSignature> = self.entries.keys().map(|k| k.signature).collect();
-        sigs.sort();
-        sigs.dedup();
-        sigs.len()
+        self.signatures.len()
     }
 
     /// The sorted, deduplicated operator signatures of a model set —
@@ -508,6 +511,47 @@ mod tests {
         let op = Operator::new(OpKind::Conv2d, 0.070);
         // 7 cores is not in the standard grid.
         assert!(db.op_time_s(&op, 8, ResourceConfig::cpu(7)).is_none());
+    }
+
+    /// The dense rows answer every lookup the keyed map did, and
+    /// count entries and operators as it did: distinct `(operator,
+    /// batch, config)` keys, a repeated grid point answering with its
+    /// last measurement.
+    #[test]
+    fn dense_rows_count_and_answer_like_the_keyed_map() {
+        let hw = HardwareModel::default();
+        let specs: Vec<ModelSpec> = ModelId::all().iter().map(|id| id.spec()).collect();
+        let grid = ConfigGrid::standard();
+        let db = ProfileDatabase::profile(&hw, &specs, &grid, 7);
+        let sigs = ProfileDatabase::distinct_signatures(&specs);
+        assert_eq!(db.distinct_operators(), sigs.len());
+        assert_eq!(db.len(), sigs.len() * grid.points().count());
+        let repeated = ConfigGrid::new(
+            vec![
+                ResourceConfig::cpu(1),
+                ResourceConfig::new(1, 10),
+                ResourceConfig::cpu(1),
+            ],
+            vec![4, 1, 4],
+        );
+        let db = ProfileDatabase::profile(&hw, &specs[..2], &repeated, 7);
+        let mut keyed = HashMap::new();
+        for &sig in &ProfileDatabase::distinct_signatures(&specs[..2]) {
+            let row = db.row(sig).expect("profiled");
+            for ((b, c), &t) in repeated.points().zip(row) {
+                keyed.insert((sig, b, c), t);
+            }
+        }
+        assert_eq!(db.len(), keyed.len());
+        for spec in &specs[..2] {
+            for op in spec.dag().nodes() {
+                for (b, c) in repeated.points() {
+                    let want = keyed[&(OpSignature::of(op), b, c)];
+                    assert_eq!(db.op_time_s(op, b, c), Some(want));
+                }
+            }
+        }
+        assert_eq!(repeated.point_index(2, ResourceConfig::cpu(1)), None);
     }
 
     #[test]

@@ -46,6 +46,6 @@ mod time;
 pub mod rng;
 pub mod stats;
 
-pub use event::{as_of_ties, EventQueue, ScheduledEvent, Staged, StagedStream};
+pub use event::{as_of_ties, EventQueue, ScheduledEvent, Staged, StagedStream, Ticket};
 pub use hash::{FxHashMap, FxHasher};
 pub use time::{SimDuration, SimTime};

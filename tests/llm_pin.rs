@@ -340,6 +340,11 @@ fn check_f(name: &str, actual: String) {
 }
 
 fn check(name: &str, actual: String, pinned: &str) {
+    assert_eq!(
+        infless::core::engine::live_timer_drops(),
+        0,
+        "a batch timer that could still start a batch was never pushed"
+    );
     if actual.trim_end_matches('\n') != pinned.trim_end_matches('\n') {
         let first = actual
             .lines()

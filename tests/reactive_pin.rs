@@ -61,7 +61,13 @@ fn llm_chat(system: System) -> String {
 }
 
 fn pinned(system: System) -> String {
-    format!("[\n{},\n{}\n]", faulted_bursty(system), llm_chat(system))
+    let pinned = format!("[\n{},\n{}\n]", faulted_bursty(system), llm_chat(system));
+    assert_eq!(
+        infless::core::engine::live_timer_drops(),
+        0,
+        "a batch timer that could still start a batch was never pushed"
+    );
+    pinned
 }
 
 #[test]
