@@ -53,7 +53,7 @@ fn main() {
     // Observation #6 aggregate: call sites vs distinct operators across
     // the whole zoo.
     let mut call_sites = 0;
-    let mut kinds = std::collections::HashSet::new();
+    let mut kinds = std::collections::BTreeSet::new();
     for id in ModelId::all() {
         let spec = id.spec();
         call_sites += spec.dag().len();

@@ -8,7 +8,7 @@
 //! directly, so COP works on arbitrary DAGs, not just series-parallel
 //! ones.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -114,9 +114,9 @@ impl OperatorDag {
     }
 
     /// Counts call sites per distinct operator kind (paper Fig. 7 shows
-    /// these counts for LSTM-2365 and ResNet-50).
-    pub fn kind_counts(&self) -> HashMap<OpKind, usize> {
-        let mut m = HashMap::new();
+    /// these counts for LSTM-2365 and ResNet-50), in kind order.
+    pub fn kind_counts(&self) -> BTreeMap<OpKind, usize> {
+        let mut m = BTreeMap::new();
         for op in &self.nodes {
             *m.entry(op.kind()).or_insert(0) += 1;
         }
@@ -124,9 +124,10 @@ impl OperatorDag {
     }
 
     /// Aggregates `weight` per operator kind — e.g. the share of total
-    /// execution time attributable to `Conv2D` (Fig. 7b).
-    pub fn kind_totals<W: Fn(&Operator) -> f64>(&self, weight: W) -> HashMap<OpKind, f64> {
-        let mut m = HashMap::new();
+    /// execution time attributable to `Conv2D` (Fig. 7b). Summed in
+    /// node order, keyed in kind order, so every run sees the same bits.
+    pub fn kind_totals<W: Fn(&Operator) -> f64>(&self, weight: W) -> BTreeMap<OpKind, f64> {
+        let mut m = BTreeMap::new();
         for op in &self.nodes {
             *m.entry(op.kind()).or_insert(0.0) += weight(op);
         }

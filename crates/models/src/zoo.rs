@@ -707,7 +707,7 @@ mod tests {
         // Paper Observation #6: ~1000 call sites but only ~71 distinct
         // operators across models. Our zoo shares a small vocabulary.
         let mut call_sites = 0;
-        let mut kinds = std::collections::HashSet::new();
+        let mut kinds = std::collections::BTreeSet::new();
         for id in ModelId::all() {
             let spec = id.spec();
             call_sites += spec.dag().len();
