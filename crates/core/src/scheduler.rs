@@ -169,30 +169,41 @@ fn plan_entry<'a>(
     let spec = function.spec();
     let slo = function.slo();
     let cap = config.max_batch.min(function.max_batch());
-    let llm = function.llm().copied();
+    let llm = function.llm();
     cache
-        .entry((spec.name(), slo, cap, llm.as_ref().map(llm_key)))
+        .entry((spec.name(), slo, cap, llm.map(llm_key)))
         .or_insert_with(|| {
-            let mut batches: Vec<u32> = predictor
-                .grid()
-                .batches()
-                .iter()
-                .copied()
-                .filter(|b| *b <= cap)
-                .collect();
-            batches.sort_unstable();
-            if config.largest_batch_first {
-                batches.reverse();
-            }
+            let batches = batch_order(config, predictor, cap);
             let masters = batches
                 .iter()
-                .map(|&b| match &llm {
-                    Some(l) => llm_master_candidates(predictor, spec, slo, b, l),
-                    None => master_candidates(predictor, spec, slo, b),
+                .map(|&b| {
+                    predictor
+                        .grid()
+                        .configs()
+                        .iter()
+                        .filter_map(|&cfg| check_candidate(predictor, spec, slo, llm, b, cfg).ok())
+                        .collect()
                 })
                 .collect();
             CachedCandidates { batches, masters }
         })
+}
+
+/// The grid's batchsizes up to `cap`, in the configured preference
+/// order.
+fn batch_order(config: SchedulerConfig, predictor: &CopPredictor, cap: u32) -> Vec<u32> {
+    let mut batches: Vec<u32> = predictor
+        .grid()
+        .batches()
+        .iter()
+        .copied()
+        .filter(|b| *b <= cap)
+        .collect();
+    batches.sort_unstable();
+    if config.largest_batch_first {
+        batches.reverse();
+    }
+    batches
 }
 
 impl Scheduler {
@@ -279,88 +290,27 @@ impl Scheduler {
         function: &FunctionInfo,
         out: &mut Vec<DecisionEvent>,
     ) {
-        let spec = function.spec();
-        let slo = function.slo();
+        let (spec, slo, llm) = (function.spec(), function.slo(), function.llm());
         let cap = self.config.max_batch.min(function.max_batch());
         let beta = predictor.beta();
-        let mut batches: Vec<u32> = predictor
-            .grid()
-            .batches()
-            .iter()
-            .copied()
-            .filter(|b| *b <= cap)
-            .collect();
-        batches.sort_unstable();
-        if self.config.largest_batch_first {
-            batches.reverse();
-        }
-        for b in batches {
+        for b in batch_order(self.config, predictor, cap) {
             for &cfg in predictor.grid().configs() {
                 let mut ev = DecisionEvent::new(DecisionKind::Candidate);
                 ev.batch = b;
                 ev.cpu = cfg.cpu_cores();
                 ev.gpu = cfg.gpu_pct();
-                if let Some(llm) = function.llm() {
-                    // Two-phase feasibility, mirroring
-                    // `llm_master_candidates` check for check.
-                    if cfg.gpu_pct() == 0 {
-                        ev.kind = DecisionKind::Reject;
-                        ev.reason = DecisionReason::Memory;
-                        out.push(ev);
-                        continue;
+                match check_candidate(predictor, spec, slo, llm, b, cfg) {
+                    Ok(c) => {
+                        ev.value = c.window.r_up() / weighted(cfg, beta);
+                        ev.aux = c.t_exec.as_millis_f64();
                     }
-                    let prompt = u64::from(llm.prompt_tokens_mean);
-                    let n_cap = b.min(llm.max_concurrent_seqs());
-                    let kv_mb = (f64::from(n_cap)
-                        * f64::from(llm.prompt_tokens_mean + llm.output_tokens_mean)
-                        * llm.kv_mb_per_token)
-                        .min(llm.kv_arena_mb);
-                    let prefill =
-                        predictor.prefill_latency(spec, prompt.saturating_mul(u64::from(b)), cfg);
-                    if prefill > llm.ttft_slo {
+                    Err((reason, value)) => {
                         ev.kind = DecisionKind::Reject;
-                        ev.reason = DecisionReason::Ttft;
-                        ev.value = prefill.as_millis_f64();
-                        out.push(ev);
-                        continue;
+                        ev.reason = reason;
+                        ev.value = value;
                     }
-                    let step = predictor.decode_step_latency(spec, n_cap, kv_mb, cfg);
-                    if step > llm.tpot_slo {
-                        ev.kind = DecisionKind::Reject;
-                        ev.reason = DecisionReason::Tpot;
-                        ev.value = step.as_millis_f64();
-                        out.push(ev);
-                        continue;
-                    }
-                    let t_exec = prefill + step.mul_f64(f64::from(llm.output_tokens_mean));
-                    let Some(window) = RpsWindow::for_instance(t_exec, slo, b) else {
-                        ev.kind = DecisionKind::Reject;
-                        ev.reason = DecisionReason::Window;
-                        ev.value = t_exec.as_millis_f64();
-                        out.push(ev);
-                        continue;
-                    };
-                    ev.value = window.r_up() / weighted(cfg, beta);
-                    ev.aux = t_exec.as_millis_f64();
-                    out.push(ev);
-                } else {
-                    let Some(t_exec) = predictor.predict(spec, b, cfg) else {
-                        ev.kind = DecisionKind::Reject;
-                        ev.reason = DecisionReason::NoProfile;
-                        out.push(ev);
-                        continue;
-                    };
-                    let Some(window) = RpsWindow::for_instance(t_exec, slo, b) else {
-                        ev.kind = DecisionKind::Reject;
-                        ev.reason = DecisionReason::Window;
-                        ev.value = t_exec.as_millis_f64();
-                        out.push(ev);
-                        continue;
-                    };
-                    ev.value = window.r_up() / weighted(cfg, beta);
-                    ev.aux = t_exec.as_millis_f64();
-                    out.push(ev);
                 }
+                out.push(ev);
             }
         }
     }
@@ -591,37 +541,15 @@ fn best_resize(
     })
 }
 
-/// The residual-independent part of `AvailableConfig(b, R_k, t_slo)`:
-/// every configuration whose predicted execution time keeps the SLO
-/// feasible at batchsize `b`. The residual-rate saturation bound is
-/// applied per round by `schedule`.
-fn master_candidates(
-    predictor: &CopPredictor,
-    spec: &ModelSpec,
-    slo: SimDuration,
-    b: u32,
-) -> Vec<Candidate> {
-    let mut out = Vec::new();
-    for &cfg in predictor.grid().configs() {
-        let Some(t_exec) = predictor.predict(spec, b, cfg) else {
-            continue;
-        };
-        let Some(window) = RpsWindow::for_instance(t_exec, slo, b) else {
-            continue;
-        };
-        out.push(Candidate {
-            batch: b,
-            cfg,
-            window,
-            t_exec,
-        });
-    }
-    out
-}
-
-/// The two-phase `AvailableConfig` for autoregressive functions —
-/// Algorithm 1's feasibility check split along the prefill/decode
-/// boundary. A configuration survives only when
+/// The residual-independent part of `AvailableConfig(b, R_k, t_slo)`
+/// for one `⟨b, cfg⟩` point: the candidate when its predicted
+/// execution time keeps the SLO feasible, else the reason of the first
+/// check that failed and the value it read (ms; 0 when it read none).
+/// The residual-rate saturation bound is applied per round by
+/// `schedule`.
+///
+/// Autoregressive functions are checked in two phases, split along the
+/// prefill/decode boundary. A configuration survives only when
 ///
 /// 1. a full batch of mean-length prompts prefills within the TTFT
 ///    SLO (the compute-bound phase sets time-to-first-token), and
@@ -632,47 +560,51 @@ fn master_candidates(
 /// The Eq. 1 window then uses the *effective* batch service time,
 /// prefill plus `output_tokens_mean` decode steps, so the arrival-rate
 /// bounds reflect the whole episode rather than a single pass.
-fn llm_master_candidates(
+fn check_candidate(
     predictor: &CopPredictor,
     spec: &ModelSpec,
     slo: SimDuration,
+    llm: Option<&LlmClass>,
     b: u32,
-    llm: &LlmClass,
-) -> Vec<Candidate> {
-    let mut out = Vec::new();
-    let prompt = u64::from(llm.prompt_tokens_mean);
-    // Concurrency is capped by both the batch knob and the KV arena.
-    let n_cap = b.min(llm.max_concurrent_seqs());
-    let kv_mb = (f64::from(n_cap)
-        * f64::from(llm.prompt_tokens_mean + llm.output_tokens_mean)
-        * llm.kv_mb_per_token)
-        .min(llm.kv_arena_mb);
-    for &cfg in predictor.grid().configs() {
-        // The KV arena lives in device memory: autoregressive
-        // instances are GPU-resident by construction.
-        if cfg.gpu_pct() == 0 {
-            continue;
+    cfg: ResourceConfig,
+) -> Result<Candidate, (DecisionReason, f64)> {
+    let t_exec = match llm {
+        None => predictor
+            .predict(spec, b, cfg)
+            .ok_or((DecisionReason::NoProfile, 0.0))?,
+        Some(llm) => {
+            // The KV arena lives in device memory: autoregressive
+            // instances are GPU-resident by construction.
+            if cfg.gpu_pct() == 0 {
+                return Err((DecisionReason::Memory, 0.0));
+            }
+            let prompt = u64::from(llm.prompt_tokens_mean);
+            // Concurrency is capped by both the batch knob and the KV
+            // arena.
+            let n_cap = b.min(llm.max_concurrent_seqs());
+            let kv_mb = (f64::from(n_cap)
+                * f64::from(llm.prompt_tokens_mean + llm.output_tokens_mean)
+                * llm.kv_mb_per_token)
+                .min(llm.kv_arena_mb);
+            let prefill = predictor.prefill_latency(spec, prompt.saturating_mul(u64::from(b)), cfg);
+            if prefill > llm.ttft_slo {
+                return Err((DecisionReason::Ttft, prefill.as_millis_f64()));
+            }
+            let step = predictor.decode_step_latency(spec, n_cap, kv_mb, cfg);
+            if step > llm.tpot_slo {
+                return Err((DecisionReason::Tpot, step.as_millis_f64()));
+            }
+            prefill + step.mul_f64(f64::from(llm.output_tokens_mean))
         }
-        let prefill = predictor.prefill_latency(spec, prompt.saturating_mul(u64::from(b)), cfg);
-        if prefill > llm.ttft_slo {
-            continue;
-        }
-        let step = predictor.decode_step_latency(spec, n_cap, kv_mb, cfg);
-        if step > llm.tpot_slo {
-            continue;
-        }
-        let t_exec = prefill + step.mul_f64(f64::from(llm.output_tokens_mean));
-        let Some(window) = RpsWindow::for_instance(t_exec, slo, b) else {
-            continue;
-        };
-        out.push(Candidate {
-            batch: b,
-            cfg,
-            window,
-            t_exec,
-        });
-    }
-    out
+    };
+    let window = RpsWindow::for_instance(t_exec, slo, b)
+        .ok_or_else(|| (DecisionReason::Window, t_exec.as_millis_f64()))?;
+    Ok(Candidate {
+        batch: b,
+        cfg,
+        window,
+        t_exec,
+    })
 }
 
 #[allow(clippy::too_many_arguments)]
