@@ -12,7 +12,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{SimDuration, SimTime};
+use crate::SimTime;
 
 /// Running mean and variance via Welford's algorithm.
 ///
@@ -66,11 +66,6 @@ impl Welford {
         } else {
             self.m2 / self.count as f64
         }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
     }
 }
 
@@ -431,12 +426,6 @@ impl TimeWeighted {
             self.integral_until(t) / span
         }
     }
-}
-
-/// Convenience: converts a slice of [`SimDuration`]s into a [`Samples`]
-/// set of milliseconds, the unit every latency figure in the paper uses.
-pub fn durations_to_millis(durations: &[SimDuration]) -> Samples {
-    durations.iter().map(|d| d.as_millis_f64()).collect()
 }
 
 #[cfg(test)]

@@ -136,12 +136,6 @@ impl SimDuration {
         SimDuration((secs * 1e6).round() as u64)
     }
 
-    /// Creates a duration from fractional milliseconds, rounding to the
-    /// nearest microsecond and clamping negative inputs to zero.
-    pub fn from_millis_f64(millis: f64) -> Self {
-        Self::from_secs_f64(millis / 1e3)
-    }
-
     /// The duration in whole microseconds.
     pub const fn as_micros(self) -> u64 {
         self.0
