@@ -35,7 +35,7 @@ summary as JSON instead of a table.
 engine with N shards (INFless scenarios only; telemetry streaming is
 not available on this path). The report is byte-identical for every N.
 --canonical-json prints the report's canonical JSON rendering — the
-exact string the CI determinism gate byte-diffs between shard counts.
+exact string the golden manifest pins and compares between shard counts.
 
 --policy overrides the scenario's residual-coverage policy:
 `vertical-first` upgrades live instances in place (a journaled resize

@@ -17,8 +17,8 @@ fn resize_ramp_json() -> String {
 
 /// The shipped resize scenario — vertical-first policy, in-flight
 /// resize transactions firing — must replay byte-identically through
-/// the epoch-barrier driver at every shard count. This is the surface
-/// the CI determinism gate diffs.
+/// the epoch-barrier driver at every shard count. The golden manifest
+/// asserts the same for every output of the scenario.
 #[test]
 fn resize_scenario_is_shard_count_invariant() {
     let s = Scenario::from_json(&resize_ramp_json()).unwrap();

@@ -56,16 +56,17 @@ fn disabled_residency_is_bit_identical_to_no_residency() {
 
 /// The shipped swap scenario — residency tier on, faults firing — must
 /// replay byte-identically through the epoch-barrier driver at every
-/// shard count. This is the surface the CI determinism gate diffs.
+/// shard count. The golden manifest asserts the same for every output;
+/// this test also checks that the run exercises swaps and faults.
 #[test]
 fn swap_scenario_is_shard_count_invariant() {
     let s = Scenario::from_json(&swap_sweep_json()).unwrap();
     let r1 = s.execute(RunConfig::new().shards(1)).unwrap();
     let r4 = s.execute(RunConfig::new().shards(4)).unwrap();
-    assert!(r1.swap_launches > 0, "determinism gate must cover swaps");
+    assert!(r1.swap_launches > 0, "shard invariance must cover swaps");
     assert!(
         r1.failures.server_crashes > 0,
-        "determinism gate must cover faults"
+        "shard invariance must cover faults"
     );
     assert_eq!(r1.canonical_json(), r4.canonical_json());
 }
