@@ -2,31 +2,29 @@
 //!
 //! [`System`] names every platform under comparison, and
 //! [`System::serve`] is the only code that turns a [`RunConfig`] into a
-//! run: it validates the config, dispatches explicit shard counts to
-//! the epoch-barrier driver, applies the config's overrides onto the
-//! caller's [`Deployment`], opens every requested output file before
-//! the first event, composes and attaches the telemetry sinks, streams
-//! the decision trace, and writes the metrics snapshot at the end.
+//! run: it dispatches explicit shard counts to the epoch-barrier
+//! driver, applies the config's overrides onto the caller's
+//! [`Deployment`], opens every requested output before the first event
+//! as one output of the ordered record path, and writes the metrics
+//! snapshot at the end.
 //! `System::execute` (the bench harness) and `Scenario::execute` (the
 //! descriptor pipeline) both build a deployment and call it.
 
 use std::fmt;
 use std::fs::File;
-use std::io::BufWriter;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
 
 use infless_cluster::ClusterSpec;
 use infless_core::chains::ChainSpec;
 use infless_core::driver::{self, Platform};
-use infless_core::engine::{Engine, FunctionInfo};
+use infless_core::engine::FunctionInfo;
 use infless_core::metrics::RunReport;
 use infless_core::platform::{InflessConfig, InflessPlatform};
-use infless_core::runconfig::{RunConfig, RunConfigError};
+use infless_core::runconfig::RunConfig;
 use infless_core::sharded::ShardedInfless;
 use infless_faults::FaultSchedule;
 use infless_telemetry::{
-    DecisionTap, DecisionWriter, FlightRecorder, MetricsHandle, MetricsRegistry, NullSink,
+    DecisionFile, FlightRecorder, MetricsRegistry, MetricsSink, RecordWriter, TelemetrySink,
 };
 use infless_workload::Workload;
 
@@ -88,8 +86,6 @@ impl Deployment {
 /// Why [`System::serve`] refused or failed a run.
 #[derive(Debug)]
 pub enum RunError {
-    /// The config failed [`RunConfig::validate`].
-    Config(RunConfigError),
     /// An explicit shard count was requested for a platform without an
     /// epoch-barrier driver (every platform but INFless).
     ShardedBaseline(&'static str),
@@ -105,7 +101,6 @@ pub enum RunError {
 impl fmt::Display for RunError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RunError::Config(e) => write!(f, "invalid run config: {e}"),
             RunError::ShardedBaseline(name) => write!(
                 f,
                 "sharded execution is INFless-only; {name} has no epoch-barrier driver"
@@ -120,7 +115,6 @@ impl fmt::Display for RunError {
 impl std::error::Error for RunError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            RunError::Config(e) => Some(e),
             RunError::ShardedBaseline(_) => None,
             RunError::Output { source, .. } => Some(source),
         }
@@ -174,9 +168,8 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics when [`System::serve`] fails: an invalid config, a
-    /// sharded run of a baseline, or an output file that cannot be
-    /// written.
+    /// Panics when [`System::serve`] fails: a sharded run of a
+    /// baseline, or an output file that cannot be written.
     pub fn execute(
         self,
         cluster: ClusterSpec,
@@ -197,14 +190,16 @@ impl System {
     /// residency, LLM and scale-policy knobs override the deployment's
     /// INFless configuration. An explicit shard count (even 1) runs the
     /// epoch-barrier [`ShardedInfless`] driver. Every requested output
-    /// is created (or truncated) before the first event. The telemetry
-    /// sinks compose innermost first: the config's sink, the decision
-    /// tap, the flight recorder. With no output requested the engine
-    /// gets the config's sink (or a [`NullSink`]) and nothing else.
+    /// is created (or truncated) before the first event and becomes one
+    /// output of a [`RecordWriter`]: the config's sink, the decision
+    /// trace, the flight recorder and the metrics snapshot's gauge
+    /// consumer. The sharded driver feeds that writer the same records
+    /// in the same order at every shard count, so every output is
+    /// byte-identical across shard counts. With no output requested
+    /// the engine builds no record.
     ///
     /// # Errors
     ///
-    /// [`RunError::Config`] when `config` fails [`RunConfig::validate`];
     /// [`RunError::ShardedBaseline`] for a sharded run of a baseline;
     /// [`RunError::Output`] when an output file cannot be created or
     /// written.
@@ -214,21 +209,31 @@ impl System {
         workload: &Workload,
         config: RunConfig,
     ) -> Result<RunReport, RunError> {
-        config.validate().map_err(RunError::Config)?;
         let shards = config.is_sharded().then(|| config.effective_shards());
         if shards.is_some() && self != System::Infless {
             return Err(RunError::ShardedBaseline(self.name()));
         }
-        let create = |path: &PathBuf| File::create(path).map_err(|e| output_error(path, e));
-        let mut decisions = config
-            .decisions_out
-            .as_ref()
-            .map(|path| Ok(DecisionWriter::new(BufWriter::new(create(path)?))))
-            .transpose()?;
-        if let Some(path) = &config.metrics_out {
-            create(path)?;
+        let mut outputs: Vec<Box<dyn TelemetrySink>> = config.telemetry.into_iter().collect();
+        if let Some(path) = &config.decisions_out {
+            outputs.push(Box::new(
+                DecisionFile::create(path).map_err(|e| output_error(path, e))?,
+            ));
         }
-        let flight = config.flight_out.as_ref().map(create).transpose()?;
+        if let Some(path) = &config.flight_out {
+            outputs.push(Box::new(
+                FlightRecorder::create(path).map_err(|e| output_error(path, e))?,
+            ));
+        }
+        let metrics = match &config.metrics_out {
+            Some(path) => {
+                File::create(path).map_err(|e| output_error(path, e))?;
+                let sink = MetricsSink::new();
+                outputs.push(Box::new(sink.clone()));
+                Some((path, sink))
+            }
+            None => None,
+        };
+        let mut writer = (!outputs.is_empty()).then(|| RecordWriter::new(outputs));
 
         let Deployment {
             cluster,
@@ -247,75 +252,48 @@ impl System {
         if let Some(policy) = config.scale_policy {
             infless.scale_policy = policy;
         }
-        let metrics = config
-            .metrics_out
-            .as_ref()
-            .map(|_| MetricsRegistry::handle());
 
-        let (report, written) = if let Some(shards) = shards {
-            let mut runner = ShardedInfless::with_chains(cluster, functions, chains, infless, seed)
-                .with_fault_schedule(schedule);
-            if let Some(handle) = &metrics {
-                runner = runner.with_metrics(handle.clone());
+        let records = writer.as_mut();
+        let report = match (self, shards) {
+            (System::Infless, Some(shards)) => {
+                ShardedInfless::with_chains(cluster, functions, chains, infless, seed)
+                    .with_fault_schedule(schedule)
+                    .run_into(workload, shards, records)
             }
-            let report = runner.run_into(workload, shards, decisions.as_mut());
-            (report, decisions.map(|mut writer| writer.finish()))
-        } else {
-            let mut sink = config.telemetry.unwrap_or_else(|| Box::new(NullSink));
-            let decisions = decisions.map(|writer| Arc::new(Mutex::new(writer)));
-            if let Some(writer) = &decisions {
-                sink = Box::new(DecisionTap::new(sink, writer.clone()));
+            (System::Infless, None) => {
+                let mut platform =
+                    InflessPlatform::with_chains(cluster, functions, chains, infless, seed);
+                platform.engine().apply_llm(llm);
+                driver::run_recorded(platform, workload, &schedule, records)
             }
-            // Outermost, so the ring sees every span whatever the
-            // inner sinks keep.
-            if let Some(out) = flight {
-                sink = Box::new(FlightRecorder::new(sink, out));
+            (System::OpenFaasPlus | System::Torpor, _) => {
+                let reactive = if self == System::Torpor {
+                    ReactiveConfig::torpor()
+                } else {
+                    ReactiveConfig::openfaas()
+                };
+                let mut platform = ReactivePlatform::new(cluster, functions, reactive, seed);
+                platform.engine().apply_llm(llm);
+                driver::run_recorded(platform, workload, &schedule, records)
             }
-            let handle = metrics.clone();
-            let attach = move |engine: &mut Engine| {
-                engine.set_telemetry(sink);
-                engine.apply_llm(llm);
-                if let Some(handle) = handle {
-                    engine.set_metrics(handle);
+            (System::Batch | System::BatchRs, _) => {
+                let mut batch = BatchConfig::default();
+                if self == System::BatchRs {
+                    batch.placement = BatchPlacement::BestFit;
                 }
-            };
-            let report = match self {
-                System::OpenFaasPlus | System::Torpor => {
-                    let reactive = if self == System::Torpor {
-                        ReactiveConfig::torpor()
-                    } else {
-                        ReactiveConfig::openfaas()
-                    };
-                    let mut platform = ReactivePlatform::new(cluster, functions, reactive, seed);
-                    attach(platform.engine());
-                    driver::run(platform, workload, &schedule)
-                }
-                System::Batch | System::BatchRs => {
-                    let mut batch = BatchConfig::default();
-                    if self == System::BatchRs {
-                        batch.placement = BatchPlacement::BestFit;
-                    }
-                    let mut platform = BatchPlatform::with_config(cluster, functions, batch, seed);
-                    attach(platform.engine());
-                    driver::run(platform, workload, &schedule)
-                }
-                System::Infless => {
-                    let mut platform =
-                        InflessPlatform::with_chains(cluster, functions, chains, infless, seed);
-                    attach(platform.engine());
-                    driver::run(platform, workload, &schedule)
-                }
-            };
-            let written =
-                decisions.map(|writer| writer.lock().expect("decision writer poisoned").finish());
-            (report, written)
+                let mut platform = BatchPlatform::with_config(cluster, functions, batch, seed);
+                platform.engine().apply_llm(llm);
+                driver::run_recorded(platform, workload, &schedule, records)
+            }
         };
 
-        if let (Some(path), Some(written)) = (&config.decisions_out, written) {
-            written.map_err(|e| output_error(path, e))?;
+        if let Some(writer) = &mut writer {
+            writer
+                .finish()
+                .map_err(|e| output_error(&e.path, e.source))?;
         }
-        if let (Some(path), Some(handle)) = (&config.metrics_out, &metrics) {
-            export_metrics(&report, handle, path)?;
+        if let Some((path, sink)) = metrics {
+            export_metrics(&report, sink.registry(), path)?;
         }
         Ok(report)
     }
@@ -328,10 +306,14 @@ fn output_error(path: &Path, source: std::io::Error) -> RunError {
     }
 }
 
-/// Folds the finished report's totals into the metrics registry as
-/// counter families and writes the Prometheus text snapshot.
-fn export_metrics(report: &RunReport, handle: &MetricsHandle, path: &Path) -> Result<(), RunError> {
-    let mut reg = handle.lock().expect("metrics registry poisoned");
+/// Folds the finished report's totals into the registry of gauge
+/// readings as counter families and writes the Prometheus text
+/// snapshot.
+fn export_metrics(
+    report: &RunReport,
+    mut reg: MetricsRegistry,
+    path: &Path,
+) -> Result<(), RunError> {
     for f in &report.functions {
         for (name, help, value) in [
             (

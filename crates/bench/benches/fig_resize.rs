@@ -21,8 +21,6 @@
 //! capacity that the launch-only policy re-buys cold after each
 //! valley.
 
-use std::sync::{Arc, Mutex};
-
 use infless_bench::{header, quick, record, run_parallel, System};
 use infless_cluster::ClusterSpec;
 use infless_core::engine::FunctionInfo;
@@ -31,7 +29,7 @@ use infless_core::platform::ScalePolicy;
 use infless_core::runconfig::RunConfig;
 use infless_models::ModelId;
 use infless_sim::SimDuration;
-use infless_telemetry::{DecisionKind, DecisionRecord, DecisionTap, DecisionWriter, NullSink};
+use infless_telemetry::{DecisionKind, DecisionRecord, MemorySink};
 use infless_workload::{FunctionLoad, RateSeries, TracePattern, Workload};
 
 /// The committed ramp shape (see the probe sweep below for how it was
@@ -140,19 +138,13 @@ fn run_traced(
     workload: &Workload,
     seed: u64,
 ) -> (RunReport, Vec<DecisionRecord>) {
-    let writer = Arc::new(Mutex::new(DecisionWriter::new(Vec::new())));
+    let sink = MemorySink::decisions_only();
     let config = RunConfig::new()
         .scale_policy(policy)
-        .telemetry(Box::new(DecisionTap::new(
-            Box::new(NullSink),
-            writer.clone(),
-        )));
+        .telemetry(Box::new(sink.clone()));
     let report = System::Infless.execute(ClusterSpec::testbed(), functions, workload, seed, config);
-    let mut writer = writer.lock().expect("decision writer poisoned");
-    writer
-        .finish()
-        .expect("collecting records in memory cannot fail");
-    (report, std::mem::take(writer.output_mut()))
+    let decisions = std::mem::take(&mut sink.store().decisions);
+    (report, decisions)
 }
 
 fn attainment(r: &RunReport) -> f64 {

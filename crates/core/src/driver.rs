@@ -17,6 +17,7 @@
 use infless_cluster::InstanceId;
 use infless_faults::FaultSchedule;
 use infless_sim::{EventQueue, SimDuration, SimTime, Staged, StagedStream};
+use infless_telemetry::RecordWriter;
 use infless_workload::Workload;
 
 use crate::engine::{CompletedBatch, Engine, EngineEvent, FaultOutcome};
@@ -26,9 +27,8 @@ use crate::metrics::RunReport;
 /// engine handles alone (batch timeouts, stragglers) never reach a
 /// hook; the rest reach one after the engine has applied its share.
 pub trait Platform {
-    /// The shared serving engine the platform drives. Attach a
-    /// telemetry sink, a metrics registry or LLM knobs through it
-    /// before [`run`].
+    /// The shared serving engine the platform drives. Set LLM knobs
+    /// through it before [`run`].
     fn engine(&mut self) -> &mut Engine;
 
     /// The period of the platform's [`EngineEvent::ScalerTick`].
@@ -93,13 +93,37 @@ pub const TICK_MARGIN: SimDuration = SimDuration::from_secs(5);
 /// [`TICK_MARGIN`].
 ///
 /// [`ArrivalSource`]: infless_workload::ArrivalSource
-pub fn run<P: Platform>(mut platform: P, workload: &Workload, faults: &FaultSchedule) -> RunReport {
+pub fn run<P: Platform>(platform: P, workload: &Workload, faults: &FaultSchedule) -> RunReport {
+    run_recorded(platform, workload, faults, None)
+}
+
+/// [`run`], feeding `records`, if given, every record the engine emits
+/// on the channels its outputs asked for. The writer is told the run's
+/// identity first; after every event it takes the engine's new records
+/// and releases those the clock has passed. The watermark lags the
+/// clock by the platform's arrival delay, because arrival spans are
+/// stamped at the gateway arrival. The caller finishes the writer.
+///
+/// # Panics
+///
+/// As [`run`].
+pub fn run_recorded<P: Platform>(
+    mut platform: P,
+    workload: &Workload,
+    faults: &FaultSchedule,
+    mut records: Option<&mut RecordWriter>,
+) -> RunReport {
     let mut queue = EventQueue::new();
     let delay = platform.arrival_delay();
     assert!(
         delay < TICK_MARGIN,
         "an arrival delay of {delay} is not shorter than the {TICK_MARGIN} tick margin"
     );
+    if let Some(writer) = records.as_deref_mut() {
+        let engine = platform.engine();
+        writer.begin(&engine.trace_meta());
+        engine.open_channels(writer.channels());
+    }
     let mut arrivals = StagedStream::from_source(workload.source(delay, |_| true));
     let period = platform.tick_period();
     if arrivals.staged_time().is_some() {
@@ -110,6 +134,10 @@ pub fn run<P: Platform>(mut platform: P, workload: &Workload, faults: &FaultSche
     }
     while let Some((t, ev)) = arrivals.next(&mut queue, EngineEvent::Arrival) {
         deliver(&mut platform, t, ev, &mut queue);
+        if let Some(writer) = records.as_deref_mut() {
+            writer.absorb(platform.engine().records_mut());
+            writer.flush_below(t.saturating_sub(delay).as_secs_f64());
+        }
         // An arrival still staged lies after `t` (arrivals win ties),
         // so, less a delay under the margin, the last arrival lies after
         // `t - TICK_MARGIN`. Once the stream is exhausted, the source
@@ -119,6 +147,9 @@ pub fn run<P: Platform>(mut platform: P, workload: &Workload, faults: &FaultSche
         {
             queue.schedule(t + period, EngineEvent::ScalerTick);
         }
+    }
+    if let Some(writer) = records {
+        writer.absorb(platform.engine().records_mut());
     }
     platform.finish()
 }

@@ -24,8 +24,8 @@ use infless_llm::{LlmBatching, LlmClass, LlmConfig};
 use infless_models::{HardwareModel, ModelId, ModelSpec, ResourceConfig};
 use infless_sim::{EventQueue, FxHashMap, SimDuration, SimTime, Ticket};
 use infless_telemetry::{
-    BreakdownEvent, DecisionEvent, DecisionKind, DecisionReason, DecisionRecord, FaultTag,
-    GaugeRow, MetricsHandle, NullSink, SpanEvent, SpanKind, TelemetrySink, TraceMeta,
+    BreakdownEvent, Channels, DecisionEvent, DecisionKind, DecisionReason, DecisionRecord,
+    FaultTag, GaugeRow, Record, SpanEvent, SpanKind, TraceMeta,
 };
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -251,22 +251,27 @@ pub struct Engine {
     /// The metrics recorder (public so platforms can add their own
     /// samples, e.g. fragment ratios at scaler ticks).
     pub collector: Collector,
-    /// Where lifecycle spans and gauge rows go. [`NullSink`] by
-    /// default: emission is gated on `enabled()`, draws no randomness,
-    /// and schedules no events, so a sink-less run is bit-identical to
-    /// one that predates the telemetry subsystem.
-    telemetry: Box<dyn TelemetrySink>,
-    /// `telemetry.enabled()`, read once in [`Self::set_telemetry`]: the
-    /// span/gauge gate as a plain field read on the per-request path.
+    /// Spans, gauge rows and decisions emitted since the driver last
+    /// moved them into its ordered writer. Stays empty, unallocated,
+    /// unless [`Self::open_channels`] opened a channel: emission draws
+    /// no randomness and schedules no events, so a run with every
+    /// channel closed is bit-identical to one with outputs.
+    records: Vec<Record>,
+    /// The span channel's gate, a plain field read on the per-request
+    /// path.
     spans_on: bool,
-    /// `telemetry.decisions_enabled()`, read once in
-    /// [`Self::set_telemetry`].
+    /// The gauge channel's gate.
+    gauges_on: bool,
+    /// The decision channel's gate.
     decisions_on: bool,
     /// Per-function monotonic decision sequence numbers — the
     /// tiebreaker that makes a merged multi-shard decision trace
     /// totally ordered (a function is wholly owned by one shard, so
     /// its counter is globally unique).
     decision_seq: Vec<u64>,
+    /// Per-function monotonic span sequence numbers, the spans'
+    /// analogue of `decision_seq`.
+    span_seq: Vec<u64>,
     /// Per-function launch counters, the source of
     /// `InstanceMeta::ordinal`. Raw instance ids are dense engine-local
     /// slot indices and therefore differ across shard counts; launches
@@ -280,9 +285,6 @@ pub struct Engine {
     /// Host-cache occupancy gauge (MB), set by the owning platform
     /// just before telemetry sampling.
     host_cache_mb: f64,
-    /// Optional metrics registry; gauge families are refreshed on
-    /// every [`Self::record_gauges`] call.
-    metrics: Option<MetricsHandle>,
     now: SimTime,
 }
 
@@ -593,31 +595,36 @@ impl Engine {
             launch_log: Vec::new(),
             beta,
             collector,
-            telemetry: Box::new(NullSink),
+            records: Vec::new(),
             spans_on: false,
+            gauges_on: false,
             decisions_on: false,
             decision_seq: vec![0; n],
+            span_seq: vec![0; n],
             launches_minted: vec![0; n],
             requests_minted: vec![0; n],
             host_cache_mb: 0.0,
-            metrics: None,
             now: SimTime::ZERO,
         }
     }
 
-    /// Attaches a telemetry sink, announcing the run's identity to it.
-    /// Spans and gauge rows flow to the sink from then on; attach
-    /// before driving the event loop to capture the whole run. The
-    /// sink's two gates are read here, once: a sink answers them the
-    /// same way for its whole life.
-    pub fn set_telemetry(&mut self, mut sink: Box<dyn TelemetrySink>) {
-        sink.begin(&self.trace_meta());
-        self.spans_on = sink.enabled();
-        self.decisions_on = sink.decisions_enabled();
-        self.telemetry = sink;
+    /// Opens the record channels some output wants: from then on the
+    /// engine builds those records into the buffer that
+    /// [`Self::records_mut`] hands the driver. Open before driving the
+    /// event loop to capture the whole run.
+    pub fn open_channels(&mut self, channels: Channels) {
+        self.spans_on = channels.spans;
+        self.gauges_on = channels.gauges;
+        self.decisions_on = channels.decisions;
     }
 
-    /// The run's identity, as announced to every attached sink.
+    /// The records emitted since the driver last took them, in emission
+    /// order. The driver moves them into its `RecordWriter`.
+    pub fn records_mut(&mut self) -> &mut Vec<Record> {
+        &mut self.records
+    }
+
+    /// The run's identity, as announced to every output.
     pub fn trace_meta(&self) -> TraceMeta {
         TraceMeta {
             platform: self.collector.platform().to_string(),
@@ -629,7 +636,7 @@ impl Engine {
         }
     }
 
-    /// `true` when the attached sink wants decision records. Platforms
+    /// `true` when some output wants decision records. Platforms
     /// gate every [`DecisionEvent`] construction on this, mirroring the
     /// span contract: a decision-less run builds nothing.
     pub fn decisions_enabled(&self) -> bool {
@@ -637,14 +644,14 @@ impl Engine {
     }
 
     /// Stamps `ev` with the clock and the function's next sequence
-    /// number, then forwards it to the sink. Callers gate on
+    /// number, then records it. Callers gate on
     /// [`Self::decisions_enabled`].
     pub fn record_decision(&mut self, function: usize, mut ev: DecisionEvent) {
         ev.t_s = self.now.as_secs_f64();
         ev.function = function as u32;
         ev.seq = self.next_decision_seq(function);
-        self.telemetry
-            .record_decision(&DecisionRecord::Decision(ev));
+        self.records
+            .push(Record::Decision(DecisionRecord::Decision(ev)));
     }
 
     fn next_decision_seq(&mut self, function: usize) -> u64 {
@@ -691,28 +698,22 @@ impl Engine {
         total: SimDuration,
     ) {
         let seq = self.next_decision_seq(function);
-        self.telemetry
-            .record_decision(&DecisionRecord::Breakdown(BreakdownEvent {
-                t_s: self.now.as_secs_f64(),
-                function: function as u32,
-                seq,
-                request,
-                slo_ms: self.functions[function].slo().as_millis_f64(),
-                queue_ms: parts.queueing.as_millis_f64(),
-                batch_wait_ms: parts.batch_wait.as_millis_f64(),
-                startup_ms: parts.startup.as_millis_f64(),
-                exec_ms: parts.execution.as_millis_f64(),
-                interference_ms: parts.interference.as_millis_f64(),
-                total_ms: total.as_millis_f64(),
-            }));
-    }
-
-    /// Attaches a metrics registry. Gauge families (instances,
-    /// occupancy, queue depth, KV residency, host cache) are refreshed
-    /// at every telemetry sampling tick; the run layer adds the final
-    /// counter families from the report.
-    pub fn set_metrics(&mut self, handle: MetricsHandle) {
-        self.metrics = Some(handle);
+        self.records
+            .push(Record::Decision(DecisionRecord::Breakdown(
+                BreakdownEvent {
+                    t_s: self.now.as_secs_f64(),
+                    function: function as u32,
+                    seq,
+                    request,
+                    slo_ms: self.functions[function].slo().as_millis_f64(),
+                    queue_ms: parts.queueing.as_millis_f64(),
+                    batch_wait_ms: parts.batch_wait.as_millis_f64(),
+                    startup_ms: parts.startup.as_millis_f64(),
+                    exec_ms: parts.execution.as_millis_f64(),
+                    interference_ms: parts.interference.as_millis_f64(),
+                    total_ms: total.as_millis_f64(),
+                },
+            )));
     }
 
     /// Sets the host-cache occupancy gauge (MB). The residency-tier
@@ -1037,9 +1038,10 @@ impl Engine {
         }
     }
 
-    /// Builds and records one span (`instance`/`server` are raw ids or
-    /// -1). Callers gate on `spans_on` so the disabled path
-    /// never constructs a [`SpanEvent`].
+    /// Builds and records one span of `request` (`instance` is a
+    /// launch ordinal, `server` a raw id, or -1). Callers gate on
+    /// `spans_on` so the disabled path never constructs a
+    /// [`SpanEvent`].
     fn emit(
         &mut self,
         kind: SpanKind,
@@ -1049,16 +1051,23 @@ impl Engine {
         server: i64,
         batch: u32,
     ) {
-        self.telemetry.record(SpanEvent {
+        self.push_span(SpanEvent {
             t_s: t.as_secs_f64(),
             kind,
-            request: request.id.raw(),
+            request: request.ordinal,
             function: request.function.raw() as u32,
             instance,
             server,
             batch,
             fault: FaultTag::None,
         });
+    }
+
+    /// Records `span` with its function's next span sequence number.
+    fn push_span(&mut self, span: SpanEvent) {
+        let seq = &mut self.span_seq[span.function as usize];
+        self.records.push(Record::Span { seq: *seq, span });
+        *seq += 1;
     }
 
     /// Launches an instance whose resources were already allocated on
@@ -1116,7 +1125,7 @@ impl Engine {
         }
         if matches!(startup, StartupKind::SwapIn) {
             if self.spans_on {
-                self.emit_swap(SpanKind::SwapBegin, self.now, function, id, placement);
+                self.emit_swap(SpanKind::SwapBegin, self.now, function, ordinal, placement);
             }
             if ready_at > self.now {
                 queue.schedule(ready_at, EngineEvent::SwapComplete(id));
@@ -1142,23 +1151,23 @@ impl Engine {
         id
     }
 
-    /// Records one instance-scoped swap span. Keyed by a synthetic
-    /// request id with the high bit set, so it can never collide with a
-    /// real request in per-request trace validation.
+    /// Records one instance-scoped swap span of the instance with
+    /// launch ordinal `ordinal`. Its request id is the ordinal with the
+    /// high bit set, so it can never collide with a real request.
     fn emit_swap(
         &mut self,
         kind: SpanKind,
         t: SimTime,
         function: usize,
-        id: InstanceId,
+        ordinal: u64,
         placement: infless_cluster::Placement,
     ) {
-        self.telemetry.record(SpanEvent {
+        self.push_span(SpanEvent {
             t_s: t.as_secs_f64(),
             kind,
-            request: (1u64 << 63) | id.raw(),
+            request: (1u64 << 63) | ordinal,
             function: function as u32,
-            instance: id.raw() as i64,
+            instance: ordinal as i64,
             server: placement.server().raw() as i64,
             batch: 0,
             fault: FaultTag::None,
@@ -1282,14 +1291,8 @@ impl Engine {
         let server = inst.placement().server().raw() as i64;
         let full = inst.batch_full();
         if self.spans_on {
-            self.emit(
-                SpanKind::Enqueued,
-                now,
-                &request,
-                id.raw() as i64,
-                server,
-                0,
-            );
+            let ordinal = self.launch_ordinal(id);
+            self.emit(SpanKind::Enqueued, now, &request, ordinal, server, 0);
         }
         if was_empty && budget < SimDuration::MAX {
             self.arm_batch_timer(id, now, queue);
@@ -1350,8 +1353,14 @@ impl Engine {
         if self.spans_on {
             let slot = self.slot(id);
             let function = slot.inst.function().raw();
-            let placement = slot.inst.placement();
-            self.emit_swap(SpanKind::SwapComplete, self.now, function, id, placement);
+            let (ordinal, placement) = (slot.meta.ordinal, slot.inst.placement());
+            self.emit_swap(
+                SpanKind::SwapComplete,
+                self.now,
+                function,
+                ordinal,
+                placement,
+            );
         }
         self.try_start(id, queue);
     }
@@ -1488,6 +1497,7 @@ impl Engine {
         // Swap-ins attribute their (much shorter) startup wait the same
         // way cold boots do; pre-warmed attaches stay invisible.
         let was_cold = !matches!(slot.meta.startup, StartupKind::PreWarmed);
+        let ordinal = slot.meta.ordinal as i64;
         self.in_flight_count -= 1;
         let (w, _, _) = self.weights(config);
         self.collector.busy_delta(function, self.now, -w);
@@ -1516,7 +1526,7 @@ impl Engine {
                     SpanKind::Complete,
                     self.now,
                     req,
-                    id.raw() as i64,
+                    ordinal,
                     placement.server().raw() as i64,
                     fl.batch.len() as u32,
                 );
@@ -1794,10 +1804,10 @@ impl Engine {
         self.collector.displaced(displaced.len() as u64);
         if self.spans_on {
             for req in displaced {
-                self.telemetry.record(SpanEvent {
+                self.push_span(SpanEvent {
                     t_s: self.now.as_secs_f64(),
                     kind: SpanKind::Displaced,
-                    request: req.id.raw(),
+                    request: req.ordinal,
                     function: req.function.raw() as u32,
                     instance: -1,
                     server: -1,
@@ -1958,9 +1968,8 @@ impl Engine {
     /// Samples the run's gauges (instance counts, occupancy, queue
     /// depth, in-flight batches). Platforms call this from their
     /// periodic tick. The constant-size [`TimeseriesSummary`] in the
-    /// collector is always updated; the full [`GaugeRow`] (which
-    /// allocates a per-function vector) is built only for an enabled
-    /// sink.
+    /// collector is always updated; the full [`GaugeRow`] is built
+    /// only with the gauge channel open.
     ///
     /// [`TimeseriesSummary`]: infless_telemetry::TimeseriesSummary
     pub fn sample_telemetry(&mut self, queue: &EventQueue<EngineEvent>) {
@@ -2012,7 +2021,8 @@ impl Engine {
     }
 
     /// Records one tick's (possibly cluster-wide) gauge readings into
-    /// this engine's collector and sink. Occupancies come from this
+    /// this engine's collector and, with the gauge channel open, its
+    /// records. Occupancies come from this
     /// engine's cluster view — in sharded runs every replica agrees at
     /// barrier time, when this is called.
     #[allow(clippy::too_many_arguments)]
@@ -2045,60 +2055,8 @@ impl Engine {
             queue_depth,
             in_flight_batches,
         );
-        if let Some(handle) = &self.metrics {
-            let mut reg = handle.lock().expect("metrics registry poisoned");
-            let labels = [("platform", self.collector.platform())];
-            reg.gauge_set(
-                "infless_instances",
-                "Live instances.",
-                &labels,
-                instances as f64,
-            );
-            reg.gauge_set(
-                "infless_instances_starting",
-                "Instances still cold-starting.",
-                &labels,
-                starting as f64,
-            );
-            reg.gauge_set(
-                "infless_cpu_occupancy",
-                "Allocated CPU cores over capacity.",
-                &labels,
-                cpu_occupancy,
-            );
-            reg.gauge_set(
-                "infless_gpu_occupancy",
-                "Allocated GPU SM share over capacity.",
-                &labels,
-                gpu_occupancy,
-            );
-            reg.gauge_set(
-                "infless_queue_depth",
-                "Requests queued across instances.",
-                &labels,
-                queue_depth as f64,
-            );
-            reg.gauge_set(
-                "infless_in_flight_batches",
-                "Batches currently executing.",
-                &labels,
-                in_flight_batches as f64,
-            );
-            reg.gauge_set(
-                "infless_kv_resident_bytes",
-                "KV-cache bytes resident in live decode episodes.",
-                &labels,
-                kv_resident_bytes as f64,
-            );
-            reg.gauge_set(
-                "infless_host_cache_mb_used",
-                "Host-memory model cache occupancy, MB.",
-                &labels,
-                host_cache_mb_used,
-            );
-        }
-        if self.spans_on {
-            self.telemetry.sample(&GaugeRow {
+        if self.gauges_on {
+            self.records.push(Record::Gauge(GaugeRow {
                 t_s: self.now.as_secs_f64(),
                 instances,
                 starting,
@@ -2109,26 +2067,23 @@ impl Engine {
                 kv_resident_bytes,
                 host_cache_mb_used,
                 per_function_instances,
-            });
+            }));
         }
     }
 
-    /// Ends the run: flushes the telemetry sink and freezes metrics at
-    /// the current instant, or at the last batch timer's deadline if
-    /// that is later (an unpushed timer ends the run where it would
-    /// have fired, as a no-op).
+    /// Ends the run: freezes metrics at the current instant, or at the
+    /// last batch timer's deadline if that is later (an unpushed timer
+    /// ends the run where it would have fired, as a no-op).
     pub fn finish(self) -> crate::metrics::RunReport {
         let now = self.now.max(self.timer_horizon);
         self.into_collector().finish(now)
     }
 
-    /// Dismantles the engine without freezing a report: flushes the
-    /// telemetry sink and hands back the collector. The sharded runner
-    /// uses this to fold worker-shard collectors into the
-    /// coordinator's before a single [`Self::finish`]-equivalent
-    /// freeze.
+    /// Dismantles the engine without freezing a report: hands back the
+    /// collector. The sharded runner uses this to fold worker-shard
+    /// collectors into the coordinator's before a single
+    /// [`Self::finish`]-equivalent freeze.
     pub fn into_collector(mut self) -> Collector {
-        self.telemetry.finish();
         self.book_kv_residents();
         self.collector
     }
@@ -2243,14 +2198,14 @@ impl Engine {
         self.slot_mut(id).inst.begin_batch(now, until, &mut batch);
         if self.spans_on {
             let blen = batch.len() as u32;
-            let inst_raw = id.raw() as i64;
+            let inst_ordinal = self.launch_ordinal(id);
             let srv = placement.server().raw() as i64;
             for req in &batch {
-                self.emit(SpanKind::BatchFormed, now, req, inst_raw, srv, blen);
+                self.emit(SpanKind::BatchFormed, now, req, inst_ordinal, srv, blen);
             }
             // One exec-start per batch, keyed by its first request.
             let first = batch[0];
-            self.emit(SpanKind::ExecStart, now, &first, inst_raw, srv, blen);
+            self.emit(SpanKind::ExecStart, now, &first, inst_ordinal, srv, blen);
         }
         let (w, _, _) = self.weights(config);
         self.collector.busy_delta(function, now, w);
@@ -2368,6 +2323,7 @@ impl Engine {
         let bpt = llm.kv_bytes_per_token();
         let spans_on = self.spans_on;
         let decisions_on = self.decisions_on;
+        let inst_ordinal = self.launch_ordinal(id);
         let mut active = Vec::with_capacity(n);
         for (req, info) in batch.drain(..).zip(infos) {
             self.collector.kv_alloc(u64::from(info.prompt) * bpt);
@@ -2376,7 +2332,7 @@ impl Engine {
                     SpanKind::PrefillStart,
                     now,
                     &req,
-                    id.raw() as i64,
+                    inst_ordinal,
                     placement.server().raw() as i64,
                     n as u32,
                 );
@@ -2462,7 +2418,7 @@ impl Engine {
         let spans_on = self.spans_on;
         let decisions_on = self.decisions_on;
         let srv = placement.server().raw() as i64;
-        let inst_raw = id.raw() as i64;
+        let inst_ordinal = self.launch_ordinal(id);
         let nseq = ep.active.len() as u32;
         // 1. Every step of the span ran; first tokens (which only a
         //    one-step span can carry) close the request's TTFT clock,
@@ -2481,7 +2437,7 @@ impl Engine {
                     self.collector
                         .llm_first_token(function, now - req.arrival, llm.ttft_slo);
                     if spans_on {
-                        self.emit(SpanKind::FirstToken, now, &req, inst_raw, srv, nseq);
+                        self.emit(SpanKind::FirstToken, now, &req, inst_ordinal, srv, nseq);
                     }
                 }
             }
@@ -2535,8 +2491,15 @@ impl Engine {
             self.collector.kv_free(kv_tokens * bpt);
             self.token_table.remove(&seq.req.id.raw());
             if spans_on {
-                self.emit(SpanKind::DecodeComplete, now, &seq.req, inst_raw, srv, nseq);
-                self.emit(SpanKind::Complete, now, &seq.req, inst_raw, srv, nseq);
+                self.emit(
+                    SpanKind::DecodeComplete,
+                    now,
+                    &seq.req,
+                    inst_ordinal,
+                    srv,
+                    nseq,
+                );
+                self.emit(SpanKind::Complete, now, &seq.req, inst_ordinal, srv, nseq);
             }
         }
         // 3. Continuous batching: queued requests join at the boundary,
@@ -2570,7 +2533,7 @@ impl Engine {
                 ep.pending_prefill_tokens += u64::from(info.prompt);
                 self.collector.kv_alloc(u64::from(info.prompt) * bpt);
                 if spans_on {
-                    self.emit(SpanKind::PrefillStart, now, &head, inst_raw, srv, nseq);
+                    self.emit(SpanKind::PrefillStart, now, &head, inst_ordinal, srv, nseq);
                 }
                 if decisions_on {
                     let (batch, free) =

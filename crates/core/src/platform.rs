@@ -2474,14 +2474,24 @@ mod telemetry_tests {
     use super::*;
     use crate::apps::Application;
     use infless_faults::FaultPlan;
-    use infless_telemetry::{FaultTag, MemorySink, NullSink, SpanKind, TelemetrySink};
+    use infless_telemetry::{
+        FaultTag, MemorySink, NullSink, RecordWriter, SpanKind, TelemetrySink,
+    };
     use proptest::prelude::*;
     use std::collections::HashMap;
 
-    fn platform(app: &Application, sink: Box<dyn TelemetrySink>) -> InflessPlatform {
-        let mut p = super::fault_tests::platform(app);
-        p.engine.set_telemetry(sink);
-        p
+    /// Runs `app`'s platform with `sink` as the record path's output.
+    fn run_into(
+        app: &Application,
+        sink: Box<dyn TelemetrySink>,
+        workload: &Workload,
+        schedule: &FaultSchedule,
+    ) -> RunReport {
+        let mut writer = RecordWriter::new(vec![sink]);
+        let platform = super::fault_tests::platform(app);
+        let report = driver::run_recorded(platform, workload, schedule, Some(&mut writer));
+        writer.finish().expect("in-memory outputs cannot fail");
+        report
     }
 
     /// The disabled-telemetry acceptance gate, mirroring the
@@ -2494,9 +2504,10 @@ mod telemetry_tests {
         let app = Application::qa_robot();
         let workload = constant_workload(&app, 30.0, 20);
         let plain = super::fault_tests::platform(&app).run(&workload);
-        let null = platform(&app, Box::new(NullSink)).run(&workload);
+        let none = FaultSchedule::empty();
+        let null = run_into(&app, Box::new(NullSink), &workload, &none);
         let sink = MemorySink::new();
-        let recorded = platform(&app, Box::new(sink.clone())).run(&workload);
+        let recorded = run_into(&app, Box::new(sink.clone()), &workload, &none);
         for other in [&null, &recorded] {
             assert_eq!(fn_fingerprint(&plain), fn_fingerprint(other));
             assert_eq!(plain.launches, other.launches);
@@ -2536,7 +2547,7 @@ mod telemetry_tests {
             99,
         );
         let sink = MemorySink::new();
-        let report = driver::run(platform(&app, Box::new(sink.clone())), &workload, &schedule);
+        let report = run_into(&app, Box::new(sink.clone()), &workload, &schedule);
         let store = sink.store();
         let count = |k: SpanKind| store.spans.iter().filter(|s| s.kind == k).count() as u64;
         assert!(
@@ -2584,29 +2595,31 @@ mod telemetry_tests {
                 seed,
             );
             let sink = MemorySink::new();
-            driver::run(platform(&app, Box::new(sink.clone())), &workload, &schedule);
+            run_into(&app, Box::new(sink.clone()), &workload, &schedule);
             let store = sink.store();
-            let mut arrived: HashMap<u64, bool> = HashMap::new();
-            let mut terminals: HashMap<u64, u32> = HashMap::new();
-            let mut last_t: HashMap<u64, f64> = HashMap::new();
+            // Request ids are arrival ordinals within a function.
+            let mut arrived: HashMap<(u32, u64), bool> = HashMap::new();
+            let mut terminals: HashMap<(u32, u64), u32> = HashMap::new();
+            let mut last_t: HashMap<(u32, u64), f64> = HashMap::new();
             for s in &store.spans {
-                let prev = last_t.entry(s.request).or_insert(s.t_s);
+                let req = (s.function, s.request);
+                let prev = last_t.entry(req).or_insert(s.t_s);
                 prop_assert!(
                     s.t_s >= *prev,
-                    "request {} went back in time: {} < {}",
-                    s.request, s.t_s, prev
+                    "request {:?} went back in time: {} < {}",
+                    req, s.t_s, prev
                 );
                 *prev = s.t_s;
                 match s.kind {
                     SpanKind::Arrival => {
                         prop_assert!(
-                            arrived.insert(s.request, true).is_none(),
-                            "request {} arrived twice",
-                            s.request
+                            arrived.insert(req, true).is_none(),
+                            "request {:?} arrived twice",
+                            req
                         );
                     }
                     SpanKind::Complete | SpanKind::Dropped | SpanKind::Shed => {
-                        *terminals.entry(s.request).or_insert(0) += 1;
+                        *terminals.entry(req).or_insert(0) += 1;
                     }
                     _ => {}
                 }
@@ -2614,13 +2627,13 @@ mod telemetry_tests {
             for &req in arrived.keys() {
                 prop_assert_eq!(
                     terminals.get(&req).copied().unwrap_or(0), 1,
-                    "request {} did not terminate exactly once", req
+                    "request {:?} did not terminate exactly once", req
                 );
             }
             for &req in terminals.keys() {
                 prop_assert!(
                     arrived.contains_key(&req),
-                    "request {} terminated without arriving", req
+                    "request {:?} terminated without arriving", req
                 );
             }
         }

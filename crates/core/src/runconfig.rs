@@ -16,9 +16,13 @@
 //!
 //! Leaving every knob at its default runs the classic single-shard,
 //! fault-free, telemetry-free, residency-free simulation —
-//! bit-identical to the pre-`RunConfig` `run()` path. Every requested
+//! bit-identical to the pre-`RunConfig` `run()` path. Every output —
+//! the telemetry sink, the decision trace, the flight recorder and the
+//! metrics snapshot — reads the one ordered record path and works the
+//! same way, byte-identically, at every shard count. Every requested
 //! output file is created (or truncated) before the first event, so an
-//! unwritable path fails the run before it starts.
+//! unwritable path fails the run before it starts, and a write that
+//! fails mid-run fails the run when it ends.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -45,7 +49,8 @@ pub struct RunConfig {
     pub shards: usize,
     /// Faults to inject. `None` is bit-identical to an empty schedule.
     pub fault_schedule: Option<FaultSchedule>,
-    /// Telemetry sink. `None` is bit-identical to a `NullSink`.
+    /// Telemetry sink: one more output of the record path. `None` is
+    /// bit-identical to a `NullSink`.
     pub telemetry: Option<Box<dyn TelemetrySink>>,
     /// GPU memory tier knobs. `None` leaves the tier disabled (the
     /// pre-tier engine, bit-identical).
@@ -53,18 +58,16 @@ pub struct RunConfig {
     /// Autoregressive (LLM) serving knobs. `None` — or a config with
     /// `enabled: false` — is bit-identical to the pre-LLM engine.
     pub llm: Option<LlmConfig>,
-    /// Where to write the decision trace (JSONL). Unlike `telemetry`
-    /// this works with sharding: the driver merges every shard's
-    /// records deterministically at epoch barriers.
+    /// Where to write the decision trace (JSONL).
     pub decisions_out: Option<PathBuf>,
     /// Where to write the Prometheus text-format metrics snapshot at
-    /// the end of the run. Works at every shard count.
+    /// the end of the run: the last gauge row plus counters from the
+    /// report.
     pub metrics_out: Option<PathBuf>,
     /// Where the flight recorder writes its postmortem dumps: a
     /// bounded ring of recent spans, flushed when a fault burst hits.
     /// The file is truncated at run start, so a run without a burst
-    /// leaves it empty. Rides the span channel, so — like `telemetry`
-    /// — single-core runs only.
+    /// leaves it empty.
     pub flight_out: Option<PathBuf>,
     /// Residual-coverage policy override. `None` defers to the
     /// scenario descriptor (whose own default is `Horizontal` —
@@ -88,7 +91,7 @@ impl fmt::Debug for RunConfig {
     }
 }
 
-/// What [`RunConfig::validate`] rejects.
+/// What [`RunConfig::validate_explicit_shards`] rejects.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunConfigError {
     /// `shards` was set to zero explicitly (the `Default` zero means
@@ -96,22 +99,12 @@ pub enum RunConfigError {
     /// [`RunConfig::shards`]-built configs round-tripped through
     /// descriptor files that say `"shards": 0`).
     ZeroShards,
-    /// Telemetry sinks attach to the single-core event loop only; the
-    /// sharded driver (any explicit shard count, even 1) has no span
-    /// ordering to offer.
-    ShardedTelemetry,
 }
 
 impl fmt::Display for RunConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RunConfigError::ZeroShards => write!(f, "shards must be >= 1"),
-            RunConfigError::ShardedTelemetry => {
-                write!(
-                    f,
-                    "telemetry requires the single-core run (leave shards unset)"
-                )
-            }
         }
     }
 }
@@ -139,7 +132,7 @@ impl RunConfig {
         self
     }
 
-    /// Attaches a telemetry sink (single-shard runs only).
+    /// Attaches a telemetry sink.
     pub fn telemetry(mut self, sink: Box<dyn TelemetrySink>) -> Self {
         self.telemetry = Some(sink);
         self
@@ -158,22 +151,21 @@ impl RunConfig {
     }
 
     /// Writes a decision trace (JSONL) to `path`, streamed in bounded
-    /// memory. Valid at every shard count, with a byte-identical trace.
+    /// memory.
     pub fn decisions_out(mut self, path: impl Into<PathBuf>) -> Self {
         self.decisions_out = Some(path.into());
         self
     }
 
     /// Writes an end-of-run Prometheus text-format metrics snapshot to
-    /// `path`. Valid at every shard count.
+    /// `path`.
     pub fn metrics_out(mut self, path: impl Into<PathBuf>) -> Self {
         self.metrics_out = Some(path.into());
         self
     }
 
     /// Writes flight-recorder dumps (a bounded span ring flushed on
-    /// fault bursts) to `path`, truncated at run start. Single-core
-    /// runs only, like [`telemetry`](Self::telemetry).
+    /// fault bursts) to `path`, truncated at run start.
     pub fn flight_out(mut self, path: impl Into<PathBuf>) -> Self {
         self.flight_out = Some(path.into());
         self
@@ -203,19 +195,9 @@ impl RunConfig {
         self.shards != 0
     }
 
-    /// Checks the knob combination. The run executor calls this first;
-    /// callers that want a friendly error before spending simulation
-    /// time can call it themselves.
-    pub fn validate(&self) -> Result<(), RunConfigError> {
-        if self.is_sharded() && (self.telemetry.is_some() || self.flight_out.is_some()) {
-            return Err(RunConfigError::ShardedTelemetry);
-        }
-        Ok(())
-    }
-
-    /// Like [`validate`](Self::validate), but for configs deserialized
-    /// from descriptor files where an explicit `"shards": 0` is a user
-    /// error rather than "unset".
+    /// Checks a shard count deserialized from a descriptor file or a
+    /// command line, where an explicit zero is a user error rather than
+    /// "unset".
     pub fn validate_explicit_shards(shards: usize) -> Result<(), RunConfigError> {
         if shards == 0 {
             return Err(RunConfigError::ZeroShards);
@@ -227,47 +209,17 @@ impl RunConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use infless_telemetry::NullSink;
 
     #[test]
-    fn default_is_single_shard_and_valid() {
+    fn default_is_single_shard() {
         let cfg = RunConfig::new();
         assert_eq!(cfg.effective_shards(), 1);
         assert!(cfg.fault_schedule.is_none());
         assert!(cfg.telemetry.is_none());
         assert!(cfg.residency.is_none());
         assert!(cfg.llm.is_none());
-        assert!(cfg.validate().is_ok());
-    }
-
-    #[test]
-    fn sharded_telemetry_is_rejected() {
-        let cfg = RunConfig::new().shards(4).telemetry(Box::new(NullSink));
-        assert_eq!(cfg.validate(), Err(RunConfigError::ShardedTelemetry));
-        // An explicit shard count — even 1 — opts into the sharded
-        // driver, which carries no telemetry.
-        let cfg = RunConfig::new().shards(1).telemetry(Box::new(NullSink));
-        assert_eq!(cfg.validate(), Err(RunConfigError::ShardedTelemetry));
-        // Telemetry on the default single-core loop is fine.
-        let cfg = RunConfig::new().telemetry(Box::new(NullSink));
-        assert!(cfg.validate().is_ok());
-        assert!(!RunConfig::new().is_sharded());
+        assert!(!cfg.is_sharded());
         assert!(RunConfig::new().shards(1).is_sharded());
-        // The decisions/metrics channels, by contrast, are merged at
-        // epoch barriers and therefore valid at every shard count.
-        let cfg = RunConfig::new()
-            .shards(4)
-            .decisions_out("decisions.jsonl")
-            .metrics_out("metrics.prom");
-        assert!(cfg.validate().is_ok());
-        // The flight recorder rides the span channel, so it shares the
-        // single-core-only restriction.
-        let cfg = RunConfig::new().shards(4).flight_out("flight.jsonl");
-        assert_eq!(cfg.validate(), Err(RunConfigError::ShardedTelemetry));
-        assert!(RunConfig::new()
-            .flight_out("flight.jsonl")
-            .validate()
-            .is_ok());
     }
 
     #[test]
@@ -290,7 +242,6 @@ mod tests {
         assert!(cfg.fault_schedule.is_some());
         assert!(cfg.llm.is_some_and(|l| l.enabled));
         assert!(cfg.residency.is_some_and(|r| r.enabled));
-        assert!(RunConfig::new().validate().is_ok());
     }
 
     #[test]
@@ -298,7 +249,6 @@ mod tests {
         assert!(RunConfig::new().scale_policy.is_none());
         let cfg = RunConfig::new().scale_policy(ScalePolicy::VerticalFirst);
         assert_eq!(cfg.scale_policy, Some(ScalePolicy::VerticalFirst));
-        assert!(cfg.validate().is_ok());
         assert_eq!(
             ScalePolicy::parse("vertical-first"),
             Some(ScalePolicy::VerticalFirst)

@@ -45,14 +45,11 @@
 //! [`Engine::use_per_function_noise`]: crate::engine::Engine::use_per_function_noise
 
 use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
 
 use infless_cluster::{ClusterOp, ClusterSpec, InstanceId, ServerHealth, ServerId};
 use infless_faults::{FaultEvent, FaultSchedule};
 use infless_sim::{EventQueue, SimDuration, SimTime, StagedStream};
-use infless_telemetry::{
-    DecisionOut, DecisionRecord, DecisionTap, DecisionWriter, FaultTag, MetricsHandle, NullSink,
-};
+use infless_telemetry::{DecisionRecord, FaultTag, MemorySink, RecordWriter};
 use infless_workload::{ArrivalSource, Workload};
 
 use crate::chains::{ChainReport, ChainSpec};
@@ -73,7 +70,6 @@ pub struct ShardedInfless {
     config: InflessConfig,
     seed: u64,
     faults: FaultSchedule,
-    metrics: Option<MetricsHandle>,
 }
 
 /// One shard: a full platform over a cluster replica, plus its private
@@ -115,7 +111,6 @@ impl ShardedInfless {
             config,
             seed,
             faults: FaultSchedule::empty(),
-            metrics: None,
         }
     }
 
@@ -126,49 +121,44 @@ impl ShardedInfless {
         self
     }
 
-    /// Attaches a shared metrics registry; barrier-time gauge sums are
-    /// fed into it from shard 0 (the cross-shard totals, so readings
-    /// are shard-count-invariant).
-    pub fn with_metrics(mut self, handle: MetricsHandle) -> Self {
-        self.metrics = Some(handle);
-        self
-    }
-
     /// Runs the workload on `shards` shards and returns the merged
     /// report. The report is bit-identical for every `shards >= 1`
     /// (wall-clock fields excepted; see
     /// [`RunReport::canonical_json`]).
     pub fn run(&self, workload: &Workload, shards: usize) -> RunReport {
-        self.run_into::<Vec<DecisionRecord>>(workload, shards, None)
+        self.run_into(workload, shards, None)
     }
 
     /// Like [`run`](Self::run), but returns the decision trace
-    /// [`run_into`](Self::run_into) writes, collected in memory.
+    /// [`run_into`](Self::run_into) releases, collected in memory.
     pub fn run_with_decisions(
         &self,
         workload: &Workload,
         shards: usize,
     ) -> (RunReport, Vec<DecisionRecord>) {
-        let mut writer = DecisionWriter::new(Vec::new());
+        let decisions = MemorySink::decisions_only();
+        let mut writer = RecordWriter::new(vec![Box::new(decisions.clone())]);
         let report = self.run_into(workload, shards, Some(&mut writer));
         writer
             .finish()
             .expect("collecting records in memory cannot fail");
-        (report, std::mem::take(writer.output_mut()))
+        let records = std::mem::take(&mut decisions.store().decisions);
+        (report, records)
     }
 
-    /// Like [`run`](Self::run), but taps every shard's decision stream
-    /// into `decisions`, if given: the metadata record first, then at
-    /// each barrier every record strictly before the barrier time.
-    /// Because decision values derive only from shard-invariant
-    /// quantities and `(t_s, function, seq)` is a total order, the trace
-    /// is byte-identical for every shard count. The caller finishes the
-    /// writer.
-    pub fn run_into<O: DecisionOut>(
+    /// Like [`run`](Self::run), but feeds `records`, if given, every
+    /// record the shards emit on the channels its outputs asked for:
+    /// the run's identity first, then at each barrier every record
+    /// strictly before the barrier time. Gauge rows come from the
+    /// coordinator's cross-shard sample at scaler barriers. Because
+    /// every record derives only from shard-invariant quantities and
+    /// the writer's order is total, every output is byte-identical for
+    /// every shard count. The caller finishes the writer.
+    pub fn run_into(
         &self,
         workload: &Workload,
         shards: usize,
-        mut decisions: Option<&mut DecisionWriter<O>>,
+        mut records: Option<&mut RecordWriter>,
     ) -> RunReport {
         let s_count = shards.max(1);
         let (owner_of_fn, owned_by_shard) = self.partition(s_count);
@@ -200,33 +190,19 @@ impl ShardedInfless {
             })
             .collect();
 
-        // Decision tap: one in-memory writer per shard, ordered by the
-        // shard's own clock. The tap wraps a `NullSink`, so span/gauge
-        // construction stays off and the run is bit-identical to an
-        // untapped one.
-        let mut taps = Vec::new();
-        if let Some(writer) = decisions.as_deref_mut() {
+        if let Some(writer) = records.as_deref_mut() {
             writer.begin(&shards_v[0].platform.engine.trace_meta());
             for sh in &mut shards_v {
-                let tap = Arc::new(Mutex::new(DecisionWriter::new(Vec::new())));
-                let sink = DecisionTap::new(Box::new(NullSink), tap.clone());
-                sh.platform.engine.set_telemetry(Box::new(sink));
-                taps.push(tap);
+                sh.platform.engine.open_channels(writer.channels());
             }
         }
-        // Moves every shard's records before `t` into `writer`.
-        let collect = |writer: &mut DecisionWriter<O>, t: f64| {
-            for tap in &taps {
-                let mut shard = tap.lock().expect("decision writer poisoned");
-                shard.flush_below(t);
-                for rec in shard.output_mut().drain(..) {
-                    writer.push(rec);
-                }
+        // Moves every shard's records into `writer`: each shard's buffer
+        // holds at most the epoch just drained.
+        let collect = |shards: &mut [Shard<'_>], writer: &mut RecordWriter| {
+            for sh in shards {
+                writer.absorb(sh.platform.engine.records_mut());
             }
         };
-        if let Some(handle) = &self.metrics {
-            shards_v[0].platform.engine.set_metrics(handle.clone());
-        }
 
         let epoch = self.config.scaler_period / 5;
         assert!(
@@ -307,18 +283,17 @@ impl ShardedInfless {
                 }
 
                 self.barrier_sweep(&mut shards_v, &owner_of_fn, k, t_b, &mut probes);
-                if let Some(writer) = decisions.as_deref_mut() {
+                if let Some(writer) = records.as_deref_mut() {
                     // `drain_until` and the sweep both emit at `t_b`
                     // itself, so only earlier records are final.
-                    let t = t_b.as_secs_f64();
-                    collect(writer, t);
-                    writer.flush_below(t);
+                    collect(&mut shards_v, writer);
+                    writer.flush_below(t_b.as_secs_f64());
                 }
                 t_prev = t_b;
             }
         }
-        if let Some(writer) = decisions {
-            collect(writer, f64::INFINITY);
+        if let Some(writer) = records {
+            collect(&mut shards_v, writer);
         }
 
         self.merge(shards_v, t_prev)

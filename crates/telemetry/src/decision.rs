@@ -16,12 +16,12 @@
 //! from shard-invariant quantities, so a trace merged at epoch barriers
 //! is byte-identical for every shard count.
 
-use std::fmt;
-use std::io::{self, Write};
+use std::fmt::{self, Write as _};
+use std::io;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
 
-use crate::sink::{SpanEvent, TelemetrySink, TraceMeta};
+use crate::record::{Record, RecordWriter};
+use crate::sink::{FileOut, OutputError, SpanEvent, TelemetrySink, TraceMeta};
 use crate::timeseries::GaugeRow;
 
 /// What kind of decision a [`DecisionEvent`] records.
@@ -316,17 +316,6 @@ impl DecisionRecord {
             DecisionRecord::Breakdown(b) => b.seq,
         }
     }
-
-    /// The canonical order every written trace is sorted by:
-    /// `(t_s, function, seq)`. Within one function `seq` is unique, so
-    /// the order is total and merge output is byte-identical no matter
-    /// which shard buffered which record.
-    pub fn canonical_cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.t_s()
-            .total_cmp(&other.t_s())
-            .then(self.function().cmp(&other.function()))
-            .then(self.seq().cmp(&other.seq()))
-    }
 }
 
 /// The record's JSONL line, without the trailing newline.
@@ -373,132 +362,64 @@ impl fmt::Display for DecisionRecord {
     }
 }
 
-/// Where a [`DecisionWriter`] sends records once their order is final.
-pub trait DecisionOut {
-    /// Starts the output with the run's metadata record.
-    fn begin(&mut self, _meta: &TraceMeta) -> io::Result<()> {
-        Ok(())
-    }
-
-    /// Takes the next record in canonical order.
-    fn put(&mut self, rec: &DecisionRecord) -> io::Result<()>;
-
-    /// Flushes buffered output.
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Collects the records in memory.
-impl DecisionOut for Vec<DecisionRecord> {
-    fn put(&mut self, rec: &DecisionRecord) -> io::Result<()> {
-        self.push(*rec);
-        Ok(())
-    }
-}
-
-/// The JSONL trace: the `{"meta":…}` record, then one record per line,
-/// formatted straight into the reused buffer.
-impl<W: Write> DecisionOut for io::BufWriter<W> {
-    fn begin(&mut self, meta: &TraceMeta) -> io::Result<()> {
-        let mut line = String::new();
-        crate::sink::render_meta(meta, &mut line);
-        self.write_all(line.as_bytes())
-    }
-
-    fn put(&mut self, rec: &DecisionRecord) -> io::Result<()> {
-        writeln!(self, "{rec}")
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Write::flush(self)
-    }
-}
-
-/// Writes decision records in [`DecisionRecord::canonical_cmp`] order
-/// as soon as no earlier record can still arrive.
-///
-/// Every record is stamped with its engine's clock, and a clock never
-/// goes back. Once the caller's clock has passed `t`,
-/// [`flush_below`](Self::flush_below) writes every pending record
-/// before `t`. Each written prefix is then a prefix of the whole run's
-/// canonical sort, and `pending` holds only records at or after the
-/// last watermark. The first I/O error is kept for
-/// [`finish`](Self::finish), and nothing is written after it.
+/// The decision trace (`--decisions-out`): the `{"meta":…}` record,
+/// then one JSONL line per decision or breakdown, in the order the
+/// record path releases them. A failed write is kept for
+/// [`TelemetrySink::take_error`] and ends the output.
 #[derive(Debug)]
-pub struct DecisionWriter<O> {
-    out: O,
-    pending: Vec<DecisionRecord>,
-    watermark: f64,
-    error: Option<io::Error>,
-    pending_peak: usize,
+pub struct DecisionFile {
+    out: FileOut,
+    line: String,
 }
 
-impl<O: DecisionOut> DecisionWriter<O> {
-    /// A writer with nothing pending.
-    pub fn new(out: O) -> Self {
-        DecisionWriter {
-            out,
-            pending: Vec::new(),
-            watermark: f64::NEG_INFINITY,
-            error: None,
-            pending_peak: 0,
-        }
-    }
-
-    /// Writes the metadata record; call before the first record.
-    pub fn begin(&mut self, meta: &TraceMeta) {
-        self.error = self.out.begin(meta).err();
-    }
-
-    /// Holds `rec` until a watermark passes it. A record behind the
-    /// last watermark has lost its place: debug builds panic on one.
-    pub fn push(&mut self, rec: DecisionRecord) {
-        debug_assert!(
-            rec.t_s() >= self.watermark,
-            "decision record behind the watermark t_s = {}: {rec:?}",
-            self.watermark
-        );
-        self.pending.push(rec);
-        self.pending_peak = self.pending_peak.max(self.pending.len());
-    }
-
-    /// Writes every pending record with `t_s < t`, in canonical order.
-    pub fn flush_below(&mut self, t: f64) {
-        self.pending.sort_unstable_by(DecisionRecord::canonical_cmp);
-        let n = self.pending.partition_point(|rec| rec.t_s() < t);
-        for rec in self.pending.drain(..n) {
-            if self.error.is_none() {
-                self.error = self.out.put(&rec).err();
-            }
-        }
-        self.watermark = self.watermark.max(t);
-    }
-
-    /// Writes what remains and flushes the output.
+impl DecisionFile {
+    /// Creates (or truncates) the trace at `path`.
     ///
     /// # Errors
     ///
-    /// Returns the first I/O error of the writer's life.
-    pub fn finish(&mut self) -> io::Result<()> {
-        self.flush_below(f64::INFINITY);
-        let flushed = self.out.flush();
-        self.error.take().map_or(flushed, Err)
-    }
-
-    /// What has been written so far.
-    pub fn output_mut(&mut self) -> &mut O {
-        &mut self.out
-    }
-
-    /// The most records `pending` ever held at once.
-    #[doc(hidden)]
-    pub fn pending_peak(&self) -> usize {
-        self.pending_peak
+    /// Returns the underlying error if the file cannot be created.
+    pub fn create(path: &Path) -> io::Result<Self> {
+        Ok(DecisionFile {
+            out: FileOut::create(path)?,
+            line: String::with_capacity(256),
+        })
     }
 }
 
-/// Writes a complete decisions trace through a [`DecisionWriter`]: the
+impl TelemetrySink for DecisionFile {
+    fn enabled(&self) -> bool {
+        false
+    }
+
+    fn begin(&mut self, meta: &TraceMeta) {
+        crate::sink::render_meta(meta, &mut self.line);
+        self.out.write(self.line.as_bytes());
+    }
+
+    fn record(&mut self, _span: SpanEvent) {}
+
+    fn sample(&mut self, _row: &GaugeRow) {}
+
+    fn decisions_enabled(&self) -> bool {
+        true
+    }
+
+    fn record_decision(&mut self, rec: &DecisionRecord) {
+        self.line.clear();
+        writeln!(self.line, "{rec}").expect("write to String cannot fail");
+        self.out.write(self.line.as_bytes());
+    }
+
+    fn finish(&mut self) {
+        self.out.flush();
+    }
+
+    fn take_error(&mut self) -> Option<OutputError> {
+        self.out.take_error()
+    }
+}
+
+/// Writes a complete decisions trace through the record path: the
 /// metadata record, then every record in canonical order.
 ///
 /// # Errors
@@ -509,70 +430,10 @@ pub fn write_decision_trace(
     meta: &TraceMeta,
     records: &[DecisionRecord],
 ) -> io::Result<()> {
-    let mut writer = DecisionWriter::new(io::BufWriter::new(std::fs::File::create(path)?));
+    let mut writer = RecordWriter::new(vec![Box::new(DecisionFile::create(path)?)]);
     writer.begin(meta);
-    for rec in records {
-        writer.push(*rec);
-    }
-    writer.finish()
-}
-
-/// Taps a sink's decision stream into a shared [`DecisionWriter`] and
-/// forwards everything to the inner sink. It delegates `enabled`, so
-/// tapping a [`crate::NullSink`] adds no span construction. One engine's
-/// clock is the watermark: a record later than the pending ones flushes
-/// them first. Whoever holds the writer finishes it after the run.
-#[derive(Debug)]
-pub struct DecisionTap<O> {
-    inner: Box<dyn TelemetrySink>,
-    writer: Arc<Mutex<DecisionWriter<O>>>,
-}
-
-impl<O> DecisionTap<O> {
-    /// Taps `inner` into `writer`.
-    pub fn new(inner: Box<dyn TelemetrySink>, writer: Arc<Mutex<DecisionWriter<O>>>) -> Self {
-        DecisionTap { inner, writer }
-    }
-}
-
-impl<O: DecisionOut + std::fmt::Debug + Send> TelemetrySink for DecisionTap<O> {
-    fn enabled(&self) -> bool {
-        self.inner.enabled()
-    }
-
-    fn begin(&mut self, meta: &TraceMeta) {
-        self.writer
-            .lock()
-            .expect("decision writer poisoned")
-            .begin(meta);
-        self.inner.begin(meta);
-    }
-
-    fn record(&mut self, span: SpanEvent) {
-        self.inner.record(span);
-    }
-
-    fn sample(&mut self, row: &GaugeRow) {
-        self.inner.sample(row);
-    }
-
-    fn decisions_enabled(&self) -> bool {
-        true
-    }
-
-    fn record_decision(&mut self, rec: &DecisionRecord) {
-        let mut writer = self.writer.lock().expect("decision writer poisoned");
-        if rec.t_s() > writer.watermark {
-            writer.flush_below(rec.t_s());
-        }
-        writer.push(*rec);
-        drop(writer);
-        self.inner.record_decision(rec);
-    }
-
-    fn finish(&mut self) {
-        self.inner.finish();
-    }
+    writer.absorb(&mut records.iter().copied().map(Record::Decision).collect());
+    writer.finish().map_err(|e| e.source)
 }
 
 #[cfg(test)]
@@ -655,115 +516,36 @@ mod tests {
         assert!(line.contains("\"total_ms\":26"));
     }
 
+    /// The decision file writes the metadata record, then each record
+    /// on its own line, and keeps its first write error.
     #[test]
-    fn canonical_cmp_orders_merged_records() {
-        let mut a = DecisionEvent::new(DecisionKind::Launch);
-        a.t_s = 1.0;
-        a.function = 1;
-        a.seq = 0;
-        let mut b = a;
-        b.function = 0;
-        b.seq = 3;
-        let mut records = [DecisionRecord::Decision(a), DecisionRecord::Decision(b)];
-        records.sort_by(DecisionRecord::canonical_cmp);
-        assert_eq!(records[0].function(), 0);
-    }
-
-    fn at(t_s: f64, function: u32, seq: u64) -> DecisionRecord {
-        let mut d = DecisionEvent::new(DecisionKind::Launch);
-        d.t_s = t_s;
-        d.function = function;
-        d.seq = seq;
-        DecisionRecord::Decision(d)
-    }
-
-    fn keys(records: &[DecisionRecord]) -> Vec<(f64, u32, u64)> {
-        records
-            .iter()
-            .map(|r| (r.t_s(), r.function(), r.seq()))
-            .collect()
-    }
-
-    #[test]
-    fn writer_sorts_same_instant_records() {
-        let mut writer = DecisionWriter::new(Vec::new());
-        for rec in [at(1.0, 1, 0), at(1.0, 0, 5), at(1.0, 0, 2)] {
-            writer.push(rec);
-        }
-        writer.flush_below(2.0);
-        assert_eq!(
-            keys(writer.output_mut()),
-            [(1.0, 0, 2), (1.0, 0, 5), (1.0, 1, 0)]
-        );
-    }
-
-    #[test]
-    fn writer_holds_a_record_at_the_watermark() {
-        let mut writer = DecisionWriter::new(Vec::new());
-        writer.push(at(2.0, 0, 1));
-        writer.push(at(1.0, 0, 0));
-        writer.flush_below(2.0);
-        assert_eq!(writer.output_mut().len(), 1, "t_s == watermark must wait");
-        // Another record at the watermark instant may still arrive and
-        // sort ahead of the held one.
-        writer.push(at(2.0, 0, 0));
-        writer.finish().unwrap();
-        assert_eq!(
-            keys(writer.output_mut()),
-            [(1.0, 0, 0), (2.0, 0, 0), (2.0, 0, 1)]
-        );
-    }
-
-    #[test]
-    fn writer_finish_writes_the_remainder() {
+    fn decision_file_writes_meta_then_records() {
+        let path = std::env::temp_dir().join(format!(
+            "infless-decision-file-{}.jsonl",
+            std::process::id()
+        ));
         let meta = TraceMeta {
             platform: "test".into(),
             functions: vec!["f".into()],
         };
-        let mut writer = DecisionWriter::new(io::BufWriter::new(Vec::new()));
-        writer.begin(&meta);
-        writer.push(at(3.0, 0, 1));
-        writer.push(at(0.5, 0, 0));
-        writer.flush_below(1.0);
-        assert_eq!(writer.pending_peak(), 2);
-        writer.finish().unwrap();
-        let text = String::from_utf8(writer.output_mut().get_ref().clone()).unwrap();
+        let mut d = DecisionEvent::new(DecisionKind::Launch);
+        d.t_s = 3.0;
+        let mut early = d;
+        early.t_s = 0.5;
+        let records = [DecisionRecord::Decision(d), DecisionRecord::Decision(early)];
+        write_decision_trace(&path, &meta, &records).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
         assert!(lines[0].starts_with("{\"meta\""));
         assert!(lines[1].starts_with("{\"t_s\":0.5,"));
         assert!(lines[2].starts_with("{\"t_s\":3,"));
-    }
-
-    /// A writer whose every write fails.
-    struct Broken;
-
-    impl Write for Broken {
-        fn write(&mut self, _buf: &[u8]) -> io::Result<usize> {
-            Err(io::Error::other("disk full"))
+        std::fs::remove_file(&path).ok();
+        #[cfg(target_os = "linux")]
+        {
+            let full = Path::new("/dev/full");
+            let err = write_decision_trace(full, &meta, &records).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::StorageFull);
         }
-
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn writer_keeps_the_first_error_for_finish() {
-        let mut writer = DecisionWriter::new(io::BufWriter::with_capacity(0, Broken));
-        writer.push(at(0.0, 0, 0));
-        writer.flush_below(1.0);
-        writer.push(at(1.0, 0, 1));
-        let err = writer.finish().unwrap_err();
-        assert_eq!(err.to_string(), "disk full");
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "behind the watermark")]
-    fn writer_rejects_a_record_behind_the_watermark() {
-        let mut writer = DecisionWriter::new(Vec::new());
-        writer.flush_below(2.0);
-        writer.push(at(1.5, 0, 0));
     }
 }

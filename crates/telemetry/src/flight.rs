@@ -2,22 +2,20 @@
 //! when a fault burst hits — the postmortem artifact for runs where the
 //! interesting window is the seconds *before* things went wrong.
 //!
-//! [`FlightRecorder`] wraps any inner sink and forwards every call, so
-//! it composes with a [`crate::FileSink`] or [`crate::NullSink`]
-//! unchanged. It keeps the last [`FlightRecorder::capacity`] spans in a
-//! ring; when at least `burst_threshold` fault-tagged spans land within
-//! `burst_window` seconds, the whole ring is appended to the dump file
-//! (a burst-header record followed by the spans), and the burst
-//! detector re-arms. Dumps are capped so a pathological run cannot
-//! fill the disk.
+//! [`FlightRecorder`] is one more output of the record path: it sees
+//! every span in canonical order and keeps the last
+//! [`FlightRecorder::capacity`] of them in a ring. When at least
+//! `burst_threshold` fault-tagged spans land within `burst_window`
+//! seconds, the whole ring is appended to the dump file (a burst-header
+//! record followed by the spans), and the burst detector re-arms.
+//! Dumps are capped so a pathological run cannot fill the disk.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::fs::File;
-use std::io::{BufWriter, Write};
+use std::io;
+use std::path::Path;
 
-use crate::decision::DecisionRecord;
-use crate::sink::{FaultTag, SpanEvent, TelemetrySink, TraceMeta};
+use crate::sink::{FaultTag, FileOut, OutputError, SpanEvent, TelemetrySink};
 use crate::timeseries::GaugeRow;
 
 /// Default ring capacity (spans kept for a postmortem dump).
@@ -31,63 +29,69 @@ pub const FLIGHT_BURST_WINDOW_S: f64 = 5.0;
 pub const FLIGHT_MAX_DUMPS: usize = 16;
 
 /// A bounded ring of recent spans, dumped to JSONL when a fault burst
-/// hits: it wraps any inner sink and forwards every call, and when at
-/// least `burst_threshold` fault-tagged spans land within
+/// hits: when at least `burst_threshold` fault-tagged spans land within
 /// `burst_window` seconds it appends the whole ring to its dump file.
+/// A failed write is kept for [`TelemetrySink::take_error`] and ends
+/// the output.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    inner: Box<dyn TelemetrySink>,
     ring: VecDeque<SpanEvent>,
     capacity: usize,
     /// Timestamps of recent fault-tagged spans, oldest first.
     fault_times: VecDeque<f64>,
     burst_threshold: usize,
     burst_window: f64,
-    out: File,
+    out: FileOut,
     dumps: usize,
     line: String,
 }
 
 impl FlightRecorder {
-    /// Wraps `inner`, dumping to `out` (an open, writable file) with
-    /// the default ring size and burst parameters.
-    pub fn new(inner: Box<dyn TelemetrySink>, out: File) -> Self {
+    /// Creates (or truncates) the dump file at `path`, with the default
+    /// ring size and burst parameters.
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying error if the file cannot be created.
+    pub fn create(path: &Path) -> io::Result<Self> {
         Self::with_params(
-            inner,
-            out,
+            path,
             FLIGHT_RING_CAPACITY,
             FLIGHT_BURST_THRESHOLD,
             FLIGHT_BURST_WINDOW_S,
         )
     }
 
-    /// Wraps `inner` with explicit ring capacity and burst parameters.
+    /// Creates the dump file with explicit ring capacity and burst
+    /// parameters.
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying error if the file cannot be created.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` or `burst_threshold` is zero, or the window
     /// is not positive.
     pub fn with_params(
-        inner: Box<dyn TelemetrySink>,
-        out: File,
+        path: &Path,
         capacity: usize,
         burst_threshold: usize,
         burst_window: f64,
-    ) -> Self {
+    ) -> io::Result<Self> {
         assert!(capacity > 0, "flight ring must hold at least one span");
         assert!(burst_threshold > 0, "burst threshold must be positive");
         assert!(burst_window > 0.0, "burst window must be positive");
-        FlightRecorder {
-            inner,
+        Ok(FlightRecorder {
             ring: VecDeque::with_capacity(capacity),
             capacity,
             fault_times: VecDeque::new(),
             burst_threshold,
             burst_window,
-            out,
+            out: FileOut::create(path)?,
             dumps: 0,
             line: String::with_capacity(256),
-        }
+        })
     }
 
     /// How many spans the ring retains.
@@ -101,7 +105,6 @@ impl FlightRecorder {
     }
 
     fn dump(&mut self, t_s: f64) {
-        let mut out = BufWriter::new(&self.out);
         self.line.clear();
         writeln!(
             self.line,
@@ -110,26 +113,22 @@ impl FlightRecorder {
             self.ring.len(),
         )
         .expect("write to String cannot fail");
-        out.write_all(self.line.as_bytes())
-            .expect("write flight-recorder dump");
+        self.out.write(self.line.as_bytes());
         for span in &self.ring {
             span.render(&mut self.line);
-            out.write_all(self.line.as_bytes())
-                .expect("write flight-recorder dump");
+            self.out.write(self.line.as_bytes());
         }
-        out.flush().expect("flush flight-recorder dump");
         self.dumps += 1;
     }
 }
 
 impl TelemetrySink for FlightRecorder {
     fn enabled(&self) -> bool {
-        // The recorder needs spans even when the inner sink is off.
         true
     }
 
-    fn begin(&mut self, meta: &TraceMeta) {
-        self.inner.begin(meta);
+    fn gauges_enabled(&self) -> bool {
+        false
     }
 
     fn record(&mut self, span: SpanEvent) {
@@ -153,30 +152,23 @@ impl TelemetrySink for FlightRecorder {
                 self.fault_times.clear();
             }
         }
-        self.inner.record(span);
     }
 
-    fn sample(&mut self, row: &GaugeRow) {
-        self.inner.sample(row);
-    }
-
-    fn decisions_enabled(&self) -> bool {
-        self.inner.decisions_enabled()
-    }
-
-    fn record_decision(&mut self, rec: &DecisionRecord) {
-        self.inner.record_decision(rec);
-    }
+    fn sample(&mut self, _row: &GaugeRow) {}
 
     fn finish(&mut self) {
-        self.inner.finish();
+        self.out.flush();
+    }
+
+    fn take_error(&mut self) -> Option<OutputError> {
+        self.out.take_error()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::{MemorySink, SpanKind};
+    use crate::sink::SpanKind;
 
     fn span(t_s: f64, fault: FaultTag) -> SpanEvent {
         SpanEvent {
@@ -192,12 +184,10 @@ mod tests {
     }
 
     #[test]
-    fn burst_triggers_one_dump_and_forwards_to_inner() {
+    fn burst_triggers_one_dump() {
         let dir = std::env::temp_dir();
         let path = dir.join("infless-flight-test.jsonl");
-        let inner = MemorySink::new();
-        let out = File::create(&path).unwrap();
-        let mut rec = FlightRecorder::with_params(Box::new(inner.clone()), out, 16, 3, 5.0);
+        let mut rec = FlightRecorder::with_params(&path, 16, 3, 5.0).unwrap();
         // Background traffic, no faults: no dump.
         for i in 0..10 {
             rec.record(span(i as f64 * 0.1, FaultTag::None));
@@ -212,6 +202,7 @@ mod tests {
         // Detector re-armed: the next lone fault does not dump again.
         rec.record(span(2.3, FaultTag::InstanceKill));
         assert_eq!(rec.dumps(), 1);
+        rec.finish();
         let text = std::fs::read_to_string(&path).unwrap();
         let first = text.lines().next().unwrap();
         assert!(first.contains("\"burst\""), "got {first}");
@@ -219,8 +210,6 @@ mod tests {
         // Ring capacity 16 ⇒ the dump holds the 13 spans recorded
         // so far (10 background + 3 faults), plus the header.
         assert_eq!(text.lines().count(), 14);
-        // Every span still reached the inner sink.
-        assert_eq!(inner.store().spans.len(), 14);
         std::fs::remove_file(&path).ok();
     }
 
@@ -228,8 +217,7 @@ mod tests {
     fn faults_outside_the_window_do_not_accumulate() {
         let dir = std::env::temp_dir();
         let path = dir.join("infless-flight-window-test.jsonl");
-        let out = File::create(&path).unwrap();
-        let mut rec = FlightRecorder::with_params(Box::new(crate::NullSink), out, 8, 2, 1.0);
+        let mut rec = FlightRecorder::with_params(&path, 8, 2, 1.0).unwrap();
         rec.record(span(0.0, FaultTag::ServerCrash));
         // 10 s later: the first fault left the window.
         rec.record(span(10.0, FaultTag::ServerCrash));
@@ -243,12 +231,12 @@ mod tests {
     fn ring_is_bounded() {
         let dir = std::env::temp_dir();
         let path = dir.join("infless-flight-bound-test.jsonl");
-        let out = File::create(&path).unwrap();
-        let mut rec = FlightRecorder::with_params(Box::new(crate::NullSink), out, 4, 1, 1.0);
+        let mut rec = FlightRecorder::with_params(&path, 4, 1, 1.0).unwrap();
         for i in 0..100 {
             rec.record(span(i as f64, FaultTag::None));
         }
         rec.record(span(100.0, FaultTag::ServerCrash));
+        rec.finish();
         let text = std::fs::read_to_string(&path).unwrap();
         // Header + at most 4 ring spans.
         assert_eq!(text.lines().count(), 5);

@@ -24,24 +24,27 @@
 //!   retain-and-sort quantile path (relative error ≤ 2⁻⁷, documented
 //!   on the type).
 //!
-//! File outputs ([`FileSink`]) are a JSONL trace (one span per line,
-//! preceded by a metadata record) and a CSV time-series; both are
-//! written through reused buffers so the per-event hot path allocates
-//! nothing after warm-up. [`summarize`] reads a trace back, validates
-//! the schema, and recomputes the fault-conservation invariants
+//! Every output reads one ordered record path. The engine emits spans,
+//! gauge rows and decisions as [`Record`]s into a plain buffer; the
+//! driver moves it into a [`RecordWriter`], which releases records in
+//! canonical `(t_s, fn, channel, seq)` order once its watermark passes
+//! them — after every event on the eager loop, at every epoch barrier
+//! on the sharded driver — and fans each out to the outputs on its
+//! channel. Every output is a [`TelemetrySink`]: the span trace and CSV
+//! time-series ([`FileSink`]), the decision trace ([`DecisionFile`]),
+//! the [`FlightRecorder`] (a bounded ring of recent spans dumped on
+//! fault bursts), the Prometheus snapshot ([`MetricsSink`] plus
+//! [`MetricsRegistry`]) and any caller-supplied sink. So every output
+//! works the same way, byte-identically, at every shard count.
+//! [`summarize`] reads a trace back, validates the schema, and
+//! recomputes the fault-conservation invariants
 //! (`displaced == retried + shed`) from spans alone.
-
 //!
 //! The decision layer ([`DecisionEvent`] / [`BreakdownEvent`]) extends
 //! the same machinery below the request lifecycle: *why* the scheduler,
 //! consolidator, keep-alive reaper, and KV admission gate acted, plus a
-//! per-request SLO latency decomposition, all on a dedicated
-//! `--decisions-out` channel gated by
-//! [`TelemetrySink::decisions_enabled`]. [`DecisionWriter`] streams
-//! that channel to disk in canonical order, holding only the records
-//! its clock has not yet passed. [`MetricsRegistry`] renders an
-//! exportable Prometheus text surface, and [`FlightRecorder`] keeps a
-//! bounded ring of recent spans that dumps to JSONL on fault bursts.
+//! per-request SLO latency decomposition, on the decisions channel
+//! gated by [`TelemetrySink::decisions_enabled`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,6 +53,7 @@ mod analyze;
 mod decision;
 mod flight;
 mod hist;
+mod record;
 mod registry;
 mod sink;
 mod summary;
@@ -57,18 +61,19 @@ mod timeseries;
 
 pub use analyze::{analyze, analyze_file, DecisionAnalysis, FunctionAttribution, STAGES};
 pub use decision::{
-    write_decision_trace, BreakdownEvent, DecisionEvent, DecisionKind, DecisionOut, DecisionReason,
-    DecisionRecord, DecisionTap, DecisionWriter,
+    write_decision_trace, BreakdownEvent, DecisionEvent, DecisionFile, DecisionKind,
+    DecisionReason, DecisionRecord,
 };
 pub use flight::{
     FlightRecorder, FLIGHT_BURST_THRESHOLD, FLIGHT_BURST_WINDOW_S, FLIGHT_MAX_DUMPS,
     FLIGHT_RING_CAPACITY,
 };
 pub use hist::Log2Histogram;
-pub use registry::{validate_prometheus_text, MetricsHandle, MetricsRegistry};
+pub use record::{Channels, Record, RecordWriter};
+pub use registry::{validate_prometheus_text, MetricsRegistry, MetricsSink};
 pub use sink::{
-    FaultTag, FileSink, MemorySink, MemoryStore, NullSink, SpanEvent, SpanKind, TelemetrySink,
-    TraceMeta, SPAN_RING_CAPACITY,
+    FaultTag, FileSink, MemorySink, MemoryStore, NullSink, OutputError, SpanEvent, SpanKind,
+    TelemetrySink, TraceMeta,
 };
 pub use summary::{summarize, summarize_file, TraceSummary};
 pub use timeseries::{GaugeRow, TimeseriesSummary};

@@ -1,14 +1,12 @@
-//! A small metrics registry: counters, gauges, and fixed-bucket
-//! histograms with label sets, rendered in the Prometheus text
-//! exposition format.
+//! A small metrics registry: counters and gauges with label sets,
+//! rendered in the Prometheus text exposition format.
 //!
 //! This is the exportable metrics surface behind
-//! `inflessctl … --metrics-out metrics.prom` and the feed for a future
-//! live `serve` mode. It is deliberately simulation-neutral: the engine
-//! feeds it at scaler ticks (values it computes anyway), the run layer
-//! adds final counters from the report, and nothing about the registry
-//! can perturb a run — it draws no randomness, schedules no events, and
-//! never enters the run report.
+//! `inflessctl … --metrics-out metrics.prom`. It is deliberately
+//! simulation-neutral: [`MetricsSink`], an output of the record path,
+//! keeps the last gauge row, the run layer adds final counters from the
+//! report, and nothing about the registry can perturb a run — it draws
+//! no randomness, schedules no events, and never enters the run report.
 //!
 //! Rendering is deterministic: families sort by name and series by
 //! rendered label set (both live in `BTreeMap`s), so the same run
@@ -20,12 +18,14 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
+use crate::sink::{SpanEvent, TelemetrySink, TraceMeta};
+use crate::timeseries::GaugeRow;
+
 /// What a metric family measures — the `# TYPE` line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FamilyKind {
     Counter,
     Gauge,
-    Histogram,
 }
 
 impl FamilyKind {
@@ -33,43 +33,25 @@ impl FamilyKind {
         match self {
             FamilyKind::Counter => "counter",
             FamilyKind::Gauge => "gauge",
-            FamilyKind::Histogram => "histogram",
         }
     }
-}
-
-/// One series' cumulative histogram state.
-#[derive(Debug, Clone, Default)]
-struct HistSeries {
-    /// Count per bucket, parallel to the family's upper bounds.
-    counts: Vec<u64>,
-    sum: f64,
-    total: u64,
 }
 
 #[derive(Debug)]
 struct Family {
     help: &'static str,
     kind: FamilyKind,
-    /// Scalar series (counter/gauge), keyed by rendered label set.
+    /// Series values, keyed by rendered label set.
     series: BTreeMap<String, f64>,
-    /// Histogram series, keyed by rendered label set.
-    hists: BTreeMap<String, HistSeries>,
-    /// Bucket upper bounds (histograms only), fixed at first observe.
-    buckets: Vec<f64>,
 }
 
-/// A registry of metric families (counters, gauges and fixed-bucket
-/// histograms with label sets), rendered deterministically in the
-/// Prometheus text exposition format.
+/// A registry of metric families (counters and gauges with label
+/// sets), rendered deterministically in the Prometheus text exposition
+/// format.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     families: BTreeMap<&'static str, Family>,
 }
-
-/// A shared handle to a registry: the engine holds one and feeds it at
-/// scaler ticks; the run layer holds another and renders at the end.
-pub type MetricsHandle = Arc<Mutex<MetricsRegistry>>;
 
 /// Renders a label set as the `{k="v",…}` selector, keys sorted —
 /// identical label sets always produce identical series keys.
@@ -105,18 +87,11 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// A fresh shared handle to an empty registry.
-    pub fn handle() -> MetricsHandle {
-        Arc::new(Mutex::new(MetricsRegistry::new()))
-    }
-
     fn family(&mut self, name: &'static str, help: &'static str, kind: FamilyKind) -> &mut Family {
         let fam = self.families.entry(name).or_insert_with(|| Family {
             help,
             kind,
             series: BTreeMap::new(),
-            hists: BTreeMap::new(),
-            buckets: Vec::new(),
         });
         assert_eq!(
             fam.kind, kind,
@@ -165,42 +140,6 @@ impl MetricsRegistry {
             .insert(key, v);
     }
 
-    /// Observes `v` into the histogram series `name{labels}`. The first
-    /// observation of a family fixes its bucket upper bounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered as a different type or
-    /// with different buckets.
-    pub fn histogram_observe(
-        &mut self,
-        name: &'static str,
-        help: &'static str,
-        labels: &[(&str, &str)],
-        buckets: &[f64],
-        v: f64,
-    ) {
-        let key = render_labels(labels);
-        let fam = self.family(name, help, FamilyKind::Histogram);
-        if fam.buckets.is_empty() {
-            fam.buckets = buckets.to_vec();
-        } else {
-            assert_eq!(fam.buckets, buckets, "histogram {name} buckets changed");
-        }
-        let n = fam.buckets.len();
-        let hist = fam.hists.entry(key).or_insert_with(|| HistSeries {
-            counts: vec![0; n],
-            ..HistSeries::default()
-        });
-        for (i, le) in fam.buckets.iter().enumerate() {
-            if v <= *le {
-                hist.counts[i] += 1;
-            }
-        }
-        hist.sum += v;
-        hist.total += 1;
-    }
-
     /// Renders every family in the Prometheus text exposition format:
     /// `# HELP` and `# TYPE` per family, one line per series, families
     /// and series in sorted order (so no series ever repeats).
@@ -213,29 +152,6 @@ impl MetricsRegistry {
             for (labels, v) in &fam.series {
                 writeln!(out, "{name}{labels} {v}").expect("write to String cannot fail");
             }
-            for (labels, hist) in &fam.hists {
-                // Re-render the bucket lines with the `le` label
-                // appended inside the selector.
-                let inner = labels.strip_suffix('}').map(|s| &s[1..]);
-                for (i, le) in fam.buckets.iter().enumerate() {
-                    let sel = match inner {
-                        Some(rest) if !rest.is_empty() => format!("{{{rest},le=\"{le}\"}}"),
-                        _ => format!("{{le=\"{le}\"}}"),
-                    };
-                    writeln!(out, "{name}_bucket{sel} {}", hist.counts[i])
-                        .expect("write to String cannot fail");
-                }
-                let sel = match inner {
-                    Some(rest) if !rest.is_empty() => format!("{{{rest},le=\"+Inf\"}}"),
-                    _ => String::from("{le=\"+Inf\"}"),
-                };
-                writeln!(out, "{name}_bucket{sel} {}", hist.total)
-                    .expect("write to String cannot fail");
-                writeln!(out, "{name}_sum{labels} {}", hist.sum)
-                    .expect("write to String cannot fail");
-                writeln!(out, "{name}_count{labels} {}", hist.total)
-                    .expect("write to String cannot fail");
-            }
         }
         out
     }
@@ -247,6 +163,111 @@ impl MetricsRegistry {
     /// Returns the underlying I/O error.
     pub fn write_to(&self, path: &Path) -> std::io::Result<()> {
         std::fs::write(path, self.render())
+    }
+}
+
+/// What a [`MetricsSink`] holds: the run's platform and its last
+/// gauge row.
+#[derive(Debug, Default)]
+struct Snapshot {
+    platform: String,
+    last: Option<GaugeRow>,
+}
+
+/// The Prometheus output of the record path: it keeps the last gauge
+/// row, and [`registry`](Self::registry) renders it as the gauge
+/// families the run layer adds its report counters to. Clone the
+/// handle, give one clone to the run and read the other afterwards.
+#[derive(Debug, Clone, Default)]
+pub struct MetricsSink {
+    snapshot: Arc<Mutex<Snapshot>>,
+}
+
+impl MetricsSink {
+    /// A sink that has seen nothing yet.
+    pub fn new() -> Self {
+        MetricsSink::default()
+    }
+
+    /// A registry holding the last gauge row's readings, labelled with
+    /// the run's platform; empty if no row was sampled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a clone of this sink panicked mid-record.
+    pub fn registry(&self) -> MetricsRegistry {
+        let snapshot = self.snapshot.lock().expect("metrics snapshot poisoned");
+        let mut reg = MetricsRegistry::new();
+        let Some(row) = &snapshot.last else {
+            return reg;
+        };
+        let labels = [("platform", snapshot.platform.as_str())];
+        for (name, help, v) in [
+            ("infless_instances", "Live instances.", row.instances as f64),
+            (
+                "infless_instances_starting",
+                "Instances still cold-starting.",
+                row.starting as f64,
+            ),
+            (
+                "infless_cpu_occupancy",
+                "Allocated CPU cores over capacity.",
+                row.cpu_occupancy,
+            ),
+            (
+                "infless_gpu_occupancy",
+                "Allocated GPU SM share over capacity.",
+                row.gpu_occupancy,
+            ),
+            (
+                "infless_queue_depth",
+                "Requests queued across instances.",
+                row.queue_depth as f64,
+            ),
+            (
+                "infless_in_flight_batches",
+                "Batches currently executing.",
+                row.in_flight_batches as f64,
+            ),
+            (
+                "infless_kv_resident_bytes",
+                "KV-cache bytes resident in live decode episodes.",
+                row.kv_resident_bytes as f64,
+            ),
+            (
+                "infless_host_cache_mb_used",
+                "Host-memory model cache occupancy, MB.",
+                row.host_cache_mb_used,
+            ),
+        ] {
+            reg.gauge_set(name, help, &labels, v);
+        }
+        reg
+    }
+}
+
+impl TelemetrySink for MetricsSink {
+    fn enabled(&self) -> bool {
+        false
+    }
+
+    fn gauges_enabled(&self) -> bool {
+        true
+    }
+
+    fn begin(&mut self, meta: &TraceMeta) {
+        let mut snapshot = self.snapshot.lock().expect("metrics snapshot poisoned");
+        snapshot.platform.clone_from(&meta.platform);
+    }
+
+    fn record(&mut self, _span: SpanEvent) {}
+
+    fn sample(&mut self, row: &GaugeRow) {
+        let mut snapshot = self.snapshot.lock().expect("metrics snapshot poisoned");
+        match &mut snapshot.last {
+            Some(last) => last.clone_from(row),
+            None => snapshot.last = Some(row.clone()),
+        }
     }
 }
 
@@ -279,10 +300,7 @@ pub fn validate_prometheus_text(text: &str) -> Result<(), String> {
             let mut parts = rest.split(' ');
             let name = parts.next().unwrap_or("");
             let kind = parts.next().unwrap_or("");
-            if !matches!(
-                kind,
-                "counter" | "gauge" | "histogram" | "summary" | "untyped"
-            ) {
+            if !matches!(kind, "counter" | "gauge" | "untyped") {
                 return Err(format!("line {line_no}: unknown metric type {kind:?}"));
             }
             if !helped.contains_key(name) {
@@ -301,13 +319,7 @@ pub fn validate_prometheus_text(text: &str) -> Result<(), String> {
             .parse::<f64>()
             .map_err(|_| format!("line {line_no}: non-numeric sample value {value:?}"))?;
         let name = series.split('{').next().unwrap_or(series);
-        let base = name
-            .strip_suffix("_bucket")
-            .or_else(|| name.strip_suffix("_sum"))
-            .or_else(|| name.strip_suffix("_count"))
-            .filter(|base| typed.get(*base).map(String::as_str) == Some("histogram"))
-            .unwrap_or(name);
-        if !typed.contains_key(base) {
+        if !typed.contains_key(name) {
             return Err(format!(
                 "line {line_no}: series {name} has no # TYPE header"
             ));
@@ -341,19 +353,33 @@ mod tests {
         validate_prometheus_text(&text).unwrap();
     }
 
+    /// The sink renders only the last row it saw, labelled with the
+    /// run's platform, and nothing before its first row.
     #[test]
-    fn histogram_renders_buckets_sum_count() {
-        let mut reg = MetricsRegistry::new();
-        let buckets = [1.0, 10.0, 100.0];
-        for v in [0.5, 5.0, 50.0, 500.0] {
-            reg.histogram_observe("sim_queue_depth", "queue depth", &[], &buckets, v);
-        }
-        let text = reg.render();
-        assert!(text.contains("sim_queue_depth_bucket{le=\"1\"} 1"));
-        assert!(text.contains("sim_queue_depth_bucket{le=\"10\"} 2"));
-        assert!(text.contains("sim_queue_depth_bucket{le=\"100\"} 3"));
-        assert!(text.contains("sim_queue_depth_bucket{le=\"+Inf\"} 4"));
-        assert!(text.contains("sim_queue_depth_count 4"));
+    fn metrics_sink_keeps_the_last_gauge_row() {
+        let mut sink = MetricsSink::new();
+        assert_eq!(sink.registry().render(), "");
+        sink.begin(&TraceMeta {
+            platform: "INFless".into(),
+            functions: vec![],
+        });
+        let row = |instances| GaugeRow {
+            t_s: 1.0,
+            instances,
+            starting: 0,
+            cpu_occupancy: 0.5,
+            gpu_occupancy: 0.0,
+            queue_depth: 0,
+            in_flight_batches: 0,
+            kv_resident_bytes: 0,
+            host_cache_mb_used: 0.0,
+            per_function_instances: vec![instances],
+        };
+        sink.sample(&row(3));
+        sink.sample(&row(5));
+        let text = sink.registry().render();
+        assert!(text.contains("infless_instances{platform=\"INFless\"} 5"));
+        assert!(text.contains("infless_cpu_occupancy{platform=\"INFless\"} 0.5"));
         validate_prometheus_text(&text).unwrap();
     }
 

@@ -2,16 +2,12 @@
 
 use std::fmt::Write as _;
 use std::fs::File;
-use std::io::{BufWriter, Write};
-use std::path::Path;
+use std::io::{self, BufWriter, Write};
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::decision::DecisionRecord;
 use crate::timeseries::GaugeRow;
-
-/// Spans buffered between file flushes. Sized so a flush amortises the
-/// syscall without holding a meaningful share of a run's events.
-pub const SPAN_RING_CAPACITY: usize = 4096;
 
 /// A stage in a request's lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -132,18 +128,21 @@ impl FaultTag {
 }
 
 /// One lifecycle span. `Copy` and all-numeric by design: recording one
-/// is a struct copy into a ring buffer, never an allocation.
+/// is a struct copy into a buffer, never an allocation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpanEvent {
     /// Simulated timestamp, seconds.
     pub t_s: f64,
     /// Lifecycle stage.
     pub kind: SpanKind,
-    /// Request id.
+    /// The request's arrival ordinal within its function. Swap spans,
+    /// which no request owns, carry `1 << 63 | ` the instance's launch
+    /// ordinal instead.
     pub request: u64,
     /// Function index.
     pub function: u32,
-    /// Instance id, or -1 when no instance is involved.
+    /// The instance's launch ordinal within its function, or -1 when
+    /// no instance is involved.
     pub instance: i64,
     /// Server id, or -1 when no server is involved.
     pub server: i64,
@@ -185,25 +184,35 @@ pub struct TraceMeta {
     pub functions: Vec<String>,
 }
 
-/// Where the engine sends telemetry.
+/// An output file that could not be written: its path and the first
+/// I/O error it hit.
+#[derive(Debug)]
+pub struct OutputError {
+    /// The output's path.
+    pub path: PathBuf,
+    /// The first I/O error.
+    pub source: io::Error,
+}
+
+/// One output of the ordered record path (`crate::RecordWriter`).
 ///
-/// The contract that makes a disabled run bit-identical to a
-/// telemetry-free one: the engine consults [`enabled`](Self::enabled)
-/// before building a [`SpanEvent`] or [`GaugeRow`], and a sink must
-/// never influence the simulation (no RNG draws, no event scheduling —
-/// the trait gets no access to either).
+/// The writer hands every output its records in canonical order, each
+/// on the channel the output asked for. The three channel gates are
+/// read once, when the writer is built, and must stay the same for the
+/// output's whole life. An engine whose writer has no output on a
+/// channel builds no record for it, so a sink never influences the
+/// simulation: it draws no randomness and schedules no events (the
+/// trait gets no access to either).
 ///
-/// Sinks are `Send` because the sharded runner moves each shard's
-/// engine (and therefore its sink) onto a worker thread at every epoch.
+/// Sinks are `Send` because a sharded run may build them on one thread
+/// and finish them on another.
 pub trait TelemetrySink: std::fmt::Debug + Send {
-    /// `false` skips span/gauge construction entirely.
-    ///
-    /// The engine reads this once, when the sink is attached
-    /// (`Engine::set_telemetry`), and caches the answer. It must stay
-    /// the same for the sink's whole life.
+    /// Whether the sink wants lifecycle spans (and, unless
+    /// [`gauges_enabled`](Self::gauges_enabled) says otherwise, gauge
+    /// rows).
     fn enabled(&self) -> bool;
 
-    /// Called once, before any span, with the run's identity.
+    /// Called once, before any record, with the run's identity.
     fn begin(&mut self, _meta: &TraceMeta) {}
 
     /// Records one lifecycle span.
@@ -212,12 +221,16 @@ pub trait TelemetrySink: std::fmt::Debug + Send {
     /// Records one time-series gauge row.
     fn sample(&mut self, row: &GaugeRow);
 
-    /// `false` skips decision-event construction entirely. Gated
-    /// separately from [`enabled`](Self::enabled) so a decisions-only
-    /// sink does not pay for span construction (and vice versa).
-    ///
-    /// Like [`enabled`](Self::enabled), read once at attach and cached:
-    /// the answer must stay the same for the sink's whole life.
+    /// Whether the sink wants gauge rows. Defaults to
+    /// [`enabled`](Self::enabled); a gauges-only sink answers `true`
+    /// here and `false` there, so it costs no span construction.
+    fn gauges_enabled(&self) -> bool {
+        self.enabled()
+    }
+
+    /// Whether the sink wants decision records. Gated separately from
+    /// [`enabled`](Self::enabled) so a decisions-only sink does not pay
+    /// for span construction (and vice versa).
     fn decisions_enabled(&self) -> bool {
         false
     }
@@ -227,6 +240,12 @@ pub trait TelemetrySink: std::fmt::Debug + Send {
 
     /// Flushes buffered output at the end of the run.
     fn finish(&mut self) {}
+
+    /// The first write error of the sink's life, if it writes a file.
+    /// Asked once, after [`finish`](Self::finish).
+    fn take_error(&mut self) -> Option<OutputError> {
+        None
+    }
 }
 
 /// The default sink: telemetry off.
@@ -248,25 +267,44 @@ impl TelemetrySink for NullSink {
 pub struct MemoryStore {
     /// The run identity, once `begin` has been called.
     pub meta: Option<TraceMeta>,
-    /// Every recorded span, in emission order.
+    /// Every recorded span, in canonical order.
     pub spans: Vec<SpanEvent>,
-    /// Every sampled gauge row, in emission order.
+    /// Every sampled gauge row, in time order.
     pub rows: Vec<GaugeRow>,
-    /// Every recorded decision/breakdown, in emission order.
+    /// Every recorded decision/breakdown, in canonical order.
     pub decisions: Vec<DecisionRecord>,
 }
 
 /// An in-memory sink for tests: clone the handle, give one clone to the
-/// platform, and read the shared store through the other after the run.
-#[derive(Debug, Clone, Default)]
+/// run, and read the shared store through the other after the run.
+#[derive(Debug, Clone)]
 pub struct MemorySink {
     store: Arc<Mutex<MemoryStore>>,
+    spans: bool,
+}
+
+impl Default for MemorySink {
+    fn default() -> Self {
+        MemorySink::new()
+    }
 }
 
 impl MemorySink {
-    /// Creates an empty sink.
+    /// A sink on every channel.
     pub fn new() -> Self {
-        MemorySink::default()
+        MemorySink {
+            store: Arc::default(),
+            spans: true,
+        }
+    }
+
+    /// A sink on the decisions channel only: a run feeding it builds no
+    /// span or gauge row.
+    pub fn decisions_only() -> Self {
+        MemorySink {
+            spans: false,
+            ..MemorySink::new()
+        }
     }
 
     /// Read access to everything captured so far.
@@ -274,8 +312,7 @@ impl MemorySink {
     /// # Panics
     ///
     /// Panics if a clone of this sink poisoned the store by panicking
-    /// mid-record (the engine never holds the lock across a call
-    /// boundary).
+    /// mid-record.
     pub fn store(&self) -> MutexGuard<'_, MemoryStore> {
         self.store.lock().expect("telemetry store poisoned")
     }
@@ -283,7 +320,7 @@ impl MemorySink {
 
 impl TelemetrySink for MemorySink {
     fn enabled(&self) -> bool {
-        true
+        self.spans
     }
 
     fn begin(&mut self, meta: &TraceMeta) {
@@ -307,6 +344,47 @@ impl TelemetrySink for MemorySink {
     }
 }
 
+/// A buffered output file that keeps its first write error: once a
+/// write fails, nothing more is written, and the error waits for
+/// [`take_error`](Self::take_error).
+#[derive(Debug)]
+pub(crate) struct FileOut {
+    path: PathBuf,
+    out: BufWriter<File>,
+    error: Option<io::Error>,
+}
+
+impl FileOut {
+    /// Creates (or truncates) `path`.
+    pub(crate) fn create(path: &Path) -> io::Result<FileOut> {
+        Ok(FileOut {
+            path: path.to_path_buf(),
+            out: BufWriter::new(File::create(path)?),
+            error: None,
+        })
+    }
+
+    pub(crate) fn write(&mut self, bytes: &[u8]) {
+        if self.error.is_none() {
+            self.error = self.out.write_all(bytes).err();
+        }
+    }
+
+    pub(crate) fn flush(&mut self) {
+        if self.error.is_none() {
+            self.error = self.out.flush().err();
+        }
+    }
+
+    pub(crate) fn take_error(&mut self) -> Option<OutputError> {
+        let source = self.error.take()?;
+        Some(OutputError {
+            path: self.path.clone(),
+            source,
+        })
+    }
+}
+
 /// A sink writing a JSONL span trace and/or a CSV time-series.
 ///
 /// Formats:
@@ -316,38 +394,19 @@ impl TelemetrySink for MemorySink {
 ///   has the fixed keys `t_s, kind, req, fn, inst, srv, batch, fault`.
 /// * Time-series (`--timeseries-out`): a CSV whose header is
 ///   `t_s,instances,starting,cpu_occupancy,gpu_occupancy,queue_depth,`
-///   `in_flight_batches` followed by one `fn<i>_instances` column per
-///   function.
+///   `in_flight_batches,kv_resident_bytes,host_cache_mb_used` followed
+///   by one `fn<i>_instances` column per function.
 ///
-/// Hot-path cost: recording a span is a `Copy` into a fixed-capacity
-/// ring that is drained through a reused line buffer every
-/// [`SPAN_RING_CAPACITY`] events — zero allocations per event after the
-/// first flush.
-///
-/// # Panics
-///
-/// I/O failures while writing panic (this sink exists to produce the
-/// artifact; a silently truncated trace would be worse than a loud
-/// abort).
+/// Each line is formatted into a reused buffer, so recording allocates
+/// nothing after warm-up. A failed write is kept for
+/// [`TelemetrySink::take_error`] and ends that file's output.
 #[derive(Debug)]
 pub struct FileSink {
-    trace: Option<TraceWriter>,
-    timeseries: Option<TimeseriesWriter>,
-    functions: Vec<String>,
-}
-
-#[derive(Debug)]
-struct TraceWriter {
-    out: BufWriter<File>,
-    ring: Vec<SpanEvent>,
-    line: String,
-}
-
-#[derive(Debug)]
-struct TimeseriesWriter {
-    out: BufWriter<File>,
-    line: String,
+    trace: Option<FileOut>,
+    timeseries: Option<FileOut>,
+    functions: usize,
     wrote_header: bool,
+    line: String,
 }
 
 impl FileSink {
@@ -359,46 +418,30 @@ impl FileSink {
     pub fn create(
         trace_path: Option<&Path>,
         timeseries_path: Option<&Path>,
-    ) -> std::io::Result<FileSink> {
-        let trace = match trace_path {
-            Some(p) => Some(TraceWriter {
-                out: BufWriter::new(File::create(p)?),
-                ring: Vec::with_capacity(SPAN_RING_CAPACITY),
-                line: String::with_capacity(256),
-            }),
-            None => None,
-        };
-        let timeseries = match timeseries_path {
-            Some(p) => Some(TimeseriesWriter {
-                out: BufWriter::new(File::create(p)?),
-                line: String::with_capacity(256),
-                wrote_header: false,
-            }),
-            None => None,
-        };
+    ) -> io::Result<FileSink> {
         Ok(FileSink {
-            trace,
-            timeseries,
-            functions: Vec::new(),
+            trace: trace_path.map(FileOut::create).transpose()?,
+            timeseries: timeseries_path.map(FileOut::create).transpose()?,
+            functions: 0,
+            wrote_header: false,
+            line: String::with_capacity(256),
         })
     }
 
-    fn flush_ring(trace: &mut TraceWriter) {
-        for span in &trace.ring {
-            span.render(&mut trace.line);
-            trace
-                .out
-                .write_all(trace.line.as_bytes())
-                .expect("write telemetry trace");
+    fn write_header(ts: &mut FileOut, line: &mut String, functions: usize) {
+        line.clear();
+        line.push_str(TIMESERIES_HEADER);
+        for i in 0..functions {
+            write!(line, ",fn{i}_instances").expect("write to String cannot fail");
         }
-        trace.ring.clear();
+        line.push('\n');
+        ts.write(line.as_bytes());
     }
 }
 
 /// Renders the `{"meta":…}` record (with trailing newline) into `out`,
-/// which is cleared first. Shared by the span trace and
-/// [`crate::write_decision_trace`] so both artifacts open with an
-/// identical metadata line.
+/// which is cleared first. Shared by the span trace and the decision
+/// trace so both artifacts open with an identical metadata line.
 pub(crate) fn render_meta(meta: &TraceMeta, out: &mut String) {
     out.clear();
     out.push_str("{\"meta\":{\"platform\":\"");
@@ -440,90 +483,77 @@ const TIMESERIES_HEADER: &str = "t_s,instances,starting,cpu_occupancy,gpu_occupa
 
 impl TelemetrySink for FileSink {
     fn enabled(&self) -> bool {
-        self.trace.is_some() || self.timeseries.is_some()
+        self.trace.is_some()
+    }
+
+    fn gauges_enabled(&self) -> bool {
+        self.timeseries.is_some()
     }
 
     fn begin(&mut self, meta: &TraceMeta) {
-        self.functions = meta.functions.clone();
+        self.functions = meta.functions.len();
         if let Some(trace) = &mut self.trace {
-            render_meta(meta, &mut trace.line);
-            trace
-                .out
-                .write_all(trace.line.as_bytes())
-                .expect("write telemetry trace meta");
+            render_meta(meta, &mut self.line);
+            trace.write(self.line.as_bytes());
         }
         if let Some(ts) = &mut self.timeseries {
-            ts.line.clear();
-            ts.line.push_str(TIMESERIES_HEADER);
-            for i in 0..self.functions.len() {
-                write!(ts.line, ",fn{i}_instances").expect("write to String cannot fail");
-            }
-            ts.line.push('\n');
-            ts.out
-                .write_all(ts.line.as_bytes())
-                .expect("write telemetry timeseries header");
-            ts.wrote_header = true;
+            Self::write_header(ts, &mut self.line, self.functions);
+            self.wrote_header = true;
         }
     }
 
     fn record(&mut self, span: SpanEvent) {
         if let Some(trace) = &mut self.trace {
-            trace.ring.push(span);
-            if trace.ring.len() >= SPAN_RING_CAPACITY {
-                Self::flush_ring(trace);
-            }
+            span.render(&mut self.line);
+            trace.write(self.line.as_bytes());
         }
     }
 
     fn sample(&mut self, row: &GaugeRow) {
-        if let Some(ts) = &mut self.timeseries {
-            if !ts.wrote_header {
-                // `begin` was never called (engine without metadata):
-                // emit a header sized to the first row.
-                ts.line.clear();
-                ts.line.push_str(TIMESERIES_HEADER);
-                for i in 0..row.per_function_instances.len() {
-                    write!(ts.line, ",fn{i}_instances").expect("write to String cannot fail");
-                }
-                ts.line.push('\n');
-                ts.out
-                    .write_all(ts.line.as_bytes())
-                    .expect("write telemetry timeseries header");
-                ts.wrote_header = true;
-            }
-            ts.line.clear();
-            write!(
-                ts.line,
-                "{},{},{},{:.6},{:.6},{},{},{},{:.3}",
-                row.t_s,
-                row.instances,
-                row.starting,
-                row.cpu_occupancy,
-                row.gpu_occupancy,
-                row.queue_depth,
-                row.in_flight_batches,
-                row.kv_resident_bytes,
-                row.host_cache_mb_used,
-            )
-            .expect("write to String cannot fail");
-            for n in &row.per_function_instances {
-                write!(ts.line, ",{n}").expect("write to String cannot fail");
-            }
-            ts.line.push('\n');
-            ts.out
-                .write_all(ts.line.as_bytes())
-                .expect("write telemetry timeseries");
+        let Some(ts) = &mut self.timeseries else {
+            return;
+        };
+        if !self.wrote_header {
+            // `begin` was never called: size the header to the row.
+            Self::write_header(ts, &mut self.line, row.per_function_instances.len());
+            self.wrote_header = true;
         }
+        self.line.clear();
+        write!(
+            self.line,
+            "{},{},{},{:.6},{:.6},{},{},{},{:.3}",
+            row.t_s,
+            row.instances,
+            row.starting,
+            row.cpu_occupancy,
+            row.gpu_occupancy,
+            row.queue_depth,
+            row.in_flight_batches,
+            row.kv_resident_bytes,
+            row.host_cache_mb_used,
+        )
+        .expect("write to String cannot fail");
+        for n in &row.per_function_instances {
+            write!(self.line, ",{n}").expect("write to String cannot fail");
+        }
+        self.line.push('\n');
+        ts.write(self.line.as_bytes());
     }
 
     fn finish(&mut self) {
-        if let Some(trace) = &mut self.trace {
-            Self::flush_ring(trace);
-            trace.out.flush().expect("flush telemetry trace");
+        for out in [&mut self.trace, &mut self.timeseries]
+            .into_iter()
+            .flatten()
+        {
+            out.flush();
         }
-        if let Some(ts) = &mut self.timeseries {
-            ts.out.flush().expect("flush telemetry timeseries");
-        }
+    }
+
+    fn take_error(&mut self) -> Option<OutputError> {
+        [&mut self.trace, &mut self.timeseries]
+            .into_iter()
+            .flatten()
+            .find_map(FileOut::take_error)
     }
 }
 
@@ -589,39 +619,44 @@ mod tests {
         assert_eq!(sink.store().meta.as_ref().unwrap().platform, "test");
     }
 
-    /// Satellite: the enabled file path allocates zero per event after
-    /// warm-up — the span ring and line buffer are filled, drained, and
-    /// refilled without their capacities ever moving.
+    /// The span path formats every line into one reused buffer: after
+    /// the first span its capacity never moves.
     #[test]
-    fn file_sink_hot_path_reuses_buffers() {
-        let dir = std::env::temp_dir();
-        let trace_path = dir.join("infless-telemetry-alloc-test.jsonl");
+    fn file_sink_hot_path_reuses_its_line_buffer() {
+        let trace_path = std::env::temp_dir().join(format!(
+            "infless-telemetry-alloc-test-{}.jsonl",
+            std::process::id()
+        ));
         let mut sink = FileSink::create(Some(&trace_path), None).unwrap();
         sink.begin(&TraceMeta {
             platform: "test".into(),
             functions: vec!["f".into()],
         });
-        // Warm up: one full ring, which triggers the first flush.
-        for i in 0..SPAN_RING_CAPACITY {
-            sink.record(span(i as f64, SpanKind::Arrival, i as u64));
-        }
-        let trace = sink.trace.as_ref().unwrap();
-        assert!(trace.ring.is_empty(), "ring drained at capacity");
-        let ring_cap = trace.ring.capacity();
-        let line_cap = trace.line.capacity();
-        assert_eq!(ring_cap, SPAN_RING_CAPACITY);
-        // Steady state: several more rings' worth of events must not
-        // grow either buffer.
-        for i in 0..4 * SPAN_RING_CAPACITY {
+        sink.record(span(0.0, SpanKind::Arrival, 0));
+        let line_cap = sink.line.capacity();
+        for i in 1..10_000 {
             sink.record(span(i as f64, SpanKind::Complete, i as u64));
         }
-        let trace = sink.trace.as_ref().unwrap();
-        assert_eq!(trace.ring.capacity(), ring_cap, "ring buffer reallocated");
-        assert_eq!(trace.line.capacity(), line_cap, "line buffer reallocated");
+        assert_eq!(sink.line.capacity(), line_cap, "line buffer reallocated");
         sink.finish();
+        assert!(sink.take_error().is_none());
         let text = std::fs::read_to_string(&trace_path).unwrap();
-        assert_eq!(text.lines().count(), 1 + 5 * SPAN_RING_CAPACITY);
+        assert_eq!(text.lines().count(), 1 + 10_000);
         std::fs::remove_file(&trace_path).ok();
+    }
+
+    /// A failed write is kept, with the file's path, for `take_error`.
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn file_sink_keeps_its_first_write_error() {
+        let mut sink = FileSink::create(Some(Path::new("/dev/full")), None).unwrap();
+        for i in 0..10_000 {
+            sink.record(span(i as f64, SpanKind::Arrival, i as u64));
+        }
+        sink.finish();
+        let err = sink.take_error().expect("/dev/full accepts no bytes");
+        assert_eq!(err.path, Path::new("/dev/full"));
+        assert!(sink.take_error().is_none(), "the error is taken once");
     }
 
     #[test]

@@ -203,21 +203,31 @@ pub(crate) fn field_str<'v>(obj: &'v Value, key: &str, line_no: usize) -> Result
         .ok_or_else(|| format!("line {line_no}: missing or non-string \"{key}\""))
 }
 
+/// Whose lifecycle a span belongs to: request ids are arrival ordinals
+/// within a function, and swap spans belong to an instance (by launch
+/// ordinal within its function).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Subject {
+    Request(u64, u64),
+    Instance(u64, i64),
+}
+
 /// Parses and validates a JSONL span trace.
 ///
 /// Validation is strict — this is what the CI schema check runs: every
 /// line must parse as JSON with the fixed key set and types, the first
 /// line must be the metadata record, per-request timestamps must be
 /// monotone, and no request may terminate (complete/drop/shed) twice.
+/// Requests are keyed by `(fn, req)` and swap spans by `(fn, inst)`.
 ///
 /// # Errors
 ///
 /// Returns a description of the first violated rule.
 pub fn summarize<R: BufRead>(reader: R) -> Result<TraceSummary, String> {
     let mut summary = TraceSummary::default();
-    let mut arrival_at: HashMap<u64, f64> = HashMap::new();
-    let mut terminated: HashMap<u64, SpanKind> = HashMap::new();
-    let mut last_t: HashMap<u64, f64> = HashMap::new();
+    let mut arrival_at: HashMap<Subject, f64> = HashMap::new();
+    let mut terminated: HashMap<Subject, SpanKind> = HashMap::new();
+    let mut last_t: HashMap<Subject, f64> = HashMap::new();
     let mut saw_meta = false;
     for (i, line) in reader.lines().enumerate() {
         let line_no = i + 1;
@@ -239,20 +249,26 @@ pub fn summarize<R: BufRead>(reader: R) -> Result<TraceSummary, String> {
         let kind = SpanKind::parse(field_str(&value, "kind", line_no)?)
             .ok_or_else(|| format!("line {line_no}: unknown span kind"))?;
         let req = field_u64(&value, "req", line_no)?;
-        let function = field_u64(&value, "fn", line_no)? as usize;
-        field_i64(&value, "inst", line_no)?;
+        let function = field_u64(&value, "fn", line_no)?;
+        let inst = field_i64(&value, "inst", line_no)?;
         field_i64(&value, "srv", line_no)?;
         let batch = field_u64(&value, "batch", line_no)?;
         let fault = FaultTag::parse(field_str(&value, "fault", line_no)?)
             .ok_or_else(|| format!("line {line_no}: unknown fault tag"))?;
-        if let Some(&prev) = last_t.get(&req) {
+        let subject = match kind {
+            SpanKind::SwapBegin | SpanKind::SwapComplete => Subject::Instance(function, inst),
+            _ => Subject::Request(function, req),
+        };
+        if let Some(&prev) = last_t.get(&subject) {
             if t_s < prev {
                 return Err(format!(
-                    "line {line_no}: request {req} went backwards in time ({t_s} < {prev})"
+                    "line {line_no}: fn {function} request {req} went backwards in time \
+                     ({t_s} < {prev})"
                 ));
             }
         }
-        last_t.insert(req, t_s);
+        last_t.insert(subject, t_s);
+        let function = function as usize;
         if function >= summary.per_function.len() {
             summary
                 .per_function
@@ -263,7 +279,7 @@ pub fn summarize<R: BufRead>(reader: R) -> Result<TraceSummary, String> {
             SpanKind::Arrival => {
                 summary.arrivals += 1;
                 summary.per_function[function].arrivals += 1;
-                arrival_at.insert(req, t_s);
+                arrival_at.insert(subject, t_s);
             }
             SpanKind::Enqueued => summary.enqueued += 1,
             SpanKind::BatchFormed => summary.batches_formed += 1,
@@ -272,9 +288,10 @@ pub fn summarize<R: BufRead>(reader: R) -> Result<TraceSummary, String> {
                 summary.batch_sizes.add(batch as f64);
             }
             SpanKind::Complete | SpanKind::Dropped | SpanKind::Shed => {
-                if let Some(first) = terminated.insert(req, kind) {
+                if let Some(first) = terminated.insert(subject, kind) {
                     return Err(format!(
-                        "line {line_no}: request {req} terminated twice ({} then {})",
+                        "line {line_no}: fn {function} request {req} terminated twice \
+                         ({} then {})",
                         first.name(),
                         kind.name()
                     ));
@@ -283,7 +300,7 @@ pub fn summarize<R: BufRead>(reader: R) -> Result<TraceSummary, String> {
                     SpanKind::Complete => {
                         summary.completed += 1;
                         summary.per_function[function].completed += 1;
-                        if let Some(&t0) = arrival_at.get(&req) {
+                        if let Some(&t0) = arrival_at.get(&subject) {
                             summary.latency_ms.add((t_s - t0) * 1e3);
                         }
                     }
@@ -302,8 +319,8 @@ pub fn summarize<R: BufRead>(reader: R) -> Result<TraceSummary, String> {
                 *summary.displaced_by_fault.entry(fault.name()).or_insert(0) += 1;
             }
             SpanKind::Retried => summary.retried += 1,
-            // Instance-scoped: synthetic request ids, never terminal,
-            // excluded from the gateway conservation law.
+            // Instance-scoped: never terminal, excluded from the
+            // gateway conservation law.
             SpanKind::SwapBegin => summary.swap_begins += 1,
             SpanKind::SwapComplete => summary.swap_completes += 1,
             // Token-level marks: non-terminal (the sequence's complete
@@ -372,9 +389,9 @@ mod tests {
         assert!(text.contains("2 arrivals"));
     }
 
-    /// Swap spans ride synthetic high-bit request ids so they never
-    /// collide with real requests in the per-request validation, and
-    /// they stay out of the gateway conservation law.
+    /// Swap spans are keyed by their instance, so they never collide
+    /// with real requests in the per-request validation, and they stay
+    /// out of the gateway conservation law.
     #[test]
     fn swap_spans_are_counted_and_non_terminal() {
         let synth = (1u64 << 63) | 7;
@@ -469,6 +486,29 @@ mod tests {
         assert!(summarize(trace.as_bytes())
             .unwrap_err()
             .contains("terminated twice"));
+    }
+
+    /// Request ids are per-function ordinals: request 0 of two
+    /// functions is two requests, but a second terminal span within one
+    /// function is still a double termination.
+    #[test]
+    fn requests_are_keyed_by_function_and_ordinal() {
+        let two = concat!(
+            "{\"meta\":{\"platform\":\"x\",\"functions\":[\"f\",\"g\"]}}\n",
+            "{\"t_s\":0.5,\"kind\":\"arrival\",\"req\":0,\"fn\":0,\"inst\":-1,\"srv\":-1,\"batch\":0,\"fault\":\"none\"}\n",
+            "{\"t_s\":0.5,\"kind\":\"arrival\",\"req\":0,\"fn\":1,\"inst\":-1,\"srv\":-1,\"batch\":0,\"fault\":\"none\"}\n",
+            "{\"t_s\":0.6,\"kind\":\"complete\",\"req\":0,\"fn\":0,\"inst\":0,\"srv\":0,\"batch\":1,\"fault\":\"none\"}\n",
+            "{\"t_s\":0.6,\"kind\":\"dropped\",\"req\":0,\"fn\":1,\"inst\":-1,\"srv\":-1,\"batch\":0,\"fault\":\"none\"}\n",
+        );
+        let s = summarize(two.as_bytes()).unwrap();
+        assert_eq!(s.arrivals, 2);
+        assert!(s.conserved());
+        let twice = format!(
+            "{two}{}",
+            "{\"t_s\":0.7,\"kind\":\"shed\",\"req\":0,\"fn\":1,\"inst\":-1,\"srv\":-1,\"batch\":0,\"fault\":\"none\"}\n"
+        );
+        let err = summarize(twice.as_bytes()).unwrap_err();
+        assert!(err.contains("fn 1 request 0 terminated twice"), "{err}");
     }
 
     #[test]

@@ -32,8 +32,8 @@ run report. --seed overrides the scenario's seed; --json emits the
 summary as JSON instead of a table.
 
 --shards N runs the INFless platform through the sharded epoch-barrier
-engine with N shards (INFless scenarios only; telemetry streaming is
-not available on this path). The report is byte-identical for every N.
+engine with N shards (INFless scenarios only). The report and every
+output file are byte-identical for every N.
 --canonical-json prints the report's canonical JSON rendering — the
 exact string the golden manifest pins and compares between shard counts.
 
@@ -43,24 +43,26 @@ transaction) before launching new ones and downsizes before parking;
 `horizontal` is the launch-only default.
 
 --trace-out streams per-request lifecycle spans (arrival, enqueued,
-batch_formed, exec_start, complete, dropped, shed, displaced, retried)
-to a JSONL file; --timeseries-out streams per-tick gauges (instances,
-occupancy, queue depth, in-flight batches, KV residency, host cache)
-to a CSV.
+batch_formed, exec_start, complete, dropped, shed, displaced, retried,
+plus swap and token marks) to a JSONL file, keyed by each request's
+arrival ordinal within its function; --timeseries-out streams per-tick
+gauges (instances, occupancy, queue depth, in-flight batches, KV
+residency, host cache) to a CSV.
 
 --decisions-out writes the decision trace: every Algorithm 1 candidate
 evaluation and rejection reason, chosen configs, scale-out rounds,
 consolidation commits/rollbacks, keep-alive evictions, launch startup
 paths, continuous-batching admissions, and per-request SLO latency
-decompositions. Works at every shard count with a byte-identical trace,
-written as the run goes in bounded memory. --metrics-out writes an
-end-of-run Prometheus text-format snapshot (gauges sampled at scaler
-ticks plus final counters from the report). --flight-out arms the
-flight recorder: a bounded ring of recent spans written to the file
-whenever a fault burst hits (single-core runs only, like --trace-out);
-a run without a burst leaves the file empty. Every output file is
-created before the run starts: an unwritable path fails with an error
-naming it, before any simulation.
+decompositions. --metrics-out writes an end-of-run Prometheus
+text-format snapshot (the last scaler tick's gauges plus final counters
+from the report). --flight-out arms the flight recorder: a bounded ring
+of recent spans written to the file whenever a fault burst hits; a run
+without a burst leaves the file empty. All five outputs read one
+ordered record stream, written as the run goes in bounded memory, and
+work at every shard count. Every output file is created before the run
+starts: an unwritable path fails with an error naming it, before any
+simulation, and a write that fails mid-run (a full disk) fails the run
+with the same error when it ends.
 
 `trace summary` validates a span trace and prints conservation and
 fault-displacement accounting recomputed from the spans alone; `trace
@@ -169,8 +171,8 @@ fn main() -> ExitCode {
     if let Some(path) = flight_out {
         config = config.flight_out(path);
     }
-    // An invalid combination (e.g. --shards with telemetry streaming)
-    // or an unwritable output surfaces from execute before the run.
+    // A sharded baseline or an unwritable output surfaces from execute
+    // before the run; a write that fails mid-run, when it ends.
     match scenario.execute(config) {
         Ok(report) => emit(|out| {
             if canonical {

@@ -271,8 +271,8 @@ pub enum ScenarioError {
     Json(serde_json::Error),
     /// The scenario was semantically invalid.
     Invalid(String),
-    /// The run executor refused the run config or could not write an
-    /// output file.
+    /// The run executor refused a sharded baseline run or could not
+    /// write an output file.
     Run(RunError),
 }
 
@@ -418,9 +418,8 @@ impl Scenario {
     ///
     /// Returns [`ScenarioError`] if a CSV load cannot be read or a
     /// referenced row is missing; [`ScenarioError::Run`] when `config`
-    /// fails [`RunConfig::validate`], requests a sharded run for a
-    /// baseline platform (only the INFless engine is sharded), or names
-    /// an output file that cannot be written.
+    /// requests a sharded run for a baseline platform (only the INFless
+    /// engine is sharded) or an output file cannot be written.
     pub fn execute(&self, config: RunConfig) -> Result<RunReport, ScenarioError> {
         let llm = config.llm.unwrap_or(self.llm);
         let (deployment, workload) = self.deployment(llm)?;
@@ -805,12 +804,6 @@ mod tests {
         // Explicit zero shards is a uniform RunConfig error (the CLI
         // surfaces it before execute is ever reached).
         assert!(infless_core::runconfig::RunConfig::validate_explicit_shards(0).is_err());
-        // Sharded + telemetry is rejected by RunConfig::validate.
-        let s = Scenario::from_json(MINIMAL).unwrap();
-        let cfg = RunConfig::new()
-            .shards(2)
-            .telemetry(Box::new(infless_telemetry::NullSink));
-        assert!(s.execute(cfg).is_err());
         // Only the INFless engine is sharded.
         let batch = MINIMAL.replace("\"infless\"", "\"batch\"");
         let s = Scenario::from_json(&batch).unwrap();

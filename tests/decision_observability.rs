@@ -4,13 +4,12 @@
 //! partition end-to-end latency exactly, and the flight recorder must
 //! dump on fault bursts.
 
+use infless::baselines::BatchPlatform;
 use infless::descriptor::Scenario;
-use std::sync::{Arc, Mutex};
-
-use infless::telemetry::{DecisionRecord, DecisionTap, DecisionWriter, NullSink};
+use infless::telemetry::{DecisionRecord, MemorySink, RecordWriter};
 use infless::RunConfig;
 use infless_cluster::ClusterSpec;
-use infless_core::driver::{self, Platform};
+use infless_core::driver;
 use infless_core::platform::{InflessConfig, InflessPlatform};
 use infless_core::sharded::ShardedInfless;
 use infless_faults::{FaultPlan, FaultSchedule};
@@ -150,24 +149,10 @@ fn flight_recorder_dumps_on_fault_burst() {
     std::fs::remove_file(&fp).ok();
 }
 
-/// The flight recorder is span-channel observability and therefore
-/// rejected on sharded runs, like a telemetry sink.
-#[test]
-fn sharded_flight_recorder_is_rejected() {
-    let json = shipped_scenario_json();
-    let err = Scenario::from_json(&json)
-        .unwrap()
-        .execute(RunConfig::new().shards(2).flight_out(temp_path("no.jsonl")))
-        .unwrap_err();
-    assert!(
-        err.to_string().contains("single-core"),
-        "unexpected error: {err}"
-    );
-}
-
-/// The decision writer holds only the records its clock has not yet
-/// passed: on a long constant-load run, eager and at 4 shards, its
-/// pending buffer never holds 1% of the records it writes.
+/// The record writer holds only the records its clock has not yet
+/// passed: on a long constant-load run with spans and decisions on —
+/// eager, on BATCH (whose arrival spans are backdated) and at 4 shards
+/// — its pending buffer never holds 1% of the records it writes.
 #[test]
 fn decision_writer_memory_stays_bounded() {
     let functions = vec![
@@ -185,31 +170,35 @@ fn decision_writer_memory_stays_bounded() {
         .collect();
     let workload = Workload::build(&loads, 7);
     let cluster = ClusterSpec::testbed();
-    let check = |label: &str, written: usize, peak: usize| {
-        assert!(written > 70_000, "{label}: only {written} records");
+    let check = |label: &str, run: &dyn Fn(&mut RecordWriter)| {
+        let sink = MemorySink::new();
+        let mut writer = RecordWriter::new(vec![Box::new(sink.clone())]);
+        run(&mut writer);
+        writer.finish().unwrap();
+        let store = sink.store();
+        let (spans, decisions) = (store.spans.len(), store.decisions.len());
+        assert!(decisions > 70_000, "{label}: only {decisions} decisions");
+        assert!(spans > decisions, "{label}: only {spans} spans");
+        let (written, peak) = (spans + decisions, writer.pending_peak());
         assert!(
             peak * 100 < written,
             "{label}: pending peaked at {peak} of {written} records written"
         );
     };
 
-    let writer = Arc::new(Mutex::new(DecisionWriter::new(Vec::new())));
-    let mut platform =
-        InflessPlatform::new(cluster, functions.clone(), InflessConfig::default(), 7);
-    platform.engine().set_telemetry(Box::new(DecisionTap::new(
-        Box::new(NullSink),
-        writer.clone(),
-    )));
-    driver::run(platform, &workload, &FaultSchedule::empty());
-    let mut writer = writer.lock().unwrap();
-    writer.finish().unwrap();
-    check("eager", writer.output_mut().len(), writer.pending_peak());
-
-    let runner = ShardedInfless::new(cluster, functions, InflessConfig::default(), 7);
-    let mut writer = DecisionWriter::new(Vec::new());
-    runner.run_into(&workload, 4, Some(&mut writer));
-    writer.finish().unwrap();
-    check("4 shards", writer.output_mut().len(), writer.pending_peak());
+    check("eager", &|writer| {
+        let platform =
+            InflessPlatform::new(cluster, functions.clone(), InflessConfig::default(), 7);
+        driver::run_recorded(platform, &workload, &FaultSchedule::empty(), Some(writer));
+    });
+    check("BATCH", &|writer| {
+        let platform = BatchPlatform::new(cluster, functions.clone(), 7);
+        driver::run_recorded(platform, &workload, &FaultSchedule::empty(), Some(writer));
+    });
+    check("4 shards", &|writer| {
+        let runner = ShardedInfless::new(cluster, functions.clone(), InflessConfig::default(), 7);
+        runner.run_into(&workload, 4, Some(writer));
+    });
 }
 
 fn check_breakdowns(records: &[DecisionRecord], label: &str) -> usize {
@@ -282,21 +271,18 @@ proptest! {
             SimDuration::from_secs(20),
             seed,
         );
-        // Single-core loop: tap the decisions channel into memory.
-        let writer = Arc::new(Mutex::new(DecisionWriter::new(Vec::new())));
-        let mut platform = InflessPlatform::new(
+        // Single-core loop: collect the decisions channel in memory.
+        let sink = MemorySink::decisions_only();
+        let mut writer = RecordWriter::new(vec![Box::new(sink.clone())]);
+        let platform = InflessPlatform::new(
             cluster,
             functions.clone(),
             InflessConfig::default(),
             seed,
         );
-        platform
-            .engine()
-            .set_telemetry(Box::new(DecisionTap::new(Box::new(NullSink), writer.clone())));
-        let report = driver::run(platform, &workload, &schedule);
-        let mut writer = writer.lock().unwrap();
+        let report = driver::run_recorded(platform, &workload, &schedule, Some(&mut writer));
         writer.finish().unwrap();
-        let single = std::mem::take(writer.output_mut());
+        let single = std::mem::take(&mut sink.store().decisions);
         let seen = check_breakdowns(&single, "single-core");
         prop_assert_eq!(
             seen as u64,

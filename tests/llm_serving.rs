@@ -108,10 +108,13 @@ fn retried_llm_requests_record_ttft_once() {
         report.failures.requests_displaced > 0,
         "no sequence was displaced"
     );
-    let mut first_tokens: HashMap<u64, u32> = HashMap::new();
+    // Request ids are arrival ordinals within a function.
+    let mut first_tokens: HashMap<(u32, u64), u32> = HashMap::new();
     for span in &sink.store().spans {
         if span.kind == SpanKind::FirstToken {
-            *first_tokens.entry(span.request).or_default() += 1;
+            *first_tokens
+                .entry((span.function, span.request))
+                .or_default() += 1;
         }
     }
     assert!(

@@ -110,6 +110,59 @@ fn unwritable_outputs_are_reported_by_path() {
     }
 }
 
+/// A disk that fills mid-run fails the run, whichever output hit it:
+/// each output keeps its first write error and the run returns it as
+/// `RunError::Output`, naming the file, instead of panicking.
+#[test]
+#[cfg(target_os = "linux")]
+fn a_full_disk_fails_every_output() {
+    use infless::baselines::RunError;
+    use infless::descriptor::ScenarioError;
+    use infless::telemetry::FileSink;
+
+    let full = std::path::Path::new("/dev/full");
+    let shipped = |stem: &str| {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("scenarios")
+            .join(format!("{stem}.json"));
+        Scenario::from_file(path).expect("shipped scenario parses")
+    };
+    let sink = |trace, timeseries| {
+        let sink = FileSink::create(trace, timeseries).expect("/dev/full opens");
+        RunConfig::new().telemetry(Box::new(sink))
+    };
+    let failures = shipped("failure_sweep");
+    // Kills far past the flight recorder's burst threshold, so it dumps.
+    let json = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios/failure_sweep.json"),
+    )
+    .expect("shipped scenario readable")
+    .replace(
+        "\"instance_kills_per_hour\": 90.0",
+        "\"instance_kills_per_hour\": 20000.0",
+    );
+    let bursts = Scenario::from_json(&json).expect("valid scenario");
+    let cases = [
+        ("spans", &failures, sink(Some(full), None)),
+        ("gauges", &failures, sink(None, Some(full))),
+        ("decisions", &failures, RunConfig::new().decisions_out(full)),
+        ("metrics", &failures, RunConfig::new().metrics_out(full)),
+        (
+            "flight",
+            &bursts,
+            RunConfig::new().shards(4).flight_out(full),
+        ),
+    ];
+    for (label, scenario, config) in cases {
+        match scenario.execute(config) {
+            Err(ScenarioError::Run(RunError::Output { path, .. })) => {
+                assert_eq!(path, full, "{label}");
+            }
+            other => panic!("{label}: expected RunError::Output, got {other:?}"),
+        }
+    }
+}
+
 /// A reader that closes the pipe early (`inflessctl … | head`) ends the
 /// run quietly: exit 0, no panic, for the table and the JSON report.
 #[test]
