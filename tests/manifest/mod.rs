@@ -19,7 +19,8 @@
 //!   over `tests/fixtures/golden.tsv`.
 //! * For every INFless shipped scenario the `<stem>/s1` and `<stem>/s4`
 //!   cases (the epoch-barrier driver at one and four shards) must
-//!   produce identical canonical JSON, decision traces and metrics.
+//!   produce identical files: canonical JSON and, where a case turns
+//!   them on, every one of the five outputs.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -66,6 +67,8 @@ impl Output {
 const CANONICAL: &[Output] = &[];
 const DECISIONS: &[Output] = &[Output::Decisions];
 const TRACED: &[Output] = &[Output::Decisions, Output::Spans, Output::Gauges];
+/// The outputs of the tier-1 four- and one-shard runs whose spans take
+/// too long to write unoptimised; their all-output runs are extended.
 const SHARDED: &[Output] = &[Output::Decisions, Output::Metrics];
 const ALL: &[Output] = &[
     Output::Decisions,
@@ -75,8 +78,15 @@ const ALL: &[Output] = &[
     Output::Metrics,
 ];
 
-/// The artifacts that must not depend on the shard count.
-const SHARD_INVARIANT: [&str; 3] = ["canonical.json", "decisions.jsonl", "metrics.prom"];
+/// The artifacts that must not depend on the shard count: all of them.
+const SHARD_INVARIANT: [&str; 6] = [
+    "canonical.json",
+    "decisions.jsonl",
+    "spans.jsonl",
+    "gauges.csv",
+    "flight.jsonl",
+    "metrics.prom",
+];
 
 type Run = Box<dyn Fn(RunConfig) -> RunReport + Send + Sync>;
 
@@ -106,13 +116,45 @@ fn scenario_case(
     scenario: Scenario,
     shards: Option<usize>,
 ) -> Case {
+    checked_case(name, outputs, scenario, shards, |_| {})
+}
+
+/// [`scenario_case`], asserting `check` on the report: what the run
+/// must exercise for its pins to cover it.
+fn checked_case(
+    name: impl Into<String>,
+    outputs: &'static [Output],
+    scenario: Scenario,
+    shards: Option<usize>,
+    check: fn(&RunReport),
+) -> Case {
     case(name, outputs, move |config| {
         let config = match shards {
             Some(n) => config.shards(n),
             None => config,
         };
-        scenario.execute(config).expect("runs")
+        let report = scenario.execute(config).expect("runs");
+        check(&report);
+        report
     })
+}
+
+/// The swap scenario's pins cover swaps and faults only if its runs
+/// swap models in and crash servers.
+fn swaps_and_crashes(report: &RunReport) {
+    assert!(report.swap_launches > 0, "the swap pins must cover swaps");
+    assert!(
+        report.failures.server_crashes > 0,
+        "the swap pins must cover faults"
+    );
+}
+
+/// The LLM mix reports its KV books.
+fn kv_books(report: &RunReport) {
+    assert!(
+        report.canonical_json().contains("\"kv_cache\""),
+        "LLM runs report the KV books"
+    );
 }
 
 /// The byte length and FNV-1a-64 digest of one artifact.
@@ -518,7 +560,9 @@ const PRE_LLM: &str = r#"{
 fn registry() -> Vec<(&'static str, Case)> {
     let mut cases = Vec::new();
     // Every non-LLM shipped scenario with every output on, and the
-    // INFless ones at four and one shards.
+    // INFless ones at four and one shards: with every output on where
+    // the traces are small, and under `golden_extended` where they are
+    // not.
     for (test, stem) in [
         ("resize_scenario_matches_its_pin", "resize_ramp"),
         ("osvt_scenario_matches_its_pin", "osvt"),
@@ -530,11 +574,24 @@ fn registry() -> Vec<(&'static str, Case)> {
         let scenario = shipped(stem);
         let eager = scenario_case(format!("{stem}/eager"), ALL, scenario.clone(), None);
         cases.push((test, eager));
-        if scenario.platform == PlatformKind::Infless {
-            for shards in [4, 1] {
-                let name = format!("{stem}/s{shards}");
-                let sharded = scenario_case(name, SHARDED, scenario.clone(), Some(shards));
-                cases.push((test, sharded));
+        if scenario.platform != PlatformKind::Infless {
+            continue;
+        }
+        let check = if stem == "swap_sweep" {
+            swaps_and_crashes
+        } else {
+            |_: &RunReport| {}
+        };
+        let traced = ["swap_sweep", "failure_sweep"].contains(&stem);
+        for shards in [4, 1] {
+            let name = format!("{stem}/s{shards}");
+            let outputs = if traced { ALL } else { SHARDED };
+            let sharded = checked_case(name, outputs, scenario.clone(), Some(shards), check);
+            cases.push((test, sharded));
+            if !traced {
+                let name = format!("{stem}_all/s{shards}");
+                let sharded = scenario_case(name, ALL, scenario.clone(), Some(shards));
+                cases.push(("golden_extended", sharded));
             }
         }
     }
@@ -558,7 +615,7 @@ fn registry() -> Vec<(&'static str, Case)> {
     cases.push((test, eager));
     for shards in [1, 4] {
         let name = format!("llm_chat_mix/s{shards}");
-        let sharded = scenario_case(name, SHARDED, chat_mix.clone(), Some(shards));
+        let sharded = checked_case(name, ALL, chat_mix.clone(), Some(shards), kv_books);
         cases.push((test, sharded));
     }
     let test = "faulted_llm_mix_matches_its_pin";

@@ -1,8 +1,8 @@
-//! The vertical-first scaling policy's two load-bearing invariants,
-//! end to end: a vertical-first run survives sharded execution
-//! byte-identically at every shard count (resize transactions replay
-//! through the journal), and the policy knob is not a no-op on the
-//! shipped resize scenario.
+//! The vertical-first scaling policy is not a no-op on the shipped
+//! resize scenario. That the scenario replays byte-identically at every
+//! shard count (resize transactions replay through the journal) is
+//! pinned by the golden manifest's `resize_ramp/s1` and `resize_ramp/s4`
+//! cases.
 
 use infless::core::platform::ScalePolicy;
 use infless::descriptor::Scenario;
@@ -13,18 +13,6 @@ fn resize_ramp_json() -> String {
         .join("scenarios")
         .join("resize_ramp.json");
     std::fs::read_to_string(path).expect("shipped resize scenario")
-}
-
-/// The shipped resize scenario — vertical-first policy, in-flight
-/// resize transactions firing — must replay byte-identically through
-/// the epoch-barrier driver at every shard count. The golden manifest
-/// asserts the same for every output of the scenario.
-#[test]
-fn resize_scenario_is_shard_count_invariant() {
-    let s = Scenario::from_json(&resize_ramp_json()).unwrap();
-    let r1 = s.execute(RunConfig::new().shards(1)).unwrap();
-    let r4 = s.execute(RunConfig::new().shards(4)).unwrap();
-    assert_eq!(r1.canonical_json(), r4.canonical_json());
 }
 
 /// The scenario actually exercises the vertical path: forcing the
