@@ -68,6 +68,11 @@ pub trait Platform {
     fn finish(self) -> RunReport;
 }
 
+/// Records the eager loop lets pend before it releases those the clock
+/// has passed: enough to release them in one pass, few enough to stay
+/// in cache.
+const RECORD_BATCH: usize = 256;
+
 /// Scaler ticks repeat until the first one at or past this long after
 /// the last arrival.
 pub const TICK_MARGIN: SimDuration = SimDuration::from_secs(5);
@@ -99,10 +104,11 @@ pub fn run<P: Platform>(platform: P, workload: &Workload, faults: &FaultSchedule
 
 /// [`run`], feeding `records`, if given, every record the engine emits
 /// on the channels its outputs asked for. The writer is told the run's
-/// identity first; after every event it takes the engine's new records
-/// and releases those the clock has passed. The watermark lags the
-/// clock by the platform's arrival delay, because arrival spans are
-/// stamped at the gateway arrival. The caller finishes the writer.
+/// identity first. Once a batch of records is pending, it releases
+/// after each event those stamped before the next event's time, and
+/// the rest when the run ends. The watermark lags the next event by the
+/// platform's arrival delay, because arrival spans are stamped at the
+/// gateway arrival. The caller finishes the writer.
 ///
 /// # Panics
 ///
@@ -134,10 +140,6 @@ pub fn run_recorded<P: Platform>(
     }
     while let Some((t, ev)) = arrivals.next(&mut queue, EngineEvent::Arrival) {
         deliver(&mut platform, t, ev, &mut queue);
-        if let Some(writer) = records.as_deref_mut() {
-            writer.absorb(platform.engine().records_mut());
-            writer.flush_below(t.saturating_sub(delay).as_secs_f64());
-        }
         // An arrival still staged lies after `t` (arrivals win ties),
         // so, less a delay under the margin, the last arrival lies after
         // `t - TICK_MARGIN`. Once the stream is exhausted, the source
@@ -147,9 +149,18 @@ pub fn run_recorded<P: Platform>(
         {
             queue.schedule(t + period, EngineEvent::ScalerTick);
         }
+        if let Some(writer) = records.as_deref_mut() {
+            let pending = platform.engine().records_mut();
+            if pending.len() >= RECORD_BATCH {
+                // Nothing the run emits from now on is stamped before
+                // the gateway arrival of the next request delivered.
+                let next = arrivals.peek_time(&queue).unwrap_or(SimTime::MAX);
+                writer.flush_below(pending, next.saturating_sub(delay).as_secs_f64());
+            }
+        }
     }
     if let Some(writer) = records {
-        writer.absorb(platform.engine().records_mut());
+        writer.flush_below(platform.engine().records_mut(), f64::INFINITY);
     }
     platform.finish()
 }

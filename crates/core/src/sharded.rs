@@ -196,12 +196,14 @@ impl ShardedInfless {
                 sh.platform.engine.open_channels(writer.channels());
             }
         }
-        // Moves every shard's records into `writer`: each shard's buffer
-        // holds at most the epoch just drained.
-        let collect = |shards: &mut [Shard<'_>], writer: &mut RecordWriter| {
+        // Every shard's records, merged at each barrier: each shard's
+        // buffer holds at most the epoch just drained.
+        let mut pending = Vec::new();
+        let mut collect = |shards: &mut [Shard<'_>], writer: &mut RecordWriter, t: f64| {
             for sh in shards {
-                writer.absorb(sh.platform.engine.records_mut());
+                pending.append(sh.platform.engine.records_mut());
             }
+            writer.flush_below(&mut pending, t);
         };
 
         let epoch = self.config.scaler_period / 5;
@@ -286,14 +288,13 @@ impl ShardedInfless {
                 if let Some(writer) = records.as_deref_mut() {
                     // `drain_until` and the sweep both emit at `t_b`
                     // itself, so only earlier records are final.
-                    collect(&mut shards_v, writer);
-                    writer.flush_below(t_b.as_secs_f64());
+                    collect(&mut shards_v, writer, t_b.as_secs_f64());
                 }
                 t_prev = t_b;
             }
         }
         if let Some(writer) = records {
-            collect(&mut shards_v, writer);
+            collect(&mut shards_v, writer, f64::INFINITY);
         }
 
         self.merge(shards_v, t_prev)

@@ -432,7 +432,8 @@ pub fn write_decision_trace(
 ) -> io::Result<()> {
     let mut writer = RecordWriter::new(vec![Box::new(DecisionFile::create(path)?)]);
     writer.begin(meta);
-    writer.absorb(&mut records.iter().copied().map(Record::Decision).collect());
+    let mut pending = records.iter().copied().map(Record::Decision).collect();
+    writer.flush_below(&mut pending, f64::INFINITY);
     writer.finish().map_err(|e| e.source)
 }
 

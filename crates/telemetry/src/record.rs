@@ -1,12 +1,13 @@
 //! The one ordered record path every output consumes.
 //!
 //! An engine emits spans, gauge rows and decisions as [`Record`]s into
-//! a plain buffer. Whoever drives the engine moves that buffer into a
-//! [`RecordWriter`]: the eager loop after every event, the sharded
-//! driver at every epoch barrier. The writer holds each record until
-//! the driver's watermark passes it, then releases it in canonical
-//! `(t_s, fn, channel, seq)` order to every output that asked for its
-//! channel. Because a function's records are the same at every shard
+//! a plain buffer of pending records. Whoever drives the engine hands
+//! pending records to a [`RecordWriter`] as its watermark advances: the
+//! eager loop the engine's own buffer after every event, the sharded
+//! driver every shard's buffer, merged, at every epoch barrier. The
+//! writer releases the records the watermark has passed in canonical
+//! `(t_s, fn, channel, seq)` order to every output that asked for
+//! their channel, and leaves the rest pending. Because a function's records are the same at every shard
 //! count and the order is total, every output is byte-identical for
 //! every shard count.
 
@@ -43,14 +44,24 @@ impl Record {
         }
     }
 
-    /// `(function, channel, seq)`: spans sort before decisions of the
-    /// same function and instant, and a gauge row after both.
-    fn key(&self) -> (u32, u8, u64) {
-        match self {
-            Record::Span { seq, span } => (span.function, 0, *seq),
-            Record::Decision(rec) => (rec.function(), 1, rec.seq()),
-            Record::Gauge(_) => (u32::MAX, 2, 0),
-        }
+    /// `(t_s, function, channel, seq)` as integers, `t_s` mapped onto
+    /// `u64` monotonically in [`f64::total_cmp`] order. Spans sort
+    /// before decisions of the same function and instant, and a gauge
+    /// row after both.
+    fn sort_key(&self) -> SortKey {
+        let (t_s, function, channel, seq) = match self {
+            Record::Span { seq, span } => (span.t_s, span.function, 0, *seq),
+            Record::Decision(DecisionRecord::Decision(d)) => (d.t_s, d.function, 1, d.seq),
+            Record::Decision(DecisionRecord::Breakdown(b)) => (b.t_s, b.function, 1, b.seq),
+            Record::Gauge(row) => (row.t_s, u32::MAX, 2, 0),
+        };
+        let bits = t_s.to_bits();
+        let t = if bits >> 63 == 1 {
+            !bits
+        } else {
+            bits | 1 << 63
+        };
+        (t, function, channel, seq)
     }
 
     /// The canonical order every output sees: `(t_s, function,
@@ -58,11 +69,12 @@ impl Record {
     /// unique, and two gauge rows never share an instant, so the order
     /// is total.
     pub fn canonical_cmp(&self, other: &Self) -> Ordering {
-        self.t_s()
-            .total_cmp(&other.t_s())
-            .then_with(|| self.key().cmp(&other.key()))
+        self.sort_key().cmp(&other.sort_key())
     }
 }
+
+/// A record's place in the canonical order.
+type SortKey = (u64, u32, u8, u64);
 
 /// Which records an engine builds. A closed channel costs nothing: the
 /// engine constructs no record for it.
@@ -104,13 +116,15 @@ impl Channels {
 /// Once the driver's clock has passed `t`,
 /// [`flush_below`](Self::flush_below) releases every pending record
 /// before `t`. Each released prefix is then a prefix of the whole
-/// run's canonical sort, and `pending` holds only records at or after
-/// the last watermark.
+/// run's canonical sort, and the pending buffer keeps only records at
+/// or after the last watermark.
 #[derive(Debug)]
 pub struct RecordWriter {
     outputs: Vec<(Channels, Box<dyn TelemetrySink>)>,
     channels: Channels,
-    pending: Vec<Record>,
+    /// The released records' keys and indices, reused across flushes:
+    /// sorting these moves 32 bytes a record instead of ~100.
+    order: Vec<(SortKey, usize)>,
     watermark: f64,
     pending_peak: usize,
 }
@@ -132,7 +146,7 @@ impl RecordWriter {
         RecordWriter {
             outputs,
             channels,
-            pending: Vec::new(),
+            order: Vec::new(),
             watermark: f64::NEG_INFINITY,
             pending_peak: 0,
         }
@@ -152,48 +166,59 @@ impl RecordWriter {
         }
     }
 
-    /// Moves every record of `buf` (an engine's emission buffer) into
-    /// the pending set. A record behind the last watermark has lost its
-    /// place: debug builds panic on one.
-    pub fn absorb(&mut self, buf: &mut Vec<Record>) {
-        debug_assert!(
-            buf.iter().all(|rec| rec.t_s() >= self.watermark),
-            "a record behind the watermark t_s = {}",
-            self.watermark
-        );
-        self.pending.append(buf);
-    }
-
-    /// Releases every pending record with `t_s < t`, in canonical
-    /// order. A watermark that does not advance releases nothing.
-    pub fn flush_below(&mut self, t: f64) {
+    /// Releases every record of `pending` with `t_s < t`, in canonical
+    /// order, and keeps the rest there. A watermark that does not
+    /// advance releases nothing. A pending record behind the last
+    /// watermark has lost its place: debug builds panic on one.
+    pub fn flush_below(&mut self, pending: &mut Vec<Record>, t: f64) {
         if t <= self.watermark {
             return;
         }
+        debug_assert!(
+            pending.iter().all(|rec| rec.t_s() >= self.watermark),
+            "a record behind the watermark t_s = {}",
+            self.watermark
+        );
         self.watermark = t;
-        self.pending_peak = self.pending_peak.max(self.pending.len());
-        self.pending.sort_unstable_by(Record::canonical_cmp);
-        let n = self.pending.partition_point(|rec| rec.t_s() < t);
-        for rec in self.pending.drain(..n) {
-            for (channels, sink) in &mut self.outputs {
-                if channels.carries(&rec) {
-                    match &rec {
-                        Record::Span { span, .. } => sink.record(*span),
-                        Record::Gauge(row) => sink.sample(row),
-                        Record::Decision(d) => sink.record_decision(d),
-                    }
+        self.pending_peak = self.pending_peak.max(pending.len());
+        self.order.clear();
+        for (i, rec) in pending.iter().enumerate() {
+            if rec.t_s() < t {
+                self.order.push((rec.sort_key(), i));
+            }
+        }
+        // Stable, so runs already in order merge in linear time.
+        self.order.sort();
+        for &(_, i) in &self.order {
+            Self::release(&mut self.outputs, &pending[i]);
+        }
+        if self.order.len() == pending.len() {
+            pending.clear();
+        } else {
+            pending.retain(|rec| rec.t_s() >= t);
+        }
+    }
+
+    /// Hands `rec` to every output on its channel.
+    fn release(outputs: &mut [(Channels, Box<dyn TelemetrySink>)], rec: &Record) {
+        for (channels, sink) in outputs {
+            if channels.carries(rec) {
+                match rec {
+                    Record::Span { span, .. } => sink.record(*span),
+                    Record::Gauge(row) => sink.sample(row),
+                    Record::Decision(d) => sink.record_decision(d),
                 }
             }
         }
     }
 
-    /// Releases what remains and finishes every output.
+    /// Finishes every output; release the last pending records first,
+    /// with [`flush_below`](Self::flush_below) at infinity.
     ///
     /// # Errors
     ///
     /// Returns the first output's first write error, in output order.
     pub fn finish(&mut self) -> Result<(), OutputError> {
-        self.flush_below(f64::INFINITY);
         let mut first = None;
         for (_, sink) in &mut self.outputs {
             sink.finish();
@@ -203,7 +228,7 @@ impl RecordWriter {
         first.map_or(Ok(()), Err)
     }
 
-    /// The most records `pending` ever held at a flush.
+    /// The most records a flush ever found pending.
     #[doc(hidden)]
     pub fn pending_peak(&self) -> usize {
         self.pending_peak
@@ -255,8 +280,8 @@ mod tests {
     #[test]
     fn writer_sorts_same_instant_records() {
         let (sink, mut writer) = writer();
-        writer.absorb(&mut vec![at(1.0, 1, 0), at(1.0, 0, 5), at(1.0, 0, 2)]);
-        writer.flush_below(2.0);
+        let mut pending = vec![at(1.0, 1, 0), at(1.0, 0, 5), at(1.0, 0, 2)];
+        writer.flush_below(&mut pending, 2.0);
         assert_eq!(
             keys(&sink.store().decisions),
             [(1.0, 0, 2), (1.0, 0, 5), (1.0, 1, 0)]
@@ -266,8 +291,8 @@ mod tests {
     #[test]
     fn writer_holds_a_record_at_the_watermark() {
         let (sink, mut writer) = writer();
-        writer.absorb(&mut vec![at(2.0, 0, 1), at(1.0, 0, 0)]);
-        writer.flush_below(2.0);
+        let mut pending = vec![at(2.0, 0, 1), at(1.0, 0, 0)];
+        writer.flush_below(&mut pending, 2.0);
         assert_eq!(
             sink.store().decisions.len(),
             1,
@@ -275,8 +300,9 @@ mod tests {
         );
         // Another record at the watermark instant may still arrive and
         // sort ahead of the held one.
-        writer.absorb(&mut vec![at(2.0, 0, 0)]);
-        writer.finish().unwrap();
+        pending.push(at(2.0, 0, 0));
+        writer.flush_below(&mut pending, f64::INFINITY);
+        assert!(pending.is_empty());
         assert_eq!(
             keys(&sink.store().decisions),
             [(1.0, 0, 0), (2.0, 0, 0), (2.0, 0, 1)]
@@ -301,12 +327,8 @@ mod tests {
                 decisions: true
             }
         );
-        writer.absorb(&mut vec![
-            at(1.0, 0, 0),
-            span_at(1.0, 0, 0),
-            span_at(0.5, 1, 0),
-        ]);
-        writer.finish().unwrap();
+        let mut pending = vec![at(1.0, 0, 0), span_at(1.0, 0, 0), span_at(0.5, 1, 0)];
+        writer.flush_below(&mut pending, f64::INFINITY);
         assert!(decisions.store().spans.is_empty());
         assert_eq!(decisions.store().decisions.len(), 1);
         let spans: Vec<(f64, u32)> = all
@@ -325,10 +347,10 @@ mod tests {
     #[test]
     fn writer_tracks_its_pending_peak() {
         let (_, mut writer) = writer();
-        writer.absorb(&mut vec![at(3.0, 0, 1), at(0.5, 0, 0)]);
-        writer.flush_below(1.0);
-        writer.absorb(&mut vec![at(3.0, 0, 2)]);
-        writer.finish().unwrap();
+        let mut pending = vec![at(3.0, 0, 1), at(0.5, 0, 0)];
+        writer.flush_below(&mut pending, 1.0);
+        pending.push(at(3.0, 0, 2));
+        writer.flush_below(&mut pending, f64::INFINITY);
         assert_eq!(writer.pending_peak(), 2);
     }
 
@@ -337,7 +359,7 @@ mod tests {
     #[should_panic(expected = "behind the watermark")]
     fn writer_rejects_a_record_behind_the_watermark() {
         let (_, mut writer) = writer();
-        writer.flush_below(2.0);
-        writer.absorb(&mut vec![at(1.5, 0, 0)]);
+        writer.flush_below(&mut Vec::new(), 2.0);
+        writer.flush_below(&mut vec![at(1.5, 0, 0)], 3.0);
     }
 }
