@@ -68,9 +68,7 @@ pub trait Platform {
     fn finish(self) -> RunReport;
 }
 
-/// Records the eager loop lets pend before it releases those the clock
-/// has passed: enough to release them in one pass, few enough to stay
-/// in cache.
+/// Records the eager loop lets pend before releasing them in one pass.
 const RECORD_BATCH: usize = 256;
 
 /// Scaler ticks repeat until the first one at or past this long after
@@ -102,17 +100,11 @@ pub fn run<P: Platform>(platform: P, workload: &Workload, faults: &FaultSchedule
     run_recorded(platform, workload, faults, None)
 }
 
-/// [`run`], feeding `records`, if given, every record the engine emits
-/// on the channels its outputs asked for. The writer is told the run's
-/// identity first. Once a batch of records is pending, it releases
-/// after each event those stamped before the next event's time, and
-/// the rest when the run ends. The watermark lags the next event by the
-/// platform's arrival delay, because arrival spans are stamped at the
-/// gateway arrival. The caller finishes the writer.
-///
-/// # Panics
-///
-/// As [`run`].
+/// [`run`], feeding `records`, if given, every record its outputs ask
+/// for. Once a batch is pending, the writer releases after each event
+/// the records stamped before the next event's gateway arrival (the
+/// platform's arrival delay earlier), and the rest at the end. The
+/// caller finishes the writer. Panics as [`run`].
 pub fn run_recorded<P: Platform>(
     mut platform: P,
     workload: &Workload,
@@ -152,8 +144,6 @@ pub fn run_recorded<P: Platform>(
         if let Some(writer) = records.as_deref_mut() {
             let pending = platform.engine().records_mut();
             if pending.len() >= RECORD_BATCH {
-                // Nothing the run emits from now on is stamped before
-                // the gateway arrival of the next request delivered.
                 let next = arrivals.peek_time(&queue).unwrap_or(SimTime::MAX);
                 writer.flush_below(pending, next.saturating_sub(delay).as_secs_f64());
             }

@@ -20,7 +20,6 @@ use std::fmt::{self, Write as _};
 use std::io;
 use std::path::Path;
 
-use crate::record::{Record, RecordWriter};
 use crate::sink::{FileOut, OutputError, SpanEvent, TelemetrySink, TraceMeta};
 use crate::timeseries::GaugeRow;
 
@@ -419,24 +418,6 @@ impl TelemetrySink for DecisionFile {
     }
 }
 
-/// Writes a complete decisions trace through the record path: the
-/// metadata record, then every record in canonical order.
-///
-/// # Errors
-///
-/// Returns the underlying I/O error.
-pub fn write_decision_trace(
-    path: &Path,
-    meta: &TraceMeta,
-    records: &[DecisionRecord],
-) -> io::Result<()> {
-    let mut writer = RecordWriter::new(vec![Box::new(DecisionFile::create(path)?)]);
-    writer.begin(meta);
-    let mut pending = records.iter().copied().map(Record::Decision).collect();
-    writer.flush_below(&mut pending, f64::INFINITY);
-    writer.finish().map_err(|e| e.source)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -521,20 +502,25 @@ mod tests {
     /// on its own line, and keeps its first write error.
     #[test]
     fn decision_file_writes_meta_then_records() {
+        let write = |path: &Path| {
+            let mut file = DecisionFile::create(path).unwrap();
+            file.begin(&TraceMeta {
+                platform: "test".into(),
+                functions: vec!["f".into()],
+            });
+            let mut d = DecisionEvent::new(DecisionKind::Launch);
+            for t_s in [0.5, 3.0] {
+                d.t_s = t_s;
+                file.record_decision(&DecisionRecord::Decision(d));
+            }
+            file.finish();
+            file.take_error()
+        };
         let path = std::env::temp_dir().join(format!(
             "infless-decision-file-{}.jsonl",
             std::process::id()
         ));
-        let meta = TraceMeta {
-            platform: "test".into(),
-            functions: vec!["f".into()],
-        };
-        let mut d = DecisionEvent::new(DecisionKind::Launch);
-        d.t_s = 3.0;
-        let mut early = d;
-        early.t_s = 0.5;
-        let records = [DecisionRecord::Decision(d), DecisionRecord::Decision(early)];
-        write_decision_trace(&path, &meta, &records).unwrap();
+        assert!(write(&path).is_none());
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
@@ -544,9 +530,8 @@ mod tests {
         std::fs::remove_file(&path).ok();
         #[cfg(target_os = "linux")]
         {
-            let full = Path::new("/dev/full");
-            let err = write_decision_trace(full, &meta, &records).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::StorageFull);
+            let err = write(Path::new("/dev/full")).expect("/dev/full accepts no bytes");
+            assert_eq!(err.source.kind(), io::ErrorKind::StorageFull);
         }
     }
 }

@@ -94,16 +94,6 @@ impl FlightRecorder {
         })
     }
 
-    /// How many spans the ring retains.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Dumps written so far.
-    pub fn dumps(&self) -> usize {
-        self.dumps
-    }
-
     fn dump(&mut self, t_s: f64) {
         self.line.clear();
         writeln!(
@@ -192,16 +182,16 @@ mod tests {
         for i in 0..10 {
             rec.record(span(i as f64 * 0.1, FaultTag::None));
         }
-        assert_eq!(rec.dumps(), 0);
+        assert_eq!(rec.dumps, 0);
         // Three fault spans inside the window: one dump, ring included.
         rec.record(span(2.0, FaultTag::ServerCrash));
         rec.record(span(2.1, FaultTag::InstanceKill));
-        assert_eq!(rec.dumps(), 0);
+        assert_eq!(rec.dumps, 0);
         rec.record(span(2.2, FaultTag::InstanceKill));
-        assert_eq!(rec.dumps(), 1);
+        assert_eq!(rec.dumps, 1);
         // Detector re-armed: the next lone fault does not dump again.
         rec.record(span(2.3, FaultTag::InstanceKill));
-        assert_eq!(rec.dumps(), 1);
+        assert_eq!(rec.dumps, 1);
         rec.finish();
         let text = std::fs::read_to_string(&path).unwrap();
         let first = text.lines().next().unwrap();
@@ -221,9 +211,9 @@ mod tests {
         rec.record(span(0.0, FaultTag::ServerCrash));
         // 10 s later: the first fault left the window.
         rec.record(span(10.0, FaultTag::ServerCrash));
-        assert_eq!(rec.dumps(), 0);
+        assert_eq!(rec.dumps, 0);
         rec.record(span(10.5, FaultTag::ServerCrash));
-        assert_eq!(rec.dumps(), 1);
+        assert_eq!(rec.dumps, 1);
         std::fs::remove_file(&path).ok();
     }
 

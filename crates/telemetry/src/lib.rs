@@ -7,13 +7,12 @@
 //! crate provides three pieces, threaded through the engine by
 //! `infless-core`:
 //!
-//! * [`SpanEvent`] / [`TelemetrySink`] — per-request lifecycle spans
-//!   (arrival → enqueued → batch-formed → exec-start →
-//!   complete/dropped/shed, plus fault displacement and retry), pushed
-//!   into a pluggable sink. The default [`NullSink`] makes a
-//!   telemetry-free run bit-identical to one that never heard of this
-//!   crate: span emission is gated on [`TelemetrySink::enabled`], never
-//!   touches the RNG, and never schedules events.
+//! * [`SpanEvent`] — per-request lifecycle spans (arrival → enqueued →
+//!   batch-formed → exec-start → complete/dropped/shed, plus fault
+//!   displacement and retry). A run with no output is bit-identical to
+//!   one that never heard of this crate: the engine builds a record
+//!   only on a channel some output asked for ([`Channels`]), and
+//!   emission never touches the RNG or schedules events.
 //! * [`GaugeRow`] / [`TimeseriesSummary`] — tick-driven gauge sampling
 //!   (instance counts, CPU/GPU occupancy, queue depth, in-flight
 //!   batches) into fixed-interval rows, with a constant-size summary
@@ -26,10 +25,10 @@
 //!
 //! Every output reads one ordered record path. The engine emits spans,
 //! gauge rows and decisions as [`Record`]s into a plain buffer; the
-//! driver moves it into a [`RecordWriter`], which releases records in
+//! driver hands it to a [`RecordWriter`], which releases records in
 //! canonical `(t_s, fn, channel, seq)` order once its watermark passes
-//! them — after every event on the eager loop, at every epoch barrier
-//! on the sharded driver — and fans each out to the outputs on its
+//! them — as events go by on the eager loop, at every epoch barrier on
+//! the sharded driver — and fans each out to the outputs on its
 //! channel. Every output is a [`TelemetrySink`]: the span trace and CSV
 //! time-series ([`FileSink`]), the decision trace ([`DecisionFile`]),
 //! the [`FlightRecorder`] (a bounded ring of recent spans dumped on
@@ -61,8 +60,7 @@ mod timeseries;
 
 pub use analyze::{analyze, analyze_file, DecisionAnalysis, FunctionAttribution, STAGES};
 pub use decision::{
-    write_decision_trace, BreakdownEvent, DecisionEvent, DecisionFile, DecisionKind,
-    DecisionReason, DecisionRecord,
+    BreakdownEvent, DecisionEvent, DecisionFile, DecisionKind, DecisionReason, DecisionRecord,
 };
 pub use flight::{
     FlightRecorder, FLIGHT_BURST_THRESHOLD, FLIGHT_BURST_WINDOW_S, FLIGHT_MAX_DUMPS,

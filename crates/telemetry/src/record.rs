@@ -1,17 +1,13 @@
 //! The one ordered record path every output consumes.
 //!
 //! An engine emits spans, gauge rows and decisions as [`Record`]s into
-//! a plain buffer of pending records. Whoever drives the engine hands
-//! pending records to a [`RecordWriter`] as its watermark advances: the
-//! eager loop the engine's own buffer after every event, the sharded
-//! driver every shard's buffer, merged, at every epoch barrier. The
-//! writer releases the records the watermark has passed in canonical
-//! `(t_s, fn, channel, seq)` order to every output that asked for
-//! their channel, and leaves the rest pending. Because a function's records are the same at every shard
-//! count and the order is total, every output is byte-identical for
-//! every shard count.
-
-use std::cmp::Ordering;
+//! a plain buffer. Its driver hands the buffer to a [`RecordWriter`] as
+//! the clock advances (the sharded driver merges every shard's first),
+//! and the writer releases the records the clock has passed, in
+//! canonical `(t_s, fn, channel, seq)` order, to every output on their
+//! channel. A function's records are the same at every shard count and
+//! the order is total, so every output is byte-identical across shard
+//! counts.
 
 use crate::decision::DecisionRecord;
 use crate::sink::{OutputError, SpanEvent, TelemetrySink, TraceMeta};
@@ -22,8 +18,7 @@ use crate::timeseries::GaugeRow;
 pub enum Record {
     /// A lifecycle span, with its per-function span sequence number.
     Span {
-        /// Per-function emission sequence number of spans: with
-        /// `(t_s, function)` it totally orders a function's spans.
+        /// Orders a function's spans of one instant.
         seq: u64,
         /// The span.
         span: SpanEvent,
@@ -33,6 +28,10 @@ pub enum Record {
     /// A decision or a per-request latency breakdown.
     Decision(DecisionRecord),
 }
+
+/// `(t_s, function, channel, seq)`, `t_s` mapped onto `u64` in
+/// [`f64::total_cmp`] order.
+type SortKey = (u64, u32, u8, u64);
 
 impl Record {
     /// Timestamp, seconds.
@@ -44,10 +43,10 @@ impl Record {
         }
     }
 
-    /// `(t_s, function, channel, seq)` as integers, `t_s` mapped onto
-    /// `u64` monotonically in [`f64::total_cmp`] order. Spans sort
-    /// before decisions of the same function and instant, and a gauge
-    /// row after both.
+    /// The record's place in the canonical order. Spans sort before
+    /// decisions of the same function and instant, and a gauge row
+    /// after both. Within one function and channel `seq` is unique, and
+    /// two gauge rows never share an instant, so the order is total.
     fn sort_key(&self) -> SortKey {
         let (t_s, function, channel, seq) = match self {
             Record::Span { seq, span } => (span.t_s, span.function, 0, *seq),
@@ -63,18 +62,7 @@ impl Record {
         };
         (t, function, channel, seq)
     }
-
-    /// The canonical order every output sees: `(t_s, function,
-    /// channel, seq)`. Within one function and channel `seq` is
-    /// unique, and two gauge rows never share an instant, so the order
-    /// is total.
-    pub fn canonical_cmp(&self, other: &Self) -> Ordering {
-        self.sort_key().cmp(&other.sort_key())
-    }
 }
-
-/// A record's place in the canonical order.
-type SortKey = (u64, u32, u8, u64);
 
 /// Which records an engine builds. A closed channel costs nothing: the
 /// engine constructs no record for it.
@@ -89,15 +77,6 @@ pub struct Channels {
 }
 
 impl Channels {
-    /// The channels `sink` asks for.
-    pub fn of(sink: &dyn TelemetrySink) -> Self {
-        Channels {
-            spans: sink.enabled(),
-            gauges: sink.gauges_enabled(),
-            decisions: sink.decisions_enabled(),
-        }
-    }
-
     fn carries(self, rec: &Record) -> bool {
         match rec {
             Record::Span { .. } => self.spans,
@@ -107,17 +86,12 @@ impl Channels {
     }
 }
 
-/// Releases records in [`Record::canonical_cmp`] order as soon as no
-/// earlier record can still arrive, and fans each out to the outputs
-/// on its channel.
-///
-/// Every record is stamped with its engine's clock (less a fixed lag,
-/// for platforms that backdate arrivals), and a clock never goes back.
-/// Once the driver's clock has passed `t`,
-/// [`flush_below`](Self::flush_below) releases every pending record
-/// before `t`. Each released prefix is then a prefix of the whole
-/// run's canonical sort, and the pending buffer keeps only records at
-/// or after the last watermark.
+/// Releases records in canonical order once no earlier record can still
+/// arrive, and fans each out to the outputs on its channel. A record is
+/// stamped with its engine's clock (less a fixed lag, for platforms
+/// that backdate arrivals), and a clock never goes back, so each prefix
+/// [`flush_below`](Self::flush_below) releases is a prefix of the whole
+/// run's canonical sort.
 #[derive(Debug)]
 pub struct RecordWriter {
     outputs: Vec<(Channels, Box<dyn TelemetrySink>)>,
@@ -130,19 +104,23 @@ pub struct RecordWriter {
 }
 
 impl RecordWriter {
-    /// A writer feeding `outputs`, with nothing pending.
+    /// A writer feeding `outputs`.
     pub fn new(outputs: Vec<Box<dyn TelemetrySink>>) -> Self {
-        let outputs: Vec<_> = outputs
+        let mut channels = Channels::default();
+        let outputs = outputs
             .into_iter()
-            .map(|sink| (Channels::of(&*sink), sink))
+            .map(|sink| {
+                let wants = Channels {
+                    spans: sink.enabled(),
+                    gauges: sink.gauges_enabled(),
+                    decisions: sink.decisions_enabled(),
+                };
+                channels.spans |= wants.spans;
+                channels.gauges |= wants.gauges;
+                channels.decisions |= wants.decisions;
+                (wants, sink)
+            })
             .collect();
-        let channels = outputs
-            .iter()
-            .fold(Channels::default(), |acc, (c, _)| Channels {
-                spans: acc.spans || c.spans,
-                gauges: acc.gauges || c.gauges,
-                decisions: acc.decisions || c.decisions,
-            });
         RecordWriter {
             outputs,
             channels,
@@ -152,8 +130,8 @@ impl RecordWriter {
         }
     }
 
-    /// The channels at least one output asked for: what an engine
-    /// feeding this writer must build.
+    /// The channels some output asked for: what an engine feeding this
+    /// writer must build.
     pub fn channels(&self) -> Channels {
         self.channels
     }
@@ -190,7 +168,16 @@ impl RecordWriter {
         // Stable, so runs already in order merge in linear time.
         self.order.sort();
         for &(_, i) in &self.order {
-            Self::release(&mut self.outputs, &pending[i]);
+            let rec = &pending[i];
+            for (channels, sink) in &mut self.outputs {
+                if channels.carries(rec) {
+                    match rec {
+                        Record::Span { span, .. } => sink.record(*span),
+                        Record::Gauge(row) => sink.sample(row),
+                        Record::Decision(d) => sink.record_decision(d),
+                    }
+                }
+            }
         }
         if self.order.len() == pending.len() {
             pending.clear();
@@ -199,21 +186,7 @@ impl RecordWriter {
         }
     }
 
-    /// Hands `rec` to every output on its channel.
-    fn release(outputs: &mut [(Channels, Box<dyn TelemetrySink>)], rec: &Record) {
-        for (channels, sink) in outputs {
-            if channels.carries(rec) {
-                match rec {
-                    Record::Span { span, .. } => sink.record(*span),
-                    Record::Gauge(row) => sink.sample(row),
-                    Record::Decision(d) => sink.record_decision(d),
-                }
-            }
-        }
-    }
-
-    /// Finishes every output; release the last pending records first,
-    /// with [`flush_below`](Self::flush_below) at infinity.
+    /// Finishes every output (flush below infinity first).
     ///
     /// # Errors
     ///

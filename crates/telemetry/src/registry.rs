@@ -166,6 +166,33 @@ impl MetricsRegistry {
     }
 }
 
+/// The gauge families of a [`GaugeRow`]'s readings, in field order.
+const GAUGES: [(&str, &str); 8] = [
+    ("infless_instances", "Live instances."),
+    (
+        "infless_instances_starting",
+        "Instances still cold-starting.",
+    ),
+    (
+        "infless_cpu_occupancy",
+        "Allocated CPU cores over capacity.",
+    ),
+    (
+        "infless_gpu_occupancy",
+        "Allocated GPU SM share over capacity.",
+    ),
+    ("infless_queue_depth", "Requests queued across instances."),
+    ("infless_in_flight_batches", "Batches currently executing."),
+    (
+        "infless_kv_resident_bytes",
+        "KV-cache bytes resident in live decode episodes.",
+    ),
+    (
+        "infless_host_cache_mb_used",
+        "Host-memory model cache occupancy, MB.",
+    ),
+];
+
 /// What a [`MetricsSink`] holds: the run's platform and its last
 /// gauge row.
 #[derive(Debug, Default)]
@@ -184,11 +211,6 @@ pub struct MetricsSink {
 }
 
 impl MetricsSink {
-    /// A sink that has seen nothing yet.
-    pub fn new() -> Self {
-        MetricsSink::default()
-    }
-
     /// A registry holding the last gauge row's readings, labelled with
     /// the run's platform; empty if no row was sampled.
     ///
@@ -202,44 +224,17 @@ impl MetricsSink {
             return reg;
         };
         let labels = [("platform", snapshot.platform.as_str())];
-        for (name, help, v) in [
-            ("infless_instances", "Live instances.", row.instances as f64),
-            (
-                "infless_instances_starting",
-                "Instances still cold-starting.",
-                row.starting as f64,
-            ),
-            (
-                "infless_cpu_occupancy",
-                "Allocated CPU cores over capacity.",
-                row.cpu_occupancy,
-            ),
-            (
-                "infless_gpu_occupancy",
-                "Allocated GPU SM share over capacity.",
-                row.gpu_occupancy,
-            ),
-            (
-                "infless_queue_depth",
-                "Requests queued across instances.",
-                row.queue_depth as f64,
-            ),
-            (
-                "infless_in_flight_batches",
-                "Batches currently executing.",
-                row.in_flight_batches as f64,
-            ),
-            (
-                "infless_kv_resident_bytes",
-                "KV-cache bytes resident in live decode episodes.",
-                row.kv_resident_bytes as f64,
-            ),
-            (
-                "infless_host_cache_mb_used",
-                "Host-memory model cache occupancy, MB.",
-                row.host_cache_mb_used,
-            ),
-        ] {
+        let values = [
+            row.instances as f64,
+            row.starting as f64,
+            row.cpu_occupancy,
+            row.gpu_occupancy,
+            row.queue_depth as f64,
+            row.in_flight_batches as f64,
+            row.kv_resident_bytes as f64,
+            row.host_cache_mb_used,
+        ];
+        for ((name, help), v) in GAUGES.into_iter().zip(values) {
             reg.gauge_set(name, help, &labels, v);
         }
         reg
@@ -357,7 +352,7 @@ mod tests {
     /// run's platform, and nothing before its first row.
     #[test]
     fn metrics_sink_keeps_the_last_gauge_row() {
-        let mut sink = MetricsSink::new();
+        let mut sink = MetricsSink::default();
         assert_eq!(sink.registry().render(), "");
         sink.begin(&TraceMeta {
             platform: "INFless".into(),

@@ -277,33 +277,24 @@ pub struct MemoryStore {
 
 /// An in-memory sink for tests: clone the handle, give one clone to the
 /// run, and read the shared store through the other after the run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MemorySink {
     store: Arc<Mutex<MemoryStore>>,
-    spans: bool,
-}
-
-impl Default for MemorySink {
-    fn default() -> Self {
-        MemorySink::new()
-    }
+    decisions_only: bool,
 }
 
 impl MemorySink {
     /// A sink on every channel.
     pub fn new() -> Self {
-        MemorySink {
-            store: Arc::default(),
-            spans: true,
-        }
+        MemorySink::default()
     }
 
     /// A sink on the decisions channel only: a run feeding it builds no
     /// span or gauge row.
     pub fn decisions_only() -> Self {
         MemorySink {
-            spans: false,
-            ..MemorySink::new()
+            decisions_only: true,
+            ..MemorySink::default()
         }
     }
 
@@ -320,7 +311,7 @@ impl MemorySink {
 
 impl TelemetrySink for MemorySink {
     fn enabled(&self) -> bool {
-        self.spans
+        !self.decisions_only
     }
 
     fn begin(&mut self, meta: &TraceMeta) {
@@ -404,8 +395,6 @@ impl FileOut {
 pub struct FileSink {
     trace: Option<FileOut>,
     timeseries: Option<FileOut>,
-    functions: usize,
-    wrote_header: bool,
     line: String,
 }
 
@@ -422,20 +411,8 @@ impl FileSink {
         Ok(FileSink {
             trace: trace_path.map(FileOut::create).transpose()?,
             timeseries: timeseries_path.map(FileOut::create).transpose()?,
-            functions: 0,
-            wrote_header: false,
             line: String::with_capacity(256),
         })
-    }
-
-    fn write_header(ts: &mut FileOut, line: &mut String, functions: usize) {
-        line.clear();
-        line.push_str(TIMESERIES_HEADER);
-        for i in 0..functions {
-            write!(line, ",fn{i}_instances").expect("write to String cannot fail");
-        }
-        line.push('\n');
-        ts.write(line.as_bytes());
     }
 }
 
@@ -491,14 +468,18 @@ impl TelemetrySink for FileSink {
     }
 
     fn begin(&mut self, meta: &TraceMeta) {
-        self.functions = meta.functions.len();
         if let Some(trace) = &mut self.trace {
             render_meta(meta, &mut self.line);
             trace.write(self.line.as_bytes());
         }
         if let Some(ts) = &mut self.timeseries {
-            Self::write_header(ts, &mut self.line, self.functions);
-            self.wrote_header = true;
+            self.line.clear();
+            self.line.push_str(TIMESERIES_HEADER);
+            for i in 0..meta.functions.len() {
+                write!(self.line, ",fn{i}_instances").expect("write to String cannot fail");
+            }
+            self.line.push('\n');
+            ts.write(self.line.as_bytes());
         }
     }
 
@@ -513,11 +494,6 @@ impl TelemetrySink for FileSink {
         let Some(ts) = &mut self.timeseries else {
             return;
         };
-        if !self.wrote_header {
-            // `begin` was never called: size the header to the row.
-            Self::write_header(ts, &mut self.line, row.per_function_instances.len());
-            self.wrote_header = true;
-        }
         self.line.clear();
         write!(
             self.line,

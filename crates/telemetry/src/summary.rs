@@ -203,31 +203,23 @@ pub(crate) fn field_str<'v>(obj: &'v Value, key: &str, line_no: usize) -> Result
         .ok_or_else(|| format!("line {line_no}: missing or non-string \"{key}\""))
 }
 
-/// Whose lifecycle a span belongs to: request ids are arrival ordinals
-/// within a function, and swap spans belong to an instance (by launch
-/// ordinal within its function).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Subject {
-    Request(u64, u64),
-    Instance(u64, i64),
-}
-
 /// Parses and validates a JSONL span trace.
 ///
 /// Validation is strict — this is what the CI schema check runs: every
 /// line must parse as JSON with the fixed key set and types, the first
 /// line must be the metadata record, per-request timestamps must be
 /// monotone, and no request may terminate (complete/drop/shed) twice.
-/// Requests are keyed by `(fn, req)` and swap spans by `(fn, inst)`.
+/// Requests are keyed by `(fn, false, req)` and swapping instances by
+/// `(fn, true, inst)`.
 ///
 /// # Errors
 ///
 /// Returns a description of the first violated rule.
 pub fn summarize<R: BufRead>(reader: R) -> Result<TraceSummary, String> {
     let mut summary = TraceSummary::default();
-    let mut arrival_at: HashMap<Subject, f64> = HashMap::new();
-    let mut terminated: HashMap<Subject, SpanKind> = HashMap::new();
-    let mut last_t: HashMap<Subject, f64> = HashMap::new();
+    let mut arrival_at: HashMap<(u64, bool, i64), f64> = HashMap::new();
+    let mut terminated: HashMap<(u64, bool, i64), SpanKind> = HashMap::new();
+    let mut last_t: HashMap<(u64, bool, i64), f64> = HashMap::new();
     let mut saw_meta = false;
     for (i, line) in reader.lines().enumerate() {
         let line_no = i + 1;
@@ -256,14 +248,13 @@ pub fn summarize<R: BufRead>(reader: R) -> Result<TraceSummary, String> {
         let fault = FaultTag::parse(field_str(&value, "fault", line_no)?)
             .ok_or_else(|| format!("line {line_no}: unknown fault tag"))?;
         let subject = match kind {
-            SpanKind::SwapBegin | SpanKind::SwapComplete => Subject::Instance(function, inst),
-            _ => Subject::Request(function, req),
+            SpanKind::SwapBegin | SpanKind::SwapComplete => (function, true, inst),
+            _ => (function, false, req as i64),
         };
         if let Some(&prev) = last_t.get(&subject) {
             if t_s < prev {
                 return Err(format!(
-                    "line {line_no}: fn {function} request {req} went backwards in time \
-                     ({t_s} < {prev})"
+                    "line {line_no}: fn {function} request {req} went backwards ({t_s} < {prev})"
                 ));
             }
         }
