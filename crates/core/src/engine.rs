@@ -251,11 +251,11 @@ pub struct Engine {
     /// The metrics recorder (public so platforms can add their own
     /// samples, e.g. fragment ratios at scaler ticks).
     pub collector: Collector,
-    /// Spans, gauge rows and decisions emitted since the driver last
-    /// moved them into its ordered writer. Stays empty, unallocated,
-    /// unless [`Self::open_channels`] opened a channel: emission draws
-    /// no randomness and schedules no events, so a run with every
-    /// channel closed is bit-identical to one with outputs.
+    /// Spans, gauge rows and decisions the driver's ordered writer has
+    /// not released yet. Stays empty, unallocated, unless
+    /// [`Self::open_channels`] opened a channel: emission draws no
+    /// randomness and schedules no events, so a run with every channel
+    /// closed is bit-identical to one with outputs.
     records: Vec<Record>,
     /// The span channel's gate, a plain field read on the per-request
     /// path.
@@ -618,8 +618,8 @@ impl Engine {
         self.decisions_on = channels.decisions;
     }
 
-    /// The records emitted since the driver last took them, in emission
-    /// order. The driver moves them into its `RecordWriter`.
+    /// The records not yet released, in emission order: the pending
+    /// buffer the driver hands its `RecordWriter`.
     pub fn records_mut(&mut self) -> &mut Vec<Record> {
         &mut self.records
     }
@@ -2022,9 +2022,9 @@ impl Engine {
 
     /// Records one tick's (possibly cluster-wide) gauge readings into
     /// this engine's collector and, with the gauge channel open, its
-    /// records. Occupancies come from this
-    /// engine's cluster view — in sharded runs every replica agrees at
-    /// barrier time, when this is called.
+    /// records. Occupancies come from this engine's cluster view — in
+    /// sharded runs every replica agrees at barrier time, when this is
+    /// called.
     #[allow(clippy::too_many_arguments)]
     pub fn record_gauges(
         &mut self,

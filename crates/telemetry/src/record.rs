@@ -165,11 +165,8 @@ impl RecordWriter {
                 self.order.push((rec.sort_key(), i));
             }
         }
-        // Usually in order already; if not, the stable sort merges the
-        // runs that are in linear time.
-        if !self.order.is_sorted() {
-            self.order.sort();
-        }
+        // Stable, so runs already in order merge in linear time.
+        self.order.sort();
         for &(_, i) in &self.order {
             let rec = &pending[i];
             for (channels, sink) in &mut self.outputs {

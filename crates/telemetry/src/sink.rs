@@ -204,8 +204,8 @@ pub struct OutputError {
 /// simulation: it draws no randomness and schedules no events (the
 /// trait gets no access to either).
 ///
-/// Sinks are `Send` because a sharded run may build them on one thread
-/// and finish them on another.
+/// Sinks are `Send` so that a run config holding one can move to
+/// another thread.
 pub trait TelemetrySink: std::fmt::Debug + Send {
     /// Whether the sink wants lifecycle spans (and, unless
     /// [`gauges_enabled`](Self::gauges_enabled) says otherwise, gauge
