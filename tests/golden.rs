@@ -16,8 +16,9 @@ fn golden() {
     );
 }
 
-/// Shipped INFless scenarios rewritten onto OpenFaaS+ and BATCH. It
-/// runs in release with `cargo test --release --test golden --
+/// Shipped INFless scenarios rewritten onto OpenFaaS+ and BATCH, and
+/// the large ones at one and four shards with every output on. It runs
+/// in release with `cargo test --release --test golden --
 /// --include-ignored`.
 #[test]
 #[ignore = "minutes in debug; CI runs it in release"]
