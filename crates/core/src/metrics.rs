@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use infless_cluster::InstanceConfig;
 use infless_models::CacheOutcome;
-use infless_sim::stats::{Samples, TimeWeighted, Welford};
+use infless_sim::stats::{TimeWeighted, Welford};
 use infless_sim::{SimDuration, SimTime};
 use infless_telemetry::{Log2Histogram, TimeseriesSummary};
 use serde::{Deserialize, Serialize};
@@ -147,13 +147,6 @@ pub struct FunctionReport {
     /// log2-bucketed histogram (quantile error ≤ 2⁻⁷ relative, exact at
     /// the extremes — see [`Log2Histogram`]).
     pub latency_ms: Log2Histogram,
-    /// Folded latency percentiles (ms), computed from `latency_ms` at
-    /// freeze time; 0.0 when no request completed.
-    pub latency_p50_ms: f64,
-    /// 95th-percentile latency (ms); see `latency_p50_ms`.
-    pub latency_p95_ms: f64,
-    /// 99th-percentile latency (ms); see `latency_p50_ms`.
-    pub latency_p99_ms: f64,
     /// Serving batchsize of completed requests as a histogram (the
     /// distribution view of `per_batch_completed`).
     pub batch_sizes: Log2Histogram,
@@ -183,9 +176,6 @@ impl FunctionReport {
             violations: 0,
             cold_requests: 0,
             latency_ms: Log2Histogram::new(),
-            latency_p50_ms: 0.0,
-            latency_p95_ms: 0.0,
-            latency_p99_ms: 0.0,
             batch_sizes: Log2Histogram::new(),
             queue_ms: Welford::new(),
             exec_ms: Welford::new(),
@@ -296,8 +286,8 @@ pub struct RunReport {
     pub cpu_core_seconds: f64,
     /// ∫ GPU SM-percent allocated dt (pct·s).
     pub gpu_pct_seconds: f64,
-    /// Fragment-ratio samples taken at scaler ticks (Fig. 17b).
-    pub fragment_samples: Samples,
+    /// Fragment ratios sampled at scaler ticks (Fig. 17b).
+    pub fragment_samples: Log2Histogram,
     /// Wall-clock scheduling overhead per `Schedule()` call, µs
     /// (Fig. 17a), as a log2-bucketed histogram, so
     /// `BENCH_hotpath.json` can report tail quantiles without keeping
@@ -450,9 +440,9 @@ impl RunReport {
                     "dropped": f.dropped,
                     "violations": f.violations,
                     "cold_requests": f.cold_requests,
-                    "latency_p50_ms": f.latency_p50_ms,
-                    "latency_p95_ms": f.latency_p95_ms,
-                    "latency_p99_ms": f.latency_p99_ms,
+                    "latency_p50_ms": f.latency_ms.quantile(0.50).unwrap_or(0.0),
+                    "latency_p95_ms": f.latency_ms.quantile(0.95).unwrap_or(0.0),
+                    "latency_p99_ms": f.latency_ms.quantile(0.99).unwrap_or(0.0),
                     "latency_count": f.latency_ms.count(),
                     "batch_size_mean": f.batch_sizes.mean(),
                     "queue_ms_mean": f.queue_ms.mean(),
@@ -546,7 +536,8 @@ impl RunReport {
             "weighted_idle_seconds": self.weighted_idle_seconds,
             "cpu_core_seconds": self.cpu_core_seconds,
             "gpu_pct_seconds": self.gpu_pct_seconds,
-            "fragment_mean": self.fragment_samples.mean(),
+            "fragment_mean": (!self.fragment_samples.is_empty())
+                .then(|| self.fragment_samples.mean()),
             "fragment_count": self.fragment_samples.len(),
             "provisioning": self.provisioning,
             "config_launches": config_launches,
@@ -599,7 +590,7 @@ pub struct Collector {
     swap_launches: u64,
     retirements: u64,
     usage: Vec<ResourceUsage>,
-    fragment_samples: Samples,
+    fragment_samples: Log2Histogram,
     sched_overhead_hist_us: Log2Histogram,
     dispatch_overhead_ns: Log2Histogram,
     provisioning: Vec<(f64, f64)>,
@@ -629,7 +620,7 @@ impl Collector {
             swap_launches: 0,
             retirements: 0,
             usage: vec![ResourceUsage::default(); functions.len()],
-            fragment_samples: Samples::new(),
+            fragment_samples: Log2Histogram::new(),
             sched_overhead_hist_us: Log2Histogram::new(),
             dispatch_overhead_ns: Log2Histogram::new(),
             provisioning: Vec::new(),
@@ -983,7 +974,7 @@ impl Collector {
         self.prewarmed_launches += other.prewarmed_launches;
         self.swap_launches += other.swap_launches;
         self.retirements += other.retirements;
-        self.fragment_samples.merge_from(&other.fragment_samples);
+        self.fragment_samples.merge(&other.fragment_samples);
         self.sched_overhead_hist_us
             .merge(&other.sched_overhead_hist_us);
         self.dispatch_overhead_ns.merge(&other.dispatch_overhead_ns);
@@ -1009,13 +1000,7 @@ impl Collector {
     }
 
     /// Freezes the collector into a report covering `[0, end]`.
-    pub fn finish(mut self, end: SimTime) -> RunReport {
-        // Fold the latency histograms into the headline percentiles.
-        for f in &mut self.functions {
-            f.latency_p50_ms = f.latency_ms.quantile(0.50).unwrap_or(0.0);
-            f.latency_p95_ms = f.latency_ms.quantile(0.95).unwrap_or(0.0);
-            f.latency_p99_ms = f.latency_ms.quantile(0.99).unwrap_or(0.0);
-        }
+    pub fn finish(self, end: SimTime) -> RunReport {
         // Function-major sums keep the f64 accumulation order a pure
         // function of the function list, not of shard layout.
         let usage: f64 = self
@@ -1293,11 +1278,10 @@ mod tests {
         assert_eq!(back, partial);
     }
 
-    /// Headline percentiles are folded from the latency histogram at
-    /// freeze time, within the histogram's documented 2⁻⁷ relative
-    /// error bound.
+    /// Headline percentiles read from the latency histogram stay
+    /// within its documented 2⁻⁷ relative error bound.
     #[test]
-    fn finish_folds_latency_percentiles() {
+    fn latency_percentiles_hold_the_histogram_bound() {
         let mut c = collector();
         for i in 1..=100u64 {
             c.complete(
@@ -1310,9 +1294,10 @@ mod tests {
         }
         let r = c.finish(SimTime::from_secs(10));
         let f = &r.functions[0];
-        assert!((f.latency_p50_ms - 50.0).abs() / 50.0 <= 1.0 / 128.0);
-        assert!((f.latency_p95_ms - 95.0).abs() / 95.0 <= 1.0 / 128.0);
-        assert!((f.latency_p99_ms - 99.0).abs() / 99.0 <= 1.0 / 128.0);
+        for q in [50.0, 95.0, 99.0] {
+            let got = f.latency_ms.quantile(q / 100.0).unwrap();
+            assert!((got - q).abs() / q <= 1.0 / 128.0, "p{q}: {got}");
+        }
         assert_eq!(f.latency_ms.len() as u64, f.completed);
         // The batch-size histogram mirrors per_batch_completed.
         assert_eq!(f.batch_sizes.len(), 100);
@@ -1360,5 +1345,6 @@ mod tests {
         assert_eq!(r.throughput_per_resource(), 0.0);
         assert_eq!(r.cold_request_rate(), 0.0);
         assert_eq!(r.cold_launch_rate(), 0.0);
+        assert!(r.canonical_json().contains("\"fragment_mean\": null"));
     }
 }

@@ -1,9 +1,6 @@
 //! Streaming statistics used across the reproduction.
 //!
 //! * [`Welford`] — numerically stable running mean / variance.
-//! * [`Samples`] — exact quantiles over a retained sample set (the
-//!   evaluation never stores more than a few million latencies, so exact
-//!   quantiles are affordable and simpler to reason about than sketches).
 //! * [`BinnedHistogram`] — fixed-width histogram over a bounded range;
 //!   this is the structure the HHP/LSTH cold-start policies build over
 //!   idle times (Shahrad et al. use 1-minute bins up to a 4-hour cap).
@@ -66,153 +63,6 @@ impl Welford {
         } else {
             self.m2 / self.count as f64
         }
-    }
-}
-
-/// An exact-quantile accumulator that retains every sample.
-///
-/// # Example
-///
-/// ```
-/// use infless_sim::stats::Samples;
-///
-/// let mut s = Samples::new();
-/// s.extend((1..=100).map(f64::from));
-/// assert_eq!(s.quantile(0.5), Some(50.0));
-/// assert_eq!(s.quantile(0.99), Some(99.0));
-/// assert_eq!(s.max(), Some(100.0));
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct Samples {
-    values: Vec<f64>,
-    sorted: bool,
-}
-
-impl Samples {
-    /// Creates an empty sample set.
-    pub fn new() -> Self {
-        Samples {
-            values: Vec::new(),
-            sorted: true,
-        }
-    }
-
-    /// Adds an observation. Non-finite values are ignored (they would
-    /// poison every quantile).
-    pub fn add(&mut self, x: f64) {
-        if x.is_finite() {
-            self.values.push(x);
-            self.sorted = false;
-        }
-    }
-
-    /// Number of retained observations.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// `true` if no observations have been added.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// The `q`-quantile (nearest-rank), or `None` when empty.
-    ///
-    /// `q` is clamped to `[0, 1]`. On a [`Self::sort`]-ed sample set
-    /// this is an index lookup; otherwise it selects in O(n) without
-    /// mutating the set (reports pre-sort once at freeze time, so
-    /// consumers never pay for repeated quantile reads).
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.values.is_empty() {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let idx = ((self.values.len() as f64 * q).ceil() as usize)
-            .saturating_sub(1)
-            .min(self.values.len() - 1);
-        if self.sorted {
-            return Some(self.values[idx]);
-        }
-        let mut tmp = self.values.clone();
-        let (_, v, _) =
-            tmp.select_nth_unstable_by(idx, |a, b| a.partial_cmp(b).expect("non-finite sample"));
-        Some(*v)
-    }
-
-    /// Sorts the retained samples so subsequent [`Self::quantile`]
-    /// reads are index lookups.
-    pub fn sort(&mut self) {
-        if !self.sorted {
-            self.values
-                .sort_unstable_by(|a, b| a.partial_cmp(b).expect("non-finite sample"));
-            self.sorted = true;
-        }
-    }
-
-    /// Arithmetic mean, or `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        if self.values.is_empty() {
-            None
-        } else {
-            Some(self.values.iter().sum::<f64>() / self.values.len() as f64)
-        }
-    }
-
-    /// Largest observation.
-    pub fn max(&self) -> Option<f64> {
-        self.values.iter().copied().fold(None, |acc, x| {
-            Some(match acc {
-                None => x,
-                Some(a) => a.max(x),
-            })
-        })
-    }
-
-    /// Smallest observation.
-    pub fn min(&self) -> Option<f64> {
-        self.values.iter().copied().fold(None, |acc, x| {
-            Some(match acc {
-                None => x,
-                Some(a) => a.min(x),
-            })
-        })
-    }
-
-    /// Appends every observation of `other`, preserving `other`'s
-    /// insertion order after this set's existing samples — the merge
-    /// order shard-merging code relies on for determinism.
-    pub fn merge_from(&mut self, other: &Samples) {
-        if other.values.is_empty() {
-            return;
-        }
-        self.values.extend_from_slice(&other.values);
-        self.sorted = false;
-    }
-
-    /// Fraction of observations strictly greater than `threshold`
-    /// (used for SLO-violation rates). Returns 0.0 when empty.
-    pub fn fraction_above(&self, threshold: f64) -> f64 {
-        if self.values.is_empty() {
-            return 0.0;
-        }
-        let n = self.values.iter().filter(|&&x| x > threshold).count();
-        n as f64 / self.values.len() as f64
-    }
-}
-
-impl Extend<f64> for Samples {
-    fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
-        for x in iter {
-            self.add(x);
-        }
-    }
-}
-
-impl FromIterator<f64> for Samples {
-    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
-        let mut s = Samples::new();
-        s.extend(iter);
-        s
     }
 }
 
@@ -453,33 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn samples_quantiles_nearest_rank() {
-        let s: Samples = (1..=10).map(f64::from).collect();
-        assert_eq!(s.quantile(0.0), Some(1.0));
-        assert_eq!(s.quantile(0.1), Some(1.0));
-        assert_eq!(s.quantile(0.5), Some(5.0));
-        assert_eq!(s.quantile(1.0), Some(10.0));
-        assert_eq!(s.quantile(2.0), Some(10.0)); // clamped
-    }
-
-    #[test]
-    fn samples_ignore_non_finite() {
-        let mut s = Samples::new();
-        s.add(f64::NAN);
-        s.add(f64::INFINITY);
-        s.add(1.0);
-        assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn fraction_above_counts_strictly() {
-        let s: Samples = [1.0, 2.0, 3.0, 4.0].into_iter().collect();
-        assert_eq!(s.fraction_above(2.0), 0.5);
-        assert_eq!(s.fraction_above(100.0), 0.0);
-        assert_eq!(Samples::new().fraction_above(0.0), 0.0);
-    }
-
-    #[test]
     fn histogram_buckets_and_overflow() {
         let mut h = BinnedHistogram::new(10.0, 5); // range [0, 50)
         h.add(0.0);
@@ -541,20 +364,6 @@ mod tests {
     }
 
     proptest! {
-        /// Quantiles are monotone in q.
-        #[test]
-        fn prop_sample_quantiles_monotone(
-            xs in prop::collection::vec(-1e6f64..1e6, 1..300),
-            q1 in 0.0f64..1.0,
-            q2 in 0.0f64..1.0,
-        ) {
-            let (lo, hi) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
-            let s: Samples = xs.into_iter().collect();
-            let a = s.quantile(lo).unwrap();
-            let b = s.quantile(hi).unwrap();
-            prop_assert!(a <= b);
-        }
-
         /// Histogram quantile edges are monotone in q and stay in range.
         #[test]
         fn prop_hist_quantiles_monotone(

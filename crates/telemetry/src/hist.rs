@@ -37,9 +37,8 @@ const MAX_INDEX: i32 = 1024 * 128;
 /// maximum are tracked separately, so `quantile(0.0)` and
 /// `quantile(1.0)` carry no bucketing error) and within a relative
 /// error of `2^(1/256) − 1 < 2⁻⁷` everywhere else. [`mean`](Self::mean)
-/// is exact (running sum). Non-finite values are ignored, mirroring
-/// `Samples`; negative values clamp to zero and land in a dedicated
-/// zero bucket.
+/// is exact (running sum). Non-finite values are ignored; negative
+/// values clamp to zero and land in a dedicated zero bucket.
 #[derive(Debug, Clone)]
 pub struct Log2Histogram {
     /// Dense counts: `counts[i]` is the bucket with index `base + i`,

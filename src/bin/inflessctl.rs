@@ -334,13 +334,14 @@ fn print_table(out: &mut dyn Write, report: &RunReport) -> io::Result<()> {
         "function", "completed", "p50 ms", "p99 ms", "viol %", "cold %"
     )?;
     for f in &report.functions {
+        let p = |q| f.latency_ms.quantile(q).unwrap_or(0.0);
         writeln!(
             out,
             "{:<14} {:>10} {:>9.1} {:>9.1} {:>9.2} {:>9.2}",
             f.name,
             f.completed,
-            f.latency_p50_ms,
-            f.latency_p99_ms,
+            p(0.50),
+            p(0.99),
             f.violation_rate() * 100.0,
             f.cold_rate() * 100.0
         )?;
@@ -365,13 +366,14 @@ fn print_json(out: &mut dyn Write, report: &RunReport) -> io::Result<()> {
         .functions
         .iter()
         .map(|f| {
+            let p = |q| f.latency_ms.quantile(q).unwrap_or(0.0);
             serde_json::json!({
                 "name": f.name,
                 "completed": f.completed,
                 "dropped": f.dropped,
-                "p50_ms": f.latency_p50_ms,
-                "p95_ms": f.latency_p95_ms,
-                "p99_ms": f.latency_p99_ms,
+                "p50_ms": p(0.50),
+                "p95_ms": p(0.95),
+                "p99_ms": p(0.99),
                 "violation_rate": f.violation_rate(),
                 "cold_rate": f.cold_rate(),
             })
