@@ -379,10 +379,11 @@ mod tests {
     fn swap_starts_beat_openfaas_cold_starts() {
         let torpor = run(LaunchPath::SwapIn, 20.0, 30);
         let ofp = run(LaunchPath::Boot, 20.0, 30);
-        assert!(torpor.functions[0].cold_ms.count() > 0);
-        assert!(ofp.functions[0].cold_ms.count() > 0);
-        let t_cold = torpor.functions[0].cold_ms.mean();
-        let o_cold = ofp.functions[0].cold_ms.mean();
+        let t = &torpor.functions[0].breakdown.startup_ms;
+        let o = &ofp.functions[0].breakdown.startup_ms;
+        assert!(t.count() > 0);
+        assert!(o.count() > 0);
+        let (t_cold, o_cold) = (t.mean(), o.mean());
         assert!(
             t_cold < o_cold / 2.0,
             "swap-in start ({t_cold:.0} ms) should be far below boot ({o_cold:.0} ms)"

@@ -84,25 +84,36 @@ fn main() {
         );
         let r = System::Infless.run(cluster, app.functions(), &workload, 15);
         println!(
-            "{:<12} {:>10} {:>10} {:>10} {:>10}",
-            "model", "cold ms", "queue ms", "exec ms", "p99 ms"
+            "{:<12} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
+            "model", "queue ms", "batch ms", "cold ms", "exec ms", "interf ms", "p99 ms"
         );
         for f in &r.functions {
-            let lat = &f.latency_ms;
+            let b = &f.breakdown;
+            let parts = [
+                b.queueing_ms.mean(),
+                b.batch_wait_ms.mean(),
+                b.startup_ms.mean(),
+                b.execution_ms.mean(),
+                b.interference_ms.mean(),
+            ];
             println!(
-                "{:<12} {:>10.2} {:>10.2} {:>10.2} {:>10.1}",
+                "{:<12} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.1}",
                 f.name,
-                f.cold_ms.mean(),
-                f.queue_ms.mean(),
-                f.exec_ms.mean(),
-                lat.quantile(0.99).unwrap_or(0.0)
+                parts[0],
+                parts[1],
+                parts[2],
+                parts[3],
+                parts[4],
+                f.latency_ms.quantile(0.99).unwrap_or(0.0)
             );
             breakdown_rows.push(serde_json::json!({
                 "slo_ms": slo_ms,
                 "model": f.name,
-                "cold_ms": f.cold_ms.mean(),
-                "queue_ms": f.queue_ms.mean(),
-                "exec_ms": f.exec_ms.mean(),
+                "queueing_ms": parts[0],
+                "batch_wait_ms": parts[1],
+                "startup_ms": parts[2],
+                "execution_ms": parts[3],
+                "interference_ms": parts[4],
             }));
         }
         println!();

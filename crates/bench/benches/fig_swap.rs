@@ -32,8 +32,9 @@ use infless_workload::TracePattern;
 fn mean_startup_ms(r: &RunReport) -> Option<f64> {
     let (mut sum, mut n) = (0.0, 0u64);
     for f in &r.functions {
-        sum += f.cold_ms.mean() * f.cold_ms.count() as f64;
-        n += f.cold_ms.count();
+        let startup = &f.breakdown.startup_ms;
+        sum += startup.mean() * startup.count() as f64;
+        n += startup.count();
     }
     (n > 0).then(|| sum / n as f64)
 }

@@ -2710,10 +2710,10 @@ mod tests {
         let report = engine.finish();
         assert_eq!(report.total_completed(), 1);
         // The lone request waited out the full budget before executing.
-        let queue_ms = report.functions[0].queue_ms.mean();
+        let wait_ms = report.functions[0].breakdown.batch_wait_ms.mean();
         assert!(
-            (queue_ms - budget.as_millis_f64()).abs() < 1.0,
-            "queue {queue_ms}ms vs budget {budget}"
+            (wait_ms - budget.as_millis_f64()).abs() < 1.0,
+            "batch wait {wait_ms}ms vs budget {budget}"
         );
         let _ = t0;
     }
@@ -2738,7 +2738,7 @@ mod tests {
         assert_eq!(report.total_completed(), 1);
         assert_eq!(report.functions[0].cold_requests, 1);
         assert!(
-            report.functions[0].cold_ms.mean() > 1000.0,
+            report.functions[0].breakdown.startup_ms.mean() > 1000.0,
             "cold start is seconds"
         );
         assert_eq!(report.cold_launches, 1);
@@ -3320,7 +3320,7 @@ mod tests {
         assert_eq!(report.swap_launches, 1);
         assert_eq!(report.cold_launches, 0);
         assert_eq!(report.functions[0].cold_requests, 1);
-        let cold_ms = report.functions[0].cold_ms.mean();
+        let cold_ms = report.functions[0].breakdown.startup_ms.mean();
         assert!(
             (200.0..1000.0).contains(&cold_ms),
             "swap wait is sub-second, got {cold_ms}ms"

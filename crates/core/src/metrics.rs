@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use infless_cluster::InstanceConfig;
 use infless_models::CacheOutcome;
-use infless_sim::stats::{TimeWeighted, Welford};
+use infless_sim::stats::TimeWeighted;
 use infless_sim::{SimDuration, SimTime};
 use infless_telemetry::{Log2Histogram, TimeseriesSummary};
 use serde::{Deserialize, Serialize};
@@ -104,13 +104,6 @@ impl LatencyParts {
         let execution = exec_base.min(exec);
         (execution, exec - execution)
     }
-
-    /// A decomposition with everything attributed the way the
-    /// pre-decomposition report did: `queue − cold` to batch-wait,
-    /// `cold` to startup, all of exec to execution.
-    pub fn legacy(queue: SimDuration, exec: SimDuration, cold: SimDuration) -> LatencyParts {
-        LatencyParts::derive(queue, exec, cold, SimDuration::ZERO, exec)
-    }
 }
 
 /// Per-function [`Log2Histogram`]s of the decomposition components.
@@ -150,12 +143,6 @@ pub struct FunctionReport {
     /// Serving batchsize of completed requests as a histogram (the
     /// distribution view of `per_batch_completed`).
     pub batch_sizes: Log2Histogram,
-    /// Batch-queueing component (ms).
-    pub queue_ms: Welford,
-    /// Execution component (ms).
-    pub exec_ms: Welford,
-    /// Cold-start component (ms).
-    pub cold_ms: Welford,
     /// Completed requests per serving-instance batchsize (Fig. 13a/b),
     /// in ascending batchsize order.
     pub per_batch_completed: BTreeMap<u32, u64>,
@@ -177,9 +164,6 @@ impl FunctionReport {
             cold_requests: 0,
             latency_ms: Log2Histogram::new(),
             batch_sizes: Log2Histogram::new(),
-            queue_ms: Welford::new(),
-            exec_ms: Welford::new(),
-            cold_ms: Welford::new(),
             per_batch_completed: BTreeMap::new(),
             breakdown: BreakdownHists::default(),
             llm: None,
@@ -445,9 +429,6 @@ impl RunReport {
                     "latency_p99_ms": f.latency_ms.quantile(0.99).unwrap_or(0.0),
                     "latency_count": f.latency_ms.count(),
                     "batch_size_mean": f.batch_sizes.mean(),
-                    "queue_ms_mean": f.queue_ms.mean(),
-                    "exec_ms_mean": f.exec_ms.mean(),
-                    "cold_ms_mean": f.cold_ms.mean(),
                     "per_batch_completed": per_batch,
                 });
                 // The llm key only exists for autoregressive functions,
@@ -653,22 +634,6 @@ impl Collector {
         self.started = at;
     }
 
-    /// Records a completed request, attributing its whole wait phase
-    /// the way the pre-decomposition report did (see
-    /// [`LatencyParts::legacy`]). The engine calls
-    /// [`complete_with_parts`](Self::complete_with_parts) instead.
-    pub fn complete(
-        &mut self,
-        function: usize,
-        queue: SimDuration,
-        exec: SimDuration,
-        cold: SimDuration,
-        batch_setting: u32,
-    ) {
-        let parts = LatencyParts::legacy(queue, exec, cold);
-        self.complete_with_parts(function, queue, exec, cold, batch_setting, parts);
-    }
-
     /// Records a completed request with its five-way latency
     /// decomposition: the per-request part, then the per-batch part for
     /// a batch of one. The LLM sequence path calls this; one-shot
@@ -705,8 +670,6 @@ impl Collector {
         let latency = queue + exec;
         f.completed += 1;
         f.latency_ms.add(latency.as_millis_f64());
-        f.queue_ms.add((queue - cold).as_millis_f64());
-        f.cold_ms.add(cold.as_millis_f64());
         let b = &mut f.breakdown;
         b.queueing_ms.add(parts.queueing.as_millis_f64());
         b.batch_wait_ms.add(parts.batch_wait.as_millis_f64());
@@ -736,11 +699,6 @@ impl Collector {
             return;
         }
         let f = &mut self.functions[function];
-        let exec_ms = exec.as_millis_f64();
-        // Welford's update is order-dependent arithmetic: no folding.
-        for _ in 0..n {
-            f.exec_ms.add(exec_ms);
-        }
         let (execution, interference) = LatencyParts::split_exec(exec, exec_base);
         f.breakdown.execution_ms.add_n(execution.as_millis_f64(), n);
         f.breakdown
@@ -1056,6 +1014,20 @@ mod tests {
     use super::*;
     use infless_models::ResourceConfig;
 
+    /// Records a completion with no gateway delay and no interference:
+    /// the whole wait before `cold` is batch-wait.
+    fn complete(
+        c: &mut Collector,
+        function: usize,
+        queue: SimDuration,
+        exec: SimDuration,
+        cold: SimDuration,
+        batch_setting: u32,
+    ) {
+        let parts = LatencyParts::derive(queue, exec, cold, SimDuration::ZERO, exec);
+        c.complete_with_parts(function, queue, exec, cold, batch_setting, parts);
+    }
+
     fn collector() -> Collector {
         Collector::new(
             "test",
@@ -1069,14 +1041,16 @@ mod tests {
     #[test]
     fn completion_classifies_violations() {
         let mut c = collector();
-        c.complete(
+        complete(
+            &mut c,
             0,
             SimDuration::from_millis(30),
             SimDuration::from_millis(40),
             SimDuration::ZERO,
             4,
         ); // 70ms <= 100ms: ok
-        c.complete(
+        complete(
+            &mut c,
             0,
             SimDuration::from_millis(90),
             SimDuration::from_millis(40),
@@ -1096,7 +1070,8 @@ mod tests {
     #[test]
     fn drops_count_as_violations() {
         let mut c = collector();
-        c.complete(
+        complete(
+            &mut c,
             1,
             SimDuration::from_millis(10),
             SimDuration::from_millis(10),
@@ -1115,7 +1090,8 @@ mod tests {
         c.usage_delta(0, SimTime::ZERO, 10.0, 2.0, 20.0);
         c.usage_delta(0, SimTime::from_secs(5), -10.0, -2.0, -20.0);
         for _ in 0..50 {
-            c.complete(
+            complete(
+                &mut c,
                 0,
                 SimDuration::from_millis(1),
                 SimDuration::from_millis(1),
@@ -1167,7 +1143,8 @@ mod tests {
         let mut c = collector();
         c.usage_delta(0, SimTime::ZERO, 0.0, 10.0, 150.0);
         for _ in 0..500 {
-            c.complete(
+            complete(
+                &mut c,
                 0,
                 SimDuration::ZERO,
                 SimDuration::from_millis(1),
@@ -1189,7 +1166,8 @@ mod tests {
         let mut c0 = collector();
         c0.usage_delta(0, SimTime::ZERO, 2.0, 1.0, 10.0);
         c0.launch(0, cfg, StartupKind::Cold);
-        c0.complete(
+        complete(
+            &mut c0,
             0,
             SimDuration::from_millis(10),
             SimDuration::from_millis(10),
@@ -1199,7 +1177,8 @@ mod tests {
         let mut c1 = collector();
         c1.usage_delta(1, SimTime::ZERO, 3.0, 2.0, 0.0);
         c1.launch(1, cfg, StartupKind::PreWarmed);
-        c1.complete(
+        complete(
+            &mut c1,
             1,
             SimDuration::from_millis(100),
             SimDuration::from_millis(10),
@@ -1284,7 +1263,8 @@ mod tests {
     fn latency_percentiles_hold_the_histogram_bound() {
         let mut c = collector();
         for i in 1..=100u64 {
-            c.complete(
+            complete(
+                &mut c,
                 0,
                 SimDuration::from_millis(i),
                 SimDuration::ZERO,

@@ -2353,7 +2353,7 @@ mod fault_tests {
             .iter()
             .map(|f| {
                 format!(
-                    "{} {:?} {} {} {} {} {:?} {:?} {:?} {:?} {:?};",
+                    "{} {:?} {} {} {} {} {:?} {:?} {:?};",
                     f.name,
                     f.slo,
                     f.completed,
@@ -2361,9 +2361,7 @@ mod fault_tests {
                     f.violations,
                     f.cold_requests,
                     f.latency_ms,
-                    f.queue_ms,
-                    f.exec_ms,
-                    f.cold_ms,
+                    f.breakdown,
                     f.per_batch_completed
                 )
             })

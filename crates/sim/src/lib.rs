@@ -13,9 +13,9 @@
 //! * [`rng`] — seed-derivation helpers so that independent subsystems
 //!   (workload generation, execution noise, …) draw from independent,
 //!   reproducible streams.
-//! * [`stats`] — streaming statistics (Welford mean/variance,
-//!   fixed-width histograms, time-weighted integrals) used by the
-//!   LSTH/HHP cold-start policies and the run report.
+//! * [`stats`] — fixed-width histograms and time-weighted integrals,
+//!   used by the LSTH/HHP cold-start policies and the run report's
+//!   resource accounting.
 //! * [`FxHashMap`] — a `HashMap` over a seedless, deterministic hasher
 //!   for the engine's internal keyed caches.
 //!

@@ -1,6 +1,10 @@
 //! Streaming statistics used across the reproduction.
 //!
-//! * [`Welford`] — numerically stable running mean / variance.
+//! The run report's distributions (latencies, the latency breakdown,
+//! batch sizes, the fragment ratio) are `Log2Histogram`s from the
+//! telemetry crate. This module holds the cold-start policies'
+//! idle-time histogram and the resource-seconds integral.
+//!
 //! * [`BinnedHistogram`] — fixed-width histogram over a bounded range;
 //!   this is the structure the HHP/LSTH cold-start policies build over
 //!   idle times (Shahrad et al. use 1-minute bins up to a 4-hour cap).
@@ -10,61 +14,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::SimTime;
-
-/// Running mean and variance via Welford's algorithm.
-///
-/// # Example
-///
-/// ```
-/// use infless_sim::stats::Welford;
-///
-/// let mut w = Welford::new();
-/// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-///     w.add(x);
-/// }
-/// assert_eq!(w.mean(), 5.0);
-/// assert_eq!(w.population_variance(), 4.0);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct Welford {
-    count: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Welford::default()
-    }
-
-    /// Adds an observation.
-    pub fn add(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of the observations, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance (dividing by n), or 0.0 when empty.
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-}
 
 /// A fixed-width histogram over `[0, bin_width * bins)` with an overflow
 /// bucket, the structure HHP and LSTH build over function idle times.
@@ -282,25 +231,6 @@ impl TimeWeighted {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn welford_matches_naive() {
-        let xs = [1.0, 2.5, 3.5, 4.0, 100.0, -7.0];
-        let mut w = Welford::new();
-        xs.iter().for_each(|&x| w.add(x));
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
-        assert!((w.mean() - mean).abs() < 1e-9);
-        assert!((w.population_variance() - var).abs() < 1e-9);
-        assert_eq!(w.count(), xs.len() as u64);
-    }
-
-    #[test]
-    fn empty_welford_is_zero() {
-        let w = Welford::new();
-        assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.population_variance(), 0.0);
-    }
 
     #[test]
     fn histogram_buckets_and_overflow() {

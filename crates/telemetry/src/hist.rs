@@ -220,7 +220,7 @@ impl Log2Histogram {
         self.count == 0
     }
 
-    /// Exact mean, or 0.0 when empty (mirroring `Welford::mean`).
+    /// Exact mean, or 0.0 when empty.
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0

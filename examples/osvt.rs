@@ -42,14 +42,15 @@ fn main() {
         );
         for f in &report.functions {
             let lat = &f.latency_ms;
+            let b = &f.breakdown;
             println!(
                 "  {:<11} n={:<6} p50={:>7.1}ms p99={:>7.1}ms queue={:>6.1}ms exec={:>6.1}ms cold-rate={:>4.1}%",
                 f.name,
                 f.completed,
                 lat.quantile(0.50).unwrap_or(0.0),
                 lat.quantile(0.99).unwrap_or(0.0),
-                f.queue_ms.mean(),
-                f.exec_ms.mean(),
+                b.queueing_ms.mean() + b.batch_wait_ms.mean(),
+                b.execution_ms.mean() + b.interference_ms.mean(),
                 f.cold_rate() * 100.0,
             );
         }

@@ -101,7 +101,7 @@ fn cold_requests_wait_seconds_not_minutes() {
         if f.cold_requests == 0 {
             continue;
         }
-        let cold_mean = f.cold_ms.mean();
+        let cold_mean = f.breakdown.startup_ms.mean();
         assert!(
             cold_mean < 10_000.0,
             "{}: mean cold wait {cold_mean}ms",

@@ -32,7 +32,7 @@ fn digest(report: &infless::core::RunReport) -> (u64, u64, u64, u64, String) {
     let lat: String = report
         .functions
         .iter()
-        .map(|f| format!("{}:{:.6};", f.name, f.queue_ms.mean() + f.exec_ms.mean()))
+        .map(|f| format!("{}:{:.6};", f.name, f.latency_ms.mean()))
         .collect();
     (
         report.total_completed(),

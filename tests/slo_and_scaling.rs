@@ -45,7 +45,8 @@ fn queueing_time_stays_within_budget() {
         if f.completed == 0 {
             continue;
         }
-        let queue = f.queue_ms.mean();
+        let b = &f.breakdown;
+        let queue = b.queueing_ms.mean() + b.batch_wait_ms.mean();
         assert!(
             queue < f.slo.as_millis_f64() * 0.75,
             "{}: mean queue {queue}ms vs SLO {}",
