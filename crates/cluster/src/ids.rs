@@ -1,7 +1,8 @@
 //! Typed identifiers.
 //!
-//! Newtypes keep server, function, instance and request indices from
-//! being confused with one another (C-NEWTYPE).
+//! Newtypes keep server, function and instance indices from being
+//! confused with one another (C-NEWTYPE). A request is identified by
+//! its function and arrival ordinal (`Request::key`).
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -50,11 +51,6 @@ id_type!(
     InstanceId(u64),
     "inst"
 );
-id_type!(
-    /// Unique id of an inference request.
-    RequestId(u64),
-    "req"
-);
 
 #[cfg(test)]
 mod tests {
@@ -66,12 +62,10 @@ mod tests {
         assert_eq!(ServerId::new(3).to_string(), "srv3");
         assert_eq!(FunctionId::new(1).to_string(), "fn1");
         assert_eq!(InstanceId::new(9).to_string(), "inst9");
-        assert_eq!(RequestId::new(0).to_string(), "req0");
     }
 
     #[test]
     fn ids_are_ordered() {
         assert!(InstanceId::new(1) < InstanceId::new(2));
-        assert_ne!(RequestId::new(1), RequestId::new(2));
     }
 }

@@ -6,20 +6,17 @@ use infless_models::ResourceConfig;
 use infless_sim::SimTime;
 use serde::{Deserialize, Serialize};
 
-use crate::ids::{FunctionId, InstanceId, RequestId};
+use crate::ids::{FunctionId, InstanceId};
 use crate::server::Placement;
 
-/// One inference request.
+/// One inference request, identified by [`Request::key`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Request {
-    /// Unique request id.
-    pub id: RequestId,
     /// The function it invokes.
     pub function: FunctionId,
     /// Its arrival ordinal within its function: how many requests for
-    /// the function were minted before it. Unlike `id`, which counts
-    /// every request an engine mints, it is the same at every shard
-    /// count, so the decision trace keys requests by it.
+    /// the function were minted before it. It is the same at every
+    /// shard count, so the decision trace keys requests by it.
     pub ordinal: u64,
     /// When it arrived at the platform gateway.
     pub arrival: SimTime,
@@ -28,6 +25,14 @@ pub struct Request {
     /// displaced request re-dispatched elsewhere is re-stamped, so the
     /// latest enqueue wins.
     pub enqueued: SimTime,
+}
+
+impl Request {
+    /// The request's identity: its function and its arrival ordinal
+    /// there.
+    pub fn key(&self) -> (FunctionId, u64) {
+        (self.function, self.ordinal)
+    }
 }
 
 /// The non-uniform per-instance configuration: batchsize plus hybrid
@@ -417,14 +422,20 @@ mod tests {
         s.allocate(ResourceConfig::new(1, 10)).unwrap()
     }
 
-    fn request(id: u64, t: SimTime) -> Request {
+    fn request(ordinal: u64, t: SimTime) -> Request {
         Request {
-            id: RequestId::new(id),
             function: FunctionId::new(0),
-            ordinal: id,
+            ordinal,
             arrival: t,
             enqueued: t,
         }
+    }
+
+    /// The per-function ordinal is a request's identity, so a request
+    /// is four words: function, ordinal, arrival and enqueue instants.
+    #[test]
+    fn request_stays_four_words() {
+        assert_eq!(std::mem::size_of::<Request>(), 32);
     }
 
     fn warm_instance(batch: u32) -> Instance {
@@ -559,7 +570,7 @@ mod tests {
         let mut batch = vec![request(9, t0)];
         inst.begin_batch_of(2, t0, until, &mut batch);
         assert_eq!(batch.len(), 3);
-        assert_eq!(batch[1].id, RequestId::new(0));
+        assert_eq!(batch[1].ordinal, 0);
         assert_eq!(inst.queue_len(), 1);
         assert_eq!(inst.queue_opened_at(), Some(t0));
 

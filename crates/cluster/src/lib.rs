@@ -22,7 +22,7 @@ mod instance;
 mod server;
 mod state;
 
-pub use ids::{FunctionId, InstanceId, RequestId, ServerId};
+pub use ids::{FunctionId, InstanceId, ServerId};
 pub use instance::{Instance, InstanceConfig, InstanceState, Request};
 pub use server::{Placement, Server, ServerHealth};
 pub use state::{ClusterOp, ClusterSpec, ClusterState, PlacementError, TxnAlreadyOpen};

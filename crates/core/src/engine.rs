@@ -17,7 +17,7 @@ use std::collections::VecDeque;
 
 use infless_cluster::{
     ClusterSpec, ClusterState, FunctionId, Instance, InstanceConfig, InstanceId, PlacementError,
-    Request, RequestId, ServerHealth, ServerId,
+    Request, ServerHealth, ServerId,
 };
 use infless_faults::FaultEvent;
 use infless_llm::{LlmBatching, LlmClass, LlmConfig};
@@ -204,7 +204,6 @@ pub struct Engine {
     /// Outstanding capacity-loss probes.
     recapacity: RecapacityProbes,
     next_instance: u64,
-    next_request: u64,
     noise: NoiseRng,
     /// Autoregressive decode-batching discipline (LLM functions only;
     /// one-shot functions never consult it).
@@ -224,8 +223,8 @@ pub struct Engine {
     /// have held the clock open until then, so the run ends no earlier.
     timer_horizon: SimTime,
     /// Prompt/output token counts per in-system LLM request, keyed by
-    /// raw request id. Minted at arrival, removed at completion/shed.
-    token_table: FxHashMap<u64, TokenInfo>,
+    /// [`Request::key`]. Minted at arrival, removed at completion/shed.
+    token_table: FxHashMap<(FunctionId, u64), TokenInfo>,
     /// Lazily-created per-function token-count streams with
     /// shard-invariant labels (`llm/{platform}/fn{i}`). Empty until an
     /// LLM function mints its first request, so non-LLM runs never
@@ -576,7 +575,6 @@ impl Engine {
             straggle: FxHashMap::default(),
             recapacity: VecDeque::new(),
             next_instance: 0,
-            next_request: 0,
             noise: NoiseRng::Shared(infless_sim::rng::stream(
                 seed,
                 &format!("engine/{platform_name}"),
@@ -857,7 +855,7 @@ impl Engine {
     pub fn llm_retry_estimate(&self, request: &Request) -> Option<SimDuration> {
         let function = request.function.raw();
         let llm = self.functions[function].llm()?;
-        let info = self.token_table.get(&request.id.raw())?;
+        let info = self.token_table.get(&request.key())?;
         let best = ResourceConfig::new(1, 100);
         let spec = self.functions[function].spec();
         let prefill = self
@@ -993,10 +991,7 @@ impl Engine {
     /// Panics if `arrival` lies in the future.
     pub fn mint_request_arrived(&mut self, function: usize, arrival: SimTime) -> Request {
         assert!(arrival <= self.now, "requests cannot arrive in the future");
-        let id = RequestId::new(self.next_request);
-        self.next_request += 1;
         let request = Request {
-            id,
             function: FunctionId::new(function),
             ordinal: self.requests_minted[function],
             arrival,
@@ -1005,7 +1000,7 @@ impl Engine {
         self.requests_minted[function] += 1;
         if self.functions[function].llm().is_some() {
             let info = self.mint_tokens(function);
-            self.token_table.insert(id.raw(), info);
+            self.token_table.insert(request.key(), info);
         }
         if self.spans_on {
             // Timestamped at the gateway arrival, which the BATCH
@@ -1666,7 +1661,7 @@ impl Engine {
 
     /// Records a dropped request.
     pub fn drop_request(&mut self, request: &Request) {
-        self.token_table.remove(&request.id.raw());
+        self.token_table.remove(&request.key());
         self.collector.drop_request(request.function.raw());
         if self.spans_on {
             self.emit(SpanKind::Dropped, self.now, request, -1, -1, 0);
@@ -1677,7 +1672,7 @@ impl Engine {
     /// blown or no residual capacity). Counts as a drop for SLO
     /// purposes *and* in the failure section's shed tally.
     pub fn shed_request(&mut self, request: &Request) {
-        self.token_table.remove(&request.id.raw());
+        self.token_table.remove(&request.key());
         self.collector.shed(request.function.raw());
         if self.spans_on {
             self.emit(SpanKind::Shed, self.now, request, -1, -1, 0);
@@ -1927,7 +1922,7 @@ impl Engine {
                 let produced = ep.steps - seq.joined;
                 self.collector
                     .kv_free((u64::from(seq.prompt) + u64::from(produced)) * bpt);
-                if let Some(info) = self.token_table.get_mut(&seq.req.id.raw()) {
+                if let Some(info) = self.token_table.get_mut(&seq.req.key()) {
                     info.produced = produced;
                 }
                 displaced.push(seq.req);
@@ -2260,7 +2255,7 @@ impl Engine {
             if infos.len() >= max_batch {
                 break;
             }
-            let info = self.token_table[&req.id.raw()];
+            let info = self.token_table[&req.key()];
             let need = u64::from(info.prompt) + u64::from(info.output);
             if !infos.is_empty() && reserved + need > cap {
                 blocked = Some((*req, need));
@@ -2431,7 +2426,7 @@ impl Engine {
                 let req = seq.req;
                 let info = self
                     .token_table
-                    .get_mut(&req.id.raw())
+                    .get_mut(&req.key())
                     .expect("a decoding sequence has a token entry");
                 if !std::mem::replace(&mut info.first_token_seen, true) {
                     self.collector
@@ -2489,7 +2484,7 @@ impl Engine {
             self.collector
                 .llm_complete(function, tpot, llm.tpot_slo, u64::from(produced));
             self.collector.kv_free(kv_tokens * bpt);
-            self.token_table.remove(&seq.req.id.raw());
+            self.token_table.remove(&seq.req.key());
             if spans_on {
                 self.emit(
                     SpanKind::DecodeComplete,
@@ -2514,7 +2509,7 @@ impl Engine {
                 let Some(head) = self.slot(id).inst.queued().next().copied() else {
                     break;
                 };
-                let info = self.token_table[&head.id.raw()];
+                let info = self.token_table[&head.key()];
                 let need = u64::from(info.prompt) + u64::from(info.output);
                 if ep.reserved_tokens + need > cap {
                     self.collector.llm_cache_full(function);

@@ -13,7 +13,7 @@
 use std::collections::VecDeque;
 use std::time::Instant;
 
-use infless_cluster::{ClusterSpec, InstanceConfig, InstanceId, Request, RequestId};
+use infless_cluster::{ClusterSpec, FunctionId, InstanceConfig, InstanceId, Request};
 use infless_faults::FaultSchedule;
 use infless_llm::LlmConfig;
 use infless_models::{
@@ -187,7 +187,7 @@ struct ChainCtx {
     /// Whether the function is some chain's entry stage.
     entry_of_fn: Vec<Option<usize>>,
     /// Chain-entry timestamps of in-flight stage requests.
-    starts: FxHashMap<RequestId, SimTime>,
+    starts: FxHashMap<(FunctionId, u64), SimTime>,
     /// Per-chain end-to-end results.
     reports: Vec<ChainReport>,
 }
@@ -627,7 +627,7 @@ impl InflessPlatform {
                     }
                     self.engine.drop_request(&req);
                     if let Some(chain) = self.chains.chain_of(f) {
-                        self.chains.starts.remove(&req.id);
+                        self.chains.starts.remove(&req.key());
                         self.chains.reports[chain].lost += 1;
                     }
                 }
@@ -665,7 +665,7 @@ impl InflessPlatform {
 
         let req = self.engine.mint_request(f);
         if let (Some(start), Some(_)) = (chain_start, self.chains.chain_of(f)) {
-            self.chains.starts.insert(req.id, start);
+            self.chains.starts.insert(req.key(), start);
         }
         if self.dispatch(f, req, queue) {
             return;
@@ -697,7 +697,7 @@ impl InflessPlatform {
         }
         self.engine.drop_request(&req);
         if let Some(chain) = self.chains.chain_of(f) {
-            self.chains.starts.remove(&req.id);
+            self.chains.starts.remove(&req.key());
             self.chains.reports[chain].lost += 1;
         }
     }
@@ -716,7 +716,7 @@ impl InflessPlatform {
         let next = self.chains.next_of(done.function);
         let now = self.engine.now();
         for req in &done.requests {
-            let Some(start) = self.chains.starts.remove(&req.id) else {
+            let Some(start) = self.chains.starts.remove(&req.key()) else {
                 continue; // not part of a chain traversal (defensive)
             };
             match next {
@@ -1226,7 +1226,7 @@ impl InflessPlatform {
     fn shed_displaced(&mut self, req: Request) {
         self.engine.shed_request(&req);
         if let Some(chain) = self.chains.chain_of(req.function.raw()) {
-            if self.chains.starts.remove(&req.id).is_some() {
+            if self.chains.starts.remove(&req.key()).is_some() {
                 self.chains.reports[chain].lost += 1;
             }
         }
