@@ -183,6 +183,23 @@ impl System {
             .unwrap_or_else(|e| panic!("{} run failed: {e}", self.name()))
     }
 
+    /// Refuses an explicit shard count for a platform without an
+    /// epoch-barrier driver (every platform but INFless). [`System::serve`]
+    /// checks this before it opens any output; a caller that opens an
+    /// output itself, such as a telemetry sink, checks it first too, so
+    /// a refused run creates and truncates no file.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::ShardedBaseline`] when `config` is sharded and this
+    /// system is not INFless.
+    pub fn check_shards(self, config: &RunConfig) -> Result<(), RunError> {
+        if config.is_sharded() && self != System::Infless {
+            return Err(RunError::ShardedBaseline(self.name()));
+        }
+        Ok(())
+    }
+
     /// The run executor: serves `workload` on `deployment` under
     /// `config`.
     ///
@@ -200,19 +217,17 @@ impl System {
     ///
     /// # Errors
     ///
-    /// [`RunError::ShardedBaseline`] for a sharded run of a baseline;
-    /// [`RunError::Output`] when an output file cannot be created or
-    /// written.
+    /// [`RunError::ShardedBaseline`] for a sharded run of a baseline
+    /// (see [`System::check_shards`]); [`RunError::Output`] when an
+    /// output file cannot be created or written.
     pub fn serve(
         self,
         deployment: Deployment,
         workload: &Workload,
         config: RunConfig,
     ) -> Result<RunReport, RunError> {
+        self.check_shards(&config)?;
         let shards = config.is_sharded().then(|| config.effective_shards());
-        if shards.is_some() && self != System::Infless {
-            return Err(RunError::ShardedBaseline(self.name()));
-        }
         let mut outputs: Vec<Box<dyn TelemetrySink>> = config.telemetry.into_iter().collect();
         if let Some(path) = &config.decisions_out {
             outputs.push(Box::new(

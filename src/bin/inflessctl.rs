@@ -32,7 +32,8 @@ run report. --seed overrides the scenario's seed; --json emits the
 summary as JSON instead of a table.
 
 --shards N runs the INFless platform through the sharded epoch-barrier
-engine with N shards (INFless scenarios only). The report and every
+engine with N shards (INFless scenarios only: a baseline scenario is
+refused before any output file is opened). The report and every
 output file are byte-identical for every N.
 --canonical-json prints the report's canonical JSON rendering — the
 exact string the golden manifest pins and compares between shard counts.
@@ -153,6 +154,11 @@ fn main() -> ExitCode {
     if let Some(policy) = policy {
         config = config.scale_policy(policy);
     }
+    // A refused run must not create or truncate the sink's files.
+    if let Err(e) = scenario.platform.system().check_shards(&config) {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
     if trace_out.is_some() || timeseries_out.is_some() {
         match FileSink::create(trace_out.as_deref(), timeseries_out.as_deref()) {
             Ok(sink) => config = config.telemetry(Box::new(sink)),
@@ -171,8 +177,8 @@ fn main() -> ExitCode {
     if let Some(path) = flight_out {
         config = config.flight_out(path);
     }
-    // A sharded baseline or an unwritable output surfaces from execute
-    // before the run; a write that fails mid-run, when it ends.
+    // An unwritable output surfaces from execute before the run; a
+    // write that fails mid-run, when it ends.
     match scenario.execute(config) {
         Ok(report) => emit(|out| {
             if canonical {

@@ -69,7 +69,7 @@ pub enum PlatformKind {
 
 impl PlatformKind {
     /// The platform in the [`System`] registry.
-    fn system(self) -> System {
+    pub fn system(self) -> System {
         match self {
             PlatformKind::Infless => System::Infless,
             PlatformKind::Openfaas => System::OpenFaasPlus,

@@ -110,6 +110,43 @@ fn unwritable_outputs_are_reported_by_path() {
     }
 }
 
+/// A sharded run of a baseline is refused before any output is opened:
+/// files already at the span and gauge paths keep their bytes, and the
+/// decision trace is never created.
+#[test]
+fn a_refused_run_leaves_output_files_alone() {
+    let dir = std::env::temp_dir().join(format!("infless-refused-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let (spans, gauges, decisions) = (dir.join("t.jsonl"), dir.join("g.csv"), dir.join("d.jsonl"));
+    std::fs::write(&spans, "spans from an earlier run\n").expect("writable");
+    std::fs::write(&gauges, "gauges from an earlier run\n").expect("writable");
+    let _ = std::fs::remove_file(&decisions);
+    let scenario = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("scenarios")
+        .join("qa_robot_batch.json");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_inflessctl"))
+        .arg(&scenario)
+        .args(["--shards", "2", "--trace-out"])
+        .arg(&spans)
+        .arg("--timeseries-out")
+        .arg(&gauges)
+        .arg("--decisions-out")
+        .arg(&decisions)
+        .output()
+        .expect("inflessctl runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("error: sharded execution"), "{stderr}");
+    let read = |p: &std::path::Path| std::fs::read_to_string(p).expect("file kept");
+    assert_eq!(read(&spans), "spans from an earlier run\n");
+    assert_eq!(read(&gauges), "gauges from an earlier run\n");
+    assert!(
+        !decisions.exists(),
+        "a refused run creates no decision trace"
+    );
+    std::fs::remove_dir_all(&dir).expect("temp dir removable");
+}
+
 /// A disk that fills mid-run fails the run, whichever output hit it:
 /// each output keeps its first write error and the run returns it as
 /// `RunError::Output`, naming the file, instead of panicking.
