@@ -1016,7 +1016,7 @@ mod tests {
 
     /// Records a completion with no gateway delay and no interference:
     /// the whole wait before `cold` is batch-wait.
-    fn complete(
+    fn record_completion(
         c: &mut Collector,
         function: usize,
         queue: SimDuration,
@@ -1041,7 +1041,7 @@ mod tests {
     #[test]
     fn completion_classifies_violations() {
         let mut c = collector();
-        complete(
+        record_completion(
             &mut c,
             0,
             SimDuration::from_millis(30),
@@ -1049,7 +1049,7 @@ mod tests {
             SimDuration::ZERO,
             4,
         ); // 70ms <= 100ms: ok
-        complete(
+        record_completion(
             &mut c,
             0,
             SimDuration::from_millis(90),
@@ -1070,7 +1070,7 @@ mod tests {
     #[test]
     fn drops_count_as_violations() {
         let mut c = collector();
-        complete(
+        record_completion(
             &mut c,
             1,
             SimDuration::from_millis(10),
@@ -1090,7 +1090,7 @@ mod tests {
         c.usage_delta(0, SimTime::ZERO, 10.0, 2.0, 20.0);
         c.usage_delta(0, SimTime::from_secs(5), -10.0, -2.0, -20.0);
         for _ in 0..50 {
-            complete(
+            record_completion(
                 &mut c,
                 0,
                 SimDuration::from_millis(1),
@@ -1143,7 +1143,7 @@ mod tests {
         let mut c = collector();
         c.usage_delta(0, SimTime::ZERO, 0.0, 10.0, 150.0);
         for _ in 0..500 {
-            complete(
+            record_completion(
                 &mut c,
                 0,
                 SimDuration::ZERO,
@@ -1166,7 +1166,7 @@ mod tests {
         let mut c0 = collector();
         c0.usage_delta(0, SimTime::ZERO, 2.0, 1.0, 10.0);
         c0.launch(0, cfg, StartupKind::Cold);
-        complete(
+        record_completion(
             &mut c0,
             0,
             SimDuration::from_millis(10),
@@ -1177,7 +1177,7 @@ mod tests {
         let mut c1 = collector();
         c1.usage_delta(1, SimTime::ZERO, 3.0, 2.0, 0.0);
         c1.launch(1, cfg, StartupKind::PreWarmed);
-        complete(
+        record_completion(
             &mut c1,
             1,
             SimDuration::from_millis(100),
@@ -1263,7 +1263,7 @@ mod tests {
     fn latency_percentiles_hold_the_histogram_bound() {
         let mut c = collector();
         for i in 1..=100u64 {
-            complete(
+            record_completion(
                 &mut c,
                 0,
                 SimDuration::from_millis(i),
