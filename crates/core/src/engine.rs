@@ -3315,10 +3315,10 @@ mod tests {
         assert_eq!(report.swap_launches, 1);
         assert_eq!(report.cold_launches, 0);
         assert_eq!(report.functions[0].cold_requests, 1);
-        let cold_ms = report.functions[0].breakdown.startup_ms.mean();
+        let startup_ms = report.functions[0].breakdown.startup_ms.mean();
         assert!(
-            (200.0..1000.0).contains(&cold_ms),
-            "swap wait is sub-second, got {cold_ms}ms"
+            (200.0..1000.0).contains(&startup_ms),
+            "swap wait is sub-second, got {startup_ms}ms"
         );
     }
 
