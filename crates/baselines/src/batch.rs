@@ -43,17 +43,18 @@ pub enum BatchPlacement {
     BestFit,
 }
 
+/// Extra per-request latency added by the OTP buffer layer.
+const OTP_DELAY: SimDuration = SimDuration::from_millis(8);
+/// Fixed keep-alive window.
+const KEEP_ALIVE: SimDuration = SimDuration::from_secs(300);
+/// Scaling/reap tick period.
+const TICK: SimDuration = SimDuration::from_secs(1);
+/// RPS monitor window.
+const MONITOR_WINDOW: SimDuration = SimDuration::from_secs(10);
+
 /// BATCH knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchConfig {
-    /// Extra per-request latency added by the OTP buffer layer.
-    pub otp_delay: SimDuration,
-    /// Fixed keep-alive window.
-    pub keep_alive: SimDuration,
-    /// Scaling/reap tick period.
-    pub tick: SimDuration,
-    /// RPS monitor window.
-    pub monitor_window: SimDuration,
     /// Placement strategy (FirstFit = BATCH, BestFit = BATCH+RS).
     pub placement: BatchPlacement,
     /// Cap on the uniform batchsize BATCH may choose (the paper's
@@ -64,10 +65,6 @@ pub struct BatchConfig {
 impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
-            otp_delay: SimDuration::from_millis(8),
-            keep_alive: SimDuration::from_secs(300),
-            tick: SimDuration::from_secs(1),
-            monitor_window: SimDuration::from_secs(10),
             placement: BatchPlacement::Spread,
             max_batch: u32::MAX,
         }
@@ -152,14 +149,14 @@ impl BatchPlatform {
         let fns: Vec<FnState> = functions
             .iter()
             .map(|f| FnState {
-                plan: uniform_plan(&predictor, f, config.otp_delay, config.max_batch),
+                plan: uniform_plan(&predictor, f, config.max_batch),
                 recent_arrivals: VecDeque::new(),
                 buffer: VecDeque::new(),
             })
             .collect();
         let mut engine = Engine::new(name, cluster, hardware, functions, seed);
-        engine.collector.mark_started(construction_started);
-        engine.collector.set_profile_cache(cache_outcome);
+        engine.collector.started = construction_started;
+        engine.collector.report.profile_cache = Some(cache_outcome);
         BatchPlatform {
             engine,
             config,
@@ -265,18 +262,18 @@ impl Platform for BatchPlatform {
     }
 
     fn tick_period(&self) -> SimDuration {
-        self.config.tick
+        TICK
     }
 
     /// The OTP buffer forwards each request after its dispatch delay.
     fn arrival_delay(&self) -> SimDuration {
-        self.config.otp_delay
+        OTP_DELAY
     }
 
     fn on_arrival(&mut self, f: usize, queue: &mut EventQueue<EngineEvent>) {
         let now = self.engine.now();
         // True gateway arrival precedes the buffer delay.
-        let arrival = now.saturating_sub(self.config.otp_delay);
+        let arrival = now.saturating_sub(OTP_DELAY);
         let req = self.engine.mint_request_arrived(f, arrival);
         self.fns[f].recent_arrivals.push_back(now);
         let cap = self.buffer_cap(f);
@@ -303,7 +300,7 @@ impl Platform for BatchPlatform {
         let now = self.engine.now();
         for f in 0..self.fns.len() {
             // Monitor.
-            let horizon = now.saturating_sub(self.config.monitor_window);
+            let horizon = now.saturating_sub(MONITOR_WINDOW);
             while let Some(&t) = self.fns[f].recent_arrivals.front() {
                 if t < horizon {
                     self.fns[f].recent_arrivals.pop_front();
@@ -311,9 +308,7 @@ impl Platform for BatchPlatform {
                     break;
                 }
             }
-            let window = self
-                .config
-                .monitor_window
+            let window = MONITOR_WINDOW
                 .min(now.saturating_since(SimTime::ZERO))
                 .as_secs_f64()
                 .max(1.0);
@@ -336,7 +331,7 @@ impl Platform for BatchPlatform {
             }
             self.pump(f, queue);
             // Fixed keep-alive reaping (no proactive scale-in).
-            self.engine.retire_idle(f, self.config.keep_alive);
+            self.engine.retire_idle(f, KEEP_ALIVE);
         }
     }
 
@@ -399,13 +394,12 @@ pub const BATCH_PROFILE_MARGIN: f64 = 1.3;
 pub fn uniform_plan(
     predictor: &CopPredictor,
     function: &FunctionInfo,
-    otp_delay: SimDuration,
     max_batch: u32,
 ) -> Option<UniformPlan> {
     let slo = function.slo();
     // The buffer delay eats into the latency budget but BATCH cannot
     // see platform internals, so it plans against the reduced budget.
-    let effective_slo = slo - otp_delay;
+    let effective_slo = slo - OTP_DELAY;
     let cap = max_batch.min(function.max_batch());
     let mut batches: Vec<u32> = predictor
         .grid()

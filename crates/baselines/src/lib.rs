@@ -2,13 +2,13 @@
 //!
 //! * [`ReactivePlatform`] — the reactive baselines, one platform
 //!   whose launch path is boot or swap-in ([`reactive`]):
-//!   - **OpenFaaS+** ([`ReactiveConfig::openfaas`]) — the enhanced
+//!   - **OpenFaaS+** ([`LaunchPath::Boot`]) — the enhanced
 //!     OpenFaaS baseline: GPU support added for fairness, but
 //!     one-to-one request→instance mapping (no batching), a uniform
 //!     fixed instance configuration (2 CPU cores + 10 % GPU SMs),
 //!     rate-limited reactive scaling and a fixed 300 s keep-alive
 //!     window. Every launch boots a container and loads the model.
-//!   - **Torpor** ([`ReactiveConfig::torpor`]) — a GPU-memory-tier
+//!   - **Torpor** ([`LaunchPath::SwapIn`]) — a GPU-memory-tier
 //!     baseline (Yu et al.): the same platform, but every model's
 //!     weights stay pinned in host RAM and a launch is a pipelined
 //!     PCIe swap-in instead of a container boot + disk load.
@@ -45,5 +45,5 @@ pub use batch::{
 };
 pub use cost::{CostModel, CostSummary};
 pub use lambda::{LambdaModel, LAMBDA_MEMORY_STEPS_MB};
-pub use reactive::{LaunchPath, ReactiveConfig, ReactivePlatform};
+pub use reactive::{LaunchPath, ReactivePlatform};
 pub use system::{Deployment, RunError, System};

@@ -55,53 +55,23 @@ impl LaunchPath {
     }
 }
 
-/// Reactive-platform knobs. The two presets differ only in
-/// [`Self::launch`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReactiveConfig {
-    /// The uniform per-instance allocation ("2 CPU cores and 10% GPU
-    /// SMs").
-    pub instance_resources: ResourceConfig,
-    /// The fixed keep-alive window (300 s).
-    pub keep_alive: SimDuration,
-    /// Idle-reap check period.
-    pub reap_period: SimDuration,
-    /// Maximum concurrently starting pods per function — real
-    /// OpenFaaS/Kubernetes scale in rate-limited steps rather than one
-    /// pod per queued request.
-    pub max_concurrent_starts: usize,
-    /// How every launch brings its pod up.
-    pub launch: LaunchPath,
-}
-
-impl ReactiveConfig {
-    /// OpenFaaS+ with the §5.1 defaults: every launch boots.
-    pub fn openfaas() -> Self {
-        ReactiveConfig {
-            instance_resources: ResourceConfig::new(2, 10),
-            keep_alive: SimDuration::from_secs(300),
-            reap_period: SimDuration::from_secs(1),
-            max_concurrent_starts: 8,
-            launch: LaunchPath::Boot,
-        }
-    }
-
-    /// Torpor: the OpenFaaS+ defaults, served from the host-RAM model
-    /// cache, so every launch is a swap-in.
-    pub fn torpor() -> Self {
-        ReactiveConfig {
-            launch: LaunchPath::SwapIn,
-            ..Self::openfaas()
-        }
-    }
-}
+/// The uniform per-instance allocation ("2 CPU cores and 10% GPU SMs").
+const INSTANCE_RESOURCES: ResourceConfig = ResourceConfig::new(2, 10);
+/// The fixed keep-alive window.
+const KEEP_ALIVE: SimDuration = SimDuration::from_secs(300);
+/// Idle-reap check period.
+const REAP_PERIOD: SimDuration = SimDuration::from_secs(1);
+/// Maximum concurrently starting pods per function — real
+/// OpenFaaS/Kubernetes scale in rate-limited steps rather than one pod
+/// per queued request.
+const MAX_CONCURRENT_STARTS: usize = 8;
 
 /// The reactive platform (OpenFaaS+ or Torpor, by launch path).
 ///
 /// # Example
 ///
 /// ```
-/// use infless_baselines::{ReactiveConfig, ReactivePlatform};
+/// use infless_baselines::{LaunchPath, ReactivePlatform};
 /// use infless_cluster::ClusterSpec;
 /// use infless_core::apps::Application;
 /// use infless_sim::SimDuration;
@@ -115,7 +85,7 @@ impl ReactiveConfig {
 /// let report = ReactivePlatform::new(
 ///     ClusterSpec::testbed(),
 ///     app.functions().to_vec(),
-///     ReactiveConfig::torpor(),
+///     LaunchPath::SwapIn,
 ///     1,
 /// )
 /// .run(&workload);
@@ -125,34 +95,35 @@ impl ReactiveConfig {
 #[derive(Debug)]
 pub struct ReactivePlatform {
     engine: Engine,
-    config: ReactiveConfig,
+    launch: LaunchPath,
     route_scratch: LeastLoadedScratch,
 }
 
 impl ReactivePlatform {
-    /// Builds the platform. On the swap-in path every deployed model is
-    /// host-resident from deploy time (Torpor pins weights in server
+    /// Builds the platform whose every launch takes `launch`: OpenFaaS+
+    /// boots, Torpor swaps in. On the swap-in path every deployed model
+    /// is host-resident from deploy time (Torpor pins weights in server
     /// RAM), so the engine books device memory per GPU placement from
     /// the start.
     pub fn new(
         cluster: ClusterSpec,
         functions: Vec<FunctionInfo>,
-        config: ReactiveConfig,
+        launch: LaunchPath,
         seed: u64,
     ) -> Self {
         let mut engine = Engine::new(
-            config.launch.platform_name(),
+            launch.platform_name(),
             cluster,
             HardwareModel::default(),
             functions,
             seed,
         );
-        if config.launch == LaunchPath::SwapIn {
+        if launch == LaunchPath::SwapIn {
             engine.enable_device_memory();
         }
         ReactivePlatform {
             engine,
-            config,
+            launch,
             route_scratch: LeastLoadedScratch::default(),
         }
     }
@@ -180,9 +151,9 @@ impl ReactivePlatform {
             .iter()
             .filter(|id| self.engine.instance(**id).is_starting(now))
             .count();
-        if starting < self.config.max_concurrent_starts {
-            let cfg = InstanceConfig::new(1, self.config.instance_resources);
-            let startup = self.config.launch.startup();
+        if starting < MAX_CONCURRENT_STARTS {
+            let cfg = InstanceConfig::new(1, INSTANCE_RESOURCES);
+            let startup = self.launch.startup();
             if let Ok(id) = self
                 .engine
                 .launch_anywhere(f, cfg, startup, SimDuration::MAX, queue)
@@ -222,7 +193,7 @@ impl Platform for ReactivePlatform {
     }
 
     fn tick_period(&self) -> SimDuration {
-        self.config.reap_period
+        REAP_PERIOD
     }
 
     /// One-to-one dispatch: a free (idle, empty-queue) instance takes
@@ -238,7 +209,7 @@ impl Platform for ReactivePlatform {
 
     fn on_tick(&mut self, _queue: &mut EventQueue<EngineEvent>) {
         for f in 0..self.engine.functions().len() {
-            self.engine.retire_idle(f, self.config.keep_alive);
+            self.engine.retire_idle(f, KEEP_ALIVE);
         }
     }
 
@@ -275,13 +246,6 @@ mod tests {
 
     const PATHS: [LaunchPath; 2] = [LaunchPath::Boot, LaunchPath::SwapIn];
 
-    fn config(launch: LaunchPath) -> ReactiveConfig {
-        ReactiveConfig {
-            launch,
-            ..ReactiveConfig::openfaas()
-        }
-    }
-
     fn workload(rps: f64, secs: u64) -> (Application, Workload) {
         let app = Application::qa_robot();
         let loads: Vec<FunctionLoad> = app
@@ -295,19 +259,7 @@ mod tests {
 
     fn run(launch: LaunchPath, rps: f64, secs: u64) -> RunReport {
         let (app, w) = workload(rps, secs);
-        ReactivePlatform::new(
-            ClusterSpec::testbed(),
-            app.functions().to_vec(),
-            config(launch),
-            5,
-        )
-        .run(&w)
-    }
-
-    #[test]
-    fn presets_differ_only_in_launch_path() {
-        assert_eq!(ReactiveConfig::openfaas().launch, LaunchPath::Boot);
-        assert_eq!(ReactiveConfig::torpor(), config(LaunchPath::SwapIn));
+        ReactivePlatform::new(ClusterSpec::testbed(), app.functions().to_vec(), launch, 5).run(&w)
     }
 
     #[test]
@@ -365,13 +317,8 @@ mod tests {
             mem_per_server_mb: 128.0 * 1024.0,
             gpu_mem_per_device_mb: 0.0,
         };
-        let report = ReactivePlatform::new(
-            tiny,
-            app.functions().to_vec(),
-            ReactiveConfig::openfaas(),
-            5,
-        )
-        .run(&w);
+        let report =
+            ReactivePlatform::new(tiny, app.functions().to_vec(), LaunchPath::Boot, 5).run(&w);
         assert!(report.total_dropped() > 0);
     }
 
@@ -411,12 +358,8 @@ mod tests {
                 dur,
                 9,
             );
-            let platform = ReactivePlatform::new(
-                ClusterSpec::testbed(),
-                app.functions().to_vec(),
-                config(launch),
-                5,
-            );
+            let platform =
+                ReactivePlatform::new(ClusterSpec::testbed(), app.functions().to_vec(), launch, 5);
             driver::run(platform, &w, &schedule)
                 .failures
                 .mean_time_to_recapacity_ms()
@@ -467,7 +410,7 @@ mod tests {
             };
             let schedule =
                 FaultSchedule::generate(&FaultPlan::sweep(intensity), cluster.servers, dur, seed);
-            let platform = ReactivePlatform::new(cluster, functions, config(launch), seed);
+            let platform = ReactivePlatform::new(cluster, functions, launch, seed);
             let report = driver::run(platform, &w, &schedule);
             let f = &report.failures;
             prop_assert_eq!(

@@ -28,7 +28,7 @@ use infless_telemetry::{
 };
 use infless_workload::Workload;
 
-use crate::{BatchConfig, BatchPlacement, BatchPlatform, ReactiveConfig, ReactivePlatform};
+use crate::{BatchConfig, BatchPlacement, BatchPlatform, LaunchPath, ReactivePlatform};
 
 /// The platforms under comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -276,18 +276,17 @@ impl System {
                     .run_into(workload, shards, records)
             }
             (System::Infless, None) => {
-                let mut platform =
+                let platform =
                     InflessPlatform::with_chains(cluster, functions, chains, infless, seed);
-                platform.engine().apply_llm(llm);
                 driver::run_recorded(platform, workload, &schedule, records)
             }
             (System::OpenFaasPlus | System::Torpor, _) => {
-                let reactive = if self == System::Torpor {
-                    ReactiveConfig::torpor()
+                let launch = if self == System::Torpor {
+                    LaunchPath::SwapIn
                 } else {
-                    ReactiveConfig::openfaas()
+                    LaunchPath::Boot
                 };
-                let mut platform = ReactivePlatform::new(cluster, functions, reactive, seed);
+                let mut platform = ReactivePlatform::new(cluster, functions, launch, seed);
                 platform.engine().apply_llm(llm);
                 driver::run_recorded(platform, workload, &schedule, records)
             }

@@ -24,7 +24,6 @@ use infless_core::scheduler::{Scheduler, SchedulerConfig};
 use infless_models::{
     profile::ConfigGrid, HardwareModel, ModelSpec, ProfileDatabase, ResourceConfig,
 };
-use infless_sim::SimDuration;
 
 fn predictor_for(app: &Application) -> CopPredictor {
     let hw = HardwareModel::default();
@@ -138,13 +137,8 @@ fn main() {
                 .functions()
                 .iter()
                 .map(|f| {
-                    infless_baselines::uniform_plan(
-                        &predictor,
-                        f,
-                        SimDuration::from_millis(8),
-                        u32::MAX,
-                    )
-                    .map(|p| (p.config, p.window.r_up()))
+                    infless_baselines::uniform_plan(&predictor, f, u32::MAX)
+                        .map(|p| (p.config, p.window.r_up()))
                 })
                 .collect();
             for _ in 0..slices {

@@ -57,12 +57,8 @@ impl Harness {
         let mut cluster = ClusterSpec::large(self.servers).build();
         let mut capacity = 0.0;
         for function in app.functions() {
-            let Some(plan) = infless_baselines::uniform_plan(
-                &self.predictor,
-                function,
-                SimDuration::from_millis(8),
-                u32::MAX,
-            ) else {
+            let Some(plan) = infless_baselines::uniform_plan(&self.predictor, function, u32::MAX)
+            else {
                 continue;
             };
             let r_up = plan.window.r_up();

@@ -505,13 +505,13 @@ fn sample_token_count<R: Rng + ?Sized>(rng: &mut R, mean: u32) -> u32 {
 pub(crate) type RecapacityProbes = VecDeque<(SimTime, f64)>;
 
 /// Credits weighted capacity launched ready at `ready_at` to the oldest
-/// probes, sampling time-to-recapacity for each probe it closes —
-/// whichever launches supply the capacity.
+/// probes, appending a time-to-recapacity sample (ms) to `samples` for
+/// each probe it closes — whichever launches supply the capacity.
 pub(crate) fn credit_recapacity(
     probes: &mut RecapacityProbes,
     ready_at: SimTime,
     mut credit: f64,
-    collector: &mut Collector,
+    samples: &mut Vec<f64>,
 ) {
     while credit > 0.0 {
         let Some(front) = probes.front_mut() else {
@@ -522,7 +522,7 @@ pub(crate) fn credit_recapacity(
         credit -= used;
         if front.1 <= 1e-9 {
             let (since, _) = probes.pop_front().expect("probe exists");
-            collector.recapacity_sample(ready_at.saturating_since(since).as_millis_f64());
+            samples.push(ready_at.saturating_since(since).as_millis_f64());
         }
     }
 }
@@ -625,7 +625,7 @@ impl Engine {
     /// The run's identity, as announced to every output.
     pub fn trace_meta(&self) -> TraceMeta {
         TraceMeta {
-            platform: self.collector.platform().to_string(),
+            platform: self.collector.report.platform.clone(),
             functions: self
                 .functions
                 .iter()
@@ -753,7 +753,7 @@ impl Engine {
     /// identical for every shard count. Call before the first batch
     /// starts (the shared stream's past draws are not replayed).
     pub fn use_per_function_noise(&mut self, seed: u64) {
-        let name = self.collector.platform().to_string();
+        let name = self.collector.report.platform.clone();
         self.noise = NoiseRng::PerFunction(
             self.functions
                 .iter()
@@ -934,6 +934,12 @@ impl Engine {
         &self.functions
     }
 
+    /// Function `f` and the mutable cluster together, for a scheduler
+    /// that allocates while it reads the function.
+    pub fn function_and_cluster_mut(&mut self, f: usize) -> (&FunctionInfo, &mut ClusterState) {
+        (&self.functions[f], &mut self.cluster)
+    }
+
     /// Live instance ids of one function.
     pub fn instances_of(&self, function: usize) -> &[InstanceId] {
         &self.live_by_function[function]
@@ -1021,7 +1027,7 @@ impl Engine {
                 .resize_with(self.functions.len(), || None);
         }
         if self.token_streams[function].is_none() {
-            let label = format!("llm/{}/fn{function}", self.collector.platform());
+            let label = format!("llm/{}/fn{function}", self.collector.report.platform);
             self.token_streams[function] = Some(infless_sim::rng::stream(self.seed, &label));
         }
         let rng = self.token_streams[function].as_mut().expect("just created");
@@ -1116,7 +1122,8 @@ impl Engine {
         if self.recapacity_external {
             self.launch_log.push((ready_at, w));
         } else {
-            credit_recapacity(&mut self.recapacity, ready_at, w, &mut self.collector);
+            let samples = &mut self.collector.report.failures.recapacity_ms;
+            credit_recapacity(&mut self.recapacity, ready_at, w, samples);
         }
         if matches!(startup, StartupKind::SwapIn) {
             if self.spans_on {
@@ -1248,7 +1255,7 @@ impl Engine {
         }
         let (w, c, g) = self.weights(inst.config());
         self.collector.usage_delta(function, self.now, -w, -c, -g);
-        self.collector.retire();
+        self.collector.report.retirements += 1;
     }
 
     /// Retires every instance of `function` idle for longer than
@@ -1662,7 +1669,7 @@ impl Engine {
     /// Records a dropped request.
     pub fn drop_request(&mut self, request: &Request) {
         self.token_table.remove(&request.key());
-        self.collector.drop_request(request.function.raw());
+        self.collector.report.functions[request.function.raw()].dropped += 1;
         if self.spans_on {
             self.emit(SpanKind::Dropped, self.now, request, -1, -1, 0);
         }
@@ -1682,7 +1689,7 @@ impl Engine {
     /// Records a displaced request successfully re-dispatched by the
     /// platform's recovery policy.
     pub fn record_retry(&mut self, request: &Request) {
-        self.collector.retried();
+        self.collector.report.failures.requests_retried += 1;
         if self.spans_on {
             self.emit(SpanKind::Retried, self.now, request, -1, -1, 0);
         }
@@ -1730,7 +1737,7 @@ impl Engine {
                     outcome.displaced.extend(displaced);
                 }
                 self.cluster.set_health(server, ServerHealth::Down);
-                self.collector.server_crash();
+                self.collector.report.failures.server_crashes += 1;
                 if lost > 0.0 && !self.recapacity_external {
                     self.recapacity.push_back((self.now, lost));
                 }
@@ -1743,7 +1750,7 @@ impl Engine {
             FaultEvent::ServerUp { server } => {
                 if self.cluster.health(server) == ServerHealth::Recovering {
                     self.cluster.set_health(server, ServerHealth::Up);
-                    self.collector.server_recovered();
+                    self.collector.report.failures.server_recoveries += 1;
                 }
             }
             FaultEvent::InstanceKill { selector } => {
@@ -1784,7 +1791,7 @@ impl Engine {
             } => {
                 let factor = 1.0 + f64::from(slowdown_pct) / 100.0;
                 self.straggle.insert(server, (self.now + duration, factor));
-                self.collector.straggler();
+                self.collector.report.failures.stragglers += 1;
             }
         }
         self.book_displaced(&outcome.displaced, fault_tag);
@@ -1796,7 +1803,7 @@ impl Engine {
         if displaced.is_empty() {
             return;
         }
-        self.collector.displaced(displaced.len() as u64);
+        self.collector.report.failures.requests_displaced += displaced.len() as u64;
         if self.spans_on {
             for req in displaced {
                 self.push_span(SpanEvent {
@@ -1917,11 +1924,11 @@ impl Engine {
                 .expect("episode on a non-LLM function")
                 .kv_bytes_per_token();
             let tokens = ep.book_steps(ep.steps_run(queue));
-            self.collector.kv_alloc(tokens * bpt);
+            self.collector.report.kv_allocated_bytes += tokens * bpt;
             for seq in ep.active {
                 let produced = ep.steps - seq.joined;
-                self.collector
-                    .kv_free((u64::from(seq.prompt) + u64::from(produced)) * bpt);
+                self.collector.report.kv_freed_bytes +=
+                    (u64::from(seq.prompt) + u64::from(produced)) * bpt;
                 if let Some(info) = self.token_table.get_mut(&seq.req.key()) {
                     info.produced = produced;
                 }
@@ -1955,9 +1962,10 @@ impl Engine {
     /// ratio sample and one provisioning-timeline point.
     pub fn sample_provisioning(&mut self, now: SimTime) {
         let frag = self.cluster.fragment_ratio(self.beta);
-        self.collector.fragment_sample(frag);
         let used = self.cluster.weighted_in_use(self.beta);
-        self.collector.provision_point(now, used);
+        let r = &mut self.collector.report;
+        r.fragment_samples.add(frag);
+        r.provisioning.push((now.as_secs_f64(), used));
     }
 
     /// Samples the run's gauges (instance counts, occupancy, queue
@@ -2043,7 +2051,7 @@ impl Engine {
         } else {
             self.cluster.gpu_in_use() as f64 / gpu_cap as f64
         };
-        self.collector.observe_gauges(
+        self.collector.report.timeseries_summary.observe(
             instances,
             cpu_occupancy,
             gpu_occupancy,
@@ -2092,7 +2100,7 @@ impl Engine {
             return;
         }
         let total = self.resident_kv(|_| 0);
-        self.collector.kv_resident(total);
+        self.collector.report.kv_resident_bytes += total;
     }
 
     // --- internals -------------------------------------------------------
@@ -2182,7 +2190,7 @@ impl Engine {
             if let Some(&(until_t, factor)) = self.straggle.get(&server) {
                 if now < until_t {
                     exec = exec.mul_f64(factor);
-                    self.collector.straggled_batch();
+                    self.collector.report.failures.straggled_batches += 1;
                 } else {
                     self.straggle.remove(&server);
                 }
@@ -2296,7 +2304,7 @@ impl Engine {
             if let Some(&(until_t, factor)) = self.straggle.get(&server) {
                 if now < until_t {
                     interf *= factor;
-                    self.collector.straggled_batch();
+                    self.collector.report.failures.straggled_batches += 1;
                 } else {
                     self.straggle.remove(&server);
                 }
@@ -2321,7 +2329,7 @@ impl Engine {
         let inst_ordinal = self.launch_ordinal(id);
         let mut active = Vec::with_capacity(n);
         for (req, info) in batch.drain(..).zip(infos) {
-            self.collector.kv_alloc(u64::from(info.prompt) * bpt);
+            self.collector.report.kv_allocated_bytes += u64::from(info.prompt) * bpt;
             if spans_on {
                 self.emit(
                     SpanKind::PrefillStart,
@@ -2419,7 +2427,7 @@ impl Engine {
         //    one-step span can carry) close the request's TTFT clock,
         //    once even across fault retries.
         let tokens = ep.book_steps(ep.span_ends.len());
-        self.collector.kv_alloc(bpt * tokens);
+        self.collector.report.kv_allocated_bytes += bpt * tokens;
         for seq in &mut ep.active {
             if seq.first_token.is_none() {
                 seq.first_token = Some(now);
@@ -2483,7 +2491,7 @@ impl Engine {
             };
             self.collector
                 .llm_complete(function, tpot, llm.tpot_slo, u64::from(produced));
-            self.collector.kv_free(kv_tokens * bpt);
+            self.collector.report.kv_freed_bytes += kv_tokens * bpt;
             self.token_table.remove(&seq.req.key());
             if spans_on {
                 self.emit(
@@ -2526,7 +2534,7 @@ impl Engine {
                 ep.reserved_tokens += need;
                 ep.resident_tokens += u64::from(info.prompt);
                 ep.pending_prefill_tokens += u64::from(info.prompt);
-                self.collector.kv_alloc(u64::from(info.prompt) * bpt);
+                self.collector.report.kv_allocated_bytes += u64::from(info.prompt) * bpt;
                 if spans_on {
                     self.emit(SpanKind::PrefillStart, now, &head, inst_ordinal, srv, nseq);
                 }

@@ -122,7 +122,7 @@ pub struct BreakdownHists {
 }
 
 /// Per-function results.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FunctionReport {
     /// Function display name (model name in the evaluation apps).
     pub name: String,
@@ -154,22 +154,6 @@ pub struct FunctionReport {
 }
 
 impl FunctionReport {
-    fn new(name: String, slo: SimDuration) -> Self {
-        FunctionReport {
-            name,
-            slo,
-            completed: 0,
-            dropped: 0,
-            violations: 0,
-            cold_requests: 0,
-            latency_ms: Log2Histogram::new(),
-            batch_sizes: Log2Histogram::new(),
-            per_batch_completed: BTreeMap::new(),
-            breakdown: BreakdownHists::default(),
-            llm: None,
-        }
-    }
-
     /// SLO violation rate counting drops as violations, in `[0, 1]`.
     pub fn violation_rate(&self) -> f64 {
         let total = self.completed + self.dropped;
@@ -244,7 +228,7 @@ impl FailureReport {
 }
 
 /// The frozen result of one platform run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunReport {
     /// Platform name ("INFless", "OpenFaaS+", "BATCH", …).
     pub platform: String,
@@ -278,9 +262,10 @@ pub struct RunReport {
     /// raw samples.
     pub sched_overhead_hist_us: Log2Histogram,
     /// Wall-clock cost of sampled per-request dispatch decisions,
-    /// nanoseconds. Sampled (not every request) — see
-    /// `Collector::dispatch_overhead`; empty for platforms that do not
-    /// instrument their router.
+    /// nanoseconds. Routers sample (e.g. every 64th dispatch) so the
+    /// timing stays off the hot path; wall-clock readings never
+    /// influence simulated state, so sampling cannot perturb a run.
+    /// Empty for platforms that do not instrument their router.
     pub dispatch_overhead_ns: Log2Histogram,
     /// `(t seconds, weighted resources allocated)` timeline (Fig. 14).
     pub provisioning: Vec<(f64, f64)>,
@@ -561,28 +546,20 @@ struct ResourceUsage {
 }
 
 /// The mutable recorder a running platform writes into.
+///
+/// It builds the [`RunReport`] it returns: callers write counters and
+/// streams straight into `report`, and the methods below hold only the
+/// recordings that take logic. [`finish`](Self::finish) fills in what
+/// it computes from the step functions and the wall clock.
 #[derive(Debug)]
 pub struct Collector {
-    platform: String,
-    functions: Vec<FunctionReport>,
-    launches: u64,
-    cold_launches: u64,
-    prewarmed_launches: u64,
-    swap_launches: u64,
-    retirements: u64,
+    /// The report under construction.
+    pub report: RunReport,
     usage: Vec<ResourceUsage>,
-    fragment_samples: Log2Histogram,
-    sched_overhead_hist_us: Log2Histogram,
-    dispatch_overhead_ns: Log2Histogram,
-    provisioning: Vec<(f64, f64)>,
-    config_launches: HashMap<(usize, InstanceConfig), u64>,
-    started: Instant,
-    profile_cache: Option<CacheOutcome>,
-    failures: FailureReport,
-    timeseries: TimeseriesSummary,
-    kv_allocated_bytes: u64,
-    kv_freed_bytes: u64,
-    kv_resident_bytes: u64,
+    /// Wall-clock origin of `wall_clock_seconds`. Platforms backdate it
+    /// so the reported time covers profiling done before the engine
+    /// (and this collector) existed.
+    pub started: Instant,
 }
 
 impl Collector {
@@ -590,48 +567,21 @@ impl Collector {
     /// (`(name, slo)` pairs).
     pub fn new(platform: impl Into<String>, functions: &[(String, SimDuration)]) -> Self {
         Collector {
-            platform: platform.into(),
-            functions: functions
-                .iter()
-                .map(|(n, slo)| FunctionReport::new(n.clone(), *slo))
-                .collect(),
-            launches: 0,
-            cold_launches: 0,
-            prewarmed_launches: 0,
-            swap_launches: 0,
-            retirements: 0,
+            report: RunReport {
+                platform: platform.into(),
+                functions: functions
+                    .iter()
+                    .map(|(name, slo)| FunctionReport {
+                        name: name.clone(),
+                        slo: *slo,
+                        ..FunctionReport::default()
+                    })
+                    .collect(),
+                ..RunReport::default()
+            },
             usage: vec![ResourceUsage::default(); functions.len()],
-            fragment_samples: Log2Histogram::new(),
-            sched_overhead_hist_us: Log2Histogram::new(),
-            dispatch_overhead_ns: Log2Histogram::new(),
-            provisioning: Vec::new(),
-            config_launches: HashMap::new(),
             started: Instant::now(),
-            profile_cache: None,
-            failures: FailureReport::default(),
-            timeseries: TimeseriesSummary::default(),
-            kv_allocated_bytes: 0,
-            kv_freed_bytes: 0,
-            kv_resident_bytes: 0,
         }
-    }
-
-    /// The platform name this collector was created for.
-    pub fn platform(&self) -> &str {
-        &self.platform
-    }
-
-    /// Records how the platform's COP profile database was obtained
-    /// (platforms without a predictor never call this).
-    pub fn set_profile_cache(&mut self, outcome: CacheOutcome) {
-        self.profile_cache = Some(outcome);
-    }
-
-    /// Backdates the wall-clock origin to `at` — platforms call this so
-    /// the reported time covers profiling done before the engine (and
-    /// this collector) existed.
-    pub fn mark_started(&mut self, at: Instant) {
-        self.started = at;
     }
 
     /// Records a completed request with its five-way latency
@@ -666,7 +616,7 @@ impl Collector {
         cold: SimDuration,
         parts: LatencyParts,
     ) {
-        let f = &mut self.functions[function];
+        let f = &mut self.report.functions[function];
         let latency = queue + exec;
         f.completed += 1;
         f.latency_ms.add(latency.as_millis_f64());
@@ -698,7 +648,7 @@ impl Collector {
         if n == 0 {
             return;
         }
-        let f = &mut self.functions[function];
+        let f = &mut self.report.functions[function];
         let (execution, interference) = LatencyParts::split_exec(exec, exec_base);
         f.breakdown.execution_ms.add_n(execution.as_millis_f64(), n);
         f.breakdown
@@ -708,44 +658,16 @@ impl Collector {
         *f.per_batch_completed.entry(batch_setting).or_insert(0) += n;
     }
 
-    /// Folds one tick's gauge readings into the run's time-series
-    /// summary (see `Engine::sample_telemetry`).
-    pub fn observe_gauges(
-        &mut self,
-        instances: u64,
-        cpu_occupancy: f64,
-        gpu_occupancy: f64,
-        queue_depth: u64,
-        in_flight_batches: u64,
-    ) {
-        self.timeseries.observe(
-            instances,
-            cpu_occupancy,
-            gpu_occupancy,
-            queue_depth,
-            in_flight_batches,
-        );
-    }
-
-    /// Records a dropped request.
-    pub fn drop_request(&mut self, function: usize) {
-        self.functions[function].dropped += 1;
-    }
-
     /// Records an instance launch.
     pub fn launch(&mut self, function: usize, config: InstanceConfig, kind: StartupKind) {
-        self.launches += 1;
+        let r = &mut self.report;
+        r.launches += 1;
         match kind {
-            StartupKind::Cold => self.cold_launches += 1,
-            StartupKind::PreWarmed => self.prewarmed_launches += 1,
-            StartupKind::SwapIn => self.swap_launches += 1,
+            StartupKind::Cold => r.cold_launches += 1,
+            StartupKind::PreWarmed => r.prewarmed_launches += 1,
+            StartupKind::SwapIn => r.swap_launches += 1,
         }
-        *self.config_launches.entry((function, config)).or_insert(0) += 1;
-    }
-
-    /// Records an instance retirement.
-    pub fn retire(&mut self) {
-        self.retirements += 1;
+        *r.config_launches.entry((function, config)).or_insert(0) += 1;
     }
 
     /// Adjusts `function`'s allocated-resource step functions at time
@@ -763,95 +685,25 @@ impl Collector {
         self.usage[function].weighted_busy.add(t, weighted);
     }
 
-    /// Samples the cluster fragment ratio.
-    pub fn fragment_sample(&mut self, ratio: f64) {
-        self.fragment_samples.add(ratio);
-    }
-
-    /// Records the wall-clock cost of one `Schedule()` invocation.
-    pub fn sched_overhead(&mut self, micros: f64) {
-        self.sched_overhead_hist_us.add(micros);
-    }
-
-    /// Records the wall-clock cost of one sampled dispatch decision,
-    /// nanoseconds. Routers sample (e.g. every 64th dispatch) so the
-    /// timing itself stays off the hot path; wall-clock readings never
-    /// influence simulated state, so sampling cannot perturb a run.
-    pub fn dispatch_overhead(&mut self, nanos: f64) {
-        self.dispatch_overhead_ns.add(nanos);
-    }
-
-    /// Appends a provisioning-timeline point.
-    pub fn provision_point(&mut self, t: SimTime, weighted_in_use: f64) {
-        self.provisioning.push((t.as_secs_f64(), weighted_in_use));
-    }
-
-    /// Current allocated weighted resources (step-function value),
-    /// summed across functions in function-major order.
-    pub fn current_weighted_usage(&self) -> f64 {
-        self.usage.iter().map(|u| u.weighted_usage.current()).sum()
-    }
-
-    /// Read access to the failure tallies so far (platforms use this to
-    /// assert invariants mid-run in tests).
-    pub fn failures(&self) -> &FailureReport {
-        &self.failures
-    }
-
-    /// Records an applied whole-server crash.
-    pub fn server_crash(&mut self) {
-        self.failures.server_crashes += 1;
-    }
-
-    /// Records a server completing recovery (back to `Up`).
-    pub fn server_recovered(&mut self) {
-        self.failures.server_recoveries += 1;
-    }
-
     /// Records an instance killed by a fault. `was_starting` marks a
     /// cold-start failure (the victim had not finished booting).
     pub fn instance_killed(&mut self, was_starting: bool) {
-        self.failures.instances_killed += 1;
+        let f = &mut self.report.failures;
+        f.instances_killed += 1;
         if was_starting {
-            self.failures.coldstart_failures += 1;
+            f.coldstart_failures += 1;
         }
-    }
-
-    /// Records an injected straggler episode.
-    pub fn straggler(&mut self) {
-        self.failures.stragglers += 1;
-    }
-
-    /// Records a batch that executed under a straggler slowdown.
-    pub fn straggled_batch(&mut self) {
-        self.failures.straggled_batches += 1;
-    }
-
-    /// Records `n` requests displaced from killed instances.
-    pub fn displaced(&mut self, n: u64) {
-        self.failures.requests_displaced += n;
-    }
-
-    /// Records a displaced request successfully re-dispatched.
-    pub fn retried(&mut self) {
-        self.failures.requests_retried += 1;
     }
 
     /// Records a displaced request shed. Also tallies it as dropped for
     /// `function`, so SLO violation rates account for shed load.
     pub fn shed(&mut self, function: usize) {
-        self.failures.requests_shed += 1;
-        self.functions[function].dropped += 1;
-    }
-
-    /// Records one time-to-recapacity sample (fault until replacement
-    /// capacity ready), milliseconds.
-    pub fn recapacity_sample(&mut self, ms: f64) {
-        self.failures.recapacity_ms.push(ms);
+        self.report.failures.requests_shed += 1;
+        self.report.functions[function].dropped += 1;
     }
 
     fn llm_stats(&mut self, function: usize) -> &mut LlmFunctionStats {
-        self.functions[function]
+        self.report.functions[function]
             .llm
             .get_or_insert_with(LlmFunctionStats::default)
     }
@@ -891,23 +743,6 @@ impl Collector {
         self.llm_stats(function).cache_full_events += 1;
     }
 
-    /// Books KV-cache bytes allocated (prompt KV at admission, one
-    /// token's worth per decode step).
-    pub fn kv_alloc(&mut self, bytes: u64) {
-        self.kv_allocated_bytes += bytes;
-    }
-
-    /// Books KV-cache bytes freed (completion or displacement).
-    pub fn kv_free(&mut self, bytes: u64) {
-        self.kv_freed_bytes += bytes;
-    }
-
-    /// Books KV-cache bytes still resident in live episodes at the
-    /// horizon (called once at freeze time by the engine).
-    pub fn kv_resident(&mut self, bytes: u64) {
-        self.kv_resident_bytes += bytes;
-    }
-
     /// Folds a shard's collector into this one (the coordinator's, by
     /// convention shard 0's).
     ///
@@ -916,96 +751,104 @@ impl Collector {
     /// wholesale (a function runs on exactly one shard, so this
     /// collector's entries for them are untouched defaults). Scalar
     /// counters, failure tallies, per-config launch counts and the
-    /// overhead recordings are summed or merged; coordinator-owned
-    /// streams (fragment samples, provisioning timeline, time-series
-    /// gauges) are only ever written on the coordinator's collector, so
-    /// the shard side contributes nothing there.
+    /// overhead recordings are summed or merged. Every report field is
+    /// named, so a field added later does not compile until its merge
+    /// rule is written here. Fields bound to `_` are the ones
+    /// [`finish`](Self::finish) computes, the platform-wide constants,
+    /// and the coordinator-owned streams (fragment samples,
+    /// provisioning timeline, time-series gauges, chains), which only
+    /// the coordinator's collector ever writes.
     pub fn absorb(&mut self, other: Collector, owned: &[usize]) {
-        debug_assert_eq!(self.functions.len(), other.functions.len());
+        let RunReport {
+            platform: _,
+            mut functions,
+            duration: _,
+            launches,
+            cold_launches,
+            prewarmed_launches,
+            swap_launches,
+            retirements,
+            weighted_resource_seconds: _,
+            weighted_idle_seconds: _,
+            cpu_core_seconds: _,
+            gpu_pct_seconds: _,
+            fragment_samples: _,
+            sched_overhead_hist_us,
+            dispatch_overhead_ns,
+            provisioning: _,
+            config_launches,
+            chains: _,
+            wall_clock_seconds: _,
+            profile_cache: _,
+            failures,
+            timeseries_summary: _,
+            kv_allocated_bytes,
+            kv_freed_bytes,
+            kv_resident_bytes,
+        } = other.report;
+        let r = &mut self.report;
+        debug_assert_eq!(r.functions.len(), functions.len());
         for &f in owned {
-            debug_assert_eq!(self.functions[f].completed, 0);
-            self.functions[f] = other.functions[f].clone();
+            debug_assert_eq!(r.functions[f].completed, 0);
+            std::mem::swap(&mut r.functions[f], &mut functions[f]);
             self.usage[f] = other.usage[f];
         }
-        self.launches += other.launches;
-        self.cold_launches += other.cold_launches;
-        self.prewarmed_launches += other.prewarmed_launches;
-        self.swap_launches += other.swap_launches;
-        self.retirements += other.retirements;
-        self.fragment_samples.merge(&other.fragment_samples);
-        self.sched_overhead_hist_us
-            .merge(&other.sched_overhead_hist_us);
-        self.dispatch_overhead_ns.merge(&other.dispatch_overhead_ns);
-        self.provisioning.extend(other.provisioning.iter().copied());
-        for (&key, &n) in &other.config_launches {
-            *self.config_launches.entry(key).or_insert(0) += n;
+        r.launches += launches;
+        r.cold_launches += cold_launches;
+        r.prewarmed_launches += prewarmed_launches;
+        r.swap_launches += swap_launches;
+        r.retirements += retirements;
+        r.sched_overhead_hist_us.merge(&sched_overhead_hist_us);
+        r.dispatch_overhead_ns.merge(&dispatch_overhead_ns);
+        for (key, n) in config_launches {
+            *r.config_launches.entry(key).or_insert(0) += n;
         }
-        let f = &mut self.failures;
-        let g = &other.failures;
-        f.server_crashes += g.server_crashes;
-        f.server_recoveries += g.server_recoveries;
-        f.instances_killed += g.instances_killed;
-        f.coldstart_failures += g.coldstart_failures;
-        f.stragglers += g.stragglers;
-        f.straggled_batches += g.straggled_batches;
-        f.requests_displaced += g.requests_displaced;
-        f.requests_retried += g.requests_retried;
-        f.requests_shed += g.requests_shed;
-        f.recapacity_ms.extend(g.recapacity_ms.iter().copied());
-        self.kv_allocated_bytes += other.kv_allocated_bytes;
-        self.kv_freed_bytes += other.kv_freed_bytes;
-        self.kv_resident_bytes += other.kv_resident_bytes;
+        let FailureReport {
+            server_crashes,
+            server_recoveries,
+            instances_killed,
+            coldstart_failures,
+            stragglers,
+            straggled_batches,
+            requests_displaced,
+            requests_retried,
+            requests_shed,
+            recapacity_ms,
+        } = failures;
+        let f = &mut r.failures;
+        f.server_crashes += server_crashes;
+        f.server_recoveries += server_recoveries;
+        f.instances_killed += instances_killed;
+        f.coldstart_failures += coldstart_failures;
+        f.stragglers += stragglers;
+        f.straggled_batches += straggled_batches;
+        f.requests_displaced += requests_displaced;
+        f.requests_retried += requests_retried;
+        f.requests_shed += requests_shed;
+        f.recapacity_ms.extend(recapacity_ms);
+        r.kv_allocated_bytes += kv_allocated_bytes;
+        r.kv_freed_bytes += kv_freed_bytes;
+        r.kv_resident_bytes += kv_resident_bytes;
     }
 
-    /// Freezes the collector into a report covering `[0, end]`.
-    pub fn finish(self, end: SimTime) -> RunReport {
+    /// Freezes the collector into a report covering `[0, end]`: fills
+    /// in the span, the four resource integrals and the wall clock.
+    pub fn finish(mut self, end: SimTime) -> RunReport {
         // Function-major sums keep the f64 accumulation order a pure
         // function of the function list, not of shard layout.
-        let usage: f64 = self
-            .usage
-            .iter()
-            .map(|u| u.weighted_usage.integral_until(end))
-            .sum();
-        let busy: f64 = self
-            .usage
-            .iter()
-            .map(|u| u.weighted_busy.integral_until(end))
-            .sum();
-        RunReport {
-            platform: self.platform,
-            functions: self.functions,
-            duration: end - SimTime::ZERO,
-            launches: self.launches,
-            cold_launches: self.cold_launches,
-            prewarmed_launches: self.prewarmed_launches,
-            swap_launches: self.swap_launches,
-            retirements: self.retirements,
-            weighted_resource_seconds: usage,
-            weighted_idle_seconds: (usage - busy).max(0.0),
-            cpu_core_seconds: self
-                .usage
-                .iter()
-                .map(|u| u.cpu_usage.integral_until(end))
-                .sum(),
-            gpu_pct_seconds: self
-                .usage
-                .iter()
-                .map(|u| u.gpu_usage.integral_until(end))
-                .sum(),
-            fragment_samples: self.fragment_samples,
-            sched_overhead_hist_us: self.sched_overhead_hist_us,
-            dispatch_overhead_ns: self.dispatch_overhead_ns,
-            provisioning: self.provisioning,
-            config_launches: self.config_launches,
-            chains: Vec::new(),
-            wall_clock_seconds: self.started.elapsed().as_secs_f64(),
-            profile_cache: self.profile_cache,
-            failures: self.failures,
-            timeseries_summary: self.timeseries,
-            kv_allocated_bytes: self.kv_allocated_bytes,
-            kv_freed_bytes: self.kv_freed_bytes,
-            kv_resident_bytes: self.kv_resident_bytes,
-        }
+        let integral = |g: fn(&ResourceUsage) -> &TimeWeighted| -> f64 {
+            self.usage.iter().map(|u| g(u).integral_until(end)).sum()
+        };
+        let usage = integral(|u| &u.weighted_usage);
+        let busy = integral(|u| &u.weighted_busy);
+        let r = &mut self.report;
+        r.duration = end - SimTime::ZERO;
+        r.weighted_resource_seconds = usage;
+        r.weighted_idle_seconds = (usage - busy).max(0.0);
+        r.cpu_core_seconds = integral(|u| &u.cpu_usage);
+        r.gpu_pct_seconds = integral(|u| &u.gpu_usage);
+        r.wall_clock_seconds = self.started.elapsed().as_secs_f64();
+        self.report
     }
 }
 
@@ -1015,15 +858,9 @@ mod tests {
     use infless_models::ResourceConfig;
 
     /// Records a completion with no gateway delay and no interference:
-    /// the whole wait before `cold` is batch-wait.
-    fn record_completion(
-        c: &mut Collector,
-        function: usize,
-        queue: SimDuration,
-        exec: SimDuration,
-        cold: SimDuration,
-        batch_setting: u32,
-    ) {
+    /// the whole wait before `cold` is batch-wait. Times in ms.
+    fn record_completion(c: &mut Collector, function: usize, ms: [u64; 3], batch_setting: u32) {
+        let [queue, exec, cold] = ms.map(SimDuration::from_millis);
         let parts = LatencyParts::derive(queue, exec, cold, SimDuration::ZERO, exec);
         c.complete_with_parts(function, queue, exec, cold, batch_setting, parts);
     }
@@ -1041,22 +878,8 @@ mod tests {
     #[test]
     fn completion_classifies_violations() {
         let mut c = collector();
-        record_completion(
-            &mut c,
-            0,
-            SimDuration::from_millis(30),
-            SimDuration::from_millis(40),
-            SimDuration::ZERO,
-            4,
-        ); // 70ms <= 100ms: ok
-        record_completion(
-            &mut c,
-            0,
-            SimDuration::from_millis(90),
-            SimDuration::from_millis(40),
-            SimDuration::from_millis(50),
-            4,
-        ); // 130ms > 100ms: violation, cold
+        record_completion(&mut c, 0, [30, 40, 0], 4); // 70ms <= 100ms: ok
+        record_completion(&mut c, 0, [90, 40, 50], 4); // 130ms > 100ms: violation, cold
         let r = c.finish(SimTime::from_secs(10));
         let f = &r.functions[0];
         assert_eq!(f.completed, 2);
@@ -1070,15 +893,8 @@ mod tests {
     #[test]
     fn drops_count_as_violations() {
         let mut c = collector();
-        record_completion(
-            &mut c,
-            1,
-            SimDuration::from_millis(10),
-            SimDuration::from_millis(10),
-            SimDuration::ZERO,
-            1,
-        );
-        c.drop_request(1);
+        record_completion(&mut c, 1, [10, 10, 0], 1);
+        c.report.functions[1].dropped += 1;
         let r = c.finish(SimTime::from_secs(1));
         assert_eq!(r.total_dropped(), 1);
         assert_eq!(r.violation_rate(), 0.5);
@@ -1090,14 +906,7 @@ mod tests {
         c.usage_delta(0, SimTime::ZERO, 10.0, 2.0, 20.0);
         c.usage_delta(0, SimTime::from_secs(5), -10.0, -2.0, -20.0);
         for _ in 0..50 {
-            record_completion(
-                &mut c,
-                0,
-                SimDuration::from_millis(1),
-                SimDuration::from_millis(1),
-                SimDuration::ZERO,
-                1,
-            );
+            record_completion(&mut c, 0, [1, 1, 0], 1);
         }
         let r = c.finish(SimTime::from_secs(10));
         assert_eq!(r.weighted_resource_seconds, 50.0);
@@ -1126,7 +935,7 @@ mod tests {
         c.launch(0, cfg, StartupKind::PreWarmed);
         c.launch(1, cfg, StartupKind::Cold);
         c.launch(1, cfg, StartupKind::SwapIn);
-        c.retire();
+        c.report.retirements += 1;
         let r = c.finish(SimTime::from_secs(1));
         assert_eq!(r.launches, 4);
         assert_eq!(r.cold_launches, 2);
@@ -1143,14 +952,7 @@ mod tests {
         let mut c = collector();
         c.usage_delta(0, SimTime::ZERO, 0.0, 10.0, 150.0);
         for _ in 0..500 {
-            record_completion(
-                &mut c,
-                0,
-                SimDuration::ZERO,
-                SimDuration::from_millis(1),
-                SimDuration::ZERO,
-                1,
-            );
+            record_completion(&mut c, 0, [0, 1, 0], 1);
         }
         let r = c.finish(SimTime::from_secs(10));
         assert!((r.cpus_per_100rps() - 20.0).abs() < 1e-9);
@@ -1158,7 +960,8 @@ mod tests {
     }
 
     /// Sharded runs fold per-shard collectors into the coordinator's:
-    /// per-function state moves wholesale, scalar tallies sum.
+    /// per-function state moves wholesale, and every field `absorb`
+    /// sums or merges reaches the report from the shard side.
     #[test]
     fn absorb_merges_shard_collectors() {
         let cfg = InstanceConfig::new(2, ResourceConfig::new(1, 10));
@@ -1166,33 +969,38 @@ mod tests {
         let mut c0 = collector();
         c0.usage_delta(0, SimTime::ZERO, 2.0, 1.0, 10.0);
         c0.launch(0, cfg, StartupKind::Cold);
-        record_completion(
-            &mut c0,
-            0,
-            SimDuration::from_millis(10),
-            SimDuration::from_millis(10),
-            SimDuration::ZERO,
-            2,
-        );
+        record_completion(&mut c0, 0, [10, 10, 0], 2);
+        c0.report.sched_overhead_hist_us.add(3.0);
+        c0.report.failures.server_crashes += 1;
         let mut c1 = collector();
         c1.usage_delta(1, SimTime::ZERO, 3.0, 2.0, 0.0);
         c1.launch(1, cfg, StartupKind::PreWarmed);
-        record_completion(
-            &mut c1,
-            1,
-            SimDuration::from_millis(100),
-            SimDuration::from_millis(10),
-            SimDuration::ZERO,
-            1,
-        );
+        c1.launch(1, cfg, StartupKind::SwapIn);
+        record_completion(&mut c1, 1, [100, 10, 0], 1);
         c1.shed(1);
-        c1.recapacity_sample(40.0);
+        c1.instance_killed(true);
+        let s = &mut c1.report;
+        s.retirements += 1;
+        s.sched_overhead_hist_us.add(5.0);
+        s.dispatch_overhead_ns.add(700.0);
+        s.kv_allocated_bytes += 96;
+        s.kv_freed_bytes += 64;
+        s.kv_resident_bytes += 32;
+        let f = &mut s.failures;
+        f.server_crashes += 1;
+        f.server_recoveries += 1;
+        f.stragglers += 1;
+        f.straggled_batches += 2;
+        f.requests_displaced += 3;
+        f.requests_retried += 2;
+        f.recapacity_ms.push(40.0);
         c0.absorb(c1, &[1]);
-        assert_eq!(c0.current_weighted_usage(), 5.0);
         let r = c0.finish(SimTime::from_secs(10));
-        assert_eq!(r.launches, 2);
+        assert_eq!(r.launches, 3);
         assert_eq!(r.cold_launches, 1);
         assert_eq!(r.prewarmed_launches, 1);
+        assert_eq!(r.swap_launches, 1);
+        assert_eq!(r.retirements, 1);
         assert_eq!(r.total_completed(), 2);
         assert_eq!(r.functions[1].completed, 1);
         assert_eq!(r.functions[1].violations, 1);
@@ -1200,27 +1008,45 @@ mod tests {
         assert_eq!(r.weighted_resource_seconds, 50.0);
         assert_eq!(r.cpu_core_seconds, 30.0);
         assert_eq!(r.gpu_pct_seconds, 100.0);
-        assert_eq!(r.failures.requests_shed, 1);
-        assert_eq!(r.failures.recapacity_ms, vec![40.0]);
+        let expected = FailureReport {
+            server_crashes: 2,
+            server_recoveries: 1,
+            instances_killed: 1,
+            coldstart_failures: 1,
+            stragglers: 1,
+            straggled_batches: 2,
+            requests_displaced: 3,
+            requests_retried: 2,
+            requests_shed: 1,
+            recapacity_ms: vec![40.0],
+        };
+        assert_eq!(r.failures, expected);
+        assert_eq!(
+            (r.kv_allocated_bytes, r.kv_freed_bytes, r.kv_resident_bytes),
+            (96, 64, 32)
+        );
         assert_eq!(r.config_launches[&(0, cfg)], 1);
-        assert_eq!(r.config_launches[&(1, cfg)], 1);
+        assert_eq!(r.config_launches[&(1, cfg)], 2);
+        assert_eq!(r.sched_overhead_hist_us.len(), 2);
+        assert_eq!(r.sched_overhead_hist_us.max(), Some(5.0));
+        assert_eq!(r.dispatch_overhead_ns.len(), 1);
+        assert_eq!(r.dispatch_overhead_ns.max(), Some(700.0));
     }
 
     #[test]
     fn failure_counters_feed_the_report() {
         let mut c = collector();
-        c.server_crash();
         c.instance_killed(false);
         c.instance_killed(true);
-        c.straggler();
-        c.straggled_batch();
-        c.displaced(3);
-        c.retried();
-        c.retried();
         c.shed(0);
-        c.recapacity_sample(120.0);
-        c.recapacity_sample(80.0);
-        c.server_recovered();
+        let f = &mut c.report.failures;
+        f.server_crashes += 1;
+        f.stragglers += 1;
+        f.straggled_batches += 1;
+        f.requests_displaced += 3;
+        f.requests_retried += 2;
+        f.recapacity_ms.extend([120.0, 80.0]);
+        f.server_recoveries += 1;
         let r = c.finish(SimTime::from_secs(1));
         let f = &r.failures;
         assert!(f.any());
@@ -1263,14 +1089,7 @@ mod tests {
     fn latency_percentiles_hold_the_histogram_bound() {
         let mut c = collector();
         for i in 1..=100u64 {
-            record_completion(
-                &mut c,
-                0,
-                SimDuration::from_millis(i),
-                SimDuration::ZERO,
-                SimDuration::ZERO,
-                1,
-            );
+            record_completion(&mut c, 0, [i, 0, 0], 1);
         }
         let r = c.finish(SimTime::from_secs(10));
         let f = &r.functions[0];
@@ -1304,8 +1123,8 @@ mod tests {
     #[test]
     fn observed_gauges_reach_the_report() {
         let mut c = collector();
-        c.observe_gauges(4, 0.5, 0.25, 7, 2);
-        c.observe_gauges(6, 0.75, 0.5, 3, 1);
+        c.report.timeseries_summary.observe(4, 0.5, 0.25, 7, 2);
+        c.report.timeseries_summary.observe(6, 0.75, 0.5, 3, 1);
         let r = c.finish(SimTime::from_secs(1));
         let t = &r.timeseries_summary;
         assert!(t.any());

@@ -118,6 +118,13 @@ impl ColdStartConfig {
     }
 }
 
+/// Sliding window of the per-function RPS monitor.
+const MONITOR_WINDOW: SimDuration = SimDuration::from_secs(10);
+
+/// Minimum spacing between emergency (drop-triggered) scale-outs per
+/// function.
+const EMERGENCY_BACKOFF: SimDuration = SimDuration::from_millis(200);
+
 /// INFless configuration: the §3 defaults plus the ablation switches
 /// used by the Fig. 11 component analysis.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -133,11 +140,6 @@ pub struct InflessConfig {
     pub scheduler: SchedulerConfig,
     /// Auto-scaler invocation period.
     pub scaler_period: SimDuration,
-    /// Sliding window for the RPS monitor.
-    pub monitor_window: SimDuration,
-    /// Minimum spacing between emergency (drop-triggered) scale-outs
-    /// per function.
-    pub emergency_backoff: SimDuration,
     /// How chain end-to-end SLOs are divided across stages.
     pub chain_split: ChainSplit,
     /// Hardware calibration override (testbed defaults otherwise) —
@@ -164,8 +166,6 @@ impl Default for InflessConfig {
             cop_offset: DEFAULT_OFFSET,
             scheduler: SchedulerConfig::default(),
             scaler_period: SimDuration::from_secs(1),
-            monitor_window: SimDuration::from_secs(10),
-            emergency_backoff: SimDuration::from_millis(200),
             chain_split: ChainSplit::default(),
             hardware: HardwareCalibration::default(),
             residency: ResidencyConfig::default(),
@@ -417,8 +417,8 @@ impl InflessPlatform {
             engine.enable_device_memory();
         }
         engine.apply_llm(config.llm);
-        engine.collector.mark_started(construction_started);
-        engine.collector.set_profile_cache(cache_outcome);
+        engine.collector.started = construction_started;
+        engine.collector.report.profile_cache = Some(cache_outcome);
         let fns = (0..n)
             .map(|_| FnState {
                 coldstart: config.coldstart.build(),
@@ -745,9 +745,8 @@ impl InflessPlatform {
             .dispatch
             .dispatch(|id| engine.enqueue(id, req, queue));
         if let Some(t0) = t0 {
-            engine
-                .collector
-                .dispatch_overhead(t0.elapsed().as_nanos() as f64);
+            let nanos = t0.elapsed().as_nanos() as f64;
+            engine.collector.report.dispatch_overhead_ns.add(nanos);
         }
         hit.is_some()
     }
@@ -783,7 +782,7 @@ impl InflessPlatform {
         let now = self.engine.now();
         let st = &self.fns[f];
         let has_capacity = !st.dispatch.is_empty();
-        if has_capacity && now.saturating_since(st.last_emergency) < self.config.emergency_backoff {
+        if has_capacity && now.saturating_since(st.last_emergency) < EMERGENCY_BACKOFF {
             return false;
         }
         self.fns[f].last_emergency = now;
@@ -899,33 +898,38 @@ impl InflessPlatform {
         startup: StartupKind,
         queue: &mut EventQueue<EngineEvent>,
     ) -> usize {
-        let function = self.engine.functions()[f].clone();
-        let slo = function.slo();
+        let slo = self.engine.functions()[f].slo();
         let (startup_cost, device_mb) = self.schedule_cost(f, startup);
         let decisions_on = self.engine.decisions_enabled();
         let mut trace = if decisions_on {
             let mut buf = Vec::new();
             if !self.fns[f].candidates_traced {
                 self.fns[f].candidates_traced = true;
+                let function = &self.engine.functions()[f];
                 self.scheduler
-                    .trace_candidates(&self.predictor, &function, &mut buf);
+                    .trace_candidates(&self.predictor, function, &mut buf);
             }
             Some(buf)
         } else {
             None
         };
         let wall = Instant::now();
+        let (function, cluster) = self.engine.function_and_cluster_mut(f);
         let outcome = self.scheduler.schedule_with_cost_traced(
             &self.predictor,
-            &function,
+            function,
             residual,
-            self.engine.cluster_mut(),
+            cluster,
             startup_cost,
             device_mb,
             trace.as_mut(),
         );
         let elapsed_us = wall.elapsed().as_secs_f64() * 1e6;
-        self.engine.collector.sched_overhead(elapsed_us);
+        self.engine
+            .collector
+            .report
+            .sched_overhead_hist_us
+            .add(elapsed_us);
         let launched = outcome.instances.len();
         if let Some(mut buf) = trace {
             let mut summary = DecisionEvent::new(DecisionKind::ScaleOut);
@@ -981,8 +985,7 @@ impl InflessPlatform {
         if self.engine.functions()[f].llm().is_some() {
             return residual;
         }
-        let function = self.engine.functions()[f].clone();
-        let slo = function.slo();
+        let slo = self.engine.functions()[f].slo();
         let now = self.engine.now();
         let decisions_on = self.engine.decisions_enabled();
         let entries: Vec<(InstanceId, f64)> = self.fns[f]
@@ -1004,7 +1007,7 @@ impl InflessPlatform {
             let placement = self.engine.instance(id).placement();
             let Some(cand) = self.scheduler.upgrade_candidate(
                 &self.predictor,
-                &function,
+                &self.engine.functions()[f],
                 old_cfg.resources(),
                 old_r_up,
             ) else {
@@ -1276,7 +1279,6 @@ impl InflessPlatform {
         // (commit) or rolled back bit-identically — no whole-cluster
         // clone, and no second `schedule()` call whose placements could
         // diverge from the dry run's.
-        let function = self.engine.functions()[f].clone();
         // With the tier enabled the dry run needs the startup-cost
         // term up front. The residency check refreshes keep-alive
         // windows as a side effect, so the disabled path must not run
@@ -1296,16 +1298,21 @@ impl InflessPlatform {
             .try_begin_txn()
             .expect("consolidation dry-run: a previous pass leaked an open cluster transaction");
         let wall = Instant::now();
+        let (function, cluster) = self.engine.function_and_cluster_mut(f);
         let trial = self.scheduler.schedule_with_cost(
             &self.predictor,
-            &function,
+            function,
             rps,
-            self.engine.cluster_mut(),
+            cluster,
             startup_cost,
             device_mb,
         );
         let elapsed_us = wall.elapsed().as_secs_f64() * 1e6;
-        self.engine.collector.sched_overhead(elapsed_us);
+        self.engine
+            .collector
+            .report
+            .sched_overhead_hist_us
+            .add(elapsed_us);
         if trial.unplaced_rps > rps * 0.05 || trial.instances.is_empty() {
             self.engine.cluster_mut().rollback_txn();
             if decisions_on {
@@ -1353,7 +1360,7 @@ impl InflessPlatform {
         }
         self.fns[f].last_consolidation = now;
         let startup = self.startup_kind(f);
-        let slo = function.slo();
+        let slo = self.engine.functions()[f].slo();
         let old = self.fns[f].dispatch.take_entries();
         for si in trial.instances {
             let budget = (slo - si.predicted_exec).max(SimDuration::from_millis(1));
@@ -1480,12 +1487,11 @@ impl InflessPlatform {
         {
             return false;
         }
-        let function = self.engine.functions()[f].clone();
         let old_cfg = self.engine.instance(id).config();
         let placement = self.engine.instance(id).placement();
         let Some(cand) = self.scheduler.downsize_candidate(
             &self.predictor,
-            &function,
+            &self.engine.functions()[f],
             old_cfg.resources(),
             needed,
         ) else {
@@ -1499,7 +1505,7 @@ impl InflessPlatform {
         ) else {
             return false;
         };
-        let slo = function.slo();
+        let slo = self.engine.functions()[f].slo();
         let budget = (slo - cand.predicted_exec).max(SimDuration::from_millis(1));
         let delay = self.engine.begin_resize(
             id,
@@ -1646,7 +1652,7 @@ impl InflessPlatform {
     }
 
     fn prune_monitor(&mut self, f: usize, now: SimTime) {
-        let horizon = now.saturating_sub(self.config.monitor_window);
+        let horizon = now.saturating_sub(MONITOR_WINDOW);
         let st = &mut self.fns[f];
         while let Some(&t) = st.recent_arrivals.front() {
             if t < horizon {
@@ -1659,9 +1665,7 @@ impl InflessPlatform {
 
     fn observed_rps(&mut self, f: usize, now: SimTime) -> f64 {
         self.prune_monitor(f, now);
-        let window = self
-            .config
-            .monitor_window
+        let window = MONITOR_WINDOW
             .min(now.saturating_since(SimTime::ZERO))
             .as_secs_f64()
             .max(1.0);
@@ -2455,7 +2459,7 @@ mod fault_tests {
         // not yet expired.
         let elapsed = slo - fastest.mul_f64(0.5);
         p.engine.advance(SimTime::ZERO + elapsed);
-        p.engine.collector.displaced(1);
+        p.engine.collector.report.failures.requests_displaced += 1;
         p.retry_or_shed(req, &mut queue);
 
         let report = p.engine.finish();

@@ -55,7 +55,7 @@ use infless_workload::{ArrivalSource, Workload};
 use crate::chains::{ChainReport, ChainSpec};
 use crate::driver::{self, TICK_MARGIN};
 use crate::engine::{credit_recapacity, EngineEvent, FunctionInfo, RecapacityProbes};
-use crate::metrics::RunReport;
+use crate::metrics::{FailureReport, RunReport};
 use crate::platform::{InflessConfig, InflessPlatform};
 
 /// Builder for sharded INFless runs. Holds the deployment description
@@ -160,8 +160,8 @@ impl ShardedInfless {
         shards: usize,
         mut records: Option<&mut RecordWriter>,
     ) -> RunReport {
-        let s_count = shards.max(1);
-        let (owner_of_fn, owned_by_shard) = self.partition(s_count);
+        let (owner_of_fn, owned_by_shard) = self.partition(shards);
+        let s_count = owned_by_shard.len();
 
         let mut shards_v: Vec<Shard<'_>> = (0..s_count)
             .map(|s| {
@@ -303,8 +303,10 @@ impl ShardedInfless {
     /// Chain-aware ownership: every chain is one indivisible group,
     /// every unchained function its own group; groups round-robin onto
     /// shards. The mapping depends only on the deployment, never on
-    /// runtime state.
-    fn partition(&self, s_count: usize) -> (Vec<usize>, Vec<Vec<usize>>) {
+    /// runtime state. Asking for more shards than groups yields one
+    /// shard per group (at least one), the layout any such count would
+    /// give minus its idle shards, so no shard owns nothing.
+    fn partition(&self, shards: usize) -> (Vec<usize>, Vec<Vec<usize>>) {
         let n = self.functions.len();
         let mut group_of_fn: Vec<Option<usize>> = vec![None; n];
         let mut groups = 0usize;
@@ -320,6 +322,7 @@ impl ShardedInfless {
                 groups += 1;
             }
         }
+        let s_count = shards.min(groups).max(1);
         let owner_of_fn: Vec<usize> = group_of_fn
             .iter()
             .map(|g| g.expect("every function grouped") % s_count)
@@ -384,8 +387,8 @@ impl ShardedInfless {
             // function's launches (function-major order).
             let log = shards[s].platform.engine.take_launch_log();
             for (ready_at, w) in log {
-                let collector = &mut shards[0].platform.engine.collector;
-                credit_recapacity(probes, ready_at, w, collector);
+                let samples = &mut coordinator_failures(shards).recapacity_ms;
+                credit_recapacity(probes, ready_at, w, samples);
             }
         }
 
@@ -496,7 +499,7 @@ impl ShardedInfless {
                         }
                     }
                     Self::set_health_everywhere(shards, server, ServerHealth::Down);
-                    shards[0].platform.engine.collector.server_crash();
+                    coordinator_failures(shards).server_crashes += 1;
                     if lost > 0.0 {
                         probes.push_back((t, lost));
                     }
@@ -511,7 +514,7 @@ impl ShardedInfless {
                         == ServerHealth::Recovering
                     {
                         Self::set_health_everywhere(shards, server, ServerHealth::Up);
-                        shards[0].platform.engine.collector.server_recovered();
+                        coordinator_failures(shards).server_recoveries += 1;
                     }
                 }
                 FaultEvent::InstanceKill { selector } => {
@@ -555,7 +558,7 @@ impl ShardedInfless {
                             },
                         );
                     }
-                    shards[0].platform.engine.collector.straggler();
+                    coordinator_failures(shards).stragglers += 1;
                 }
             }
         }
@@ -649,6 +652,12 @@ impl ShardedInfless {
     }
 }
 
+/// The fault tallies of the coordinator's collector (shard 0's), where
+/// every fault the barrier resolves is booked once.
+fn coordinator_failures<'s>(shards: &'s mut [Shard<'_>]) -> &'s mut FailureReport {
+    &mut shards[0].platform.engine.collector.report.failures
+}
+
 /// The last arrival across the shards' streams, once every stream is
 /// exhausted (each source then knows its own).
 fn last_arrival(shards: &[Shard<'_>]) -> SimTime {
@@ -657,4 +666,43 @@ fn last_arrival(shards: &[Shard<'_>]) -> SimTime {
         .map(|sh| sh.stream.source().last())
         .max()
         .unwrap_or(SimTime::ZERO)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::apps::Application;
+    use infless_workload::{FunctionLoad, TracePattern};
+
+    /// More shards than function groups builds one shard per group: no
+    /// shard owns nothing, and the report is the one-shard report.
+    #[test]
+    fn surplus_shards_are_not_built() {
+        let app = Application::osvt();
+        let sharded = ShardedInfless::new(
+            ClusterSpec::testbed(),
+            app.functions().to_vec(),
+            InflessConfig::default(),
+            7,
+        );
+        let (owner_of_fn, owned_by_shard) = sharded.partition(64);
+        assert_eq!(owner_of_fn, vec![0, 1, 2]);
+        assert_eq!(owned_by_shard.len(), 3);
+        assert!(owned_by_shard.iter().all(|owned| !owned.is_empty()));
+        let loads: Vec<FunctionLoad> = (0..3)
+            .map(|i| {
+                FunctionLoad::trace(
+                    TracePattern::Bursty,
+                    40.0,
+                    SimDuration::from_secs(10),
+                    7 + i,
+                )
+            })
+            .collect();
+        let w = Workload::build(&loads, 7);
+        assert_eq!(
+            sharded.run(&w, 64).canonical_json(),
+            sharded.run(&w, 1).canonical_json()
+        );
+    }
 }

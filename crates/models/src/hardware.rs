@@ -61,7 +61,7 @@ impl ResourceConfig {
     ///
     /// Panics if `cpu_cores` is zero (every instance needs a core to
     /// serve requests) or `gpu_pct` exceeds 100.
-    pub fn new(cpu_cores: u32, gpu_pct: u32) -> Self {
+    pub const fn new(cpu_cores: u32, gpu_pct: u32) -> Self {
         assert!(cpu_cores >= 1, "an instance needs at least one CPU core");
         assert!(gpu_pct <= 100, "a GPU share cannot exceed one device");
         ResourceConfig { cpu_cores, gpu_pct }
