@@ -246,6 +246,11 @@ pub struct Engine {
     /// `(ready_at, weighted capacity)` of launches since the last
     /// [`Self::take_launch_log`] drain (external recapacity mode only).
     launch_log: Vec<(SimTime, f64)>,
+    /// `(function, instance)` of each instance whose full pending batch
+    /// gained room since the owning platform last drained this, so its
+    /// router can reopen the instance. `None` (nothing logged) unless
+    /// the platform routes with a [`crate::router::DeficitRouter`].
+    pub(crate) opened: Option<Vec<(usize, InstanceId)>>,
     beta: f64,
     /// The metrics recorder (public so platforms can add their own
     /// samples, e.g. fragment ratios at scaler ticks).
@@ -591,6 +596,7 @@ impl Engine {
             device_memory: false,
             recapacity_external: false,
             launch_log: Vec::new(),
+            opened: None,
             beta,
             collector,
             records: Vec::new(),
@@ -1630,6 +1636,7 @@ impl Engine {
         let slot = self.slot_mut(id);
         let pr = slot.pending_resize.take()?;
         let old_config = slot.inst.config();
+        let was_full = slot.inst.batch_full();
         slot.inst.apply_resize(pr.new_config, pr.new_placement);
         if slot.meta.wait_budget != pr.new_wait_budget {
             // A held-back timer was only known not to matter under the
@@ -1644,6 +1651,7 @@ impl Engine {
         }
         slot.meta.wait_budget = pr.new_wait_budget;
         let function = slot.inst.function().raw();
+        self.note_room(id, was_full);
         let (w_old, c_old, g_old) = self.weights(old_config);
         let (w_new, c_new, g_new) = self.weights(pr.new_config);
         self.collector.usage_delta(
@@ -2124,6 +2132,23 @@ impl Engine {
         }
     }
 
+    /// Logs `id` in [`Self::opened`] if its pending batch `was_full`
+    /// and now has room: a batch took from the queue, or a resize grew
+    /// the batchsize.
+    fn note_room(&mut self, id: InstanceId, was_full: bool) {
+        if !was_full || self.opened.is_none() {
+            return;
+        }
+        let inst = &self.slot(id).inst;
+        if inst.batch_full() {
+            return;
+        }
+        let opened = (inst.function().raw(), id);
+        if let Some(log) = &mut self.opened {
+            log.push(opened);
+        }
+    }
+
     /// Starts a batch on `id` if the instance is ready and the batch is
     /// full or past its wait budget. Autoregressive functions divert to
     /// [`Self::try_start_llm`].
@@ -2145,7 +2170,8 @@ impl Engine {
             .queue_opened_at()
             .map(|t| now >= t + budget)
             .unwrap_or(false);
-        if !(inst.batch_full() || deadline_passed) {
+        let was_full = inst.batch_full();
+        if !(was_full || deadline_passed) {
             return;
         }
         let config = inst.config();
@@ -2199,6 +2225,7 @@ impl Engine {
         let until = now + exec;
         let mut batch = self.spare_batch();
         self.slot_mut(id).inst.begin_batch(now, until, &mut batch);
+        self.note_room(id, was_full);
         if self.spans_on {
             let blen = batch.len() as u32;
             let inst_ordinal = self.launch_ordinal(id);
@@ -2319,9 +2346,10 @@ impl Engine {
         let until = now + prefill;
         let n = infos.len();
         let mut batch = self.spare_batch();
-        self.slot_mut(id)
-            .inst
-            .begin_batch_of(n, now, until, &mut batch);
+        let inst = &mut self.slot_mut(id).inst;
+        let was_full = inst.batch_full();
+        inst.begin_batch_of(n, now, until, &mut batch);
+        self.note_room(id, was_full);
         debug_assert_eq!(batch.len(), n);
         let bpt = llm.kv_bytes_per_token();
         let spans_on = self.spans_on;
@@ -2528,7 +2556,10 @@ impl Engine {
                     break;
                 }
                 let mut joined = self.spare_batch();
-                self.slot_mut(id).inst.drain_queued(1, now, &mut joined);
+                let inst = &mut self.slot_mut(id).inst;
+                let was_full = inst.batch_full();
+                inst.drain_queued(1, now, &mut joined);
+                self.note_room(id, was_full);
                 debug_assert_eq!(joined.len(), 1);
                 self.recycle_batch(joined);
                 ep.reserved_tokens += need;
@@ -3023,6 +3054,47 @@ mod tests {
         // The in-flight batch finished under its formation-time config.
         assert_eq!(report.functions[0].per_batch_completed[&4], 4);
         assert_eq!(report.functions[0].per_batch_completed[&8], 8);
+    }
+
+    /// An instance is logged in `opened` exactly when its full pending
+    /// batch gains room: a grow lands past the queue, or a batch takes
+    /// from the full queue. Filling a queue logs nothing.
+    #[test]
+    fn full_batches_that_gain_room_are_logged() {
+        let (mut engine, mut queue) = engine();
+        engine.opened = Some(Vec::new());
+        // A cold start outlasts the resize, so no batch starts first.
+        let id = engine
+            .launch_anywhere(0, cfg(), StartupKind::Cold, SimDuration::MAX, &mut queue)
+            .unwrap();
+        let fill = |engine: &mut Engine, queue: &mut EventQueue<_>, n: u32| {
+            for _ in 0..n {
+                let req = engine.mint_request(0);
+                assert!(engine.enqueue(id, req, queue));
+            }
+            assert!(engine.instance(id).batch_full());
+        };
+        fill(&mut engine, &mut queue, 4);
+        assert_eq!(engine.opened, Some(vec![]));
+        let old = engine.instance(id).config();
+        let new_res = ResourceConfig::new(2, 20);
+        let placement = engine.instance(id).placement();
+        let new_placement = engine
+            .cluster_mut()
+            .try_resize(placement, old.resources(), new_res, 0.0)
+            .unwrap();
+        let new_cfg = InstanceConfig::new(8, new_res);
+        engine.begin_resize(id, new_cfg, new_placement, SimDuration::MAX, &mut queue);
+        while engine.instance(id).config() != new_cfg {
+            assert!(step(&mut engine, &mut queue), "the resize never landed");
+        }
+        assert!(engine.instance(id).is_starting(engine.now()));
+        assert_eq!(engine.opened.replace(Vec::new()), Some(vec![(0, id)]));
+        fill(&mut engine, &mut queue, 4);
+        assert_eq!(engine.opened, Some(vec![]));
+        drain(&mut engine, &mut queue);
+        assert_eq!(engine.opened, Some(vec![(0, id)]));
+        assert_eq!(engine.finish().total_completed(), 8);
     }
 
     /// The batch-latency memo returns exactly what a fresh DAG walk

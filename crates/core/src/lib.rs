@@ -88,7 +88,7 @@ pub use metrics::{
 pub use platform::{InflessConfig, InflessPlatform};
 pub use predictor::CopPredictor;
 pub use residency::ResidencyConfig;
-pub use router::{DeficitRouter, LeastLoadedScratch, RouterEntry};
+pub use router::{Admission, DeficitRouter, LeastLoadedScratch, RouterEntry};
 pub use runconfig::{RunConfig, RunConfigError};
 pub use scheduler::{PlacementStrategy, ScheduledInstance, Scheduler, SchedulerConfig};
 pub use sharded::ShardedInfless;

@@ -34,7 +34,7 @@ use crate::engine::{CompletedBatch, Engine, EngineEvent, FaultOutcome, FunctionI
 use crate::metrics::{RunReport, StartupKind};
 use crate::predictor::{CopPredictor, DEFAULT_OFFSET};
 use crate::residency::ResidencyConfig;
-use crate::router::{DeficitRouter, RouterEntry};
+use crate::router::{Admission, DeficitRouter, RouterEntry};
 use crate::scheduler::{Scheduler, SchedulerConfig};
 
 /// How the auto-scaler covers residual demand once parked capacity is
@@ -417,6 +417,7 @@ impl InflessPlatform {
             engine.enable_device_memory();
         }
         engine.apply_llm(config.llm);
+        engine.opened = Some(Vec::new());
         engine.collector.started = construction_started;
         engine.collector.report.profile_cache = Some(cache_outcome);
         let fns = (0..n)
@@ -736,14 +737,36 @@ impl InflessPlatform {
 
     /// Routes to the dispatch-set instance whose target rate is least
     /// satisfied (deficit routing, via the indexed [`DeficitRouter`]);
-    /// returns `false` if every instance's pending batch is full.
+    /// returns `false` if every instance's pending batch is full. The
+    /// routers first reopen every instance whose full batch gained
+    /// room since the last dispatch.
     fn dispatch(&mut self, f: usize, req: Request, queue: &mut EventQueue<EngineEvent>) -> bool {
         self.dispatch_tick = self.dispatch_tick.wrapping_add(1);
         let t0 = self.dispatch_tick.is_multiple_of(64).then(Instant::now);
         let engine = &mut self.engine;
-        let hit = self.fns[f]
-            .dispatch
-            .dispatch(|id| engine.enqueue(id, req, queue));
+        let opened = engine
+            .opened
+            .as_mut()
+            .expect("INFless logs opened instances");
+        for (g, id) in opened.drain(..) {
+            self.fns[g].dispatch.reopen(id);
+        }
+        #[cfg(debug_assertions)]
+        for id in self.fns[f].dispatch.closed() {
+            assert!(
+                engine.instance(id).batch_full(),
+                "the router holds {id:?} closed, but its pending batch has room"
+            );
+        }
+        let hit = self.fns[f].dispatch.dispatch(|id| {
+            if !engine.enqueue(id, req, queue) {
+                Admission::Refused
+            } else if engine.instance(id).batch_full() {
+                Admission::Filled
+            } else {
+                Admission::Queued
+            }
+        });
         if let Some(t0) = t0 {
             let nanos = t0.elapsed().as_nanos() as f64;
             engine.collector.report.dispatch_overhead_ns.add(nanos);
@@ -1745,6 +1768,65 @@ mod tests {
         assert_eq!(queue.now(), barrier);
         assert_eq!(p.engine.now(), barrier);
         assert!(queue.delivered_before(barrier, SimTime::from_millis(39)));
+    }
+
+    /// While every instance holds a full batch (here, during the cold
+    /// start, when no batch can begin), each arrival makes no offer and
+    /// is dropped, or in epoch mode deferred, as a miss always was. The
+    /// first batch starts reopen the instances, and routing resumes.
+    #[test]
+    fn arrivals_into_a_full_fleet_make_no_offers() {
+        for deferred in [false, true] {
+            let app = Application::qa_robot();
+            let mut p = InflessPlatform::new(
+                ClusterSpec::testbed(),
+                app.functions().to_vec(),
+                InflessConfig::default(),
+                17,
+            );
+            if deferred {
+                p.set_deferred_scaling();
+            }
+            let mut queue = EventQueue::new();
+            p.scale_out(0, 30.0, StartupKind::Cold, &mut queue);
+            let ids: Vec<InstanceId> = p.fns[0].dispatch.iter().map(|e| e.id).collect();
+            let capacity: u32 = ids
+                .iter()
+                .map(|&id| p.engine.instance(id).config().batch())
+                .sum();
+            for _ in 0..capacity {
+                p.deliver(0, None, &mut queue);
+            }
+            assert!(ids.iter().all(|&id| p.engine.instance(id).batch_full()));
+            assert_eq!(p.engine.collector.report.functions[0].dropped, 0);
+            assert_eq!(p.fns[0].dispatch.closed().count(), ids.len());
+
+            let offers = p.fns[0].dispatch.offers;
+            for missed in 1..=20 {
+                p.deliver(0, None, &mut queue);
+                assert_eq!(p.fns[0].dispatch.offers, offers, "a miss made an offer");
+                let (dropped, pending) = if deferred { (0, missed) } else { (missed, 0) };
+                assert_eq!(
+                    p.engine.collector.report.functions[0].dropped,
+                    dropped as u64
+                );
+                assert_eq!(p.fns[0].pending.len(), pending);
+            }
+
+            let ready = ids.iter().map(|&id| p.engine.instance(id).ready_at()).max();
+            p.engine.advance(ready.expect("instances launched"));
+            for &id in &ids {
+                p.engine.on_instance_ready(id, &mut queue);
+            }
+            let dropped = p.engine.collector.report.functions[0].dropped;
+            p.deliver(0, None, &mut queue);
+            assert_eq!(p.fns[0].dispatch.offers, offers + 1, "the root takes it");
+            assert_eq!(p.engine.collector.report.functions[0].dropped, dropped);
+            // Every instance reopened; at most the one just filled closed again.
+            let closed: Vec<InstanceId> = p.fns[0].dispatch.closed().collect();
+            assert!(closed.len() <= 1, "{closed:?} still closed");
+            assert!(closed.iter().all(|&id| p.engine.instance(id).batch_full()));
+        }
     }
 
     #[test]

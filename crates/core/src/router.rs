@@ -2,26 +2,36 @@
 //!
 //! The dispatcher (§3.2 ❷) routes every arrival to the dispatch-set
 //! instance whose target rate is least satisfied — the instance with
-//! the lowest *credit* `sent / rate`. The original implementation
-//! rebuilt and sorted a candidate `Vec` per request, an O(n log n)
-//! allocation on the hottest path in the simulator. [`DeficitRouter`]
-//! replaces it with a binary min-heap of cached credits:
+//! the lowest *credit* `sent / rate` — among the instances whose
+//! pending batch has room. The original implementation rebuilt and
+//! sorted a candidate `Vec` per request, an O(n log n) allocation on
+//! the hottest path in the simulator. [`DeficitRouter`] replaces it
+//! with a binary min-heap of cached credits over the instances that
+//! can take a request:
 //!
 //! * **One division and one sift-down per dispatch, no allocation.**
 //!   Heap slots hold `(credit, entry index)` packed into one integer,
 //!   so a comparison is one integer compare and never divides. The
-//!   router offers slots best-first: the root, then the least key on a
-//!   frontier of the refused slots' children. A refusal (pending batch
-//!   full) leaves the heap untouched. The accepting slot is charged in
-//!   place (`sent += 1`, key recomputed); a credit only grows, so one
-//!   sift-down from that slot restores the heap.
-//! * **Identical routing order.** `(credit, insertion index)` is a
-//!   strict total order, the order a stable sort by credit produces,
-//!   and a child's key is never below its parent's, so the walk offers
-//!   instances in exactly ascending key order. A cached key comes from
-//!   the same `sent / rate` expression as a fresh one, so it is
-//!   bit-equal to it. Routing matches the straightforward reference
-//!   implementation offer for offer (pinned by a property test).
+//!   router offers the root. An accepting root is charged in place
+//!   (`sent += 1`, key recomputed); a credit only grows, so one
+//!   sift-down restores the heap.
+//! * **Full instances leave the heap.** An entry is *closed* while its
+//!   instance holds a full pending batch. A root whose acceptance
+//!   fills the batch ([`Admission::Filled`]) is closed instead of
+//!   re-keyed, and a refusal means the instance is full, so the
+//!   refused root is closed and the next root offered. Each entry is
+//!   closed at most once per fill, so a refusal costs one heap pop,
+//!   and a dispatch with every instance full finds an empty heap in
+//!   O(1). The owner calls [`DeficitRouter::reopen`] when the batch
+//!   drains or grows; the entry goes back under its current key.
+//! * **Identical routing.** `(credit, insertion index)` is a strict
+//!   total order, the order a stable sort by credit produces. A closed
+//!   entry would have refused, and its credit does not change while it
+//!   is closed, so the root is exactly the first instance with room in
+//!   that order. A cached key comes from the same `sent / rate`
+//!   expression as a fresh one, so it is bit-equal to it. Routing
+//!   matches the straightforward reference implementation winner for
+//!   winner (pinned by a property test over a queue-capacity model).
 //!
 //! Credit staleness fix: credits are *relative* — an entry added to a
 //! set whose veterans carry large `sent` counters would have credit 0
@@ -29,9 +39,6 @@
 //! therefore resets every credit to zero whenever the dispatch-set
 //! membership changes (push, removal, restore), so routing always
 //! tracks the *current* target rates rather than stale history.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use infless_cluster::InstanceId;
 use infless_sim::SimDuration;
@@ -62,6 +69,29 @@ impl RouterEntry {
     }
 }
 
+/// An instance's answer to one offered request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Admission {
+    /// The pending batch is full; the request was not taken.
+    Refused,
+    /// Queued, with room left in the pending batch.
+    Queued,
+    /// Queued, and the pending batch is now full.
+    Filled,
+}
+
+impl From<bool> for Admission {
+    /// `true` (accepted) reads as [`Admission::Queued`]: an answer that
+    /// says nothing about fullness leaves the entry open.
+    fn from(accepted: bool) -> Self {
+        if accepted {
+            Admission::Queued
+        } else {
+            Admission::Refused
+        }
+    }
+}
+
 /// A heap slot: an entry's cached credit bits above its index in
 /// `entries`, so integer order is the strict `(credit, index)` order.
 type Key = u128;
@@ -88,15 +118,18 @@ fn index(key: Key) -> usize {
 pub struct DeficitRouter {
     /// Entries in insertion order (the tie-break order).
     entries: Vec<RouterEntry>,
-    /// Binary min-heap of packed keys over the positive-rate entries.
+    /// Indices of the closed entries (their instance holds a full
+    /// pending batch), in no order. Closed entries are not in the heap.
+    closed: Vec<u32>,
+    /// Binary min-heap of packed keys over the open positive-rate
+    /// entries.
     heap: Vec<Key>,
-    /// The best-first walk's frontier during a dispatch: `(key, slot)`
-    /// of the refused slots' children, least key first. Reused across
-    /// calls.
-    frontier: BinaryHeap<Reverse<(Key, usize)>>,
     /// When set, the heap is rebuilt lazily before the next dispatch
     /// (membership or rate changes invalidate it wholesale).
     dirty: bool,
+    /// Instances offered a request, across every dispatch.
+    #[cfg(test)]
+    pub(crate) offers: u64,
 }
 
 impl DeficitRouter {
@@ -120,8 +153,14 @@ impl DeficitRouter {
         self.entries.iter()
     }
 
-    /// Adds an instance to the dispatch set. Membership changed, so
-    /// every credit resets — see the module docs.
+    /// The instances of the closed entries: those that filled or
+    /// refused and have not been reopened since.
+    pub fn closed(&self) -> impl Iterator<Item = InstanceId> + '_ {
+        self.closed.iter().map(|&i| self.entries[i as usize].id)
+    }
+
+    /// Adds an instance to the dispatch set, open. Membership changed,
+    /// so every credit resets — see the module docs.
     pub fn push(&mut self, entry: RouterEntry) {
         self.entries.push(entry);
         self.reset_credits();
@@ -135,6 +174,12 @@ impl DeficitRouter {
     /// Panics if `index` is out of bounds.
     pub fn remove_at(&mut self, index: usize) -> RouterEntry {
         let e = self.entries.remove(index);
+        self.closed.retain(|&i| i as usize != index);
+        for i in &mut self.closed {
+            if *i as usize > index {
+                *i -= 1;
+            }
+        }
         self.reset_credits();
         e
     }
@@ -146,12 +191,26 @@ impl DeficitRouter {
         Some(self.remove_at(pos))
     }
 
-    /// Keeps only the entries matching `pred` (insertion order
-    /// preserved). Credits reset if anything was dropped.
-    pub fn retain(&mut self, pred: impl FnMut(&RouterEntry) -> bool) {
+    /// Keeps only the entries matching `pred` (insertion order and
+    /// closed marks preserved). Credits reset if anything was dropped.
+    pub fn retain(&mut self, mut pred: impl FnMut(&RouterEntry) -> bool) {
         let before = self.entries.len();
-        self.entries.retain(pred);
-        if self.entries.len() != before {
+        let mut kept = 0;
+        for i in 0..before {
+            // A renamed mark is below `i`, so it is never found again.
+            let closed = self.closed.iter().position(|&c| c as usize == i);
+            if pred(&self.entries[i]) {
+                self.entries[kept] = self.entries[i];
+                if let Some(pos) = closed {
+                    self.closed[pos] = kept as u32;
+                }
+                kept += 1;
+            } else if let Some(pos) = closed {
+                self.closed.swap_remove(pos);
+            }
+        }
+        if kept != before {
+            self.entries.truncate(kept);
             self.reset_credits();
         }
     }
@@ -159,12 +218,14 @@ impl DeficitRouter {
     /// Takes the whole dispatch set out (consolidation), leaving the
     /// router empty but with its buffers intact.
     pub fn take_entries(&mut self) -> Vec<RouterEntry> {
+        self.closed.clear();
         self.dirty = true;
         std::mem::take(&mut self.entries)
     }
 
     /// Applies controller re-tuning (rates, credit zeroing) to the
-    /// entries in insertion order, then re-indexes.
+    /// entries in insertion order, then re-indexes. Closed entries stay
+    /// closed: a retune does not drain a queue.
     pub fn retune(&mut self, f: impl FnOnce(&mut [RouterEntry])) {
         f(&mut self.entries);
         self.dirty = true;
@@ -178,43 +239,67 @@ impl DeficitRouter {
         self.dirty = true;
     }
 
-    /// Routes one request: offers instances in ascending credit order
-    /// (ties: insertion order) until `try_enqueue` accepts one, charges
-    /// that instance's deficit counter, and returns its id. Returns
-    /// `None` when every positive-rate instance refuses (pending batch
-    /// full); the heap is then unchanged.
-    pub fn dispatch(
+    /// Puts `id`'s entry back in the heap under its current key — its
+    /// instance's full pending batch gained room. No-op when the router
+    /// holds no closed entry for `id`.
+    pub fn reopen(&mut self, id: InstanceId) {
+        let entries = &self.entries;
+        let Some(pos) = self
+            .closed
+            .iter()
+            .position(|&i| entries[i as usize].id == id)
+        else {
+            return;
+        };
+        let i = self.closed.swap_remove(pos);
+        let e = &self.entries[i as usize];
+        if !self.dirty && e.rate > 0.0 {
+            self.heap.push(key(e.credit(), i));
+            self.sift_up(self.heap.len() - 1);
+        }
+    }
+
+    /// Routes one request: offers the open instance with the least
+    /// credit (ties: insertion order) until one takes it, charges that
+    /// instance's deficit counter, and returns its id. A refusing
+    /// instance, or one the request filled, is closed until
+    /// [`Self::reopen`]. Returns `None` when every positive-rate
+    /// instance is closed or refuses.
+    pub fn dispatch<A: Into<Admission>>(
         &mut self,
-        mut try_enqueue: impl FnMut(InstanceId) -> bool,
+        mut try_enqueue: impl FnMut(InstanceId) -> A,
     ) -> Option<InstanceId> {
         if self.dirty {
             self.rebuild();
         }
-        self.frontier.clear();
-        let mut slot = 0;
-        let mut next = *self.heap.first()?;
         loop {
-            let i = index(next);
+            let i = index(*self.heap.first()?);
             let e = &mut self.entries[i];
             let id = e.id;
-            if try_enqueue(id) {
-                e.sent += 1;
-                self.heap[slot] = key(e.credit(), i as u32);
-                self.sift_down(slot);
-                return Some(id);
+            #[cfg(test)]
+            {
+                self.offers += 1;
             }
-            for child in [2 * slot + 1, 2 * slot + 2] {
-                if let Some(&k) = self.heap.get(child) {
-                    self.frontier.push(Reverse((k, child)));
+            match try_enqueue(id).into() {
+                Admission::Queued => {
+                    e.sent += 1;
+                    self.heap[0] = key(e.credit(), i as u32);
+                    self.sift_down(0);
+                    return Some(id);
                 }
+                Admission::Filled => {
+                    e.sent += 1;
+                    self.close_root();
+                    return Some(id);
+                }
+                Admission::Refused => self.close_root(),
             }
-            Reverse((next, slot)) = self.frontier.pop()?;
         }
     }
 
     // --- heap internals ----------------------------------------------------
 
-    /// Recomputes every positive-rate key and heapifies bottom-up.
+    /// Recomputes every open positive-rate key and heapifies bottom-up.
     fn rebuild(&mut self) {
         self.heap.clear();
         self.heap.extend(
@@ -224,10 +309,23 @@ impl DeficitRouter {
                 .filter(|(_, e)| e.rate > 0.0)
                 .map(|(i, e)| key(e.credit(), i as u32)),
         );
+        if !self.closed.is_empty() {
+            let closed = &self.closed;
+            self.heap.retain(|&k| !closed.contains(&(index(k) as u32)));
+        }
         for slot in (0..self.heap.len() / 2).rev() {
             self.sift_down(slot);
         }
         self.dirty = false;
+    }
+
+    /// Takes the root out of the heap and marks its entry closed.
+    fn close_root(&mut self) {
+        let root = self.heap.swap_remove(0);
+        self.closed.push(index(root) as u32);
+        if !self.heap.is_empty() {
+            self.sift_down(0);
+        }
     }
 
     /// Moves the key at `slot` down to its place, shifting smaller
@@ -255,12 +353,33 @@ impl DeficitRouter {
         heap[slot] = moving;
     }
 
+    /// Moves the key at `slot` up to its place, shifting larger
+    /// parents down into the hole.
+    fn sift_up(&mut self, mut slot: usize) {
+        let heap = &mut self.heap;
+        let moving = heap[slot];
+        while slot > 0 {
+            let parent = (slot - 1) / 2;
+            if heap[parent] < moving {
+                break;
+            }
+            heap[slot] = heap[parent];
+            slot = parent;
+        }
+        heap[slot] = moving;
+    }
+
     /// Asserts the heap invariants: the heap property under key order,
     /// every cached key bit-equal to its entry's credit, and exactly
-    /// the positive-rate entries present. A dirty heap is stale by
-    /// design (the next dispatch rebuilds it), so it is not checked.
+    /// the open positive-rate entries present. A dirty heap is stale
+    /// by design (the next dispatch rebuilds it), so it is not checked.
     #[cfg(test)]
     fn check_heap(&self) {
+        let mut closed = self.closed.clone();
+        closed.sort_unstable();
+        closed.dedup();
+        assert_eq!(closed.len(), self.closed.len(), "an entry closed twice");
+        assert!(closed.iter().all(|&i| (i as usize) < self.entries.len()));
         if self.dirty {
             return;
         }
@@ -268,13 +387,18 @@ impl DeficitRouter {
             assert!(slot == 0 || k > self.heap[(slot - 1) / 2]);
             let credit = self.entries[index(k)].credit();
             assert_eq!((k >> 32) as u64, credit.to_bits());
+            assert!(
+                !self.closed.contains(&(index(k) as u32)),
+                "a closed entry is in the heap"
+            );
         }
         let mut held: Vec<usize> = self.heap.iter().map(|&k| index(k)).collect();
         held.sort_unstable();
-        let positive = (0..self.entries.len()).filter(|&i| self.entries[i].rate > 0.0);
+        let open = (0..self.entries.len())
+            .filter(|&i| self.entries[i].rate > 0.0 && !self.closed.contains(&(i as u32)));
         assert!(
-            held.into_iter().eq(positive),
-            "heap holds the positive-rate entries"
+            held.into_iter().eq(open),
+            "heap holds the open positive-rate entries"
         );
     }
 }
@@ -354,6 +478,33 @@ mod tests {
         entries.iter_mut().for_each(|e| e.sent = 0);
     }
 
+    /// The engine side of the contract: one instance's pending batch.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Queue {
+        cap: usize,
+        len: usize,
+    }
+
+    impl Queue {
+        fn full(self) -> bool {
+            self.len >= self.cap
+        }
+
+        /// The platform's answer to an offer: enqueue unless full, and
+        /// say whether that filled the batch.
+        fn offer(&mut self) -> Admission {
+            if self.full() {
+                return Admission::Refused;
+            }
+            self.len += 1;
+            if self.full() {
+                Admission::Filled
+            } else {
+                Admission::Queued
+            }
+        }
+    }
+
     #[test]
     fn routes_to_lowest_credit_first() {
         let mut r = DeficitRouter::new();
@@ -383,18 +534,27 @@ mod tests {
 
     #[test]
     fn full_instances_fall_through() {
+        let (zero, one) = (InstanceId::new(0), InstanceId::new(1));
         let mut r = DeficitRouter::new();
         r.push(entry(0, 100.0));
         r.push(entry(1, 1.0));
         // Instance 0 (lowest credit) refuses; 1 takes it.
-        assert_eq!(
-            r.dispatch(|id| id != InstanceId::new(0)),
-            Some(InstanceId::new(1))
-        );
-        // Everyone refuses.
-        assert_eq!(r.dispatch(|_| false), None);
-        // Refusals left the heap as it was: a normal dispatch still works.
-        assert_eq!(r.dispatch(|_| true), Some(InstanceId::new(0)));
+        assert_eq!(r.dispatch(|id| id != zero), Some(one));
+        // 0 stays closed: it is not offered again, and 1 fills.
+        let fill = |id| {
+            assert_ne!(id, zero, "a closed entry was offered");
+            Admission::Filled
+        };
+        assert_eq!(r.dispatch(fill), Some(one));
+        // Everyone is closed: a miss offers nothing.
+        let offers = r.offers;
+        assert_eq!(r.dispatch(|_| true), None);
+        assert_eq!(r.offers, offers);
+        // 0's batch drained: it routes again, 1 stays closed.
+        r.reopen(zero);
+        r.check_heap();
+        assert_eq!(r.dispatch(|_| true), Some(zero));
+        assert_eq!(r.closed().collect::<Vec<_>>(), [one]);
     }
 
     #[test]
@@ -406,11 +566,11 @@ mod tests {
         assert_eq!(r.dispatch(|_| true), Some(InstanceId::new(0)));
     }
 
-    /// A dispatch every instance refuses offers each one once and
-    /// leaves every cached key bit-identical; routing then carries on
-    /// exactly as the reference does.
+    /// Once every instance holds a full batch, a dispatch makes no
+    /// offer. Draining reopens instances under their keys, and routing
+    /// then carries on exactly as the reference does.
     #[test]
-    fn full_refusal_leaves_keys_untouched() {
+    fn full_fleet_miss_makes_no_offers() {
         let mut r = DeficitRouter::new();
         let mut reference = Vec::new();
         for (id, rate) in [3.0, 5.0, 7.0, 2.0 / 7.0, 11.0, 5.0, 13.0]
@@ -420,29 +580,35 @@ mod tests {
             r.push(entry(id as u64, rate));
             reference.push(entry(id as u64, rate));
         }
-        for _ in 0..40 {
-            assert_eq!(
-                r.dispatch(|_| true),
-                reference_dispatch(&mut reference, |_| true)
-            );
-        }
-        let keys = r.heap.clone();
-        let mut offered = Vec::new();
-        let refuse = |id| {
-            offered.push(id);
-            false
+        let mut queues = [Queue { cap: 3, len: 0 }; 7];
+        let mut mirror = queues;
+        let mut route = |r: &mut DeficitRouter, queues: &mut [Queue], mirror: &mut [Queue]| {
+            let got = r.dispatch(|id| queues[id.raw() as usize].offer());
+            let want = reference_dispatch(&mut reference, |id| {
+                mirror[id.raw() as usize].offer() != Admission::Refused
+            });
+            assert_eq!(got, want);
+            got
         };
-        assert_eq!(r.dispatch(refuse), None);
-        assert_eq!(reference_dispatch(&mut reference, |_| false), None);
-        assert_eq!(offered.len(), 7);
-        assert_eq!(r.heap, keys);
-        r.check_heap();
-        for _ in 0..40 {
-            assert_eq!(
-                r.dispatch(|_| true),
-                reference_dispatch(&mut reference, |_| true)
-            );
+        for _ in 0..21 {
+            assert!(route(&mut r, &mut queues, &mut mirror).is_some());
         }
+        assert!(r.heap.is_empty(), "every full instance left the heap");
+        let offers = r.offers;
+        assert_eq!(route(&mut r, &mut queues, &mut mirror), None);
+        assert_eq!(r.offers, offers, "a miss offers nothing");
+        // Instances 1 and 4 start a batch of two.
+        for id in [1, 4] {
+            queues[id].len -= 2;
+            mirror[id].len -= 2;
+            r.reopen(InstanceId::new(id as u64));
+        }
+        r.check_heap();
+        for _ in 0..4 {
+            assert!(route(&mut r, &mut queues, &mut mirror).is_some());
+        }
+        assert_eq!(route(&mut r, &mut queues, &mut mirror), None);
+        assert_eq!(queues, mirror);
     }
 
     /// Satellite bugfix pin: a newcomer joining veterans with large
@@ -479,52 +645,36 @@ mod tests {
         assert_eq!(got, vec![4, 1, 3, 5, 2, 0]);
     }
 
+    /// One step of the churn the platform puts a dispatch set through.
+    /// `which` fields pick an instance by `which % instances minted`.
     #[derive(Debug, Clone)]
     enum Op {
-        Push { rates: Vec<f64> },
+        /// New instances, as `(rate, batch capacity)`.
+        Push {
+            instances: Vec<(f64, usize)>,
+        },
         RemoveAt(usize),
-        Retune { rates: Vec<f64> },
+        /// A fault kills the instance (`remove_by_id`).
+        Kill(usize),
+        /// Drops the entries with `(id + salt) % 5 == 0` (`retain`).
+        Retain(u64),
+        /// Consolidation: every entry taken out and pushed back.
+        Consolidate,
+        Retune {
+            rates: Vec<f64>,
+        },
         ResetCredits,
-        DispatchMany { n: usize, accept: Accept },
-    }
-
-    /// How `try_enqueue` answers within one dispatch: a function of the
-    /// offered id and of how many offers came before it, so both routers
-    /// give the same answers as long as they offer the same sequence.
-    #[derive(Debug, Clone, Copy)]
-    enum Accept {
-        /// Refuses the ids with `(id + salt) % 4 == 0`.
-        MostIds(u64),
-        /// Accepts only the ids with `(id + salt) % 4 == 0`: most
-        /// dispatches walk deep, as under a drop flood.
-        FewIds(u64),
-        /// Refuses every offer.
-        Nobody,
-        /// Accepts only the offer after `n` refusals, so a non-root
-        /// slot is charged.
-        After(usize),
-    }
-
-    impl Accept {
-        fn answer(self, id: InstanceId, refused: usize) -> bool {
-            match self {
-                Accept::MostIds(salt) => !(id.raw() + salt).is_multiple_of(4),
-                Accept::FewIds(salt) => (id.raw() + salt).is_multiple_of(4),
-                Accept::Nobody => false,
-                Accept::After(n) => refused == n,
-            }
-        }
-
-        /// A `try_enqueue` that answers by `self` and logs each offer
-        /// into `offered`, which starts the dispatch empty.
-        fn logging(self, offered: &mut Vec<InstanceId>) -> impl FnMut(InstanceId) -> bool + '_ {
-            offered.clear();
-            move |id| {
-                let refused = offered.len();
-                offered.push(id);
-                self.answer(id, refused)
-            }
-        }
+        DispatchMany(usize),
+        /// A batch start takes up to `take` queued requests.
+        Drain {
+            which: usize,
+            take: usize,
+        },
+        /// An in-flight resize lands with a new batch capacity.
+        Resize {
+            which: usize,
+            cap: usize,
+        },
     }
 
     /// Integer rates give exact credit ties, `r / 7` rates inexact
@@ -538,25 +688,24 @@ mod tests {
     }
 
     /// Pushes come in runs, so up to ~64 entries build heaps 6 levels
-    /// deep.
+    /// deep. Capacities of 1–4 keep most instances near full, so
+    /// dispatches close entries and miss often, as under a drop flood.
     fn op_strategy() -> impl Strategy<Value = Op> {
         let retune_rate = prop_oneof![Just(0.0), rate_strategy(), rate_strategy()];
+        let instance = (rate_strategy(), 1usize..5);
         prop_oneof![
-            prop::collection::vec(rate_strategy(), 1..6).prop_map(|rates| Op::Push { rates }),
+            prop::collection::vec(instance, 1..6).prop_map(|instances| Op::Push { instances }),
             (0usize..64).prop_map(Op::RemoveAt),
+            any::<usize>().prop_map(Op::Kill),
+            (0u64..5).prop_map(Op::Retain),
+            Just(Op::Consolidate),
             prop::collection::vec(retune_rate, 0..64).prop_map(|rates| Op::Retune { rates }),
             Just(Op::ResetCredits),
-            accept_strategy().prop_map(|accept| Op::DispatchMany { n: 1, accept }),
-            (1usize..200, accept_strategy()).prop_map(|(n, accept)| Op::DispatchMany { n, accept }),
-        ]
-    }
-
-    fn accept_strategy() -> impl Strategy<Value = Accept> {
-        prop_oneof![
-            (0u64..20).prop_map(Accept::MostIds),
-            (0u64..20).prop_map(Accept::FewIds),
-            Just(Accept::Nobody),
-            (0usize..70).prop_map(Accept::After),
+            Just(Op::DispatchMany(1)),
+            (1usize..200).prop_map(Op::DispatchMany),
+            (any::<usize>(), 1usize..5).prop_map(|(which, take)| Op::Drain { which, take }),
+            (any::<usize>(), 1usize..5).prop_map(|(which, take)| Op::Drain { which, take }),
+            (any::<usize>(), 1usize..6).prop_map(|(which, cap)| Op::Resize { which, cap }),
         ]
     }
 
@@ -576,23 +725,29 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1024))]
 
-        /// Over random dispatch-set churn the indexed router offers the
-        /// same instances in the same order and picks the same winner
-        /// as the reference implementation, both end in the same state,
-        /// and the heap's invariants hold after every op.
+        /// Over random dispatch-set churn against per-instance queues
+        /// the indexed router picks the same winner as the reference on
+        /// every dispatch and never offers an entry it holds closed;
+        /// every closed entry's queue is full; both end in the same
+        /// state; and the heap's invariants hold after every op. The
+        /// reference offers every positive-rate instance, full or not.
         #[test]
         fn prop_router_matches_reference(ops in prop::collection::vec(op_strategy(), 1..120)) {
             let mut indexed = DeficitRouter::new();
             let mut reference: Vec<RouterEntry> = Vec::new();
-            let mut next_id = 0u64;
+            // Per minted id: the indexed side's queues and the
+            // reference side's, which must stay equal.
+            let (mut queues, mut mirror): (Vec<Queue>, Vec<Queue>) = (Vec::new(), Vec::new());
             for op in ops {
                 match op {
-                    Op::Push { rates } => {
-                        for rate in rates {
-                            indexed.push(entry(next_id, rate));
-                            reference.push(entry(next_id, rate));
+                    Op::Push { instances } => {
+                        for (rate, cap) in instances {
+                            let id = queues.len() as u64;
+                            queues.push(Queue { cap, len: 0 });
+                            mirror.push(Queue { cap, len: 0 });
+                            indexed.push(entry(id, rate));
+                            reference.push(entry(id, rate));
                             reset(&mut reference);
-                            next_id += 1;
                         }
                     }
                     Op::RemoveAt(i) => {
@@ -602,6 +757,31 @@ mod tests {
                             reset(&mut reference);
                             prop_assert_eq!(a.id, b.id);
                         }
+                    }
+                    Op::Kill(which) if !queues.is_empty() => {
+                        let id = InstanceId::new((which % queues.len()) as u64);
+                        let a = indexed.remove_by_id(id).map(|e| e.id);
+                        let b = reference.iter().position(|e| e.id == id).map(|i| reference.remove(i).id);
+                        if b.is_some() {
+                            reset(&mut reference);
+                        }
+                        prop_assert_eq!(a, b);
+                    }
+                    Op::Kill(_) => {}
+                    Op::Retain(salt) => {
+                        let keep = |e: &RouterEntry| !(e.id.raw() + salt).is_multiple_of(5);
+                        indexed.retain(keep);
+                        let before = reference.len();
+                        reference.retain(keep);
+                        if reference.len() != before {
+                            reset(&mut reference);
+                        }
+                    }
+                    Op::Consolidate => {
+                        for e in indexed.take_entries() {
+                            indexed.push(e);
+                        }
+                        reset(&mut reference);
                     }
                     Op::Retune { rates } => {
                         let apply = |es: &mut [RouterEntry]| {
@@ -616,19 +796,52 @@ mod tests {
                         indexed.reset_credits();
                         reset(&mut reference);
                     }
-                    Op::DispatchMany { n, accept } => {
-                        // The engine enqueues in offer order, so the
-                        // offered sequence is pinned, not just the winner.
-                        let (mut a, mut b) = (Vec::new(), Vec::new());
+                    Op::DispatchMany(n) => {
+                        let mut offered = Vec::new();
                         for _ in 0..n {
-                            let want = reference_dispatch(&mut reference, accept.logging(&mut b));
-                            prop_assert_eq!(indexed.dispatch(accept.logging(&mut a)), want);
-                            prop_assert_eq!(&a, &b);
+                            let closed: Vec<InstanceId> = indexed.closed().collect();
+                            offered.clear();
+                            let got = indexed.dispatch(|id| {
+                                offered.push(id);
+                                queues[id.raw() as usize].offer()
+                            });
+                            let want = reference_dispatch(&mut reference, |id| {
+                                mirror[id.raw() as usize].offer() != Admission::Refused
+                            });
+                            prop_assert_eq!(got, want);
+                            prop_assert!(
+                                offered.iter().all(|id| !closed.contains(id)),
+                                "offered a closed entry: {:?} of {:?}", offered, closed
+                            );
                         }
                     }
+                    Op::Drain { which, take } if !queues.is_empty() => {
+                        let i = which % queues.len();
+                        let was_full = queues[i].full();
+                        for q in [&mut queues[i], &mut mirror[i]] {
+                            q.len -= take.min(q.len);
+                        }
+                        if was_full && !queues[i].full() {
+                            indexed.reopen(InstanceId::new(i as u64));
+                        }
+                    }
+                    Op::Resize { which, cap } if !queues.is_empty() => {
+                        let i = which % queues.len();
+                        let was_full = queues[i].full();
+                        queues[i].cap = cap;
+                        mirror[i].cap = cap;
+                        if was_full && !queues[i].full() {
+                            indexed.reopen(InstanceId::new(i as u64));
+                        }
+                    }
+                    Op::Drain { .. } | Op::Resize { .. } => {}
                 }
                 indexed.check_heap();
+                for id in indexed.closed() {
+                    prop_assert!(queues[id.raw() as usize].full(), "{:?} closed with room", id);
+                }
                 // State equivalence after every op.
+                prop_assert_eq!(&queues, &mirror);
                 prop_assert_eq!(indexed.len(), reference.len());
                 for (x, y) in indexed.iter().zip(&reference) {
                     prop_assert_eq!(x.id, y.id);
