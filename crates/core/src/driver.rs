@@ -267,9 +267,7 @@ fn deliver<P: Platform>(
             server,
             slowdown_pct,
             duration,
-        } => p
-            .engine()
-            .apply_straggler_directive(server, slowdown_pct, duration),
+        } => p.engine().arm_straggler(server, slowdown_pct, duration),
         EngineEvent::ResizeComplete(id) => {
             if let Some((f, _)) = p.engine().on_resize_complete(id, queue) {
                 p.on_resized(f, id, queue);

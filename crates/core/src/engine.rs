@@ -16,8 +16,8 @@
 use std::collections::VecDeque;
 
 use infless_cluster::{
-    ClusterSpec, ClusterState, FunctionId, Instance, InstanceConfig, InstanceId, PlacementError,
-    Request, ServerHealth, ServerId,
+    ClusterSpec, ClusterState, FunctionId, Instance, InstanceConfig, InstanceId, Placement,
+    PlacementError, Request, ServerHealth, ServerId,
 };
 use infless_faults::FaultEvent;
 use infless_llm::{LlmBatching, LlmClass, LlmConfig};
@@ -30,7 +30,7 @@ use infless_telemetry::{
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::metrics::{Collector, LatencyParts, StartupKind};
+use crate::metrics::{Collector, FailureReport, LatencyParts, StartupKind};
 
 /// A deployed inference function: its model and latency SLO (the two
 /// fields of the paper's Fig. 5 template that matter to scheduling).
@@ -204,7 +204,9 @@ pub struct Engine {
     /// Outstanding capacity-loss probes.
     recapacity: RecapacityProbes,
     next_instance: u64,
-    noise: NoiseRng,
+    /// The execution-time noise stream outside epoch mode: one for the
+    /// whole engine, so the draw order entangles every function.
+    noise: StdRng,
     /// Autoregressive decode-batching discipline (LLM functions only;
     /// one-shot functions never consult it).
     llm_batching: LlmBatching,
@@ -231,21 +233,14 @@ pub struct Engine {
     /// touch them.
     token_streams: Vec<Option<StdRng>>,
     seed: u64,
-    /// How MPS interference reads co-resident SM activity; see
-    /// [`Self::use_interference_snapshot`].
-    interference_snapshot: Option<Vec<u32>>,
+    /// Epoch-barrier mode's state; `None` in an eager run. See
+    /// [`Self::enter_epoch_mode`].
+    epoch: Option<EpochState>,
     /// When `true`, GPU instance launches book the model's weights
     /// against the chosen device's memory (the residency tier's
     /// device-memory constraint). Off by default so a tier-disabled
     /// run allocates exactly like the pre-tier engine.
     device_memory: bool,
-    /// When `true`, capacity-loss probes are owned by an external
-    /// coordinator: launches append to `launch_log` instead of
-    /// crediting the internal FIFO, and faults book no probes here.
-    recapacity_external: bool,
-    /// `(ready_at, weighted capacity)` of launches since the last
-    /// [`Self::take_launch_log`] drain (external recapacity mode only).
-    launch_log: Vec<(SimTime, f64)>,
     /// `(function, instance)` of each instance whose full pending batch
     /// gained room since the owning platform last drained this, so its
     /// router can reopen the instance. `None` (nothing logged) unless
@@ -532,18 +527,60 @@ pub(crate) fn credit_recapacity(
     }
 }
 
-/// Where execution-time noise draws come from.
-///
-/// `Shared` is one stream for the whole engine — today's baseline
-/// behaviour, where the draw order entangles every function. The
-/// sharded path needs `PerFunction`: each function draws from its own
-/// stream keyed by a shard-invariant label, so a function's noise
-/// sequence depends only on its own batch history and a run is
-/// bit-identical no matter how functions are partitioned across shards.
+/// What an engine holds in epoch-barrier (sharded) mode: the state
+/// that makes a shard's run depend on its own functions alone, never on
+/// which functions share its shard.
 #[derive(Debug)]
-enum NoiseRng {
-    Shared(StdRng),
-    PerFunction(Vec<StdRng>),
+struct EpochState {
+    /// Per-function execution-time noise streams, keyed by
+    /// `engine/{platform}/fn{index}/{model}`: a function's draw sequence
+    /// depends only on its own batch history.
+    noise: Vec<StdRng>,
+    /// Cluster-wide active SM share per device at the last barrier
+    /// (flat-indexed like `gpu_busy_pct`), installed by
+    /// [`Engine::refresh_interference_snapshot`]. MPS interference reads
+    /// it instead of the live books of the functions that happen to
+    /// share this shard.
+    interference: Vec<u32>,
+    /// `(ready_at, weighted capacity)` of each launch since the
+    /// coordinator last drained it ([`Engine::take_launch_log`]):
+    /// capacity-loss probes are the coordinator's, credited in
+    /// function-major barrier order.
+    launch_log: Vec<(SimTime, f64)>,
+}
+
+/// One fault, resolved by [`Engine::resolve_fault`] before any of it is
+/// applied. The eager engine applies it inline; the barrier coordinator
+/// turns it into directives for the shards.
+#[derive(Debug)]
+pub(crate) struct ResolvedFault {
+    /// The tag of the spans of the requests the kills displace.
+    pub(crate) tag: FaultTag,
+    /// `(function, instance)` to kill, function-major then in launch
+    /// order.
+    pub(crate) victims: Vec<(usize, InstanceId)>,
+    /// A server health transition.
+    pub(crate) health: Option<(ServerId, ServerHealth)>,
+    /// A straggler episode to arm: server, slowdown percent, length.
+    pub(crate) straggler: Option<(ServerId, u32, SimDuration)>,
+    /// The weighted capacity the victims hold: the recapacity probe the
+    /// fault opens when positive.
+    pub(crate) lost: f64,
+}
+
+impl ResolvedFault {
+    /// Books the fault's tallies: a crash, a recovery or a straggler
+    /// episode.
+    pub(crate) fn tally(&self, failures: &mut FailureReport) {
+        match self.health {
+            Some((_, ServerHealth::Down)) => failures.server_crashes += 1,
+            Some((_, ServerHealth::Up)) => failures.server_recoveries += 1,
+            _ => {}
+        }
+        if self.straggler.is_some() {
+            failures.stragglers += 1;
+        }
+    }
 }
 
 impl Engine {
@@ -580,10 +617,7 @@ impl Engine {
             straggle: FxHashMap::default(),
             recapacity: VecDeque::new(),
             next_instance: 0,
-            noise: NoiseRng::Shared(infless_sim::rng::stream(
-                seed,
-                &format!("engine/{platform_name}"),
-            )),
+            noise: infless_sim::rng::stream(seed, &format!("engine/{platform_name}")),
             llm_batching: LlmBatching::Static,
             live_episodes: 0,
             finished: Vec::new(),
@@ -592,10 +626,8 @@ impl Engine {
             token_table: FxHashMap::default(),
             token_streams: Vec::new(),
             seed,
-            interference_snapshot: None,
+            epoch: None,
             device_memory: false,
-            recapacity_external: false,
-            launch_log: Vec::new(),
             opened: None,
             beta,
             collector,
@@ -753,54 +785,53 @@ impl Engine {
         total
     }
 
-    /// Switches execution-time noise to per-function streams keyed by
-    /// `engine/{platform}/fn{index}/{model}` — labels that do not
-    /// depend on shard layout, so each function's draw sequence is
-    /// identical for every shard count. Call before the first batch
-    /// starts (the shared stream's past draws are not replayed).
-    pub fn use_per_function_noise(&mut self, seed: u64) {
-        let name = self.collector.report.platform.clone();
-        self.noise = NoiseRng::PerFunction(
-            self.functions
-                .iter()
-                .enumerate()
-                .map(|(i, f)| {
-                    infless_sim::rng::stream(
-                        seed,
-                        &format!("engine/{name}/fn{i}/{}", f.spec().name()),
-                    )
-                })
-                .collect(),
-        );
+    /// Enters epoch-barrier (sharded) mode for the rest of the run: the
+    /// engine draws noise, reads interference and logs launches through
+    /// its `EpochState`, and the owning platform defers every mid-epoch
+    /// allocation to the barrier flush. Call before the first batch
+    /// starts (the shared noise stream's past draws are not replayed).
+    pub(crate) fn enter_epoch_mode(&mut self) {
+        let name = &self.collector.report.platform;
+        let noise = self
+            .functions
+            .iter()
+            .enumerate()
+            .map(|(i, f)| {
+                let label = format!("engine/{name}/fn{i}/{}", f.spec().name());
+                infless_sim::rng::stream(self.seed, &label)
+            })
+            .collect();
+        self.epoch = Some(EpochState {
+            noise,
+            interference: vec![0; self.gpu_busy_pct.len()],
+            launch_log: Vec::new(),
+        });
     }
 
-    /// Switches MPS interference to snapshot mode: batches read
-    /// co-resident SM activity from the last snapshot installed via
-    /// [`Self::refresh_interference_snapshot`] instead of the live
-    /// per-device books. The sharded path snapshots the cluster-wide
-    /// totals at every epoch barrier, so interference stops depending
-    /// on which shard a co-resident function landed on.
-    pub fn use_interference_snapshot(&mut self) {
-        if self.interference_snapshot.is_none() {
-            self.interference_snapshot = Some(vec![0; self.gpu_busy_pct.len()]);
-        }
+    /// `true` once [`Self::enter_epoch_mode`] ran.
+    pub(crate) fn in_epoch_mode(&self) -> bool {
+        self.epoch.is_some()
     }
 
     /// Installs a new interference snapshot (cluster-wide active SM
     /// share per physical device, same flat indexing as
-    /// [`Self::gpu_busy_totals`]).
+    /// [`Self::gpu_busy_totals`]). Outside epoch mode there is no
+    /// snapshot to refresh.
     ///
     /// # Panics
     ///
-    /// Panics if snapshot mode was never enabled or the slice length
-    /// does not match the device count.
-    pub fn refresh_interference_snapshot(&mut self, totals: &[u32]) {
-        let snap = self
-            .interference_snapshot
+    /// Panics if the slice length does not match the device count.
+    pub(crate) fn refresh_interference_snapshot(&mut self, totals: &[u32]) {
+        if let Some(epoch) = &mut self.epoch {
+            epoch.interference.copy_from_slice(totals);
+        }
+    }
+
+    /// Drains the launch log, empty outside epoch mode.
+    pub(crate) fn take_launch_log(&mut self) -> Vec<(SimTime, f64)> {
+        self.epoch
             .as_mut()
-            .expect("refresh_interference_snapshot without use_interference_snapshot");
-        assert_eq!(snap.len(), totals.len(), "device count mismatch");
-        snap.copy_from_slice(totals);
+            .map_or_else(Vec::new, |epoch| std::mem::take(&mut epoch.launch_log))
     }
 
     /// This engine's live per-device active SM share (the books behind
@@ -875,20 +906,6 @@ impl Engine {
             best,
         );
         Some(prefill + step.mul_f64(f64::from(remaining - 1)))
-    }
-
-    /// Hands capacity-loss probe ownership to an external coordinator:
-    /// subsequent launches append `(ready_at, weighted)` to the launch
-    /// log (drained via [`Self::take_launch_log`]) instead of crediting
-    /// the engine's internal recapacity FIFO, and faults applied here
-    /// book no probes.
-    pub fn use_external_recapacity(&mut self) {
-        self.recapacity_external = true;
-    }
-
-    /// Drains the launch log (external recapacity mode).
-    pub fn take_launch_log(&mut self) -> Vec<(SimTime, f64)> {
-        std::mem::take(&mut self.launch_log)
     }
 
     /// The current simulated instant.
@@ -1125,8 +1142,8 @@ impl Engine {
         // measures how long until the platform brings up replacement
         // weighted capacity equal to what a fault destroyed, whichever
         // launches supply it.
-        if self.recapacity_external {
-            self.launch_log.push((ready_at, w));
+        if let Some(epoch) = &mut self.epoch {
+            epoch.launch_log.push((ready_at, w));
         } else {
             let samples = &mut self.collector.report.failures.recapacity_ms;
             credit_recapacity(&mut self.recapacity, ready_at, w, samples);
@@ -1506,13 +1523,7 @@ impl Engine {
         // way cold boots do; pre-warmed attaches stay invisible.
         let was_cold = !matches!(slot.meta.startup, StartupKind::PreWarmed);
         let ordinal = slot.meta.ordinal as i64;
-        self.in_flight_count -= 1;
-        let (w, _, _) = self.weights(config);
-        self.collector.busy_delta(function, self.now, -w);
-        if let Some(gpu) = placement.gpu_index() {
-            let device = self.device_index(placement.server(), gpu);
-            self.gpu_busy_pct[device] -= config.resources().gpu_pct();
-        }
+        self.end_execution(function, placement, config);
         let spans_on = self.spans_on;
         let decisions_on = self.decisions_on;
         for req in &fl.batch {
@@ -1713,97 +1724,115 @@ impl Engine {
     /// `queue` is the run's event queue: a killed decode episode books
     /// the span steps that have run by its delivery position.
     pub fn on_fault(&mut self, ev: FaultEvent, queue: &EventQueue<EngineEvent>) -> FaultOutcome {
-        let mut outcome = FaultOutcome::default();
-        let fault_tag = match ev {
-            FaultEvent::ServerCrash { .. } => FaultTag::ServerCrash,
-            FaultEvent::InstanceKill { .. } => FaultTag::InstanceKill,
-            FaultEvent::ColdStartFailure { .. } => FaultTag::ColdStartFailure,
-            _ => FaultTag::None,
+        let this: &Engine = self;
+        let fault = this.resolve_fault(ev, this.now, |_| this, |_, _| false);
+        let mut displaced = Vec::new();
+        for &(_, id) in &fault.victims {
+            displaced.extend(self.kill_instance(id, queue));
+        }
+        if let Some((server, health)) = fault.health {
+            self.cluster.set_health(server, health);
+        }
+        if let Some((server, slowdown_pct, duration)) = fault.straggler {
+            self.arm_straggler(server, slowdown_pct, duration);
+        }
+        fault.tally(&mut self.collector.report.failures);
+        if fault.lost > 0.0 {
+            self.recapacity.push_back((self.now, fault.lost));
+        }
+        self.book_displaced(&displaced, fault.tag);
+        FaultOutcome {
+            displaced,
+            killed: fault.victims,
+        }
+    }
+
+    /// Resolves fault `ev`, fired at `t`, without applying any of it:
+    /// the one place the rules of every [`FaultEvent`] kind live.
+    /// - A crash of an Up server kills every instance on it.
+    /// - A kill picks `selector % len` over every live instance, a
+    ///   cold-start failure over those still starting at `t`.
+    /// - Health moves Down → Recovering → Up.
+    /// - A straggler starts one episode.
+    ///
+    /// Candidates are walked function-major, then in launch order:
+    /// `holder(f)` is the engine whose instance table holds function
+    /// `f`, and instances `excluded(f, id)` are skipped. Server health
+    /// is read from this engine's cluster.
+    pub(crate) fn resolve_fault<'e>(
+        &'e self,
+        ev: FaultEvent,
+        t: SimTime,
+        holder: impl Fn(usize) -> &'e Engine,
+        excluded: impl Fn(usize, InstanceId) -> bool,
+    ) -> ResolvedFault {
+        let candidates = |keep: &dyn Fn(&Instance) -> bool| {
+            let mut out: Vec<&'e Instance> = Vec::new();
+            for f in 0..self.functions.len() {
+                let e = holder(f);
+                for &id in &e.live_by_function[f] {
+                    let inst = e.instance(id);
+                    if !excluded(f, id) && keep(inst) {
+                        out.push(inst);
+                    }
+                }
+            }
+            out
         };
-        match ev {
+        let pick = |c: Vec<&'e Instance>, selector: u64| match c.len() {
+            0 => c,
+            len => vec![c[(selector % len as u64) as usize]],
+        };
+        let step = |server, from, to| (self.cluster.health(server) == from).then_some((server, to));
+        let (tag, victims, health, straggler) = match ev {
             FaultEvent::ServerCrash { server } => {
-                if self.cluster.health(server) != ServerHealth::Up {
-                    return outcome;
-                }
-                // Victims in deterministic order: function-major, then
-                // launch order (live_by_function preserves both).
-                let victims: Vec<(usize, InstanceId)> = self
-                    .live_by_function
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(f, ids)| {
-                        ids.iter()
-                            .filter(|id| self.instance(**id).placement().server() == server)
-                            .map(move |id| (f, *id))
-                    })
-                    .collect();
-                let mut lost = 0.0;
-                for &(f, id) in &victims {
-                    lost += self.weighted_cost(self.instance(id).config());
-                    let displaced = self.kill_instance(id, queue);
-                    outcome.killed.push((f, id));
-                    outcome.displaced.extend(displaced);
-                }
-                self.cluster.set_health(server, ServerHealth::Down);
-                self.collector.report.failures.server_crashes += 1;
-                if lost > 0.0 && !self.recapacity_external {
-                    self.recapacity.push_back((self.now, lost));
-                }
+                let health = step(server, ServerHealth::Up, ServerHealth::Down);
+                let victims = if health.is_some() {
+                    candidates(&|i| i.placement().server() == server)
+                } else {
+                    Vec::new()
+                };
+                (FaultTag::ServerCrash, victims, health, None)
             }
             FaultEvent::ServerRecoveryBegin { server } => {
-                if self.cluster.health(server) == ServerHealth::Down {
-                    self.cluster.set_health(server, ServerHealth::Recovering);
-                }
+                let health = step(server, ServerHealth::Down, ServerHealth::Recovering);
+                (FaultTag::None, Vec::new(), health, None)
             }
             FaultEvent::ServerUp { server } => {
-                if self.cluster.health(server) == ServerHealth::Recovering {
-                    self.cluster.set_health(server, ServerHealth::Up);
-                    self.collector.report.failures.server_recoveries += 1;
-                }
+                let health = step(server, ServerHealth::Recovering, ServerHealth::Up);
+                (FaultTag::None, Vec::new(), health, None)
             }
             FaultEvent::InstanceKill { selector } => {
-                let candidates: Vec<(usize, InstanceId)> = self
-                    .live_by_function
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(f, ids)| ids.iter().map(move |id| (f, *id)))
-                    .collect();
-                if candidates.is_empty() {
-                    return outcome;
-                }
-                let (f, id) = candidates[(selector % candidates.len() as u64) as usize];
-                self.kill_one(queue, f, id, &mut outcome);
+                let victims = pick(candidates(&|_| true), selector);
+                (FaultTag::InstanceKill, victims, None, None)
             }
             FaultEvent::ColdStartFailure { selector } => {
-                let now = self.now;
-                let candidates: Vec<(usize, InstanceId)> = self
-                    .live_by_function
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(f, ids)| {
-                        ids.iter()
-                            .filter(|id| self.instance(**id).is_starting(now))
-                            .map(move |id| (f, *id))
-                    })
-                    .collect();
-                if candidates.is_empty() {
-                    return outcome;
-                }
-                let (f, id) = candidates[(selector % candidates.len() as u64) as usize];
-                self.kill_one(queue, f, id, &mut outcome);
+                let victims = pick(candidates(&|i| i.is_starting(t)), selector);
+                (FaultTag::ColdStartFailure, victims, None, None)
             }
             FaultEvent::StragglerStart {
                 server,
                 slowdown_pct,
                 duration,
             } => {
-                let factor = 1.0 + f64::from(slowdown_pct) / 100.0;
-                self.straggle.insert(server, (self.now + duration, factor));
-                self.collector.report.failures.stragglers += 1;
+                let straggler = Some((server, slowdown_pct, duration));
+                (FaultTag::None, Vec::new(), None, straggler)
             }
+        };
+        let mut lost = 0.0;
+        for inst in &victims {
+            lost += self.weighted_cost(inst.config());
         }
-        self.book_displaced(&outcome.displaced, fault_tag);
-        outcome
+        ResolvedFault {
+            tag,
+            victims: victims
+                .iter()
+                .map(|i| (i.function().raw(), i.id()))
+                .collect(),
+            health,
+            straggler,
+            lost,
+        }
     }
 
     /// Tallies requests a kill displaced and records their spans.
@@ -1825,23 +1854,6 @@ impl Engine {
                     fault,
                 });
             }
-        }
-    }
-
-    /// Kills a single instance and books a recapacity probe for it.
-    fn kill_one(
-        &mut self,
-        queue: &EventQueue<EngineEvent>,
-        function: usize,
-        id: InstanceId,
-        outcome: &mut FaultOutcome,
-    ) {
-        let lost = self.weighted_cost(self.instance(id).config());
-        let displaced = self.kill_instance(id, queue);
-        outcome.killed.push((function, id));
-        outcome.displaced.extend(displaced);
-        if lost > 0.0 && !self.recapacity_external {
-            self.recapacity.push_back((self.now, lost));
         }
     }
 
@@ -1869,12 +1881,11 @@ impl Engine {
         Some((function, displaced))
     }
 
-    /// Applies a coordinator-resolved straggler directive
-    /// ([`EngineEvent::DirectiveStraggler`]): arms the slowdown on this
-    /// shard's view of the server. The episode tally is the
-    /// coordinator's (exactly one per injected fault), so none is
-    /// booked here.
-    pub fn apply_straggler_directive(
+    /// Arms a straggler episode on `server` from now: batches started
+    /// there before it ends run `1 + slowdown_pct / 100` times slower.
+    /// The episode tally is the caller's: a coordinator's directive
+    /// reaches every shard but counts once.
+    pub(crate) fn arm_straggler(
         &mut self,
         server: ServerId,
         slowdown_pct: u32,
@@ -1901,15 +1912,9 @@ impl Engine {
         let placement = inst.placement();
         let mut displaced = Vec::new();
         if let Some(fl) = slot.in_flight {
-            self.in_flight_count -= 1;
             // Busy books unwind under the batch's formation-time config
             // (it may predate a completed resize).
-            let (w, _, _) = self.weights(fl.config);
-            self.collector.busy_delta(function, self.now, -w);
-            if let Some(gpu) = placement.gpu_index() {
-                let device = self.device_index(placement.server(), gpu);
-                self.gpu_busy_pct[device] -= fl.config.resources().gpu_pct();
-            }
+            self.end_execution(function, placement, fl.config);
             displaced.extend_from_slice(&fl.batch);
             self.recycle_batch(fl.batch);
         }
@@ -1920,13 +1925,7 @@ impl Engine {
             // an in-flight batch, free the resident KV of every active
             // sequence, and displace them with their decode progress
             // preserved for retry estimates.
-            self.in_flight_count -= 1;
-            let (w, _, _) = self.weights(config);
-            self.collector.busy_delta(function, self.now, -w);
-            if let Some(gpu) = placement.gpu_index() {
-                let device = self.device_index(placement.server(), gpu);
-                self.gpu_busy_pct[device] -= config.resources().gpu_pct();
-            }
+            self.end_execution(function, placement, config);
             let bpt = self.functions[function]
                 .llm()
                 .expect("episode on a non-LLM function")
@@ -2149,6 +2148,69 @@ impl Engine {
         }
     }
 
+    /// Books a batch that starts now under `config` on `placement`: its
+    /// function's busy share, its active SM share on its GPU device and
+    /// the in-flight count. Returns the batch's slowdown factors:
+    /// - the execution noise, drawn from the function's stream;
+    /// - the MPS interference, `None` off the GPU: co-resident *active*
+    ///   SM share on the same physical device slows the batch down
+    ///   (shared memory bandwidth / L2 behind the SM partitioning). In
+    ///   epoch mode it reads the barrier-time snapshot, not the live
+    ///   books;
+    /// - the server's straggler episode, if one is running. The map is
+    ///   read only when non-empty, so fault-free runs never touch it.
+    fn begin_execution(
+        &mut self,
+        function: usize,
+        placement: Placement,
+        config: InstanceConfig,
+    ) -> (f64, Option<f64>, Option<f64>) {
+        let rng = match &mut self.epoch {
+            Some(epoch) => &mut epoch.noise[function],
+            None => &mut self.noise,
+        };
+        let noise = self.hardware.noise_factor(rng);
+        let mut interference = None;
+        if let Some(gpu) = placement.gpu_index() {
+            let device = self.device_index(placement.server(), gpu);
+            let others = match &self.epoch {
+                Some(epoch) => epoch.interference[device],
+                None => self.gpu_busy_pct[device],
+            };
+            let k = self.hardware.calibration().mps_interference;
+            interference = Some(1.0 + k * f64::from(others) / 100.0);
+            self.gpu_busy_pct[device] += config.resources().gpu_pct();
+        }
+        let mut straggler = None;
+        if !self.straggle.is_empty() {
+            let server = placement.server();
+            if let Some(&(until_t, factor)) = self.straggle.get(&server) {
+                if self.now < until_t {
+                    straggler = Some(factor);
+                    self.collector.report.failures.straggled_batches += 1;
+                } else {
+                    self.straggle.remove(&server);
+                }
+            }
+        }
+        let (w, _, _) = self.weights(config);
+        self.collector.busy_delta(function, self.now, w);
+        self.in_flight_count += 1;
+        (noise, interference, straggler)
+    }
+
+    /// Unwinds what [`Self::begin_execution`] booked for a batch formed
+    /// under `config` on `placement`, once it stops executing.
+    fn end_execution(&mut self, function: usize, placement: Placement, config: InstanceConfig) {
+        self.in_flight_count -= 1;
+        let (w, _, _) = self.weights(config);
+        self.collector.busy_delta(function, self.now, -w);
+        if let Some(gpu) = placement.gpu_index() {
+            let device = self.device_index(placement.server(), gpu);
+            self.gpu_busy_pct[device] -= config.resources().gpu_pct();
+        }
+    }
+
     /// Starts a batch on `id` if the instance is ready and the batch is
     /// full or past its wait budget. Autoregressive functions divert to
     /// [`Self::try_start_llm`].
@@ -2186,41 +2248,16 @@ impl Engine {
             .batch_latency
             .entry((spec.id(), len, resources))
             .or_insert_with(|| hardware.model_latency_s(spec, len, resources));
-        let rng = match &mut self.noise {
-            NoiseRng::Shared(rng) => rng,
-            NoiseRng::PerFunction(streams) => &mut streams[function],
-        };
-        let mut exec = SimDuration::from_secs_f64(base * hardware.noise_factor(rng));
+        let (noise, interference, straggler) = self.begin_execution(function, placement, config);
+        let mut exec = SimDuration::from_secs_f64(base * noise);
         // Pre-interference estimate: the decomposition's
         // execution/interference boundary.
         let exec_base = exec;
-        // MPS interference: co-resident *active* SM share on the same
-        // physical device slows this batch down (shared memory
-        // bandwidth / L2 behind the SM partitioning). Snapshot mode
-        // reads the barrier-time totals instead of the live books.
-        if let Some(gpu) = placement.gpu_index() {
-            let device = self.device_index(placement.server(), gpu);
-            let others = match &self.interference_snapshot {
-                Some(snap) => snap[device],
-                None => self.gpu_busy_pct[device],
-            };
-            let k = self.hardware.calibration().mps_interference;
-            exec = exec.mul_f64(1.0 + k * f64::from(others) / 100.0);
-            self.gpu_busy_pct[device] += config.resources().gpu_pct();
+        if let Some(factor) = interference {
+            exec = exec.mul_f64(factor);
         }
-        // Straggler episode: batches started on a straggling server run
-        // slower. Guarded on emptiness so fault-free runs never touch
-        // the map (zero-cost when disabled).
-        if !self.straggle.is_empty() {
-            let server = placement.server();
-            if let Some(&(until_t, factor)) = self.straggle.get(&server) {
-                if now < until_t {
-                    exec = exec.mul_f64(factor);
-                    self.collector.report.failures.straggled_batches += 1;
-                } else {
-                    self.straggle.remove(&server);
-                }
-            }
+        if let Some(factor) = straggler {
+            exec = exec.mul_f64(factor);
         }
         let until = now + exec;
         let mut batch = self.spare_batch();
@@ -2237,8 +2274,6 @@ impl Engine {
             let first = batch[0];
             self.emit(SpanKind::ExecStart, now, &first, inst_ordinal, srv, blen);
         }
-        let (w, _, _) = self.weights(config);
-        self.collector.busy_delta(function, now, w);
         self.slot_mut(id).in_flight = Some(InFlight {
             started: now,
             exec,
@@ -2246,7 +2281,6 @@ impl Engine {
             config,
             batch,
         });
-        self.in_flight_count += 1;
         queue.schedule(until, EngineEvent::BatchComplete(id));
     }
 
@@ -2310,34 +2344,9 @@ impl Engine {
         let prefill_tokens: u64 = infos.iter().map(|i| u64::from(i.prompt)).sum();
         // Episode-scoped slowdown: one noise draw plus the start-time
         // interference and straggler factors, applied to every phase.
-        let rng = match &mut self.noise {
-            NoiseRng::Shared(rng) => rng,
-            NoiseRng::PerFunction(streams) => &mut streams[function],
-        };
-        let mut slow = self.hardware.noise_factor(rng);
-        let mut interf = 1.0;
-        if let Some(gpu) = placement.gpu_index() {
-            let device = self.device_index(placement.server(), gpu);
-            let others = match &self.interference_snapshot {
-                Some(snap) => snap[device],
-                None => self.gpu_busy_pct[device],
-            };
-            let k = self.hardware.calibration().mps_interference;
-            interf *= 1.0 + k * f64::from(others) / 100.0;
-            self.gpu_busy_pct[device] += config.resources().gpu_pct();
-        }
-        if !self.straggle.is_empty() {
-            let server = placement.server();
-            if let Some(&(until_t, factor)) = self.straggle.get(&server) {
-                if now < until_t {
-                    interf *= factor;
-                    self.collector.report.failures.straggled_batches += 1;
-                } else {
-                    self.straggle.remove(&server);
-                }
-            }
-        }
-        slow *= interf;
+        let (noise, interference, straggler) = self.begin_execution(function, placement, config);
+        let interf = interference.unwrap_or(1.0) * straggler.unwrap_or(1.0);
+        let slow = noise * interf;
         let spec = self.functions[function].spec();
         let prefill = self
             .hardware
@@ -2383,9 +2392,6 @@ impl Engine {
             });
         }
         self.recycle_batch(batch);
-        let (w, _, _) = self.weights(config);
-        self.collector.busy_delta(function, now, w);
-        self.in_flight_count += 1;
         self.live_episodes += 1;
         // The prefill's end is the first boundary: every sequence emits
         // its first token there.
@@ -2594,13 +2600,7 @@ impl Engine {
             self.live_episodes -= 1;
             let n = ep.completed;
             self.slot_mut(id).inst.complete_batch(now, n);
-            self.in_flight_count -= 1;
-            let (w, _, _) = self.weights(config);
-            self.collector.busy_delta(function, now, -w);
-            if let Some(gpu) = placement.gpu_index() {
-                let device = self.device_index(placement.server(), gpu);
-                self.gpu_busy_pct[device] -= config.resources().gpu_pct();
-            }
+            self.end_execution(function, placement, config);
             self.try_start(id, queue);
             self.rearm_batch_timer(id, queue);
             Some(CompletedBatch {
@@ -3816,5 +3816,128 @@ mod tests {
         assert!(report.kv_allocated_bytes > 0);
         assert_eq!(report.kv_resident_bytes, 0);
         assert_eq!(report.kv_allocated_bytes, report.kv_freed_bytes);
+    }
+
+    /// The fault resolver, on two functions over two servers: launch
+    /// order `x` (fn 1, server 0), `y` (fn 0, server 1), then `z` (fn 0,
+    /// server 0), which is still starting. Candidates walk
+    /// function-major, so the order is `y, z, x`, not the launch order.
+    #[test]
+    fn fault_resolver_applies_every_rule() {
+        let functions = vec![
+            FunctionInfo::new(ModelId::MobileNet.spec(), SimDuration::from_millis(50)),
+            FunctionInfo::new(ModelId::ResNet50.spec(), SimDuration::from_millis(200)),
+        ];
+        let spec = ClusterSpec {
+            servers: 2,
+            ..ClusterSpec::testbed()
+        };
+        let mut engine = Engine::new("t", spec, HardwareModel::default(), functions, 3);
+        let mut queue = EventQueue::new();
+        let (s0, s1) = (ServerId::new(0), ServerId::new(1));
+        let (cx, cy, cz) = (
+            InstanceConfig::new(4, ResourceConfig::new(1, 10)),
+            InstanceConfig::new(2, ResourceConfig::new(2, 0)),
+            InstanceConfig::new(8, ResourceConfig::new(2, 30)),
+        );
+        let budget = SimDuration::MAX;
+        let mut launch = |e: &mut Engine, f, server, cfg, startup| {
+            e.launch_on(f, server, cfg, startup, budget, &mut queue)
+                .unwrap()
+        };
+        let x = launch(&mut engine, 1, s0, cx, StartupKind::PreWarmed);
+        let y = launch(&mut engine, 0, s1, cy, StartupKind::PreWarmed);
+        let t = SimTime::from_secs(1);
+        engine.advance(t);
+        let z = launch(&mut engine, 0, s0, cz, StartupKind::Cold);
+        assert!(engine.instance(z).is_starting(t) && !engine.instance(x).is_starting(t));
+        let cost = |c| engine.weighted_cost(c);
+        let resolve = |ev| engine.resolve_fault(ev, t, |_| &engine, |_, _| false);
+        let tallies = |fault: &ResolvedFault| {
+            let mut failures = FailureReport::default();
+            fault.tally(&mut failures);
+            (
+                failures.server_crashes,
+                failures.server_recoveries,
+                failures.stragglers,
+            )
+        };
+
+        // Kills index the function-major walk.
+        for (selector, victim, c) in [(0, (0, y), cy), (1, (0, z), cz), (5, (1, x), cx)] {
+            let fault = resolve(FaultEvent::InstanceKill { selector });
+            assert_eq!(fault.victims, vec![victim], "selector {selector}");
+            assert_eq!(fault.tag, FaultTag::InstanceKill);
+            assert_eq!((fault.health, fault.straggler), (None, None));
+            assert_eq!(fault.lost, cost(c));
+            assert_eq!(tallies(&fault), (0, 0, 0));
+        }
+        // A cold-start failure picks among the starting instances only.
+        let fault = resolve(FaultEvent::ColdStartFailure { selector: 2 });
+        assert_eq!(fault.victims, vec![(0, z)]);
+        assert_eq!(fault.tag, FaultTag::ColdStartFailure);
+        assert_eq!(fault.lost, cost(cz));
+        // A crash takes every instance on the server, function-major.
+        let crash = FaultEvent::ServerCrash { server: s0 };
+        let fault = resolve(crash);
+        assert_eq!(fault.victims, vec![(0, z), (1, x)]);
+        assert_eq!(fault.tag, FaultTag::ServerCrash);
+        assert_eq!(fault.health, Some((s0, ServerHealth::Down)));
+        assert_eq!(fault.lost, cost(cz) + cost(cx));
+        assert_eq!(tallies(&fault), (1, 0, 0));
+        // A straggler starts one episode and kills nothing.
+        let duration = SimDuration::from_secs(2);
+        let fault = resolve(FaultEvent::StragglerStart {
+            server: s1,
+            slowdown_pct: 50,
+            duration,
+        });
+        assert!(fault.victims.is_empty());
+        assert_eq!(fault.tag, FaultTag::None);
+        assert_eq!(fault.straggler, Some((s1, 50, duration)));
+        assert_eq!((fault.health, fault.lost), (None, 0.0));
+        assert_eq!(tallies(&fault), (0, 0, 1));
+
+        // Excluded (tombstoned) instances are skipped; a kill with no
+        // candidate left is a no-op.
+        let fault = engine.resolve_fault(crash, t, |_| &engine, |f, id| (f, id) == (0, z));
+        assert_eq!(fault.victims, vec![(1, x)]);
+        assert_eq!(fault.lost, cost(cx));
+        let kill = FaultEvent::InstanceKill { selector: 4 };
+        let fault = engine.resolve_fault(kill, t, |_| &engine, |_, _| true);
+        assert!(fault.victims.is_empty());
+        assert_eq!(
+            (fault.health, fault.straggler, fault.lost),
+            (None, None, 0.0)
+        );
+        assert_eq!(tallies(&fault), (0, 0, 0));
+
+        // Health moves Down → Recovering → Up, and only that way; a
+        // crash of a server that is not Up is a no-op.
+        let recover = FaultEvent::ServerRecoveryBegin { server: s0 };
+        let up = FaultEvent::ServerUp { server: s0 };
+        assert_eq!(resolve(recover).health, None);
+        assert_eq!(resolve(up).health, None);
+        for (from, ev, to, tally) in [
+            (
+                ServerHealth::Down,
+                recover,
+                ServerHealth::Recovering,
+                (0, 0, 0),
+            ),
+            (ServerHealth::Recovering, up, ServerHealth::Up, (0, 1, 0)),
+        ] {
+            engine.cluster_mut().set_health(s0, from);
+            let fault = engine.resolve_fault(ev, t, |_| &engine, |_, _| false);
+            assert_eq!(fault.health, Some((s0, to)));
+            assert!(fault.victims.is_empty());
+            assert_eq!(tallies(&fault), tally);
+        }
+        for health in [ServerHealth::Down, ServerHealth::Recovering] {
+            engine.cluster_mut().set_health(s0, health);
+            let fault = engine.resolve_fault(crash, t, |_| &engine, |_, _| false);
+            assert!(fault.victims.is_empty() && fault.health.is_none());
+            assert_eq!((fault.lost, tallies(&fault)), (0.0, (0, 0, 0)));
+        }
     }
 }

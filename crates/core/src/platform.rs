@@ -342,11 +342,6 @@ pub struct InflessPlatform {
     /// overhead measurement; deterministic, and the timing itself never
     /// feeds back into simulated state.
     dispatch_tick: u32,
-    /// Epoch (sharded) mode: every allocation-touching reaction —
-    /// emergency scale-out, fault-recovery scale-out — is deferred to
-    /// the next barrier flush instead of running mid-epoch, so cluster
-    /// replicas only need to synchronise at barriers.
-    deferred_scaling: bool,
 }
 
 impl InflessPlatform {
@@ -454,7 +449,6 @@ impl InflessPlatform {
             fns,
             chains,
             dispatch_tick: 0,
-            deferred_scaling: false,
         }
     }
 
@@ -519,7 +513,7 @@ impl Platform for InflessPlatform {
                 st.parked.retain(|p| p.id != id);
             }
         }
-        if self.deferred_scaling {
+        if self.engine.in_epoch_mode() {
             for (st, rate) in self.fns.iter_mut().zip(lost) {
                 st.pending_lost_rate += rate;
             }
@@ -584,13 +578,6 @@ impl Platform for InflessPlatform {
 
 impl InflessPlatform {
     // --- epoch (sharded) driver hooks --------------------------------------
-
-    /// Switches the platform into epoch mode (see
-    /// [`crate::sharded`]): mid-epoch reactions that would touch the
-    /// cluster books are deferred to the barrier flush.
-    pub(crate) fn set_deferred_scaling(&mut self) {
-        self.deferred_scaling = true;
-    }
 
     /// The barrier flush for one function: recapture throughput lost to
     /// kill directives, scale out once for any pending (unplaceable)
@@ -675,7 +662,7 @@ impl InflessPlatform {
         if self.unpark_one(f).is_some() && self.dispatch(f, req, queue) {
             return;
         }
-        if self.deferred_scaling {
+        if self.engine.in_epoch_mode() {
             // Epoch mode: no mid-epoch allocation. The request waits in
             // the pending buffer for the barrier flush (which scales
             // out once, deterministically) instead of triggering an
@@ -1759,7 +1746,7 @@ mod tests {
             InflessConfig::default(),
             17,
         );
-        p.set_deferred_scaling();
+        p.engine.enter_epoch_mode();
         let arrivals = [(SimTime::from_millis(3), 0usize)];
         let mut stream = StagedStream::new(&arrivals);
         let mut queue = EventQueue::new();
@@ -1785,7 +1772,7 @@ mod tests {
                 17,
             );
             if deferred {
-                p.set_deferred_scaling();
+                p.engine.enter_epoch_mode();
             }
             let mut queue = EventQueue::new();
             p.scale_out(0, 30.0, StartupKind::Cold, &mut queue);

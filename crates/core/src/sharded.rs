@@ -14,19 +14,20 @@
 //! the defaults — exactly the emergency-scaling backoff, so deferring
 //! drop-triggered scale-outs to the next barrier respects the same
 //! rate limit the legacy loop enforces). Between barriers a shard
-//! touches *nothing* global:
+//! touches *nothing* global. Every shard's engine enters epoch mode
+//! with one call, which switches on all of the following:
 //!
-//! * **No mid-epoch allocation.** Platforms run in deferred-scaling
-//!   mode: requests that no instance can take wait in a pending buffer
-//!   instead of triggering an emergency launch, and throughput lost to
-//!   kills accrues in a pending-rate account. Both are settled by the
-//!   barrier flush.
+//! * **No mid-epoch allocation.** Requests that no instance can take
+//!   wait in a pending buffer instead of triggering an emergency
+//!   launch, and throughput lost to kills accrues in a pending-rate
+//!   account. Both are settled by the barrier flush.
 //! * **Per-function RNG.** Execution-time noise comes from streams
-//!   keyed by function identity, not shard layout
-//!   ([`Engine::use_per_function_noise`]).
+//!   keyed by function identity, not shard layout.
 //! * **Snapshot interference.** MPS slowdown reads the cluster-wide GPU
 //!   occupancy snapshot installed at the last barrier, not the live
 //!   books of whichever functions happen to co-reside on this shard.
+//! * **Coordinator-owned recapacity.** Launches log their capacity for
+//!   the coordinator, which owns every capacity-loss probe.
 //!
 //! At each barrier the single-threaded coordinator (a) replays every
 //! replica's cluster journal onto the others, (b) sweeps functions in
@@ -34,22 +35,21 @@
 //! barriers, journal replay, recapacity crediting — and (c)
 //! pre-resolves the coming epoch's fault events into concrete
 //! *directives* (`DirectiveKill` / `DirectiveStraggler`) pushed into
-//! the owning shards' queues. Victim selection therefore always sees
-//! the same global, function-major candidate order regardless of how
-//! functions are sharded.
+//! the owning shards' queues. Pre-resolution calls the same resolver
+//! the eager engine applies inline, over every shard's instance table
+//! in function-major order, so victim selection sees the same global
+//! candidate order regardless of how functions are sharded.
 //!
 //! With more than one shard, epochs execute on scoped worker threads
 //! (`std::thread::scope`) — no async runtime, no unordered channels;
 //! determinism needs no locks because shards share nothing mid-epoch.
-//!
-//! [`Engine::use_per_function_noise`]: crate::engine::Engine::use_per_function_noise
 
 use std::collections::HashSet;
 
-use infless_cluster::{ClusterOp, ClusterSpec, InstanceId, ServerHealth, ServerId};
+use infless_cluster::{ClusterOp, ClusterSpec, InstanceId};
 use infless_faults::{FaultEvent, FaultSchedule};
 use infless_sim::{EventQueue, SimDuration, SimTime, StagedStream};
-use infless_telemetry::{DecisionRecord, FaultTag, MemorySink, RecordWriter};
+use infless_telemetry::{DecisionRecord, MemorySink, RecordWriter};
 use infless_workload::{ArrivalSource, Workload};
 
 use crate::chains::{ChainReport, ChainSpec};
@@ -172,10 +172,7 @@ impl ShardedInfless {
                     self.config,
                     self.seed,
                 );
-                platform.set_deferred_scaling();
-                platform.engine.use_per_function_noise(self.seed);
-                platform.engine.use_interference_snapshot();
-                platform.engine.use_external_recapacity();
+                platform.engine.enter_epoch_mode();
                 platform.engine.cluster_mut().enable_journal();
                 Shard {
                     platform,
@@ -217,7 +214,6 @@ impl ShardedInfless {
         // them in function-major barrier order, which no shard layout
         // can perturb.
         let mut probes = RecapacityProbes::new();
-        let mut tombstones: HashSet<(usize, InstanceId)> = HashSet::new();
 
         let mut t_prev = SimTime::ZERO;
         let has_arrivals = shards_v.iter().any(|sh| sh.stream.staged_time().is_some());
@@ -244,15 +240,13 @@ impl ShardedInfless {
                 let t_b = SimTime::ZERO + epoch * k;
 
                 // Pre-resolve the coming epoch's faults into directives.
-                fault_idx = self.resolve_faults(
-                    &mut shards_v,
-                    fault_events,
-                    fault_idx,
-                    t_b,
-                    &owner_of_fn,
-                    &mut probes,
-                    &mut tombstones,
-                );
+                let due = fault_events[fault_idx..]
+                    .iter()
+                    .take_while(|(t, _)| *t <= t_b)
+                    .count();
+                let window = &fault_events[fault_idx..fault_idx + due];
+                resolve_faults(&mut shards_v, window, &owner_of_fn, &mut probes);
+                fault_idx += due;
 
                 // Drain the epoch — in parallel when sharded.
                 if s_count == 1 {
@@ -444,178 +438,6 @@ impl ShardedInfless {
         }
     }
 
-    /// Pre-resolves every fault event with timestamp `<= until` into
-    /// concrete directives on the owning shards' queues. Selection runs
-    /// against the global function-major instance order; `tombstones`
-    /// keeps one fault from picking a victim an earlier directive in
-    /// the same window already claimed (instance ids are per-shard, so
-    /// the key includes the function).
-    #[allow(clippy::too_many_arguments)]
-    fn resolve_faults(
-        &self,
-        shards: &mut [Shard<'_>],
-        events: &[(SimTime, FaultEvent)],
-        mut idx: usize,
-        until: SimTime,
-        owner_of_fn: &[usize],
-        probes: &mut RecapacityProbes,
-        tombstones: &mut HashSet<(usize, InstanceId)>,
-    ) -> usize {
-        if idx >= events.len() || events[idx].0 > until {
-            return idx;
-        }
-        tombstones.clear();
-        let n = self.functions.len();
-        while idx < events.len() && events[idx].0 <= until {
-            let (t, ev) = events[idx];
-            idx += 1;
-            match ev {
-                FaultEvent::ServerCrash { server } => {
-                    if shards[0].platform.engine.cluster().health(server) != ServerHealth::Up {
-                        continue;
-                    }
-                    let mut lost = 0.0;
-                    for f in 0..n {
-                        let sh = &mut shards[owner_of_fn[f]];
-                        let victims: Vec<InstanceId> = sh
-                            .platform
-                            .engine
-                            .instances_of(f)
-                            .iter()
-                            .copied()
-                            .filter(|&id| {
-                                sh.platform.engine.instance(id).placement().server() == server
-                                    && !tombstones.contains(&(f, id))
-                            })
-                            .collect();
-                        for id in victims {
-                            lost += sh
-                                .platform
-                                .engine
-                                .weighted_cost(sh.platform.engine.instance(id).config());
-                            tombstones.insert((f, id));
-                            sh.queue
-                                .schedule(t, EngineEvent::DirectiveKill(id, FaultTag::ServerCrash));
-                        }
-                    }
-                    Self::set_health_everywhere(shards, server, ServerHealth::Down);
-                    coordinator_failures(shards).server_crashes += 1;
-                    if lost > 0.0 {
-                        probes.push_back((t, lost));
-                    }
-                }
-                FaultEvent::ServerRecoveryBegin { server } => {
-                    if shards[0].platform.engine.cluster().health(server) == ServerHealth::Down {
-                        Self::set_health_everywhere(shards, server, ServerHealth::Recovering);
-                    }
-                }
-                FaultEvent::ServerUp { server } => {
-                    if shards[0].platform.engine.cluster().health(server)
-                        == ServerHealth::Recovering
-                    {
-                        Self::set_health_everywhere(shards, server, ServerHealth::Up);
-                        coordinator_failures(shards).server_recoveries += 1;
-                    }
-                }
-                FaultEvent::InstanceKill { selector } => {
-                    self.kill_by_selector(
-                        shards,
-                        owner_of_fn,
-                        selector,
-                        t,
-                        FaultTag::InstanceKill,
-                        |_, _| true,
-                        probes,
-                        tombstones,
-                    );
-                }
-                FaultEvent::ColdStartFailure { selector } => {
-                    self.kill_by_selector(
-                        shards,
-                        owner_of_fn,
-                        selector,
-                        t,
-                        FaultTag::ColdStartFailure,
-                        |sh, id| sh.platform.engine.instance(id).is_starting(t),
-                        probes,
-                        tombstones,
-                    );
-                }
-                FaultEvent::StragglerStart {
-                    server,
-                    slowdown_pct,
-                    duration,
-                } => {
-                    // Every shard must slow its own batches on that
-                    // server; the episode is tallied once.
-                    for sh in shards.iter_mut() {
-                        sh.queue.schedule(
-                            t,
-                            EngineEvent::DirectiveStraggler {
-                                server,
-                                slowdown_pct,
-                                duration,
-                            },
-                        );
-                    }
-                    coordinator_failures(shards).stragglers += 1;
-                }
-            }
-        }
-        idx
-    }
-
-    /// Global victim pick for `InstanceKill` / `ColdStartFailure`:
-    /// candidates in function-major order across all shards, filtered
-    /// by `eligible`, indexed by `selector % len` — the same rule the
-    /// unsharded engine applies to its single global instance table.
-    #[allow(clippy::too_many_arguments)]
-    fn kill_by_selector(
-        &self,
-        shards: &mut [Shard<'_>],
-        owner_of_fn: &[usize],
-        selector: u64,
-        t: SimTime,
-        tag: FaultTag,
-        eligible: impl Fn(&Shard<'_>, InstanceId) -> bool,
-        probes: &mut RecapacityProbes,
-        tombstones: &mut HashSet<(usize, InstanceId)>,
-    ) {
-        let n = self.functions.len();
-        let mut candidates: Vec<(usize, InstanceId)> = Vec::new();
-        for f in 0..n {
-            let sh = &shards[owner_of_fn[f]];
-            for &id in sh.platform.engine.instances_of(f) {
-                if !tombstones.contains(&(f, id)) && eligible(sh, id) {
-                    candidates.push((f, id));
-                }
-            }
-        }
-        if candidates.is_empty() {
-            return;
-        }
-        let (f, id) = candidates[(selector % candidates.len() as u64) as usize];
-        let sh = &mut shards[owner_of_fn[f]];
-        let lost = sh
-            .platform
-            .engine
-            .weighted_cost(sh.platform.engine.instance(id).config());
-        tombstones.insert((f, id));
-        sh.queue.schedule(t, EngineEvent::DirectiveKill(id, tag));
-        if lost > 0.0 {
-            probes.push_back((t, lost));
-        }
-    }
-
-    fn set_health_everywhere(shards: &mut [Shard<'_>], server: ServerId, health: ServerHealth) {
-        // Applied via `apply_ops` so no replica re-journals (and thus
-        // re-replays) the transition.
-        let ops = [ClusterOp::SetHealth { server, health }];
-        for sh in shards.iter_mut() {
-            sh.platform.engine.cluster_mut().apply_ops(&ops);
-        }
-    }
-
     /// Folds the worker shards' collectors and chain reports into shard
     /// 0's and freezes one report at the final barrier.
     fn merge(&self, shards: Vec<Shard<'_>>, t_end: SimTime) -> RunReport {
@@ -649,6 +471,57 @@ impl ShardedInfless {
             })
             .collect();
         report
+    }
+}
+
+/// Pre-resolves one window of fault events into directives on the
+/// owning shards' queues, with the engine's own resolver run over every
+/// shard's barrier-time instance table in function-major order. Server
+/// health is read from shard 0's replica. A victim an earlier directive
+/// in the window already claimed is skipped (instance ids are per
+/// shard, so the key includes the function).
+fn resolve_faults(
+    shards: &mut [Shard<'_>],
+    window: &[(SimTime, FaultEvent)],
+    owner_of_fn: &[usize],
+    probes: &mut RecapacityProbes,
+) {
+    let mut tombstones: HashSet<(usize, InstanceId)> = HashSet::new();
+    for &(t, ev) in window {
+        let fault = shards[0].platform.engine.resolve_fault(
+            ev,
+            t,
+            |f| &shards[owner_of_fn[f]].platform.engine,
+            |f, id| tombstones.contains(&(f, id)),
+        );
+        for &(f, id) in &fault.victims {
+            tombstones.insert((f, id));
+            let directive = EngineEvent::DirectiveKill(id, fault.tag);
+            shards[owner_of_fn[f]].queue.schedule(t, directive);
+        }
+        if let Some((server, health)) = fault.health {
+            // Applied via `apply_ops` so no replica re-journals (and
+            // thus re-replays) the transition.
+            let ops = [ClusterOp::SetHealth { server, health }];
+            for sh in shards.iter_mut() {
+                sh.platform.engine.cluster_mut().apply_ops(&ops);
+            }
+        }
+        if let Some((server, slowdown_pct, duration)) = fault.straggler {
+            // Every shard must slow its own batches on that server.
+            for sh in shards.iter_mut() {
+                let directive = EngineEvent::DirectiveStraggler {
+                    server,
+                    slowdown_pct,
+                    duration,
+                };
+                sh.queue.schedule(t, directive);
+            }
+        }
+        fault.tally(coordinator_failures(shards));
+        if fault.lost > 0.0 {
+            probes.push_back((t, fault.lost));
+        }
     }
 }
 

@@ -17,11 +17,8 @@ fn golden() {
 }
 
 /// Shipped INFless scenarios rewritten onto OpenFaaS+ and BATCH, and
-/// the large ones at one and four shards with every output on. It runs
-/// in release with `cargo test --release --test golden --
-/// --include-ignored`.
+/// the large ones at one and four shards with every output on.
 #[test]
-#[ignore = "minutes in debug; CI runs it in release"]
 fn golden_extended() {
     manifest::check("golden_extended");
 }
