@@ -471,13 +471,21 @@ impl LlmEpisode {
     /// position: the steps whose per-step events would have been
     /// delivered before the event being handled. The boundary step is
     /// a real event, so it never counts here.
+    ///
+    /// Both a step's end and the instant its event would have been
+    /// scheduled at rise with the step, so the steps delivered before
+    /// are a prefix of the span: a binary search finds its end.
     fn steps_run(&self, queue: &EventQueue<EngineEvent>) -> usize {
-        let silent = self.span_ends.len() - 1;
-        let mut i = 0;
-        while i < silent && queue.delivered_before(self.span_ends[i], self.step_as_of(i)) {
-            i += 1;
+        let (mut lo, mut hi) = (0, self.span_ends.len() - 1);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if queue.delivered_before(self.span_ends[mid], self.step_as_of(mid)) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
         }
-        i
+        lo
     }
 
     /// Books `m` steps of the span: every active sequence produces one
@@ -2630,15 +2638,13 @@ impl Engine {
             // first also carries the piggybacked prefill of any
             // joiners. Step ends chain exactly as per-step events would.
             let spec = self.functions[function].spec();
+            let cost = self.hardware.decode_cost(spec, n, config.resources());
             let mut resident = ep.resident_tokens;
             let mut until = now;
             ep.span_start = now;
             ep.span_ends.clear();
             for i in 0..span {
-                let kv_mb = resident as f64 * llm.kv_mb_per_token;
-                let mut step =
-                    self.hardware
-                        .decode_step_latency(spec, n, kv_mb, config.resources());
+                let mut step = cost.latency(resident as f64 * llm.kv_mb_per_token);
                 if i == 0 && ep.pending_prefill_tokens > 0 {
                     step += self.hardware.prefill_latency(
                         spec,
@@ -3939,5 +3945,65 @@ mod tests {
             assert!(fault.victims.is_empty() && fault.health.is_none());
             assert_eq!((fault.lost, tallies(&fault)), (0.0, (0, 0, 0)));
         }
+    }
+
+    /// `steps_run`'s binary search agrees with the linear scan it
+    /// replaced wherever a span is cut: at, just before and just after
+    /// its first, middle and last silent step and its boundary, under
+    /// every delivery position the queue can be in.
+    #[test]
+    fn steps_run_search_matches_the_linear_scan() {
+        fn linear(ep: &LlmEpisode, queue: &EventQueue<EngineEvent>) -> usize {
+            let silent = ep.span_ends.len() - 1;
+            let mut i = 0;
+            while i < silent && queue.delivered_before(ep.span_ends[i], ep.step_as_of(i)) {
+                i += 1;
+            }
+            i
+        }
+        let at = SimTime::from_micros;
+        let ep = LlmEpisode {
+            active: Vec::new(),
+            steps: 0,
+            resident_tokens: 0,
+            reserved_tokens: 0,
+            pending_prefill_tokens: 0,
+            completed: 0,
+            slow: 1.0,
+            interf: 1.0,
+            span_start: at(100),
+            span_ends: [110, 120, 120, 135, 150, 150, 170, 190].map(at).to_vec(),
+        };
+        let silent = ep.span_ends.len() - 1;
+        let mut seen = vec![false; silent + 1];
+        let mut check = |queue: &EventQueue<EngineEvent>| {
+            let want = linear(&ep, queue);
+            assert_eq!(ep.steps_run(queue), want, "at {}", queue.now());
+            seen[want] = true;
+        };
+        for step in [0, silent / 2, silent - 1, silent] {
+            let end = ep.span_ends[step].as_micros();
+            for t in [end - 1, end, end + 1].map(at) {
+                // A staged arrival.
+                let arrivals = [(t, 0usize)];
+                let mut staged = infless_sim::StagedStream::new(&arrivals[..]);
+                let mut queue = EventQueue::new();
+                staged.next(&mut queue, EngineEvent::Arrival);
+                check(&queue);
+                // A popped event, scheduled as of each instant from the
+                // span's start to its own.
+                for as_of in (100..=t.as_micros()).map(at) {
+                    let mut queue = EventQueue::new();
+                    queue.schedule_as_of(t, as_of, EngineEvent::Arrival(0));
+                    queue.pop();
+                    check(&queue);
+                }
+                // A barrier.
+                let mut queue = EventQueue::new();
+                queue.advance_to(t);
+                check(&queue);
+            }
+        }
+        assert!(seen.iter().filter(|&&s| s).count() > silent / 2);
     }
 }

@@ -410,18 +410,70 @@ impl HardwareModel {
         kv_mb: f64,
         cfg: ResourceConfig,
     ) -> SimDuration {
+        self.decode_cost(spec, seqs, cfg).latency(kv_mb)
+    }
+
+    /// The price of one decode step of `seqs` sequences of `spec` on
+    /// `cfg`, with everything but the resident KV-cache fixed: price
+    /// many steps by deriving this once and calling
+    /// [`DecodeCost::latency`] per step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `seqs` is zero.
+    pub fn decode_cost(&self, spec: &ModelSpec, seqs: u32, cfg: ResourceConfig) -> DecodeCost {
         assert!(seqs >= 1, "a decode step needs at least one sequence");
         let cal = &self.calibration;
-        let secs = if cfg.is_cpu_only() {
+        if cfg.is_cpu_only() {
             let work = cal.token_gflops_per_mb * spec.size_mb() * f64::from(seqs);
             let rate =
                 cal.cpu_core_gflops * f64::from(cfg.cpu_cores()).powf(cal.cpu_scaling_exponent);
-            cal.decode_overhead_s + work / rate
+            DecodeCost::Cpu(SimDuration::from_secs_f64(
+                cal.decode_overhead_s + work / rate,
+            ))
         } else {
-            let bw = cal.gpu_mem_bw_mb_per_s * f64::from(cfg.gpu_pct()) / 100.0;
-            cal.decode_overhead_s + (spec.size_mb() + kv_mb.max(0.0)) / bw
-        };
-        SimDuration::from_secs_f64(secs)
+            DecodeCost::Gpu {
+                overhead_s: cal.decode_overhead_s,
+                weights_mb: spec.size_mb(),
+                bw: cal.gpu_mem_bw_mb_per_s * f64::from(cfg.gpu_pct()) / 100.0,
+            }
+        }
+    }
+}
+
+/// One decode step's latency as a function of the resident KV-cache
+/// alone, for a fixed model, sequence count and resource config (see
+/// [`HardwareModel::decode_cost`]).
+#[derive(Debug, Clone, Copy)]
+pub enum DecodeCost {
+    /// CPU-only: compute-bound on the sequences' tokens, so the KV-cache
+    /// does not matter and the step costs a fixed duration.
+    Cpu(SimDuration),
+    /// GPU slice: memory-bound, streaming the weights plus the resident
+    /// KV-cache once per step at the slice's bandwidth share.
+    Gpu {
+        /// Fixed per-step framework overhead, seconds.
+        overhead_s: f64,
+        /// Model weights, MB.
+        weights_mb: f64,
+        /// The slice's memory bandwidth, MB/s.
+        bw: f64,
+    },
+}
+
+impl DecodeCost {
+    /// The latency of one step with `kv_mb` MB of resident KV-cache
+    /// (negative counts as none).
+    #[inline]
+    pub fn latency(&self, kv_mb: f64) -> SimDuration {
+        match *self {
+            DecodeCost::Cpu(step) => step,
+            DecodeCost::Gpu {
+                overhead_s,
+                weights_mb,
+                bw,
+            } => SimDuration::from_secs_f64(overhead_s + (weights_mb + kv_mb.max(0.0)) / bw),
+        }
     }
 }
 
@@ -610,6 +662,72 @@ mod tests {
         let c1 = hw.decode_step_latency(&spec, 1, 0.0, cpu);
         let c8 = hw.decode_step_latency(&spec, 8, 0.0, cpu);
         assert!(c8 > c1);
+    }
+
+    /// The decode step formula in one piece: the reference that
+    /// [`DecodeCost`] must reproduce bit for bit.
+    fn decode_step_reference(
+        hw: &HardwareModel,
+        spec: &ModelSpec,
+        seqs: u32,
+        kv_mb: f64,
+        cfg: ResourceConfig,
+    ) -> SimDuration {
+        assert!(seqs >= 1, "a decode step needs at least one sequence");
+        let cal = &hw.calibration;
+        let secs = if cfg.is_cpu_only() {
+            let work = cal.token_gflops_per_mb * spec.size_mb() * f64::from(seqs);
+            let rate =
+                cal.cpu_core_gflops * f64::from(cfg.cpu_cores()).powf(cal.cpu_scaling_exponent);
+            cal.decode_overhead_s + work / rate
+        } else {
+            let bw = cal.gpu_mem_bw_mb_per_s * f64::from(cfg.gpu_pct()) / 100.0;
+            cal.decode_overhead_s + (spec.size_mb() + kv_mb.max(0.0)) / bw
+        };
+        SimDuration::from_secs_f64(secs)
+    }
+
+    /// Every bit of the reference survives the split: above 2^53 µs
+    /// (the large `kv_mb`) every float is a whole microsecond, so the
+    /// rounded step exposes the last bit of the bandwidth division.
+    #[test]
+    fn decode_cost_matches_the_step_formula() {
+        let calibrated = hw();
+        let mut bumped = *calibrated.calibration();
+        bumped.gpu_mem_bw_mb_per_s *= 1.37;
+        bumped.decode_overhead_s *= 0.61;
+        let kvs = [
+            f64::NEG_INFINITY,
+            -5.0e3,
+            -1.0,
+            -0.0,
+            0.0,
+            0.25,
+            123.456,
+            4_096.0,
+            1.0e9,
+            1.0e15,
+            3.3e16,
+            7.7e18,
+        ];
+        for hw in [calibrated, HardwareModel::new(bumped)] {
+            for model in ModelId::all() {
+                let spec = model.spec();
+                for seqs in 1..=64 {
+                    let configs = (1..=100)
+                        .map(|pct| ResourceConfig::new(1 + seqs % 8, pct))
+                        .chain((1..=16).map(ResourceConfig::cpu));
+                    for cfg in configs {
+                        let cost = hw.decode_cost(&spec, seqs, cfg);
+                        for kv in kvs {
+                            let want = decode_step_reference(&hw, &spec, seqs, kv, cfg);
+                            assert_eq!(cost.latency(kv), want, "{model:?} {seqs} {cfg} {kv}");
+                            assert_eq!(hw.decode_step_latency(&spec, seqs, kv, cfg), want);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub mod profile;
 pub mod zoo;
 
 pub use dag::{DagBuilder, NodeId, OperatorDag};
-pub use hardware::{HardwareCalibration, HardwareModel, ResourceConfig};
+pub use hardware::{DecodeCost, HardwareCalibration, HardwareModel, ResourceConfig};
 pub use operator::{OpClass, OpKind, Operator};
 pub use profile::{CacheOutcome, CacheStats, OpSignature, ProfileDatabase};
 pub use zoo::{ModelId, ModelSpec};

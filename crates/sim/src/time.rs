@@ -128,12 +128,23 @@ impl SimDuration {
     }
 
     /// Creates a duration from fractional seconds, rounding to the nearest
-    /// microsecond and clamping negative inputs to zero.
+    /// microsecond with ties away from zero. Zero, negative, NaN and
+    /// infinite inputs give zero; values at or above 2^64 µs saturate to
+    /// [`SimDuration::MAX`].
+    #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
+        let us = secs * 1e6;
+        // Below 2^52 the whole part and the fraction are both exact, so
+        // this is `us.round()` without the libm call.
+        if us > 0.0 && us < (1u64 << 52) as f64 {
+            let whole = us as i64;
+            let frac = us - whole as f64;
+            return SimDuration(whole as u64 + u64::from(frac >= 0.5));
+        }
         if secs <= 0.0 || !secs.is_finite() {
             return SimDuration::ZERO;
         }
-        SimDuration((secs * 1e6).round() as u64)
+        SimDuration(us.round() as u64)
     }
 
     /// The duration in whole microseconds.
@@ -142,6 +153,7 @@ impl SimDuration {
     }
 
     /// The duration in fractional seconds.
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
@@ -158,6 +170,7 @@ impl SimDuration {
 
     /// Multiplies by a float factor, rounding to the nearest microsecond.
     /// Negative or non-finite factors clamp to zero.
+    #[inline]
     pub fn mul_f64(self, factor: f64) -> SimDuration {
         SimDuration::from_secs_f64(self.as_secs_f64() * factor)
     }
@@ -285,6 +298,89 @@ impl fmt::Display for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `from_secs_f64` as defined: libm rounding, clamped and saturating.
+    fn from_secs_f64_reference(secs: f64) -> SimDuration {
+        if secs <= 0.0 || !secs.is_finite() {
+            SimDuration::ZERO
+        } else {
+            SimDuration((secs * 1e6).round() as u64)
+        }
+    }
+
+    /// Checks `from_secs_f64` against the reference on `secs` and the
+    /// four floats either side of it; returns how many of those nine
+    /// land exactly on `us` microseconds.
+    fn check_around(secs: f64, us: f64) -> usize {
+        let mut x = secs;
+        for _ in 0..4 {
+            x = x.next_down();
+        }
+        let mut exact = 0;
+        for _ in 0..9 {
+            assert_eq!(
+                SimDuration::from_secs_f64(x),
+                from_secs_f64_reference(x),
+                "secs = {x:e}"
+            );
+            exact += usize::from(x * 1e6 == us);
+            x = x.next_up();
+        }
+        exact
+    }
+
+    proptest! {
+        #[test]
+        fn from_secs_f64_matches_its_definition_on_any_bits(bits in any::<u64>()) {
+            let secs = f64::from_bits(bits);
+            prop_assert_eq!(
+                SimDuration::from_secs_f64(secs),
+                from_secs_f64_reference(secs)
+            );
+        }
+
+        #[test]
+        fn from_secs_f64_matches_its_definition_below_a_day(secs in 0.0f64..86_400.0) {
+            prop_assert_eq!(
+                SimDuration::from_secs_f64(secs),
+                from_secs_f64_reference(secs)
+            );
+        }
+    }
+
+    #[test]
+    fn from_secs_f64_rounds_every_half_microsecond_tie_away_from_zero() {
+        let mut exact = 0;
+        for k in 0..1_000_000u32 {
+            let us = f64::from(k) + 0.5;
+            exact += check_around(us / 1e6, us);
+        }
+        assert!(exact > 500_000, "only {exact} exact ties were hit");
+    }
+
+    #[test]
+    fn from_secs_f64_at_the_exactness_and_saturation_edges() {
+        let two52 = (1u64 << 52) as f64;
+        let two64 = 2.0 * (1u64 << 63) as f64;
+        for us in [
+            two52 - 0.5,
+            two52,
+            two52 + 1.0,
+            2.0 * two52,
+            two64 / 2.0,
+            two64,
+            4.0 * two64,
+        ] {
+            check_around(us / 1e6, us);
+        }
+        assert_eq!(SimDuration::from_secs_f64(1.9e13), SimDuration::MAX);
+        assert_eq!(SimDuration::from_secs_f64(f64::MAX), SimDuration::MAX);
+        assert_eq!(
+            SimDuration::from_secs_f64(two52 / 1e6),
+            SimDuration::from_micros(1 << 52)
+        );
+    }
 
     #[test]
     fn time_arithmetic_round_trips() {
@@ -307,12 +403,25 @@ mod tests {
 
     #[test]
     fn float_constructor_clamps_garbage() {
-        assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
-        assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
-        assert_eq!(
-            SimDuration::from_secs_f64(f64::NEG_INFINITY),
-            SimDuration::ZERO
-        );
+        for secs in [
+            -1.0,
+            -f64::MAX,
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0,
+            f64::MIN_POSITIVE,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            assert_eq!(
+                SimDuration::from_secs_f64(secs),
+                SimDuration::ZERO,
+                "secs = {secs:e}"
+            );
+        }
     }
 
     #[test]
