@@ -448,23 +448,31 @@ struct LlmEpisode {
     /// dividing an episode latency by this recovers the
     /// decomposition's pre-interference execution estimate.
     interf: f64,
-    /// The current decode span: the instant it began and the end of
-    /// each of its steps. Its last step is the boundary the live
-    /// [`EngineEvent::DecodeStep`] fires at; the steps before it change
-    /// nothing but token counts, so no event marks them.
+    /// The current decode span: `span_len` steps from `span_start`. Step
+    /// `i` costs `a + b·i` ticks ([`SimDuration::TICK_SHIFT`]) for
+    /// `price = [a, b, lead]`, and step 0 also `lead`: the sub-µs
+    /// remainder where the last span ended plus the joiners' prefill.
+    /// Only the last step is an event ([`EngineEvent::DecodeStep`]): the
+    /// others change nothing but token counts.
     span_start: SimTime,
-    span_ends: Vec<SimTime>,
+    span_len: u32,
+    price: [u64; 3],
 }
 
 impl LlmEpisode {
-    /// The instant a per-step event for span step `i` would have been
-    /// scheduled at: the end of the step before it.
-    fn step_as_of(&self, i: usize) -> SimTime {
-        if i == 0 {
-            self.span_start
-        } else {
-            self.span_ends[i - 1]
-        }
+    /// The end of the span's first `k` steps in ticks since time zero:
+    /// `span_start + k·a + b·k(k−1)/2 + lead`. The start is below 2^94,
+    /// prices below 2^64 and `k` below 2^32, so nothing overflows.
+    fn span_ticks(&self, k: u32) -> u128 {
+        let start = u128::from(self.span_start.as_micros()) << SimDuration::TICK_SHIFT;
+        let ([a, b, lead], k) = (self.price.map(u128::from), u128::from(k));
+        start + lead * k.min(1) + k * a + b * (k * k.saturating_sub(1) / 2)
+    }
+
+    /// The end of the span's first `k` steps: when step `k − 1` ends,
+    /// and so when a per-step event for step `k` would be scheduled.
+    fn span_at(&self, k: u32) -> SimTime {
+        SimTime::ZERO + SimDuration::from_ticks(self.span_ticks(k))
     }
 
     /// How many steps of the span have run by the queue's delivery
@@ -475,11 +483,11 @@ impl LlmEpisode {
     /// Both a step's end and the instant its event would have been
     /// scheduled at rise with the step, so the steps delivered before
     /// are a prefix of the span: a binary search finds its end.
-    fn steps_run(&self, queue: &EventQueue<EngineEvent>) -> usize {
-        let (mut lo, mut hi) = (0, self.span_ends.len() - 1);
+    fn steps_run(&self, queue: &EventQueue<EngineEvent>) -> u32 {
+        let (mut lo, mut hi) = (0, self.span_len - 1);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if queue.delivered_before(self.span_ends[mid], self.step_as_of(mid)) {
+            if queue.delivered_before(self.span_at(mid + 1), self.span_at(mid)) {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -490,9 +498,9 @@ impl LlmEpisode {
 
     /// Books `m` steps of the span: every active sequence produces one
     /// token per step. Returns the tokens produced.
-    fn book_steps(&mut self, m: usize) -> u64 {
-        self.steps += m as u32;
-        let tokens = m as u64 * self.active.len() as u64;
+    fn book_steps(&mut self, m: u32) -> u64 {
+        self.steps += m;
+        let tokens = u64::from(m) * self.active.len() as u64;
         self.resident_tokens += tokens;
         tokens
     }
@@ -775,7 +783,7 @@ impl Engine {
 
     /// Resident KV bytes with each episode's span run to
     /// `steps_run(episode)` steps.
-    fn resident_kv(&self, steps_run: impl Fn(&LlmEpisode) -> usize) -> u64 {
+    fn resident_kv(&self, steps_run: impl Fn(&LlmEpisode) -> u32) -> u64 {
         if self.live_episodes == 0 {
             return 0;
         }
@@ -786,7 +794,7 @@ impl Engine {
                     .llm()
                     .expect("episode on a non-LLM function")
                     .kv_bytes_per_token();
-                let unbooked = (steps_run(ep) * ep.active.len()) as u64;
+                let unbooked = u64::from(steps_run(ep)) * ep.active.len() as u64;
                 total += (ep.resident_tokens + unbooked) * bpt;
             }
         }
@@ -1357,11 +1365,11 @@ impl Engine {
             return;
         }
         let current = ep.steps_run(queue);
-        if current + 1 == ep.span_ends.len() {
+        if current + 1 == ep.span_len {
             return;
         }
-        ep.span_ends.truncate(current + 1);
-        let (end, as_of) = (ep.span_ends[current], ep.step_as_of(current));
+        ep.span_len = current + 1;
+        let (end, as_of) = (ep.span_at(current + 1), ep.span_at(current));
         slot.inst.extend_busy(end);
         slot.decode_gen = slot.decode_gen.wrapping_add(1);
         queue.schedule_as_of(end, as_of, EngineEvent::DecodeStep(id, slot.decode_gen));
@@ -2356,11 +2364,11 @@ impl Engine {
         let interf = interference.unwrap_or(1.0) * straggler.unwrap_or(1.0);
         let slow = noise * interf;
         let spec = self.functions[function].spec();
-        let prefill = self
+        let secs = self
             .hardware
-            .prefill_latency(spec, prefill_tokens, config.resources())
-            .mul_f64(slow);
-        let until = now + prefill;
+            .prefill_secs(spec, prefill_tokens, config.resources());
+        let prefill = SimDuration::ticks_from_secs_f64(slow * secs);
+        let until = now + SimDuration::from_ticks(prefill.into());
         let n = infos.len();
         let mut batch = self.spare_batch();
         let inst = &mut self.slot_mut(id).inst;
@@ -2414,7 +2422,8 @@ impl Engine {
             slow,
             interf,
             span_start: now,
-            span_ends: vec![until],
+            span_len: 1,
+            price: [0, 0, prefill],
         });
         slot.decode_gen = slot.decode_gen.wrapping_add(1);
         queue.schedule(until, EngineEvent::DecodeStep(id, slot.decode_gen));
@@ -2465,10 +2474,11 @@ impl Engine {
         let srv = placement.server().raw() as i64;
         let inst_ordinal = self.launch_ordinal(id);
         let nseq = ep.active.len() as u32;
+        debug_assert_eq!(ep.span_at(ep.span_len), now, "a span ends at its boundary");
         // 1. Every step of the span ran; first tokens (which only a
         //    one-step span can carry) close the request's TTFT clock,
         //    once even across fault retries.
-        let tokens = ep.book_steps(ep.span_ends.len());
+        let tokens = ep.book_steps(ep.span_len);
         self.collector.report.kv_allocated_bytes += bpt * tokens;
         for seq in &mut ep.active {
             if seq.first_token.is_none() {
@@ -2521,16 +2531,10 @@ impl Engine {
             if decisions_on {
                 self.emit_breakdown(function, seq.req.ordinal, parts, wait + exec);
             }
-            let tpot = if seq.output > 1 {
-                let first = seq
-                    .first_token
-                    .expect("completed sequences produced tokens");
-                Some(SimDuration::from_secs_f64(
-                    (now - first).as_secs_f64() / f64::from(seq.output - 1),
-                ))
-            } else {
-                None
-            };
+            let tpot = (seq.output > 1).then(|| {
+                let first = seq.first_token.expect("finished sequences produced tokens");
+                SimDuration::from_secs_f64((now - first).as_secs_f64() / f64::from(seq.output - 1))
+            });
             self.collector
                 .llm_complete(function, tpot, llm.tpot_slo, u64::from(produced));
             self.collector.report.kv_freed_bytes += kv_tokens * bpt;
@@ -2634,33 +2638,25 @@ impl Engine {
                     .min()
                     .expect("a live episode has active sequences")
             };
-            // Each step is memory-bound on weights + resident KV; the
-            // first also carries the piggybacked prefill of any
-            // joiners. Step ends chain exactly as per-step events would.
+            // Each step is memory-bound on weights + resident KV, which
+            // grows by `n` tokens a step; the first also carries the
+            // piggybacked prefill of any joiners.
             let spec = self.functions[function].spec();
+            let (r, kv) = (ep.resident_tokens as f64, llm.kv_mb_per_token);
             let cost = self.hardware.decode_cost(spec, n, config.resources());
-            let mut resident = ep.resident_tokens;
-            let mut until = now;
-            ep.span_start = now;
-            ep.span_ends.clear();
-            for i in 0..span {
-                let mut step = cost.latency(resident as f64 * llm.kv_mb_per_token);
-                if i == 0 && ep.pending_prefill_tokens > 0 {
-                    step += self.hardware.prefill_latency(
-                        spec,
-                        ep.pending_prefill_tokens,
-                        config.resources(),
-                    );
-                }
-                until += step.mul_f64(ep.slow);
-                ep.span_ends.push(until);
-                resident += u64::from(n);
-            }
-            ep.pending_prefill_tokens = 0;
+            let (a, b) = cost.span_ticks(r * kv, f64::from(n) * kv, ep.slow);
+            let prefill = match std::mem::take(&mut ep.pending_prefill_tokens) {
+                0 => 0.0,
+                tokens => self.hardware.prefill_secs(spec, tokens, config.resources()),
+            };
+            let p = SimDuration::ticks_from_secs_f64(ep.slow * prefill);
+            // The next span starts where this one ended, to the tick.
+            let carry = (ep.span_ticks(ep.span_len) % (1 << SimDuration::TICK_SHIFT)) as u64;
+            (ep.span_start, ep.span_len, ep.price) = (now, span, [a, b, p.saturating_add(carry)]);
             // A one-step span is scheduled now, exactly like a per-step
             // event; a longer one ties as if its last step's event had
             // been scheduled when the step before it ended.
-            let as_of = ep.step_as_of(ep.span_ends.len() - 1);
+            let (until, as_of) = (ep.span_at(span), ep.span_at(span - 1));
             let slot = self.slot_mut(id);
             slot.inst.extend_busy(until);
             slot.episode = Some(ep);
@@ -3947,22 +3943,16 @@ mod tests {
         }
     }
 
-    /// `steps_run`'s binary search agrees with the linear scan it
-    /// replaced wherever a span is cut: at, just before and just after
-    /// its first, middle and last silent step and its boundary, under
-    /// every delivery position the queue can be in.
-    #[test]
-    fn steps_run_search_matches_the_linear_scan() {
-        fn linear(ep: &LlmEpisode, queue: &EventQueue<EngineEvent>) -> usize {
-            let silent = ep.span_ends.len() - 1;
-            let mut i = 0;
-            while i < silent && queue.delivered_before(ep.span_ends[i], ep.step_as_of(i)) {
-                i += 1;
-            }
-            i
-        }
-        let at = SimTime::from_micros;
-        let ep = LlmEpisode {
+    use proptest::prelude::{any, prop_assert, prop_assert_eq, prop_oneof, proptest};
+    use proptest::prelude::{Just, ProptestConfig};
+
+    /// Ticks per microsecond.
+    const TICKS_PER_US: u64 = 1 << SimDuration::TICK_SHIFT;
+
+    /// An episode with no sequences whose span starts at `start`: `len`
+    /// steps at `price`.
+    fn span(start: SimTime, len: u32, price: [u64; 3]) -> LlmEpisode {
+        LlmEpisode {
             active: Vec::new(),
             steps: 0,
             resident_tokens: 0,
@@ -3971,18 +3961,145 @@ mod tests {
             completed: 0,
             slow: 1.0,
             interf: 1.0,
-            span_start: at(100),
-            span_ends: [110, 120, 120, 135, 150, 150, 170, 190].map(at).to_vec(),
-        };
-        let silent = ep.span_ends.len() - 1;
-        let mut seen = vec![false; silent + 1];
+            span_start: start,
+            span_len: len,
+            price,
+        }
+    }
+
+    /// The end of each of the first `len` steps of `ep`'s span by the
+    /// integer per-step loop the closed form replaces: each step adds
+    /// its own price to a running tick count. Also returns the count
+    /// after the last step, where the next span starts.
+    fn per_step_ends(ep: &LlmEpisode, len: u32) -> (Vec<SimTime>, u128) {
+        let [a, b, lead] = ep.price.map(u128::from);
+        let start = u128::from(ep.span_start.as_micros()) * u128::from(TICKS_PER_US);
+        let mut ticks = start + lead;
+        let ends = (0..u128::from(len))
+            .map(|i| {
+                ticks += a + b * i;
+                SimTime::ZERO + SimDuration::from_ticks(ticks)
+            })
+            .collect();
+        (ends, ticks)
+    }
+
+    /// A span priced by the hardware model, from 7 s with a remainder of
+    /// `carry` ticks: `n` sequences of BERT over `resident` tokens on
+    /// `cfg`, slowed by `slow`, with `prefill` joiner tokens. Also
+    /// returns the exact real-valued microseconds from 7 s to the end of
+    /// each step.
+    #[allow(clippy::too_many_arguments)]
+    fn priced_span(
+        hw: &HardwareModel,
+        cfg: ResourceConfig,
+        n: u32,
+        resident: u64,
+        len: u32,
+        slow: f64,
+        prefill: u64,
+        carry: u64,
+    ) -> (LlmEpisode, Vec<f64>) {
+        let spec = ModelId::BertV1.spec();
+        let kv = LlmClass::chat().kv_mb_per_token;
+        let (a, b) =
+            hw.decode_cost(&spec, n, cfg)
+                .span_ticks(resident as f64 * kv, f64::from(n) * kv, slow);
+        let prefill_s = (prefill > 0).then(|| slow * hw.prefill_secs(&spec, prefill, cfg));
+        let p = prefill_s.map_or(0, SimDuration::ticks_from_secs_f64);
+        // The step formula itself, in real numbers (f64 sums carry
+        // ~1e-4 µs of error over 10⁴ steps).
+        let cal = hw.calibration();
+        let mut us = carry as f64 / TICKS_PER_US as f64 + prefill_s.unwrap_or(0.0) * 1e6;
+        let exact = (0..u64::from(len))
+            .map(|i| {
+                let step = if cfg.is_cpu_only() {
+                    let work = cal.token_gflops_per_mb * spec.size_mb() * f64::from(n);
+                    let rate = cal.cpu_core_gflops
+                        * f64::from(cfg.cpu_cores()).powf(cal.cpu_scaling_exponent);
+                    cal.decode_overhead_s + work / rate
+                } else {
+                    let bw = cal.gpu_mem_bw_mb_per_s * f64::from(cfg.gpu_pct()) / 100.0;
+                    let kv_mb = (resident + i * u64::from(n)) as f64 * kv;
+                    cal.decode_overhead_s + (spec.size_mb() + kv_mb) / bw
+                };
+                us += slow * step * 1e6;
+                us
+            })
+            .collect();
+        (span(SimTime::from_secs(7), len, [a, b, carry + p]), exact)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Every step end of the closed form equals the per-step integer
+        /// loop's bit for bit, and so does the tick the next span starts
+        /// at. Each end is within 1 µs of the exact real-valued end, plus
+        /// the half tick each of `a`, `b` and the prefill may be off by,
+        /// summed over the steps (under 0.03 µs at 10⁴ steps).
+        #[test]
+        fn closed_form_span_ends_match_the_per_step_loop(
+            n in 1u32..=64,
+            resident in 0u64..=40_000,
+            len in prop_oneof![1u32..=32, 1u32..=10_000],
+            slow in 1.0f64..=3.0,
+            prefill in prop_oneof![Just(0u64), 1u64..=4_096],
+            carry in prop_oneof![Just(0), Just(TICKS_PER_US - 1), 0..TICKS_PER_US],
+            cpu in any::<bool>(),
+        ) {
+            let cfg = if cpu { ResourceConfig::cpu(4) } else { ResourceConfig::new(1, 50) };
+            let hw = HardwareModel::default();
+            let (ep, exact) = priced_span(&hw, cfg, n, resident, len, slow, prefill, carry);
+            let (ends, next) = per_step_ends(&ep, len);
+            let start = SimTime::from_secs(7);
+            prop_assert_eq!(ep.span_at(0), start);
+            for (i, (&end, &exact)) in ends.iter().zip(&exact).enumerate() {
+                prop_assert_eq!(ep.span_at(i as u32 + 1), end, "step {}", i);
+                let got = (end - start).as_micros() as f64;
+                let steps = i as f64 + 1.0;
+                let slack = 0.5 * (steps + steps * (steps - 1.0) / 2.0 + 1.0)
+                    / TICKS_PER_US as f64
+                    + 1e-3;
+                prop_assert!(
+                    got <= exact + slack && exact < got + 1.0 + slack,
+                    "step {} ends at {} µs, exactly {} µs", i, got, exact
+                );
+            }
+            prop_assert_eq!(ep.span_ticks(len), next);
+        }
+    }
+
+    /// `steps_run`'s binary search agrees with a linear scan wherever a
+    /// span is cut: at, just before and just after its first, middle
+    /// and last silent step and its boundary, under every delivery
+    /// position the queue can be in. Steps shorter than a microsecond
+    /// make some end in the same microsecond as the step before. A cut
+    /// hands the next span the tick the per-step loop reaches there.
+    #[test]
+    fn steps_run_search_matches_the_linear_scan() {
+        fn linear(ep: &LlmEpisode, queue: &EventQueue<EngineEvent>) -> u32 {
+            let silent = ep.span_len - 1;
+            let mut i = 0;
+            while i < silent && queue.delivered_before(ep.span_at(i + 1), ep.span_at(i)) {
+                i += 1;
+            }
+            i
+        }
+        let at = SimTime::from_micros;
+        let t = TICKS_PER_US;
+        let ep = span(at(100), 9, [t / 3, t / 8, t / 2 + 10 * t]);
+        let silent = ep.span_len - 1;
+        assert!((1..silent).any(|i| ep.span_at(i + 1) == ep.span_at(i)));
+        let mut seen = vec![false; silent as usize + 1];
         let mut check = |queue: &EventQueue<EngineEvent>| {
             let want = linear(&ep, queue);
             assert_eq!(ep.steps_run(queue), want, "at {}", queue.now());
-            seen[want] = true;
+            seen[want as usize] = true;
+            assert_eq!(ep.span_ticks(want + 1), per_step_ends(&ep, want + 1).1);
         };
         for step in [0, silent / 2, silent - 1, silent] {
-            let end = ep.span_ends[step].as_micros();
+            let end = ep.span_at(step + 1).as_micros();
             for t in [end - 1, end, end + 1].map(at) {
                 // A staged arrival.
                 let arrivals = [(t, 0usize)];
@@ -4004,6 +4121,81 @@ mod tests {
                 check(&queue);
             }
         }
-        assert!(seen.iter().filter(|&&s| s).count() > silent / 2);
+        assert!([0, silent / 2, silent - 1, silent]
+            .iter()
+            .all(|&i| seen[i as usize]));
+    }
+
+    /// Decode timing to the microsecond: one sequence on a warm GPU
+    /// slice, no noise, no co-tenant, no faults and no joiners. Its
+    /// prefill ends at the whole µs of its ticks; the decode span then
+    /// starts from the prefill's sub-µs remainder, and its `output − 1`
+    /// steps end at the closed form. TPOT is the decode time over the
+    /// `output − 1` intervals. The prompt is the first from 300 whose
+    /// remainder moves the completion to a later microsecond, so the
+    /// check sees the carry between spans.
+    #[test]
+    fn a_lone_sequence_decodes_on_the_closed_form() {
+        let calibration = infless_models::HardwareCalibration {
+            noise_sigma: 0.0,
+            ..Default::default()
+        };
+        let hw = HardwareModel::new(calibration);
+        let (spec, class, cfg, output) = (ModelId::BertV1.spec(), LlmClass::chat(), gpu_cfg(), 200);
+        let res = cfg.resources();
+        // The closed form: TTFT, and the decode span's length with and
+        // without the prefill's remainder.
+        let predict = |prompt: u32| {
+            let prefill =
+                SimDuration::ticks_from_secs_f64(hw.prefill_secs(&spec, prompt.into(), res));
+            // One sequence over `prompt + 1` resident tokens, growing by
+            // one a step.
+            let kv = class.kv_mb_per_token;
+            let resident = f64::from(prompt + 1) * kv;
+            let (a, b) = hw.decode_cost(&spec, 1, res).span_ticks(resident, kv, 1.0);
+            let m = u128::from(output - 1);
+            let steps = m * u128::from(a) + u128::from(b) * m * (m - 1) / 2;
+            let carry = u128::from(prefill % TICKS_PER_US);
+            (
+                SimDuration::from_ticks(prefill.into()),
+                SimDuration::from_ticks(carry + steps),
+                SimDuration::from_ticks(steps),
+            )
+        };
+        let prompt = (300..)
+            .find(|&p| predict(p).1 != predict(p).2)
+            .expect("some remainder carries");
+        let (ttft, decode, _) = predict(prompt);
+        let tpot = SimDuration::from_secs_f64(decode.as_secs_f64() / f64::from(output - 1));
+
+        let functions = vec![FunctionInfo::new(spec, SimDuration::from_secs(30)).with_llm(class)];
+        let mut engine = Engine::new("test", ClusterSpec::testbed(), hw, functions, 1);
+        engine.set_llm_batching(LlmBatching::Continuous);
+        let mut queue = EventQueue::new();
+        let id = engine
+            .launch_anywhere(0, cfg, StartupKind::PreWarmed, SimDuration::MAX, &mut queue)
+            .unwrap();
+        drain(&mut engine, &mut queue);
+        let req = engine.mint_request(0);
+        let info = TokenInfo {
+            prompt,
+            output,
+            produced: 0,
+            first_token_seen: false,
+        };
+        engine.token_table.insert(req.key(), info);
+        assert!(engine.enqueue(id, req, &mut queue));
+        let slow = engine.slot(id).episode.as_ref().expect("episode").slow;
+        assert_eq!(slow, 1.0, "no noise and no co-tenant");
+        drain(&mut engine, &mut queue);
+
+        let report = engine.finish();
+        assert_eq!(report.total_completed(), 1);
+        let f = &report.functions[0];
+        let llm = f.llm.as_ref().expect("LLM stats");
+        assert_eq!(llm.ttft_ms.max(), Some(ttft.as_millis_f64()));
+        assert_eq!(f.latency_ms.max(), Some((ttft + decode).as_millis_f64()));
+        assert_eq!(llm.tpot_ms.max(), Some(tpot.as_millis_f64()));
+        assert_eq!(llm.decoded_tokens, u64::from(output));
     }
 }

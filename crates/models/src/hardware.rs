@@ -381,6 +381,15 @@ impl HardwareModel {
         prompt_tokens: u64,
         cfg: ResourceConfig,
     ) -> SimDuration {
+        SimDuration::from_secs_f64(self.prefill_secs(spec, prompt_tokens, cfg))
+    }
+
+    /// [`Self::prefill_latency`] in unrounded seconds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `prompt_tokens` is zero.
+    pub fn prefill_secs(&self, spec: &ModelSpec, prompt_tokens: u64, cfg: ResourceConfig) -> f64 {
         assert!(prompt_tokens >= 1, "prefill needs at least one token");
         let cal = &self.calibration;
         let work = cal.token_gflops_per_mb * spec.size_mb() * prompt_tokens as f64;
@@ -389,7 +398,7 @@ impl HardwareModel {
         } else {
             cal.gpu_pct_gflops * f64::from(cfg.gpu_pct())
         };
-        SimDuration::from_secs_f64(cal.framework_base_s + work / rate)
+        cal.framework_base_s + work / rate
     }
 
     /// Latency of one decode step: every active sequence produces one
@@ -410,13 +419,13 @@ impl HardwareModel {
         kv_mb: f64,
         cfg: ResourceConfig,
     ) -> SimDuration {
-        self.decode_cost(spec, seqs, cfg).latency(kv_mb)
+        SimDuration::from_secs_f64(self.decode_cost(spec, seqs, cfg).step_secs(kv_mb))
     }
 
     /// The price of one decode step of `seqs` sequences of `spec` on
-    /// `cfg`, with everything but the resident KV-cache fixed: price
-    /// many steps by deriving this once and calling
-    /// [`DecodeCost::latency`] per step.
+    /// `cfg`, with everything but the resident KV-cache fixed: price a
+    /// span of steps by deriving this once and calling
+    /// [`DecodeCost::span_ticks`].
     ///
     /// # Panics
     ///
@@ -428,9 +437,9 @@ impl HardwareModel {
             let work = cal.token_gflops_per_mb * spec.size_mb() * f64::from(seqs);
             let rate =
                 cal.cpu_core_gflops * f64::from(cfg.cpu_cores()).powf(cal.cpu_scaling_exponent);
-            DecodeCost::Cpu(SimDuration::from_secs_f64(
-                cal.decode_overhead_s + work / rate,
-            ))
+            DecodeCost::Cpu {
+                step_s: cal.decode_overhead_s + work / rate,
+            }
         } else {
             DecodeCost::Gpu {
                 overhead_s: cal.decode_overhead_s,
@@ -448,7 +457,10 @@ impl HardwareModel {
 pub enum DecodeCost {
     /// CPU-only: compute-bound on the sequences' tokens, so the KV-cache
     /// does not matter and the step costs a fixed duration.
-    Cpu(SimDuration),
+    Cpu {
+        /// The step's duration, seconds.
+        step_s: f64,
+    },
     /// GPU slice: memory-bound, streaming the weights plus the resident
     /// KV-cache once per step at the slice's bandwidth share.
     Gpu {
@@ -462,18 +474,33 @@ pub enum DecodeCost {
 }
 
 impl DecodeCost {
-    /// The latency of one step with `kv_mb` MB of resident KV-cache
-    /// (negative counts as none).
-    #[inline]
-    pub fn latency(&self, kv_mb: f64) -> SimDuration {
+    /// One step's latency in seconds with `kv_mb` MB of resident
+    /// KV-cache (negative counts as none).
+    fn step_secs(&self, kv_mb: f64) -> f64 {
         match *self {
-            DecodeCost::Cpu(step) => step,
+            DecodeCost::Cpu { step_s } => step_s,
             DecodeCost::Gpu {
                 overhead_s,
                 weights_mb,
                 bw,
-            } => SimDuration::from_secs_f64(overhead_s + (weights_mb + kv_mb.max(0.0)) / bw),
+            } => overhead_s + (weights_mb + kv_mb.max(0.0)) / bw,
         }
+    }
+
+    /// A span of steps in ticks ([`SimDuration::TICK_SHIFT`]): when the
+    /// first step sees `kv_mb` MB of resident KV-cache and each step
+    /// adds `kv_step_mb` more, step `i` costs `first + growth · i`
+    /// ticks, slowed by `slow`. Returns `(first, growth)`, each rounded
+    /// once; on CPU the step does not depend on the KV-cache, so
+    /// `growth` is zero.
+    #[inline]
+    pub fn span_ticks(&self, kv_mb: f64, kv_step_mb: f64, slow: f64) -> (u64, u64) {
+        let first = SimDuration::ticks_from_secs_f64(slow * self.step_secs(kv_mb));
+        let growth = match *self {
+            DecodeCost::Cpu { .. } => 0,
+            DecodeCost::Gpu { bw, .. } => SimDuration::ticks_from_secs_f64(slow * kv_step_mb / bw),
+        };
+        (first, growth)
     }
 }
 
@@ -672,10 +699,10 @@ mod tests {
         seqs: u32,
         kv_mb: f64,
         cfg: ResourceConfig,
-    ) -> SimDuration {
+    ) -> f64 {
         assert!(seqs >= 1, "a decode step needs at least one sequence");
         let cal = &hw.calibration;
-        let secs = if cfg.is_cpu_only() {
+        if cfg.is_cpu_only() {
             let work = cal.token_gflops_per_mb * spec.size_mb() * f64::from(seqs);
             let rate =
                 cal.cpu_core_gflops * f64::from(cfg.cpu_cores()).powf(cal.cpu_scaling_exponent);
@@ -683,13 +710,13 @@ mod tests {
         } else {
             let bw = cal.gpu_mem_bw_mb_per_s * f64::from(cfg.gpu_pct()) / 100.0;
             cal.decode_overhead_s + (spec.size_mb() + kv_mb.max(0.0)) / bw
-        };
-        SimDuration::from_secs_f64(secs)
+        }
     }
 
     /// Every bit of the reference survives the split: above 2^53 µs
     /// (the large `kv_mb`) every float is a whole microsecond, so the
-    /// rounded step exposes the last bit of the bandwidth division.
+    /// rounded step exposes the last bit of the bandwidth division. A
+    /// span's first step is the same value in ticks.
     #[test]
     fn decode_cost_matches_the_step_formula() {
         let calibrated = hw();
@@ -721,9 +748,48 @@ mod tests {
                         let cost = hw.decode_cost(&spec, seqs, cfg);
                         for kv in kvs {
                             let want = decode_step_reference(&hw, &spec, seqs, kv, cfg);
-                            assert_eq!(cost.latency(kv), want, "{model:?} {seqs} {cfg} {kv}");
-                            assert_eq!(hw.decode_step_latency(&spec, seqs, kv, cfg), want);
+                            assert_eq!(
+                                hw.decode_step_latency(&spec, seqs, kv, cfg),
+                                SimDuration::from_secs_f64(want),
+                                "{model:?} {seqs} {cfg} {kv}"
+                            );
+                            let (first, _) = cost.span_ticks(kv, 0.0, 1.0);
+                            assert_eq!(first, SimDuration::ticks_from_secs_f64(want));
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A span's steps are affine in the step index: step `i` of a span
+    /// costs the step formula at the KV-cache it sees, in ticks, to
+    /// within the rounding of the two terms.
+    #[test]
+    fn span_ticks_are_the_step_formula_affine_in_the_step() {
+        let hw = hw();
+        let per_tick = 1e6 * (1u64 << SimDuration::TICK_SHIFT) as f64;
+        for model in ModelId::all() {
+            let spec = model.spec();
+            for (seqs, cfg) in [
+                (1, ResourceConfig::new(1, 1)),
+                (8, ResourceConfig::new(2, 20)),
+                (64, ResourceConfig::new(4, 100)),
+                (4, ResourceConfig::cpu(3)),
+            ] {
+                for (kv0, per_seq, slow) in [(0.0, 0.05, 1.0), (51.2, 0.05, 2.9), (7e3, 0.5, 1.3)] {
+                    let step = f64::from(seqs) * per_seq;
+                    let (first, growth) =
+                        hw.decode_cost(&spec, seqs, cfg).span_ticks(kv0, step, slow);
+                    for i in [0u32, 1, 2, 99, 1_000, 10_000] {
+                        let kv = kv0 + f64::from(i) * step;
+                        let exact =
+                            slow * decode_step_reference(&hw, &spec, seqs, kv, cfg) * per_tick;
+                        let got = first as f64 + growth as f64 * f64::from(i);
+                        // Half a tick from each term, plus the floats'
+                        // own rounding of the exact value.
+                        let slack = 0.5 * f64::from(i + 1) + exact * 1e-14;
+                        assert!((got - exact).abs() <= slack, "{model:?} {cfg} {i}");
                     }
                 }
             }

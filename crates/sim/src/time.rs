@@ -133,18 +133,29 @@ impl SimDuration {
     /// [`SimDuration::MAX`].
     #[inline]
     pub fn from_secs_f64(secs: f64) -> Self {
-        let us = secs * 1e6;
-        // Below 2^52 the whole part and the fraction are both exact, so
-        // this is `us.round()` without the libm call.
-        if us > 0.0 && us < (1u64 << 52) as f64 {
-            let whole = us as i64;
-            let frac = us - whole as f64;
-            return SimDuration(whole as u64 + u64::from(frac >= 0.5));
-        }
-        if secs <= 0.0 || !secs.is_finite() {
-            return SimDuration::ZERO;
-        }
-        SimDuration(us.round() as u64)
+        SimDuration(round_scaled(secs, 1e6))
+    }
+
+    /// Sub-microsecond ticks as a power of two: a tick is 2⁻³⁰ µs
+    /// (~0.93 fs). Decode spans price their steps in ticks, so a sum of
+    /// many steps is rounded once, and a tick count becomes whole
+    /// microseconds with a shift ([`SimDuration::from_ticks`]).
+    pub const TICK_SHIFT: u32 = 30;
+
+    /// Fractional seconds in ticks, rounded like [`Self::from_secs_f64`]:
+    /// to the nearest tick with ties away from zero; zero, negative, NaN
+    /// and infinite inputs give zero, and values at or above 2^64 ticks
+    /// saturate to `u64::MAX`.
+    #[inline]
+    pub fn ticks_from_secs_f64(secs: f64) -> u64 {
+        round_scaled(secs, 1e6 * (1u64 << Self::TICK_SHIFT) as f64)
+    }
+
+    /// The whole microseconds in `ticks`, the remainder dropped;
+    /// saturates to [`SimDuration::MAX`].
+    #[inline]
+    pub fn from_ticks(ticks: u128) -> Self {
+        SimDuration(u64::try_from(ticks >> Self::TICK_SHIFT).unwrap_or(u64::MAX))
     }
 
     /// The duration in whole microseconds.
@@ -295,6 +306,27 @@ impl fmt::Display for SimDuration {
     }
 }
 
+/// `secs · scale` rounded to the nearest integer with ties away from
+/// zero, without libm: zero for zero, negative, NaN and infinite `secs`,
+/// saturating at `u64::MAX`.
+#[inline]
+fn round_scaled(secs: f64, scale: f64) -> u64 {
+    let x = secs * scale;
+    // Below 2^52 the whole part and the fraction are both exact (and the
+    // whole part fits the signed conversion, which is one instruction),
+    // so this is `x.round()` without the libm call.
+    if x > 0.0 && x < (1u64 << 52) as f64 {
+        let whole = x as i64;
+        let frac = x - whole as f64;
+        return whole as u64 + u64::from(frac >= 0.5);
+    }
+    if secs <= 0.0 || !secs.is_finite() {
+        return 0;
+    }
+    // At or above 2^52 every float is whole, and `as` saturates.
+    x as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,6 +412,64 @@ mod tests {
             SimDuration::from_secs_f64(two52 / 1e6),
             SimDuration::from_micros(1 << 52)
         );
+    }
+
+    /// `ticks_from_secs_f64` as defined: libm rounding of the scaled
+    /// value, clamped and saturating.
+    fn ticks_reference(secs: f64) -> u64 {
+        if secs <= 0.0 || !secs.is_finite() {
+            0
+        } else {
+            (secs * 1e6 * (1u64 << SimDuration::TICK_SHIFT) as f64).round() as u64
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn ticks_from_secs_f64_matches_its_definition_on_any_bits(bits in any::<u64>()) {
+            let secs = f64::from_bits(bits);
+            prop_assert_eq!(SimDuration::ticks_from_secs_f64(secs), ticks_reference(secs));
+        }
+
+        #[test]
+        fn ticks_from_secs_f64_matches_its_definition_below_an_hour(secs in 0.0f64..3_600.0) {
+            prop_assert_eq!(SimDuration::ticks_from_secs_f64(secs), ticks_reference(secs));
+        }
+    }
+
+    #[test]
+    fn ticks_round_ties_away_and_shift_to_whole_microseconds() {
+        let per_sec = 1e6 * (1u64 << SimDuration::TICK_SHIFT) as f64;
+        // The floats around each tie `k + 0.5` ticks, up to the fast
+        // path's 2^52 edge (above it no tie is a float).
+        let mut ties = 0;
+        for k in (0..100_000u64).chain((1 << 52) - 1_000..1 << 52) {
+            let mut secs = ((k as f64 + 0.5) / per_sec).next_down().next_down();
+            for _ in 0..5 {
+                let ticks = SimDuration::ticks_from_secs_f64(secs);
+                assert_eq!(ticks, ticks_reference(secs), "secs = {secs:e}");
+                if secs * per_sec == k as f64 + 0.5 {
+                    assert_eq!(ticks, k + 1, "k = {k}");
+                    ties += 1;
+                }
+                secs = secs.next_up();
+            }
+        }
+        assert!(ties > 50_000, "only {ties} exact ties were hit");
+        assert_eq!(SimDuration::ticks_from_secs_f64(1.0), 1_000_000 << 30);
+        assert_eq!(SimDuration::ticks_from_secs_f64(2e4), u64::MAX);
+        for secs in [-1.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(SimDuration::ticks_from_secs_f64(secs), 0, "secs = {secs:e}");
+        }
+        let us = 1u128 << SimDuration::TICK_SHIFT;
+        assert_eq!(SimDuration::from_ticks(0), SimDuration::ZERO);
+        assert_eq!(SimDuration::from_ticks(us - 1), SimDuration::ZERO);
+        assert_eq!(SimDuration::from_ticks(7 * us), SimDuration::from_micros(7));
+        assert_eq!(
+            SimDuration::from_ticks(u128::from(u64::MAX) * us + us - 1),
+            SimDuration::MAX
+        );
+        assert_eq!(SimDuration::from_ticks(u128::MAX), SimDuration::MAX);
     }
 
     #[test]
