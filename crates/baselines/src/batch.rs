@@ -534,7 +534,7 @@ mod tests {
                 4,
             )
             .run(&workload);
-            // Within the histogram's 2⁻⁷ relative error of the exact
+            // Within the histogram's 2⁻⁸ relative error of the exact
             // median.
             report.fragment_samples.quantile(0.5).unwrap_or(0.0)
         };

@@ -168,8 +168,8 @@ pub struct ChainReport {
     pub violations: u64,
     /// Requests lost mid-chain (a stage dropped the relayed request).
     pub lost: u64,
-    /// End-to-end latency of completed traversals, milliseconds
-    /// (log2-bucketed; quantile error ≤ 2⁻⁷ relative).
+    /// End-to-end latency of completed traversals, milliseconds, in ns
+    /// ticks (quantile error ≤ 2⁻⁸ relative).
     pub e2e_ms: Log2Histogram,
 }
 

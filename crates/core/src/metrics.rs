@@ -6,13 +6,13 @@
 //! resource, cold-start rate, fragment statistics, …).
 
 use std::collections::{BTreeMap, HashMap};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use infless_cluster::InstanceConfig;
 use infless_models::CacheOutcome;
 use infless_sim::stats::TimeWeighted;
 use infless_sim::{SimDuration, SimTime};
-use infless_telemetry::{Log2Histogram, TimeseriesSummary};
+use infless_telemetry::{Log2Histogram, TimeseriesSummary, TICKS_PER_UNIT};
 use serde::{Deserialize, Serialize};
 
 /// How an instance came up.
@@ -136,9 +136,9 @@ pub struct FunctionReport {
     pub violations: u64,
     /// Completed requests that experienced a cold-start wait.
     pub cold_requests: u64,
-    /// End-to-end latency of completed requests, milliseconds, as a
-    /// log2-bucketed histogram (quantile error ≤ 2⁻⁷ relative, exact at
-    /// the extremes — see [`Log2Histogram`]).
+    /// End-to-end latency of completed requests, milliseconds, recorded
+    /// in ns ticks (quantile error ≤ 2⁻⁸ relative, exact at the
+    /// extremes and in the sum — see [`Log2Histogram`]).
     pub latency_ms: Log2Histogram,
     /// Serving batchsize of completed requests as a histogram (the
     /// distribution view of `per_batch_completed`).
@@ -254,10 +254,10 @@ pub struct RunReport {
     pub cpu_core_seconds: f64,
     /// ∫ GPU SM-percent allocated dt (pct·s).
     pub gpu_pct_seconds: f64,
-    /// Fragment ratios sampled at scaler ticks (Fig. 17b).
+    /// Fragment ratios sampled at scaler ticks (Fig. 17b), in ppm ticks.
     pub fragment_samples: Log2Histogram,
     /// Wall-clock scheduling overhead per `Schedule()` call, µs
-    /// (Fig. 17a), as a log2-bucketed histogram, so
+    /// (Fig. 17a), as a histogram of ps ticks, so
     /// `BENCH_hotpath.json` can report tail quantiles without keeping
     /// raw samples.
     pub sched_overhead_hist_us: Log2Histogram,
@@ -545,6 +545,18 @@ struct ResourceUsage {
     gpu_usage: TimeWeighted,
 }
 
+/// `d` in the ticks of a `_ms` histogram: ns, 10⁶ a millisecond.
+pub(crate) fn ms_ticks(d: SimDuration) -> u64 {
+    d.as_micros().saturating_mul(TICKS_PER_UNIT / 1_000)
+}
+
+/// A wall-clock `d` in the ticks of a histogram whose unit is `unit_ns`
+/// nanoseconds (1 for `_ns`, 1 000 for `_us`).
+pub(crate) fn wall_ticks(d: Duration, unit_ns: u64) -> u64 {
+    let ticks = d.as_nanos() * u128::from(TICKS_PER_UNIT) / u128::from(unit_ns);
+    u64::try_from(ticks).unwrap_or(u64::MAX)
+}
+
 /// The mutable recorder a running platform writes into.
 ///
 /// It builds the [`RunReport`] it returns: callers write counters and
@@ -619,11 +631,11 @@ impl Collector {
         let f = &mut self.report.functions[function];
         let latency = queue + exec;
         f.completed += 1;
-        f.latency_ms.add(latency.as_millis_f64());
+        f.latency_ms.record(ms_ticks(latency));
         let b = &mut f.breakdown;
-        b.queueing_ms.add(parts.queueing.as_millis_f64());
-        b.batch_wait_ms.add(parts.batch_wait.as_millis_f64());
-        b.startup_ms.add(parts.startup.as_millis_f64());
+        b.queueing_ms.record(ms_ticks(parts.queueing));
+        b.batch_wait_ms.record(ms_ticks(parts.batch_wait));
+        b.startup_ms.record(ms_ticks(parts.startup));
         if latency > f.slo {
             f.violations += 1;
         }
@@ -634,9 +646,8 @@ impl Collector {
 
     /// The per-batch part of recording `n` completions that share one
     /// exec phase (`exec`, of which `exec_base` is the pre-interference
-    /// estimate) and one batch setting. Each accumulator sees the same
-    /// values in the same order as `n` single-request records, so the
-    /// report is bit-identical; the bucket lookups happen once.
+    /// estimate) and one batch setting. The report is the same as after
+    /// `n` single-request records; each histogram takes the `n` in O(1).
     pub(crate) fn complete_batch(
         &mut self,
         function: usize,
@@ -650,11 +661,12 @@ impl Collector {
         }
         let f = &mut self.report.functions[function];
         let (execution, interference) = LatencyParts::split_exec(exec, exec_base);
-        f.breakdown.execution_ms.add_n(execution.as_millis_f64(), n);
+        f.breakdown.execution_ms.record_n(ms_ticks(execution), n);
         f.breakdown
             .interference_ms
-            .add_n(interference.as_millis_f64(), n);
-        f.batch_sizes.add_n(f64::from(batch_setting), n);
+            .record_n(ms_ticks(interference), n);
+        f.batch_sizes
+            .record_n(u64::from(batch_setting) * TICKS_PER_UNIT, n);
         *f.per_batch_completed.entry(batch_setting).or_insert(0) += n;
     }
 
@@ -712,7 +724,7 @@ impl Collector {
     /// sample and, when it blew `slo`, a TTFT violation.
     pub fn llm_first_token(&mut self, function: usize, ttft: SimDuration, slo: SimDuration) {
         let s = self.llm_stats(function);
-        s.ttft_ms.add(ttft.as_millis_f64());
+        s.ttft_ms.record(ms_ticks(ttft));
         if ttft > slo {
             s.ttft_violations += 1;
         }
@@ -731,7 +743,7 @@ impl Collector {
         let s = self.llm_stats(function);
         s.decoded_tokens += decoded;
         if let Some(t) = tpot {
-            s.tpot_ms.add(t.as_millis_f64());
+            s.tpot_ms.record(ms_ticks(t));
             if t > slo {
                 s.tpot_violations += 1;
             }
@@ -1084,7 +1096,7 @@ mod tests {
     }
 
     /// Headline percentiles read from the latency histogram stay
-    /// within its documented 2⁻⁷ relative error bound.
+    /// within its documented 2⁻⁸ relative error bound.
     #[test]
     fn latency_percentiles_hold_the_histogram_bound() {
         let mut c = collector();
@@ -1095,7 +1107,7 @@ mod tests {
         let f = &r.functions[0];
         for q in [50.0, 95.0, 99.0] {
             let got = f.latency_ms.quantile(q / 100.0).unwrap();
-            assert!((got - q).abs() / q <= 1.0 / 128.0, "p{q}: {got}");
+            assert!((got - q).abs() / q <= 1.0 / 256.0, "p{q}: {got}");
         }
         assert_eq!(f.latency_ms.len() as u64, f.completed);
         // The batch-size histogram mirrors per_batch_completed.

@@ -31,7 +31,7 @@ use crate::coldstart::{
 };
 use crate::driver::{self, Platform};
 use crate::engine::{CompletedBatch, Engine, EngineEvent, FaultOutcome, FunctionInfo};
-use crate::metrics::{RunReport, StartupKind};
+use crate::metrics::{ms_ticks, wall_ticks, RunReport, StartupKind};
 use crate::predictor::{CopPredictor, DEFAULT_OFFSET};
 use crate::residency::ResidencyConfig;
 use crate::router::{Admission, DeficitRouter, RouterEntry};
@@ -713,7 +713,7 @@ impl InflessPlatform {
                     let report = &mut self.chains.reports[chain];
                     let e2e = now - start;
                     report.completed += 1;
-                    report.e2e_ms.add(e2e.as_millis_f64());
+                    report.e2e_ms.record(ms_ticks(e2e));
                     if e2e > report.e2e_slo {
                         report.violations += 1;
                     }
@@ -755,8 +755,8 @@ impl InflessPlatform {
             }
         });
         if let Some(t0) = t0 {
-            let nanos = t0.elapsed().as_nanos() as f64;
-            engine.collector.report.dispatch_overhead_ns.add(nanos);
+            let ticks = wall_ticks(t0.elapsed(), 1);
+            engine.collector.report.dispatch_overhead_ns.record(ticks);
         }
         hit.is_some()
     }
@@ -934,12 +934,12 @@ impl InflessPlatform {
             device_mb,
             trace.as_mut(),
         );
-        let elapsed_us = wall.elapsed().as_secs_f64() * 1e6;
+        let elapsed = wall_ticks(wall.elapsed(), 1_000);
         self.engine
             .collector
             .report
             .sched_overhead_hist_us
-            .add(elapsed_us);
+            .record(elapsed);
         let launched = outcome.instances.len();
         if let Some(mut buf) = trace {
             let mut summary = DecisionEvent::new(DecisionKind::ScaleOut);
@@ -1317,12 +1317,12 @@ impl InflessPlatform {
             startup_cost,
             device_mb,
         );
-        let elapsed_us = wall.elapsed().as_secs_f64() * 1e6;
+        let elapsed = wall_ticks(wall.elapsed(), 1_000);
         self.engine
             .collector
             .report
             .sched_overhead_hist_us
-            .add(elapsed_us);
+            .record(elapsed);
         if trial.unplaced_rps > rps * 0.05 || trial.instances.is_empty() {
             self.engine.cluster_mut().rollback_txn();
             if decisions_on {

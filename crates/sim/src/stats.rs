@@ -1,9 +1,11 @@
 //! Streaming statistics used across the reproduction.
 //!
 //! The run report's distributions (latencies, the latency breakdown,
-//! batch sizes, the fragment ratio) are `Log2Histogram`s from the
-//! telemetry crate. This module holds the cold-start policies'
-//! idle-time histogram and the resource-seconds integral.
+//! batch sizes, the fragment ratio) are the telemetry crate's
+//! `Log2Histogram`: integer ticks, 10⁶ per unit of each field, in
+//! log-linear buckets with an exact sum. This module holds the
+//! cold-start policies' idle-time histogram and the resource-seconds
+//! integral.
 //!
 //! * [`BinnedHistogram`] — fixed-width histogram over a bounded range;
 //!   this is the structure the HHP/LSTH cold-start policies build over

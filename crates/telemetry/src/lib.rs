@@ -18,10 +18,10 @@
 //!   batches) into fixed-interval rows, with a constant-size summary
 //!   that is always maintained (it is a handful of max/mean updates per
 //!   scaler tick) and folded into the run report.
-//! * [`Log2Histogram`] — the log2-bucketed histogram behind the
-//!   report's latency and batch-size percentiles, replacing the
-//!   retain-and-sort quantile path (relative error ≤ 2⁻⁷, documented
-//!   on the type).
+//! * [`Log2Histogram`] — the log-linear histogram over integer ticks
+//!   ([`TICKS_PER_UNIT`] per unit of the field) behind the report's
+//!   latency and batch-size percentiles, with an exact sum (quantile
+//!   error ≤ 2⁻⁸ relative, documented on the type).
 //!
 //! Every output reads one ordered record path. The engine emits spans,
 //! gauge rows and decisions as [`Record`]s into a plain buffer; the
@@ -66,7 +66,7 @@ pub use flight::{
     FlightRecorder, FLIGHT_BURST_THRESHOLD, FLIGHT_BURST_WINDOW_S, FLIGHT_MAX_DUMPS,
     FLIGHT_RING_CAPACITY,
 };
-pub use hist::Log2Histogram;
+pub use hist::{Log2Histogram, TICKS_PER_UNIT};
 pub use record::{Channels, Record, RecordWriter};
 pub use registry::{validate_prometheus_text, MetricsRegistry, MetricsSink};
 pub use sink::{

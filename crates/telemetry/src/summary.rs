@@ -8,7 +8,7 @@ use std::path::Path;
 
 use serde_json::Value;
 
-use crate::hist::Log2Histogram;
+use crate::hist::{Log2Histogram, TICKS_PER_UNIT};
 use crate::sink::{FaultTag, SpanKind, TraceMeta};
 
 /// Per-function tallies recomputed from spans.
@@ -276,7 +276,9 @@ pub fn summarize<R: BufRead>(reader: R) -> Result<TraceSummary, String> {
             SpanKind::BatchFormed => summary.batches_formed += 1,
             SpanKind::ExecStart => {
                 summary.exec_starts += 1;
-                summary.batch_sizes.add(batch as f64);
+                summary
+                    .batch_sizes
+                    .record(batch.saturating_mul(TICKS_PER_UNIT));
             }
             SpanKind::Complete | SpanKind::Dropped | SpanKind::Shed => {
                 if let Some(first) = terminated.insert(subject, kind) {

@@ -157,6 +157,28 @@ fn kv_books(report: &RunReport) {
     );
 }
 
+/// `LatencyParts::derive` splits each completed request's latency into
+/// five components exactly in µs, so per function the components' exact
+/// tick sums add up to the latency's, and each counts every completion.
+fn breakdown_partitions_latency(case: &str, report: &RunReport) {
+    for f in &report.functions {
+        let b = &f.breakdown;
+        let parts = [
+            &b.queueing_ms,
+            &b.batch_wait_ms,
+            &b.startup_ms,
+            &b.execution_ms,
+            &b.interference_ms,
+        ];
+        let latency = &f.latency_ms;
+        let sum: u128 = parts.iter().map(|h| h.sum_ticks()).sum();
+        assert_eq!(sum, latency.sum_ticks(), "{case} {}: breakdown sum", f.name);
+        for h in parts {
+            assert_eq!(h.count(), latency.count(), "{case} {}: count", f.name);
+        }
+    }
+}
+
 /// The byte length and FNV-1a-64 digest of one artifact.
 type Digest = (u64, u64);
 
@@ -242,6 +264,7 @@ fn run_case(case: &Case, pinned: &Rows) -> (Rows, Vec<String>) {
         };
     }
     let report = (case.run)(config);
+    breakdown_partitions_latency(&case.name, &report);
     fs::write(dir.join("canonical.json"), report.canonical_json()).expect("writable report");
 
     let mut actual = Rows::new();
